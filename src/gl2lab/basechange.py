@@ -118,9 +118,12 @@ def sigma_orbits(p: int, r: int, n: int) -> SigmaOrbitTable:
     bijection = (len(used_orbits) == count == len(small.class_reps))
     table = SigmaOrbitTable(p, r, n, G.order, len(small.class_reps), count,
                             records, bijection)
-    assert sum(o.size for o in table.orbits) == G.order
+    if sum(o.size for o in table.orbits) != G.order:
+        raise AssertionError(f"sigma-orbit sizes do not sum to |G| = {G.order}")
     for o in table.orbits:
-        assert o.size * o.tw_centralizer == G.order
+        if o.size * o.tw_centralizer != G.order:
+            raise AssertionError(f"orbit of {o.rep}: size {o.size} times twisted "
+                                 f"centralizer {o.tw_centralizer} != |G|")
     return table
 
 
@@ -230,6 +233,11 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int,
 
     f_values: one integer per conjugacy class of GL2(Z/p^j).
     Exhaustive over all delta when deltas is None.
+
+    Gamma(p^k) is the kernel of reduction mod p^k, so u -> u delta maps it
+    bijectively onto the fibre of delta under that reduction.  The left
+    sums are therefore fibre sums of f(N(.)), taken once for all delta in
+    exact integer arithmetic; they equal the sums over u term by term.
     """
     if not 0 <= k <= j:
         raise DomainError("need 0 <= k <= j")
@@ -240,23 +248,15 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int,
         raise DomainError("one value per conjugacy class required")
 
     # left side: average f(N(u delta)) = f-value of the orbit of (u delta)
-    mask = G.congruence_mask(k)
-    u_idx = np.nonzero(mask)[0]
-    check_cap(len(u_idx) * 64, "bc-unit coset averaging")
-    per_el = fv[norm_class[labels]]
+    n_left = int(np.count_nonzero(G.congruence_mask(k)))
+    check_cap(n_left * 64, "bc-unit coset averaging")
     if deltas is None:
         sel = np.arange(G.order)
     else:
         sel = np.asarray(deltas)
-    dsel = tuple(c[sel] for c in G.comps)
-    sums = np.zeros(len(sel), dtype=np.int64)
-    for ui in u_idx:
-        u = tuple(np.full(len(sel), int(c[ui]), dtype=np.int64) for c in G.comps)
-        sums += per_el[G.idx(G.matmul(u, dsel))]
-    n_left = len(u_idx)
+    sums = _fibre_sums(G, k, fv[norm_class[labels]], n_left)[sel]
 
     # right side: per conjugacy class of the norm, average f over v * gamma
-    mod = p**j
     pk = p**k
     vs = []
     for x in small.elements:
@@ -270,7 +270,29 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int,
     rhs_num = np.asarray([f.numerator for f in rhs], dtype=np.int64)
     rhs_den = np.asarray([f.denominator for f in rhs], dtype=np.int64)
     cls_of_sel = norm_class[labels[sel]]
-    lhs_num = sums
     # compare sums/n_left against rhs fraction per element
-    return bool(np.all(lhs_num * rhs_den[cls_of_sel]
+    return bool(np.all(sums * rhs_den[cls_of_sel]
                        == rhs_num[cls_of_sel] * n_left))
+
+
+def _fibre_sums(G: MatGroup, k: int, per_el: np.ndarray, fibre_size: int):
+    """For every element g, the sum of per_el over g's fibre mod p^k.
+
+    The reduction of a matrix reduces each Galois-ring digit of each entry
+    mod p^k.  Every fibre must hold exactly fibre_size = |Gamma(p^k)|
+    elements.
+    """
+    t = G.t
+    pn, pk = t.p**t.n, t.p**k
+    codes = np.arange(t.Q)
+    red = sum(((codes // pn**i) % pk) * pk**i for i in range(t.r))
+    base = pk**t.r
+    a, b, c, d = (red[x] for x in G.comps)
+    _, fibre, sizes = np.unique(a + base * (b + base * (c + base * d)),
+                                return_inverse=True, return_counts=True)
+    if np.any(sizes != fibre_size):
+        raise AssertionError(f"a fibre of reduction mod {pk} does not have "
+                             f"|Gamma(p^k)| = {fibre_size} elements")
+    totals = np.zeros(len(sizes), dtype=np.int64)
+    np.add.at(totals, fibre, per_el)
+    return totals[fibre]

@@ -375,8 +375,9 @@ def census_checks(qs=(4, 7, 13), m=3,
     out = []
     for q in qs:
         p, r = factor_prime_power(q)
+        curves = enumerate_curves(q)
         rep0 = ss_lefschetz(p, r, 0, m)
-        direct = sum(level_m_count(E, m) for E in enumerate_curves(q))
+        direct = sum(level_m_count(E, m) for E in curves)
         out.append(Check("lefschetz-n0-equals-census",
                          {"q": q, "m": m},
                          direct, int(rep0.total)))
@@ -384,7 +385,7 @@ def census_checks(qs=(4, 7, 13), m=3,
             out.append(Check("moduli-count-two-components",
                              {"q": q, "m": m}, 2 * (q - 3), direct))
         bad = 0
-        for E in enumerate_curves(q):
+        for E in curves:
             weil = E.trace**2 <= 4 * q
             ss1 = E.trace % p == 0
             ss2 = E.count() % p == 1 % p

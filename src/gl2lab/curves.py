@@ -1,16 +1,20 @@
 """Census of elliptic curves over small finite fields and semisimple sums.
 
 Curves in long Weierstrass form over F_q (q <= 16 by default) are
-enumerated up to isomorphism by sweeping the substitution action
+enumerated up to isomorphism under the substitution action
 (u, r, s, t): x -> u^2 x' + r, y -> u^3 y' + s u^2 x' + t, which is valid
-in every characteristic.  Point counts, automorphism orders, level
-structure counts, Honda-Tate style isogeny-class tables, per-point
-semisimple traces and the boundary term are all exact.
+in every characteristic.  The sweep is driven by a vectorized mask of the
+nonsingular coefficient tuples: each step takes the least tuple not yet
+covered, computes its whole orbit at once and checks that the orbits
+partition the mask.  The census is computed once per q and cached.  Point
+counts, automorphism orders, level structure counts, Honda-Tate style
+isogeny-class tables, per-point semisimple traces and the boundary term
+are all exact.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -146,7 +150,8 @@ class WeierstrassCurve:
     def trace(self) -> int:
         """a_E = q + 1 - #E(F_q); satisfies the Weil bound."""
         a = self.q + 1 - self.count()
-        assert a * a <= 4 * self.q
+        if a * a > 4 * self.q:
+            raise AssertionError(f"trace {a} violates the Weil bound at q = {self.q}")
         return a
 
     def is_supersingular(self) -> bool:
@@ -266,51 +271,63 @@ def _transform_all(q, a, subs):
 
 
 def enumerate_curves(q: int, cap: int = 16) -> List[WeierstrassCurve]:
-    """All elliptic curves over F_q up to isomorphism, with |Aut| recorded."""
+    """All elliptic curves over F_q up to isomorphism, with |Aut| recorded.
+
+    Each class is represented by the least coefficient code in its orbit.
+    The census is computed once per q (see `_census`); every call checks
+    the caps first and returns a fresh list.
+    """
     if q > cap:
         raise ResourceLimit(f"census cap is q <= {cap}")
     check_cap(q**5, "Weierstrass coefficient space", default=2_000_000)
-    F = SmallField(q)
+    return list(_census(q))
+
+
+@functools.cache
+def _census(q):
+    """The census at q, sorted by coefficients; verified as a partition.
+
+    The least unvisited nonsingular code is the least element of its
+    orbit, since every smaller nonsingular code lies in an orbit already
+    found; so it is the orbit's canonical representative.
+    """
     subs = _substitution_arrays(q)
     group_order = (q - 1) * q**3
-    assert len(subs) == group_order
-    seen = np.zeros(q**5, dtype=bool)
+    if len(subs) != group_order:
+        raise AssertionError("substitution group has the wrong order")
+    mask = _nonsingular_mask(q)
+    unvisited = mask.copy()
     curves = []
-    total_nonsingular = 0
-
-    def code(t5):
-        c = 0
-        for x in reversed(t5):
-            c = c * q + int(x)
-        return c
-
-    for a in itertools.product(range(q), repeat=5):
-        if seen[code(a)]:
-            continue
-        try:
-            E = WeierstrassCurve(q, a)
-        except DomainError:
-            continue
-        na1, na2, na3, na4, na6 = _transform_all(q, a, subs)
-        codes = (na1 + q * (na2 + q * (na3 + q * (na4 + q * na6)))).astype(np.int64)
-        orbit = np.unique(codes)
-        seen[orbit] = True
-        total_nonsingular += len(orbit)
+    covered = 0
+    c0 = 0
+    while True:
+        c0 += int(np.argmax(unvisited[c0:]))
+        if not unvisited[c0]:
+            break
+        rep = tuple((c0 // q**i) % q for i in range(5))
+        na1, na2, na3, na4, na6 = _transform_all(q, rep, subs)
+        orbit = np.unique(na1 + q * (na2 + q * (na3 + q * (na4 + q * na6))))
+        # inside the unvisited nonsingular set: disjoint from earlier orbits
+        if orbit[0] != c0 or not unvisited[orbit].all():
+            raise AssertionError(f"orbit of {rep} over F_{q} is not a new "
+                                 "set of nonsingular tuples")
         if group_order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
-        aut = group_order // len(orbit)
-        # canonical representative: least coefficient code in the orbit
-        c0 = int(orbit[0])
-        rep = tuple((c0 // q**i) % q for i in range(5))
-        curves.append(WeierstrassCurve(q, rep, aut_order=aut))
+        unvisited[orbit] = False
+        covered += len(orbit)
+        curves.append(WeierstrassCurve(q, rep, aut_order=group_order // len(orbit)))
     # every nonsingular tuple is in exactly one orbit
-    assert total_nonsingular == _count_nonsingular(q)
+    if covered != int(mask.sum()):
+        raise AssertionError("orbits do not cover the nonsingular tuples")
     curves.sort(key=lambda E: E.a)
-    return curves
+    return tuple(curves)
 
 
-def _count_nonsingular(q):
-    """Vectorized count of nonsingular Weierstrass tuples over F_q."""
+def _nonsingular_mask(q):
+    """Vectorized nonsingularity of every Weierstrass tuple over F_q.
+
+    Index c stands for (a1, a2, a3, a4, a6) = base-q digits of c, least first.
+    """
     F = SmallField(q)
     ADD, MUL, NEG = F.ADD, F.MUL, F.NEG
     codes = np.arange(q**5, dtype=np.int64)
@@ -333,7 +350,7 @@ def _count_nonsingular(q):
     disc = ADD[NEG[MUL[MUL[b2, b2], b8]],
                ADD[NEG[nm(8, MUL[b4, MUL[b4, b4]])],
                    ADD[NEG[nm(27, MUL[b6, b6])], nm(9, MUL[b2, MUL[b4, b6]])]]]
-    return int(np.count_nonzero(disc))
+    return disc != 0
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +408,8 @@ def _unit_root_mod(a_E: int, q: int, p: int, n: int) -> int:
         fx = (x * x - a_E * x + q) % mod
         dfx = (2 * x - a_E) % mod
         x = (x - fx * pow(dfx, -1, mod)) % mod
-    assert (x * x - a_E * x + q) % mod == 0 and x % p != 0
+    if (x * x - a_E * x + q) % mod or x % p == 0:
+        raise AssertionError(f"Hensel lift failed for a_E = {a_E} mod {mod}")
     return x
 
 
@@ -450,12 +468,18 @@ def point_trace(p: int, r: int, n: int, ordinary: bool,
     if ordinary:
         val = ss_trace_point("ordinary", h, p, r, n, a=unit_eigenvalue)
         direct = fixed_surjections(p, n, (1, 0, 0, 1), a=unit_eigenvalue)
-        assert val.as_rational() == direct
+        _check_point_trace(val, direct, p, r, n, "ordinary")
         return int(direct)
     val = ss_trace_point("supersingular", h, p, r, n)
     direct = 1 - p**r * (p**n + p**(n - 1) - 1)
-    assert val.as_rational() == direct
+    _check_point_trace(val, direct, p, r, n, "supersingular")
     return direct
+
+
+def _check_point_trace(val, direct, p, r, n, kind):
+    if val.as_rational() != direct:
+        raise AssertionError(f"{kind} point trace at (p, r, n) = ({p}, {r}, {n}): "
+                             f"character sum {val.as_rational()} != {direct}")
 
 
 def ss_lefschetz(p: int, r: int, n: int, m: int) -> LefschetzReport:
@@ -508,7 +532,8 @@ def boundary_ss_trace(p: int, r: int, n: int, m: int) -> Fraction:
     cosets = gl2_order_mod(modulus) // (2 * modulus)
     packet = p**(n - 1) * (p - 1)
     val = Fraction(cosets, packet)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise AssertionError(f"boundary packet count {val} is not an integer")
     return val
 
 

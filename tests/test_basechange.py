@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from gl2lab.basechange import (bc_unit_identity, orbit_label_data,
-                               sigma_orbits, unit_group_exactness)
+from gl2lab.basechange import (_fibre_sums, bc_unit_identity,
+                               orbit_label_data, sigma_orbits,
+                               unit_group_exactness)
 from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup, RingTables
 
@@ -136,6 +137,33 @@ def test_bc_unit_class_indicator_2221():
     ind = [0] * len(small.class_reps)
     ind[5] = 1
     assert bc_unit_identity(ind, 1, 2, 2, 2)
+
+
+def _u_loop_sums(G, k, values):
+    """Reference left sums: for each row f of values, sum f(u delta) over
+    u in Gamma(p^k), one group multiplication per u."""
+    sums = np.zeros_like(values)
+    for ui in np.nonzero(G.congruence_mask(k))[0]:
+        u = tuple(np.full(G.order, int(c[ui]), dtype=np.int64) for c in G.comps)
+        sums += values[:, G.idx(G.matmul(u, G.comps))]
+    return sums
+
+
+@pytest.mark.parametrize("p,r,j,k", [(2, 2, 2, 1), (2, 2, 1, 0), (3, 2, 1, 0),
+                                     (2, 2, 1, 1), (2, 2, 2, 2), (3, 2, 1, 1),
+                                     (2, 3, 1, 1)])
+def test_bc_unit_fibre_sums_match_u_loop(p, r, j, k):
+    tables, G, labels, norm_class = orbit_label_data(p, r, j)
+    classes = range(len(FiniteGL2(p, j).class_reps))
+    fs = [[1] * len(classes)]
+    fs += [[int(c == cid) for c in classes] for cid in classes]
+    fs.append([c * c % 5 for c in classes])
+    values = np.asarray(fs, dtype=np.int64)[:, norm_class[labels]]
+    fibre_size = int(np.count_nonzero(G.congruence_mask(k)))
+    fibre = np.stack([_fibre_sums(G, k, v, fibre_size) for v in values])
+    assert np.array_equal(fibre, _u_loop_sums(G, k, values))
+    with pytest.raises(AssertionError, match="fibre of reduction"):
+        _fibre_sums(G, k, values[0], fibre_size + 1)
 
 
 def test_bc_unit_against_brute_force_oracle():

@@ -1,11 +1,19 @@
 """Curve census, level structures, Lefschetz sums, boundary."""
 
+import itertools
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
-from gl2lab.curves import (SmallField, boundary_orbit_report,
-                           boundary_ss_trace, enumerate_curves,
-                           factor_prime_power, gl2_order_mod, isogeny_classes,
-                           level_m_count, point_trace, ss_lefschetz)
+from gl2lab.curves import (SmallField, WeierstrassCurve, _nonsingular_mask,
+                           _substitution_arrays, _transform_all,
+                           boundary_orbit_report, boundary_ss_trace,
+                           enumerate_curves, factor_prime_power, gl2_order_mod,
+                           isogeny_classes, level_m_count, point_trace,
+                           ss_lefschetz)
 from gl2lab.errors import DomainError
 
 
@@ -28,7 +36,7 @@ def test_weil_bound_q5():
 
 @pytest.mark.parametrize("q,count", [(2, 5), (3, 8), (5, 12)])
 def test_census_class_counts_and_mass(q, count):
-    # the orbit sweep itself asserts sum of orbit sizes = #nonsingular tuples
+    # the sweep itself checks that the orbits partition the nonsingular tuples
     cs = enumerate_curves(q)
     assert len(cs) == count
     group_order = (q - 1) * q**3
@@ -38,6 +46,90 @@ def test_census_class_counts_and_mass(q, count):
     # equivalently there are exactly (q-1) q^4 nonsingular coefficient tuples
     from fractions import Fraction
     assert sum(Fraction(1, E.aut_order) for E in cs) == q
+
+
+def _per_tuple_sweep(q):
+    """Reference census: build a curve for every unvisited tuple, in order."""
+    subs = _substitution_arrays(q)
+    group_order = (q - 1) * q**3
+    seen = np.zeros(q**5, dtype=bool)
+    out = []
+    for a in itertools.product(range(q), repeat=5):
+        if seen[sum(x * q**i for i, x in enumerate(a))]:
+            continue
+        try:
+            WeierstrassCurve(q, a)
+        except DomainError:
+            continue
+        na1, na2, na3, na4, na6 = _transform_all(q, a, subs)
+        orbit = np.unique(na1 + q * (na2 + q * (na3 + q * (na4 + q * na6))))
+        seen[orbit] = True
+        c0 = int(orbit[0])
+        out.append((tuple((c0 // q**i) % q for i in range(5)),
+                    group_order // len(orbit)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_census_matches_per_tuple_sweep(q):
+    assert [(E.a, E.aut_order) for E in enumerate_curves(q)] == _per_tuple_sweep(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_nonsingular_mask_matches_curve_construction(q):
+    mask = _nonsingular_mask(q)
+    for c in range(q**5):
+        a = tuple((c // q**i) % q for i in range(5))
+        try:
+            WeierstrassCurve(q, a)
+            nonsingular = True
+        except DomainError:
+            nonsingular = False
+        assert bool(mask[c]) == nonsingular, a
+
+
+def test_census_result_is_a_fresh_list():
+    first = enumerate_curves(7)
+    expected = [(E.a, E.aut_order) for E in first]
+    first.clear()
+    assert [(E.a, E.aut_order) for E in enumerate_curves(7)] == expected
+
+
+_BROKEN_SWEEP = """
+import sys
+import numpy as np
+import gl2lab.curves as curves
+
+if __debug__:
+    sys.exit("not running under python -O")
+true_transform = curves._transform_all
+first = []
+
+def wrong(q, a, subs):
+    images = true_transform(q, a, subs)
+    if {kind!r} == "singular":
+        # the singular tuple y^2 = x^3 joins the orbit
+        return tuple(np.append(x, 0) for x in images)
+    # every later step gets the first orbit again
+    first.append(images)
+    return first[0]
+
+curves._transform_all = wrong
+curves.enumerate_curves(5)
+"""
+
+
+@pytest.mark.parametrize("kind", ["singular", "repeated"])
+def test_census_partition_check_survives_python_O(kind):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c",
+                           _BROKEN_SWEEP.format(kind=kind)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "AssertionError: orbit of" in proc.stderr
 
 
 def test_automorphisms_act_freely_on_bases():
@@ -84,8 +176,6 @@ def _key(P):
 
 def _apply_subst(F, a, u, rr, s, t):
     """Coefficients of the substituted equation (same formulas as the sweep)."""
-    import numpy as np
-    from gl2lab.curves import _transform_all
     subs = np.array([[u, rr, s, t]], dtype=np.int64)
     na = _transform_all(F.q, a, subs)
     return tuple(int(x[0]) for x in na)

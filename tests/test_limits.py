@@ -30,3 +30,8 @@ def test_census_cap(monkeypatch):
     from gl2lab.curves import enumerate_curves
     with pytest.raises(ResourceLimit):
         enumerate_curves(17)          # default cap is q <= 16
+    # the caps are checked on every call, also once the census is cached
+    assert len(enumerate_curves(7)) == 18
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", "100")
+    with pytest.raises(ResourceLimit):
+        enumerate_curves(7)
