@@ -9,8 +9,8 @@ checked against double-coset generators by computing both convolutions.
 
 from fractions import Fraction
 
-from gl2lab.hecke import (centrality_check, convolve, double_coset_indicator,
-                          e_congruence, gamma_n_transversal, phi_formula,
+from gl2lab.hecke import (centrality_check, congruence_elements, convolve,
+                          double_coset_indicator, e_congruence, phi_formula,
                           phi_support, tower_identity_check)
 from gl2lab.padic import LocalMatrix, get_context
 from gl2lab.ratfunc import RationalFunctionT
@@ -22,7 +22,7 @@ ctx = get_context(q, 1, 12)
 g = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
 print(f"descent by averaging at g = {g}:")
 acc = RationalFunctionT.zero(q)
-for u in gamma_n_transversal(ctx, n):
+for u in congruence_elements(ctx, n, 1):
     acc = acc + phi_pnt(g @ u, n + 1)
 avg = acc / q**4
 print(f"  average of the level-{n+1} values over g Gamma(p^{n}): {avg}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, check_cap
 from .finitegl2 import FiniteGL2
-from .gl2group import MatGroup, RingTables
+from .gl2group import MatGroup, RingTables, _group_and_labels
 
 
 @dataclass
@@ -61,14 +61,6 @@ class SigmaOrbitTable:
                         "norm_class": o.norm_class}
                        for o in self.orbits],
         }
-
-
-def _group_and_labels(p, r, n):
-    tables = RingTables(p, r, n)
-    G = MatGroup(tables)
-    perms = [G.sigma_conj_perm(g) for g in G.generators()]
-    count, labels = G.orbit_labels(perms)
-    return tables, G, count, labels
 
 
 def _norm_preimage_in_commutant(tables, G, gamma):

@@ -19,7 +19,7 @@ from .finitegl2 import (ClassFunction, FiniteGL2, drinfeld_module_character,
                         e_gamma, fixed_surjections, induced_character,
                         ss_trace_point, steinberg_character)
 from .hecke import centrality_check, tower_identity_check
-from .padic import LocalMatrix, get_context, k_of
+from .padic import LocalMatrix, factor_prime_power, get_context, k_of
 from .testfunc import GammaInvariants, c_closed, c_r_char
 from .tree import (enumerate_vertices, fixed_set, orbital_ratio,
                    stabilized_line_count, stabilizes)
@@ -371,7 +371,6 @@ def centrality_checks(q=2, n=1, samples=100, seed=DEFAULT_SEED):
 
 def census_checks(qs=(4, 7, 13), m=3,
                   boundary_cases=((7, 1, 1, 3), (5, 2, 1, 3))):
-    from .curves import factor_prime_power
     out = []
     for q in qs:
         p, r = factor_prime_power(q)

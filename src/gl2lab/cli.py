@@ -17,12 +17,11 @@ from fractions import Fraction
 
 from . import campaigns
 from .curves import (boundary_orbit_report, boundary_ss_trace,
-                     enumerate_curves, factor_prime_power, level_m_count,
-                     ss_lefschetz)
+                     enumerate_curves, level_m_count, ss_lefschetz)
 from .errors import DomainError, GL2LabError
 from .finitegl2 import (FiniteGL2, e_gamma, induced_character,
                         ss_trace_point, steinberg_character)
-from .padic import LocalMatrix, get_context
+from .padic import LocalMatrix, factor_prime_power, get_context
 from .testfunc import phi_branch, phi_pn, phi_pnt, phi_p0
 from .tree import fixed_set, orbital_ratio, orbital_shell_tally
 
@@ -88,8 +87,23 @@ def _verdict(campaign: str, checks, config, out=None, extra=None) -> int:
     return 0 if passed == len(rows) else 1
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_matrix(ctx, text, e=0):
+    """[[a, b], [c, d]] from JSON: int entries, or length-r int lists if r > 1."""
     rows = json.loads(text)
+
+    def entry_ok(x):
+        return _is_int(x) or (ctx.r > 1 and isinstance(x, list)
+                              and len(x) == ctx.r and all(map(_is_int, x)))
+    if not (isinstance(rows, list) and len(rows) == 2
+            and all(isinstance(row, list) and len(row) == 2
+                    and all(map(entry_ok, row)) for row in rows)):
+        shape = "integers" if ctx.r == 1 else f"integers or {ctx.r}-lists of them"
+        raise DomainError(f"matrix must be [[a, b], [c, d]] with entries {shape}; "
+                          f"got {text}")
     return LocalMatrix.from_integers(ctx, rows, e=e)
 
 
@@ -221,6 +235,8 @@ def _dispatch(args) -> int:
 
 def _run_command(args) -> int:
     cmd = args.command
+    if cmd in ("tree-orbital", "verify-tower", "verify-central") and args.n < 1:
+        raise DomainError(f"{cmd} needs n >= 1")
 
     if cmd == "eval-phi":
         ctx = get_context(args.p, args.r, 2 * args.n + 6)

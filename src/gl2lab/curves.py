@@ -24,20 +24,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimit, check_cap
 from .finitegl2 import FiniteGL2, e_gamma, fixed_surjections, ss_trace_point
 from .gl2group import RingTables
-from .padic import _is_prime
-
-
-def factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            r = 0
-            while q % p == 0:
-                q //= p
-                r += 1
-            if q != 1:
-                raise DomainError("q must be a prime power")
-            return p, r
-    raise DomainError("q must be >= 2")
+from .padic import _is_prime, factor_prime_power, group_order_gl2
 
 
 class SmallField:
@@ -56,10 +43,7 @@ class SmallField:
         p, r = factor_prime_power(q)
         t = RingTables(p, r, 1)
         self.q, self.p, self.r = q, p, r
-        self.ADD = t.ADD.copy()
-        self.MUL = t.MUL.copy()
-        self.NEG = t.NEG.copy()
-        self.INV = t.INV.copy()
+        self.ADD, self.MUL, self.NEG, self.INV = t.ADD, t.MUL, t.NEG, t.INV
         self.one = int(t.one)
 
     def add(self, a, b):
@@ -77,13 +61,6 @@ class SmallField:
     def inv(self, a):
         return self.INV[a]
 
-    def embed(self, n: int):
-        """Image of the integer n in F_q (prime-subfield arithmetic)."""
-        x = 0
-        for _ in range(n % self.p):
-            x = int(self.ADD[x, self.one])
-        return x
-
 
 # ---------------------------------------------------------------------------
 # Weierstrass curves and their points
@@ -95,9 +72,10 @@ class WeierstrassCurve:
     a: tuple  # (a1, a2, a3, a4, a6) field codes
     aut_order: int = 1
     _points: Optional[list] = field(default=None, repr=False)
+    F: SmallField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        F = SmallField(self.q)
+        F = self.F = SmallField(self.q)
         a1, a2, a3, a4, a6 = self.a
         m, ad, neg = F.mul, F.add, F.neg
 
@@ -120,15 +98,11 @@ class WeierstrassCurve:
         if disc == 0:
             raise DomainError("singular Weierstrass equation")
 
-    @property
-    def field(self):
-        return SmallField(self.q)
-
     def points(self):
         """All affine points plus None for the point at infinity."""
         if self._points is not None:
             return self._points
-        F = SmallField(self.q)
+        F = self.F
         a1, a2, a3, a4, a6 = self.a
         pts = [None]
         for x in range(self.q):
@@ -163,7 +137,7 @@ class WeierstrassCurve:
     def neg_point(self, P):
         if P is None:
             return None
-        F = SmallField(self.q)
+        F = self.F
         a1, _, a3, _, _ = self.a
         x, y = P
         return (x, int(F.neg(F.add(y, F.add(F.mul(a1, x), a3)))))
@@ -173,7 +147,7 @@ class WeierstrassCurve:
             return Q
         if Q is None:
             return P
-        F = SmallField(self.q)
+        F = self.F
         a1, a2, a3, a4, a6 = self.a
         x1, y1 = P
         x2, y2 = Q
@@ -313,9 +287,15 @@ def _census(q):
                                  "set of nonsingular tuples")
         if group_order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
+        # the stabilizer is Aut(E): it holds -1 and divides 24 (Silverman
+        # III.10.1), which a closed but too small orbit would break
+        aut = group_order // len(orbit)
+        if aut % 2 or 24 % aut:
+            raise AssertionError(f"orbit of {rep} over F_{q} gives |Aut| = "
+                                 f"{aut}, not an even divisor of 24")
         unvisited[orbit] = False
         covered += len(orbit)
-        curves.append(WeierstrassCurve(q, rep, aut_order=group_order // len(orbit)))
+        curves.append(WeierstrassCurve(q, rep, aut_order=aut))
     # every nonsingular tuple is in exactly one orbit
     if covered != int(mask.sum()):
         raise AssertionError("orbits do not cover the nonsingular tuples")
@@ -516,7 +496,7 @@ def gl2_order_mod(N: int) -> int:
             while N % p == 0:
                 N //= p
                 a += 1
-            out *= p**(4 * (a - 1)) * (p * p - 1) * (p * p - p)
+            out *= group_order_gl2(p, a)
     return out
 
 

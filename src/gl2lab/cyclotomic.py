@@ -24,7 +24,9 @@ def _zp_divmod_exact(a, b):
         if c:
             for j in range(len(b)):
                 a[i + j] -= c * b[j]
-    assert all(x == 0 for x in a), "division was not exact"
+    if any(a):
+        raise AssertionError(f"division by {tuple(b)} was not exact: "
+                             f"remainder {a}")
     return q
 
 

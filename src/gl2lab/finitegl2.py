@@ -1,18 +1,23 @@
 """Exact character theory of GL2(Z/p^n).
 
-Conjugacy classes by orbit closure over a generating set, principal-series
-characters induced from the Borel, the Steinberg character, the permutation
-module on surjections (Z/p^n)^2 ->> Z/p^n with its commuting unit action,
-and the semisimple point traces built from them.  Values are exact
-cyclotomic numbers of order dividing phi(p^n).
+Conjugacy classes from the shared orbit routine over the ring tables
+(`gl2group`), principal-series characters induced from the Borel, the
+Steinberg character, the permutation module on surjections
+(Z/p^n)^2 ->> Z/p^n with its commuting unit action, and the semisimple
+point traces built from them.  Values are exact cyclotomic numbers of
+order dividing phi(p^n).
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
+
 from .cyclotomic import CyclotomicValue
 from .errors import DomainError
-from .padic import _is_prime
+from .gl2group import _group_and_labels
+from .padic import _is_prime, group_order_gl2
 
 
 def _totient_prime_power(p, n):
@@ -81,41 +86,28 @@ class FiniteGL2:
         if not _is_prime(p) or n < 1:
             raise DomainError("need a prime p and n >= 1")
         self.p, self.n, self.mod = p, n, p**n
-        mod = self.mod
-        self.elements = [m for m in itertools.product(range(mod), repeat=4)
-                         if (m[0] * m[3] - m[1] * m[2]) % p != 0]
-        expected = p**(4 * (n - 1)) * (p * p - 1) * (p * p - p)
-        assert len(self.elements) == expected
-        self.index = {m: i for i, m in enumerate(self.elements)}
-
-        gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
-        gens += [(u, 0, 0, 1) for u, _ in _unit_generators(p, n)]
-        gens = gens + [self.inv(g) for g in gens]
-
-        class_of = [-1] * len(self.elements)
-        reps, sizes = [], []
-        for i, m in enumerate(self.elements):
-            if class_of[i] != -1:
-                continue
-            cid = len(reps)
-            reps.append(m)
-            stack, class_of[i], size = [m], cid, 1
-            while stack:
-                x = stack.pop()
-                for g in gens:
-                    y = self.mul(self.inv(g), self.mul(x, g))
-                    j = self.index[y]
-                    if class_of[j] == -1:
-                        class_of[j] = cid
-                        size += 1
-                        stack.append(y)
-            sizes.append(size)
-        assert sum(sizes) == len(self.elements)
-        self.class_of_el = class_of
-        self.class_reps = reps
-        self.class_sizes = sizes
+        # over Z/p^n a ring code is the residue itself and sigma is trivial
+        _, G, _, labels = _group_and_labels(p, 1, n)
+        if G.order != group_order_gl2(p, n):
+            raise AssertionError(f"GL2(Z/{self.mod}) has {G.order} elements, "
+                                 f"expected {group_order_gl2(p, n)}")
+        # Elements in lexicographic (a, b, c, d) order.  The orbit routine
+        # numbers classes by their least code, which weighs d most; since
+        # conjugation by [[0, 1], [1, 0]] reverses (a, b, c, d), that is
+        # also the order of each class's first element here.
+        lex = np.lexsort(G.comps[::-1])
+        self.elements = list(zip(*(x[lex].tolist() for x in G.comps)))
+        first = np.unique(labels[lex], return_index=True)[1]
+        if np.any(np.diff(first) <= 0):
+            raise AssertionError(f"classes of GL2(Z/{self.mod}) are not "
+                                 "numbered by first element")
+        self._group, self._labels = G, labels
+        self.class_of_el = labels[lex].tolist()
+        self.class_reps = [self.elements[i] for i in first]
+        self.class_sizes = np.bincount(labels).tolist()
 
         # unit group bookkeeping for characters
+        mod = self.mod
         self.unit_gens = _unit_generators(p, n)
         phi = _totient_prime_power(p, n)
         self.char_order = phi if phi > 0 else 1
@@ -130,7 +122,9 @@ class FiniteGL2:
                     dl2[gi] = a
                     table[x] = tuple(dl2)
             self.unit_dlog = table
-        assert len(self.unit_dlog) == phi
+        if len(self.unit_dlog) != phi:
+            raise AssertionError(f"unit generators {self.unit_gens} span "
+                                 f"{len(self.unit_dlog)} of {phi} units mod {mod}")
 
     # -- matrix helpers ---------------------------------------------------------
 
@@ -146,7 +140,12 @@ class FiniteGL2:
         return ((x[3] * di) % m, (-x[1] * di) % m, (-x[2] * di) % m, (x[0] * di) % m)
 
     def class_of(self, x) -> int:
-        return self.class_of_el[self.index[tuple(v % self.mod for v in x)]]
+        m = self.mod
+        a, b, c, d = (v % m for v in x)
+        i = self._group.idx_of_code[a + m * (b + m * (c + m * d))]
+        if i < 0:
+            raise DomainError(f"{tuple(x)} is not invertible mod {m}")
+        return int(self._labels[i])
 
     @property
     def order(self):

@@ -70,9 +70,6 @@ class RingTables:
         # codes of the prime subring Z/p^n inside GR
         self.subring = np.arange(pn, dtype=np.int32)
 
-    def embed_int(self, x):
-        return int(x) % (self.p**self.n)
-
 
 def _vp(c, p, n):
     from .padic import vp_int
@@ -200,25 +197,39 @@ class MatGroup:
         y = self.matmul(self.matmul(self._bcast(ginv), self.comps), self._bcast(gs))
         return self.idx(y)
 
-    def conj_perm(self, g):
-        ginv = self.minv(g)
-        y = self.matmul(self.matmul(self._bcast(ginv), self.comps), self._bcast(g))
-        return self.idx(y)
-
     def _bcast(self, g):
         return tuple(np.full(self.order, int(v), dtype=np.int64) for v in g)
 
     def orbit_labels(self, perms):
-        """Connected components of the union of the permutation graphs."""
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
-        n = self.order
-        rows = np.concatenate([np.arange(n)] * len(perms))
-        cols = np.concatenate(perms)
-        graph = sp.coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                              shape=(n, n))
-        count, labels = connected_components(graph, directed=False)
-        return count, labels
+        """Orbits of the group generated by the index permutations `perms`.
+
+        Every element points at the root of its tree, the tree's least
+        index.  For each permutation, the pairs (i, perm[i]) whose roots
+        differ join their trees, the larger root pointing at a smaller root
+        paired with it (any one will do), and pointer jumping
+        (root = root[root]) brings every element back to a root.  Joining
+        whole trees takes a few passes even where plain label propagation
+        needs one per step of a long cycle.  At the end each element holds
+        the least index of its orbit.  Returns (count, labels), the orbits
+        numbered 0..count-1 in the order of those least indices.
+        """
+        root = np.arange(self.order)
+        merged = True
+        while merged:
+            merged = False
+            for perm in perms:
+                other = root[perm]
+                split = root != other
+                if not split.any():
+                    continue
+                merged = True
+                a, b = root[split], other[split]
+                root[np.maximum(a, b)] = np.minimum(a, b)
+                up = root[root]
+                while not np.array_equal(up, root):
+                    root, up = up, up[up]
+        roots, labels = np.unique(root, return_inverse=True)
+        return len(roots), labels
 
     def congruence_mask(self, k):
         """Elements congruent to the identity mod p^k."""
@@ -228,3 +239,15 @@ class MatGroup:
         dm = self.rsub(d, np.full(self.order, t.one, dtype=np.int64))
         v = t.VAL
         return (v[am] >= k) & (v[b] >= k) & (v[c] >= k) & (v[dm] >= k)
+
+
+def _group_and_labels(p, r, n):
+    """(tables, G, count, labels): the sigma-conjugacy orbits of GL2(GR(p^n, r)).
+
+    At r = 1 sigma is the identity and the orbits are the conjugacy classes.
+    """
+    tables = RingTables(p, r, n)
+    G = MatGroup(tables)
+    perms = [G.sigma_conj_perm(g) for g in G.generators()]
+    count, labels = G.orbit_labels(perms)
+    return tables, G, count, labels

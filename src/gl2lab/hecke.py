@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional
 
 from .errors import DomainError, PrecisionExhausted, check_cap
-from .padic import LocalContext, LocalMatrix, get_context, vp_int
+from .padic import (LocalContext, LocalMatrix, factor_prime_power, get_context,
+                    group_order_gl2, vp_int)
 from .ratfunc import RationalFunctionT
 from .testfunc import phi_pn, phi_pnt
 
@@ -158,13 +159,6 @@ def same_coset(g1: LocalMatrix, g2: LocalMatrix, n: int) -> bool:
 # coset functions
 
 
-def group_order_gl2(q: int, n: int) -> int:
-    """|GL2(GR(p^n, r))| with q = p^r."""
-    if n == 0:
-        return 1
-    return q**(4 * (n - 1)) * (q * q - 1) * (q * q - q)
-
-
 def vol_congruence(ctx: LocalContext, n: int) -> Fraction:
     """Haar volume of Gamma(p^n) when GL2(Z_q) has volume q - 1."""
     return Fraction(ctx.q - 1, group_order_gl2(ctx.q, n))
@@ -184,11 +178,7 @@ class CosetFunction:
     def __call__(self, g: LocalMatrix):
         if self.formula is not None:
             return self.formula(g)
-        try:
-            key = canonical_coset_rep(g, self.n)
-        except PrecisionExhausted:
-            raise
-        hit = self.support.get(key)
+        hit = self.support.get(canonical_coset_rep(g, self.n))
         return hit[1] if hit is not None else self.zero
 
     def coset_reps(self):
@@ -358,26 +348,6 @@ def _random_unimodular(ctx, rnd):
             continue
 
 
-def gamma_n_transversal(ctx: LocalContext, n: int):
-    """The q^4 matrices 1 + p^n X, X over residue lifts mod p."""
-    p, r = ctx.p, ctx.r
-    pn_ = p**n
-    space = list(itertools.product(range(p), repeat=r))
-    for x11 in space:
-        for x12 in space:
-            for x21 in space:
-                for x22 in space:
-                    rows = [
-                        [tuple((1 if i == 0 else 0) + pn_ * c
-                               for i, c in enumerate(x11)),
-                         tuple(pn_ * c for c in x12)],
-                        [tuple(pn_ * c for c in x21),
-                         tuple((1 if i == 0 else 0) + pn_ * c
-                               for i, c in enumerate(x22))],
-                    ]
-                    yield LocalMatrix.from_integers(ctx, rows)
-
-
 def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
                          seed: int = 20259):
     """phi_{p,n,t} = phi_{p,n+1,t} * e_{Gamma(p^n)} on a branch-covering sample.
@@ -385,12 +355,11 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     Also asserts that specializing t := q reproduces the undeformed level-n
     function on the same sample.  Exact rational-function equality.
     """
-    p, r = _factor_prime_power(q)
+    p, r = factor_prime_power(q)
     ctx = get_context(p, r, 2 * (n + 1) + 6)
     if sample is None:
         sample = branch_covering_sample(ctx, n + 1, count=count, seed=seed)
-    us = list(gamma_n_transversal(ctx, n))
-    assert len(us) == q**4
+    us = list(congruence_elements(ctx, n, 1))
     failures = []
     for g in sample:
         vals = [phi_pnt(g @ u, n + 1) for u in us]
@@ -406,23 +375,10 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     return len(failures) == 0, failures, len(sample)
 
 
-def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            r = 0
-            while q % p == 0:
-                q //= p
-                r += 1
-            if q != 1:
-                raise DomainError("q must be a prime power")
-            return p, r
-    raise DomainError("q must be >= 2")
-
-
 def centrality_check(q: int, n: int, generators=None, count: int = 100,
                      seed: int = 20259):
     """phi * f = f * phi for double-coset generators f, sampled exactly."""
-    p, r = _factor_prime_power(q)
+    p, r = factor_prime_power(q)
     ctx = get_context(p, r, 2 * n + 8)
     phi_sup = phi_support(ctx, n)
     phi_fn = phi_formula(ctx, n)
@@ -435,7 +391,6 @@ def centrality_check(q: int, n: int, generators=None, count: int = 100,
     sample = branch_covering_sample(ctx, n, count=count, seed=seed)
     # include points in the product support: h * w shapes
     extra = []
-    rnd = random.Random(seed + 1)
     for w in generators:
         for rep, _ in list(phi_sup.items())[:10]:
             extra.append(rep @ w)

@@ -136,6 +136,27 @@ def _is_prime(p):
     return True
 
 
+def factor_prime_power(q: int):
+    """(p, r) with q = p^r."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            r = 0
+            while q % p == 0:
+                q //= p
+                r += 1
+            if q != 1:
+                raise DomainError("q must be a prime power")
+            return p, r
+    raise DomainError("q must be >= 2")
+
+
+def group_order_gl2(q: int, n: int) -> int:
+    """|GL2(GR(p^n, r))| with q = p^r."""
+    if n == 0:
+        return 1
+    return q**(4 * (n - 1)) * (q * q - 1) * (q * q - q)
+
+
 # ---------------------------------------------------------------------------
 # exact arithmetic in the order O = Z[x]/(f), f the fixed monic lift
 
@@ -249,7 +270,9 @@ class LocalContext:
         fprime = tuple(i * f[i] for i in range(1, len(f)))
         for _ in range(self.N.bit_length() + 2):
             x = x - self._poly_eval(f, x) * self._poly_eval(fprime, x).inverse()
-        assert self._poly_eval(f, x).coeffs == (0,) * self.r
+        if self._poly_eval(f, x).coeffs != (0,) * self.r:
+            raise AssertionError(f"Hensel lift of the Frobenius root of {f} "
+                                 f"failed at p = {self.p}, N = {self.N}")
         cols, power = [], self.one
         for _ in range(self.r):
             cols.append(power.coeffs)
@@ -390,7 +413,9 @@ class GaloisRingElement:
         v = ctx.el(v0.coeffs)
         for _ in range(ctx.N.bit_length() + 1):
             v = v * (2 - self * v)
-        assert (self * v).coeffs == ctx.one.coeffs
+        if (self * v).coeffs != ctx.one.coeffs:
+            raise AssertionError(f"Newton inverse of {self.coeffs} failed: "
+                                 f"product {(self * v).coeffs}")
         return v
 
     def frobenius(self):
@@ -776,5 +801,7 @@ def unit_eigenvalue(gamma: LocalMatrix, n: int) -> GaloisRingElement:
     for _ in range(n.bit_length() + 2):
         x = x - (x * x - tr * x + det) * (2 * x - tr).inverse()
     out = ctx.el(x.coeffs_mod(n))
-    assert (out * out - tr * out + det).coeffs_mod(n) == (0,) * ctx.r
+    if (out * out - tr * out + det).coeffs_mod(n) != (0,) * ctx.r:
+        raise AssertionError(f"Hensel lift of the unit eigenvalue failed mod "
+                             f"p^{n}: root {out.coeffs}")
     return out

@@ -46,9 +46,6 @@ class TreeVertex:
     def __repr__(self):
         return f"v({self.d},{self.kind},{self.c})"
 
-    def is_base(self):
-        return self.d == 0
-
     def basis_rows(self, ctx: LocalContext):
         """Row-major basis matrix H whose columns span the lattice."""
         pd = ctx.p**self.d
@@ -94,7 +91,9 @@ def enumerate_vertices(ctx: LocalContext, D: int) -> List[TreeVertex]:
     out = []
     for d in range(D + 1):
         out.extend(shell(ctx, d))
-    assert len(out) == total
+    if len(out) != total:
+        raise AssertionError(f"{len(out)} vertices within distance {D}, "
+                             f"expected {total}")
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gl2lab.cli import main
 
 
@@ -116,6 +118,33 @@ def test_usage_errors_exit_two(capsys):
     # p not prime
     assert main(["eval-phi", "--p", "4", "--n", "1",
                  "--matrix", "[[2,0],[0,1]]"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0]]"],
+    ["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0],[0,1.5]]"],
+    ["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0],[0,true]]"],
+    ["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0],[0,[1]]]"],
+    ["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0],[0,1],[1,1]]"],
+    ["eval-phi", "--p", "2", "--n", "1", "--matrix", "{\"a\": 1}"],
+    ["eval-phi", "--p", "2", "--r", "2", "--n", "1",
+     "--matrix", "[[[2,0,1],0],[0,1]]"],
+    ["tree-fixed-set", "--p", "2", "--gamma", "[[2,1],[0,\"1\"]]"],
+    ["tree-orbital", "--p", "2", "--n", "0", "--gamma", "[[0,1],[-2,0]]"],
+    ["verify-central", "--n", "0"],
+    ["verify-tower", "--q", "2", "--n", "0"],
+])
+def test_malformed_input_exits_two(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err
+
+
+def test_matrix_with_coefficient_lists(capsys):
+    # at r = 2 an entry may be a length-2 coefficient list
+    code, out = run(capsys, "eval-phi", "--p", "2", "--r", "2", "--n", "1",
+                    "--matrix", "[[[2,0],0],[0,[1,1]]]")
+    assert code == 0 and json.loads(out)["q"] == 4
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,12 +1,21 @@
 """Character theory of GL2(Z/p^n)."""
 
+import itertools
+import os
+import subprocess
+import sys
+from collections import deque
+
+import numpy as np
 import pytest
 
-from gl2lab.finitegl2 import (ClassFunction, FiniteGL2,
+from gl2lab.errors import DomainError, ResourceLimit
+from gl2lab.finitegl2 import (ClassFunction, FiniteGL2, _unit_generators,
                               drinfeld_module_character, e_gamma,
                               fixed_surjections, induced_character,
                               ss_trace_point, steinberg_character,
                               surjections, tr_rep, trivial_character)
+from gl2lab.gl2group import MatGroup, RingTables
 
 
 @pytest.mark.parametrize("p,n,order", [(2, 1, 6), (3, 1, 48), (2, 2, 96),
@@ -132,3 +141,146 @@ def test_dual_path_on_class_reps():
         for cid, rep in enumerate(G.class_reps):
             direct = fixed_surjections(p, n, rep)
             assert dr.values[cid].as_rational() == direct
+
+
+# ---------------------------------------------------------------------------
+# the table backbone against the tuple depth-first search it replaced
+
+
+def _classes_by_tuple_search(p, n):
+    """Conjugacy classes of GL2(Z/p^n) by depth-first search over tuples."""
+    mod = p**n
+
+    def mul(x, y):
+        return ((x[0] * y[0] + x[1] * y[2]) % mod, (x[0] * y[1] + x[1] * y[3]) % mod,
+                (x[2] * y[0] + x[3] * y[2]) % mod, (x[2] * y[1] + x[3] * y[3]) % mod)
+
+    def inv(x):
+        di = pow((x[0] * x[3] - x[1] * x[2]) % mod, -1, mod)
+        return ((x[3] * di) % mod, (-x[1] * di) % mod,
+                (-x[2] * di) % mod, (x[0] * di) % mod)
+
+    elements = [m for m in itertools.product(range(mod), repeat=4)
+                if (m[0] * m[3] - m[1] * m[2]) % p != 0]
+    index = {m: i for i, m in enumerate(elements)}
+    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
+    gens += [(u, 0, 0, 1) for u, _ in _unit_generators(p, n)]
+    gens += [inv(g) for g in gens]
+    class_of = [-1] * len(elements)
+    reps, sizes = [], []
+    for i, m in enumerate(elements):
+        if class_of[i] != -1:
+            continue
+        cid = len(reps)
+        reps.append(m)
+        stack, class_of[i], size = [m], cid, 1
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                j = index[mul(inv(g), mul(x, g))]
+                if class_of[j] == -1:
+                    class_of[j] = cid
+                    size += 1
+                    stack.append(elements[j])
+        sizes.append(size)
+    return elements, class_of, reps, sizes
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_backbone_matches_tuple_search(p, n):
+    G = FiniteGL2(p, n)
+    elements, class_of, reps, sizes = _classes_by_tuple_search(p, n)
+    assert G.elements == elements
+    assert G.class_of_el == class_of
+    assert G.class_reps == reps
+    assert G.class_sizes == sizes
+    # plain ints, as they are written to JSON
+    assert type(G.elements[0][0]) is int and type(G.class_reps[-1][3]) is int
+    assert all(type(x) is int for x in G.class_sizes + G.class_of_el[:10])
+    for x in elements[::7]:
+        assert G.class_of(x) == class_of[elements.index(x)]
+
+
+def test_class_of_rejects_singular_matrices():
+    with pytest.raises(DomainError):
+        FiniteGL2(2, 2).class_of((2, 0, 0, 1))
+
+
+def _orbits_by_bfs(perms, size):
+    """Orbit labels numbered by least element, by breadth-first search."""
+    lists = [p.tolist() for p in perms]
+    label = [-1] * size
+    count = 0
+    for start in range(size):
+        if label[start] != -1:
+            continue
+        label[start] = count
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            for perm in lists:
+                j = perm[i]
+                if label[j] == -1:
+                    label[j] = count
+                    queue.append(j)
+        count += 1
+    return count, label
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 2, 1), (3, 2, 1), (2, 3, 1)])
+def test_orbit_labels_match_bfs(p, r, n):
+    G = MatGroup(RingTables(p, r, n))
+    perms = [G.sigma_conj_perm(g) for g in G.generators()]
+    count, labels = G.orbit_labels(perms)
+    # each orbit of a finite permutation group is closed under the
+    # forward images alone, so a forward search finds the same orbits
+    assert (count, labels.tolist()) == _orbits_by_bfs(perms, G.order)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_orbit_labels_on_one_long_cycle(shuffled):
+    # one long cycle: plain label propagation needs a pass per step
+    G = MatGroup(RingTables(3, 2, 1))
+    cycle = np.arange(G.order)
+    if shuffled:
+        cycle = np.random.default_rng(0).permutation(G.order)
+    perm = np.empty_like(cycle)
+    perm[cycle] = np.roll(cycle, 1)
+    count, labels = G.orbit_labels([perm])
+    assert count == 1 and not labels.any()
+    # two cycles: the even and the odd positions along the cycle
+    halves = np.empty_like(cycle)
+    halves[cycle] = np.roll(cycle, 2)
+    count, labels = G.orbit_labels([halves])
+    assert count == 2
+    assert (labels[cycle[0::2]] == labels[cycle[0]]).all()
+    assert (labels[cycle[1::2]] != labels[cycle[0]]).all()
+
+
+def test_finite_commands_do_not_import_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import io, sys, contextlib\n"
+            "from gl2lab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['char-table', '--p', '3', '--n', '2']) == 0\n"
+            "    assert main(['verify-norm', '--p', '2', '--r', '2',"
+            " '--n', '1']) == 0\n"
+            "print('scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_finite_gl2_respects_the_cap(monkeypatch):
+    # the group is built on MatGroup's (p^n)^4 code space, which is capped
+    monkeypatch.setattr(FiniteGL2, "_cache", {})
+    monkeypatch.setattr(MatGroup, "_cache", {})
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**8 - 1))
+    with pytest.raises(ResourceLimit):
+        FiniteGL2(3, 2)
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**8))
+    assert FiniteGL2(3, 2).order == 3888

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from gl2lab.hecke import (CosetFunction, canonical_coset_rep, convolve,
+from gl2lab.hecke import (CosetFunction, canonical_coset_rep,
+                          congruence_elements, convolve,
                           double_coset_indicator, e_congruence,
-                          gamma_n_transversal, in_congruence_subgroup,
-                          phi0_support, phi_formula, phi_support, same_coset,
-                          tower_identity_check, vol_congruence)
+                          in_congruence_subgroup, phi0_support, phi_formula,
+                          phi_support, same_coset, tower_identity_check,
+                          vol_congruence)
 from gl2lab.padic import LocalMatrix, get_context
 from gl2lab.ratfunc import RationalFunctionT
 from gl2lab.testfunc import phi_pn, phi_pnt
@@ -79,7 +80,7 @@ def test_coset_keys_match_membership_randomized(q, n):
         assert (canonical_coset_rep(a, n) == canonical_coset_rep(b, n)) \
             == same_coset(a, b, n)
     # translation by congruence elements preserves the key
-    us = list(gamma_n_transversal(ctx, max(n, 1)))[:5]
+    us = list(congruence_elements(ctx, max(n, 1), 1))[:5]
     for m in pool[:10]:
         for u in us:
             assert canonical_coset_rep(m @ u, n) == canonical_coset_rep(m, n)
@@ -127,7 +128,7 @@ def test_unfolding_phi_star_eK_is_average():
            LocalMatrix.from_integers(ctx, [[2, 1], [2, 3]])]
     vals = convolve(sup, eK, pts)
     for g, v in zip(pts, vals):
-        us = list(gamma_n_transversal(ctx, n))
+        us = list(congruence_elements(ctx, n, 1))
         avg = sum(Fraction(phi_pn(g @ u, n)) for u in us) / len(us)
         assert v == avg == Fraction(phi_pn(g, n))
 
@@ -183,7 +184,7 @@ def test_tower_cancellation_at_k_equals_n():
     ctx = get_context(q, 1, 12)
     g = LocalMatrix.from_integers(ctx, [[q**(n + 1), 1], [0, q**n]], e=-n)
     assert phi_pn(g, n) == 0
-    us = list(gamma_n_transversal(ctx, n))
+    us = list(congruence_elements(ctx, n, 1))
     acc = RationalFunctionT.zero(q)
     for u in us:
         acc = acc + phi_pnt(g @ u, n + 1)
@@ -195,7 +196,7 @@ def test_tower_average_formula_case():
     q, n = 2, 1
     ctx = get_context(q, 1, 12)
     g = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
-    us = list(gamma_n_transversal(ctx, n))
+    us = list(congruence_elements(ctx, n, 1))
     acc = RationalFunctionT.zero(q)
     for u in us:
         acc = acc + phi_pnt(g @ u, n + 1)

@@ -1,5 +1,8 @@
 """Resource caps and error surfaces."""
 
+import ast
+import pathlib
+
 import pytest
 
 from gl2lab.errors import ResourceLimit, check_cap, max_elems
@@ -35,3 +38,14 @@ def test_census_cap(monkeypatch):
     monkeypatch.setenv("GL2LAB_MAX_ELEMS", "100")
     with pytest.raises(ResourceLimit):
         enumerate_curves(7)
+
+
+def test_no_assert_statements_in_src():
+    # checks must survive python -O, so none of them is an assert
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl2lab"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
