@@ -7,11 +7,9 @@ the deformation variable.  Centrality of the undeformed function is
 checked against double-coset generators by computing both convolutions.
 """
 
-from fractions import Fraction
-
 from gl2lab.hecke import (centrality_check, congruence_elements, convolve,
-                          double_coset_indicator, e_congruence, phi_formula,
-                          phi_support, tower_identity_check)
+                          double_coset_indicator, phi_formula, phi_support,
+                          tower_identity_check)
 from gl2lab.padic import LocalMatrix, get_context
 from gl2lab.ratfunc import RationalFunctionT
 from gl2lab.testfunc import phi_pnt

@@ -2,10 +2,11 @@
 
 sigma-conjugacy classes of GL2(GR(p^n, r)) are computed by orbit closure
 and matched bijectively with conjugacy classes of GL2(Z/p^n) through the
-norm map; twisted and ordinary centralizers are counted independently on
-the two sides.  The exact sequence of unit groups behind that bijection
-and the finite shadow of the base-change identity for congruence-subgroup
-idempotents are verified exhaustively.
+norm map; twisted centralizers are counted element by element and
+compared with the ordinary ones, which orbit-stabilizer gives from the
+class sizes of GL2(Z/p^n).  The exact sequence of unit groups behind
+that bijection and the finite shadow of the base-change identity for
+congruence-subgroup idempotents are verified exhaustively.
 
 Sign convention recorded for downstream (out-of-scope) comparisons of
 orbital integrals: matching carries the sign +, except when the norm is
@@ -21,9 +22,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import DomainError, check_cap
+from .errors import DomainError
 from .finitegl2 import FiniteGL2
 from .gl2group import MatGroup, RingTables, _group_and_labels
+from .padic import group_order_gl2
 
 
 @dataclass
@@ -63,51 +65,57 @@ class SigmaOrbitTable:
         }
 
 
-def _norm_preimage_in_commutant(tables, G, gamma):
-    """delta in (GR[gamma])^x with N(delta) = gamma, by exhaustive search."""
-    t = tables
-    gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
+def _commutant_units(G: MatGroup, gm, scalars):
+    """The units a*1 + b*gm for a, b in `scalars`, in (a, b) order, a outer.
+
+    gm is one matrix as codes; returns a 4-tuple of code arrays.
+    """
+    t = G.t
+    s = np.asarray(scalars, dtype=np.int64)
+    a, b = np.repeat(s, len(s)), np.tile(s, len(s))
     ident = G.single([[1, 0], [0, 1]])
-    target = G.encode(*gm)
-    for a in range(t.Q):
-        for b in range(t.Q):
-            m = tuple(int(t.ADD[t.MUL[a, i], t.MUL[b, g]])
-                      for i, g in zip(ident, gm))
-            if not t.UNIT[int(G.det(tuple(np.int64(x) for x in m)))]:
-                continue
-            mm = tuple(np.int64(x) for x in m)
-            if int(G.encode(*G.norm(mm))) == int(target):
-                return mm
-    return None
+    m = tuple(t.ADD[t.MUL[a, i], t.MUL[b, g]] for i, g in zip(ident, gm))
+    unit = t.UNIT[G.det(m)]
+    return tuple(x[unit] for x in m)
+
+
+def _norm_preimage_in_commutant(G: MatGroup, gamma) -> int:
+    """Index in G of the first delta in (GR[gamma])^x with N(delta) = gamma."""
+    gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
+    units = _commutant_units(G, gm, range(G.t.Q))
+    hit = np.flatnonzero(G.encode(*G.norm(units)) == G.encode(*gm))
+    if len(hit) == 0:
+        raise DomainError(f"no norm preimage in the commutant of {gamma}")
+    return int(G.idx(units)[hit[0]])
 
 
 def sigma_orbits(p: int, r: int, n: int) -> SigmaOrbitTable:
-    """Orbit table of delta ~ h^-1 delta h^sigma with per-orbit centralizers."""
-    tables, G, count, labels = _group_and_labels(p, r, n)
+    """Orbit table of delta ~ h^-1 delta h^sigma with per-orbit centralizers.
+
+    The twisted centralizer is counted at each orbit's least element; the
+    ordinary one is |GL2(Z/p^n)| over the size of the matched class.
+    """
+    _, G, labels, norm_class = orbit_label_data(p, r, n)
     small = FiniteGL2(p, n)
+    count = len(norm_class)
     orbit_sizes = np.bincount(labels, minlength=count)
+    least = np.unique(labels, return_index=True)[1]
+    orbit_of_class = np.argsort(norm_class)
 
     records = []
-    used_orbits = {}
     for cid, gamma in enumerate(small.class_reps):
-        delta = _norm_preimage_in_commutant(tables, G, gamma)
-        if delta is None:
-            raise DomainError(f"no norm preimage in the commutant of {gamma}")
-        di = int(G.idx(delta))
-        orb = int(labels[di])
+        orb = int(orbit_of_class[cid])
+        delta = tuple(c[least[orb]] for c in G.comps)
         # twisted centralizer: h with delta h^sigma = h delta
         lhs = G.matmul(G._bcast(delta), G.sigma(G.comps))
         rhs = G.matmul(G.comps, G._bcast(delta))
         tw = int(np.count_nonzero(
             (lhs[0] == rhs[0]) & (lhs[1] == rhs[1])
             & (lhs[2] == rhs[2]) & (lhs[3] == rhs[3])))
-        stand = _centralizer_order(small, gamma)
+        stand = group_order_gl2(p, n) // small.class_sizes[cid]
         records.append(SigmaOrbitRecord(gamma, int(orbit_sizes[orb]), tw, cid, stand))
-        if orb in used_orbits:
-            raise DomainError("two classes map to one sigma-orbit")
-        used_orbits[orb] = cid
 
-    bijection = (len(used_orbits) == count == len(small.class_reps))
+    bijection = (count == len(small.class_reps))
     table = SigmaOrbitTable(p, r, n, G.order, len(small.class_reps), count,
                             records, bijection)
     if sum(o.size for o in table.orbits) != G.order:
@@ -119,26 +127,26 @@ def sigma_orbits(p: int, r: int, n: int) -> SigmaOrbitTable:
     return table
 
 
-def _centralizer_order(small: FiniteGL2, gamma) -> int:
-    return sum(1 for x in small.elements
-               if small.mul(x, gamma) == small.mul(gamma, x))
-
-
 _ORBIT_CACHE = {}
 
 
 def orbit_label_data(p, r, n):
-    """(tables, G, labels, norm_class_of_orbit) for downstream averaging."""
+    """(tables, G, labels, norm_class): the sigma-conjugacy orbit of every
+    element and, per orbit, the conjugacy class of GL2(Z/p^n) matched with it.
+
+    Each class is matched with the orbit of its first norm preimage in the
+    commutant; the matching must be a bijection.  Cached per (p, r, n).
+    """
     if (p, r, n) in _ORBIT_CACHE:
         return _ORBIT_CACHE[(p, r, n)]
     tables, G, count, labels = _group_and_labels(p, r, n)
     small = FiniteGL2(p, n)
     norm_class = np.full(count, -1, dtype=np.int64)
     for cid, gamma in enumerate(small.class_reps):
-        delta = _norm_preimage_in_commutant(tables, G, gamma)
-        if delta is None:
-            raise DomainError("norm preimage missing")
-        norm_class[labels[int(G.idx(delta))]] = cid
+        orb = labels[_norm_preimage_in_commutant(G, gamma)]
+        if norm_class[orb] >= 0:
+            raise DomainError("two classes map to one sigma-orbit")
+        norm_class[orb] = cid
     if np.any(norm_class < 0):
         raise DomainError("sigma-orbit without a matched conjugacy class")
     _ORBIT_CACHE[(p, r, n)] = (tables, G, labels, norm_class)
@@ -156,62 +164,28 @@ def unit_group_exactness(gamma, p: int, r: int, n: int) -> bool:
     d2 = the norm; Z_p resp. Z_pr are the unit groups of the subrings
     generated by gamma over Z/p^n resp. GR(p^n, r).
     """
-    t = RingTables(p, r, n)
-    G = MatGroup(t)
+    G = MatGroup(RingTables(p, r, n))
     gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
-    ident = G.single([[1, 0], [0, 1]])
-
-    def span(scalars):
-        seen = {}
-        for a in scalars:
-            for b in scalars:
-                m = tuple(int(t.ADD[t.MUL[a, x], t.MUL[b, y]])
-                          for x, y in zip(ident, gm))
-                mm = tuple(np.int64(v) for v in m)
-                if t.UNIT[int(G.det(mm))]:
-                    seen[m] = mm
-        return seen
-
-    big = span(range(t.Q))
-    small = span(range(p**n))
-
-    def key(mm):
-        return tuple(int(v) for v in mm)
-
-    def sig(mm):
-        return G.sigma(mm)
-
-    def minv(mm):
-        return G.minv(mm)
-
-    def mmul(x, y):
-        return G.matmul(x, y)
+    big = _commutant_units(G, gm, range(G.t.Q))
+    small = set(G.encode(*_commutant_units(G, gm, range(p**n))).tolist())
+    one = int(G.encode(*G.single([[1, 0], [0, 1]])))
+    key = G.encode(*big)
 
     # position 1: the sigma-fixed points of the big unit group are the small one
-    fixed = {key(m) for m in big.values() if key(sig(m)) == key(m)}
-    if fixed != set(small.keys()):
+    if set(key[G.encode(*G.sigma(big)) == key].tolist()) != small:
         return False
 
-    # d1 and d2
-    d1 = {}
-    d2 = {}
-    for km, m in big.items():
-        d1[km] = key(mmul(m, minv(sig(m))))
-        d2[km] = key(G.norm(m))
-
-    im_d1 = set(d1.values())
-    ker_d2 = {km for km, v in d2.items() if v == key(ident)}
-    if im_d1 != ker_d2:
+    d1 = G.encode(*G.matmul(big, G.minv(G.sigma(big))))
+    d2 = G.encode(*G.norm(big))
+    if set(d1.tolist()) != set(key[d2 == one].tolist()):
         return False
 
     # exactness at the last spot: the norm surjects onto the small units
-    im_d2 = set(d2.values())
-    if im_d2 != set(small.keys()):
+    if set(d2.tolist()) != small:
         return False
 
     # kernel of d1 is the image of the small units (same as position 1)
-    ker_d1 = {km for km, v in d1.items() if v == key(ident)}
-    return ker_d1 == set(small.keys())
+    return set(key[d1 == one].tolist()) == small
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +215,6 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int,
 
     # left side: average f(N(u delta)) = f-value of the orbit of (u delta)
     n_left = int(np.count_nonzero(G.congruence_mask(k)))
-    check_cap(n_left * 64, "bc-unit coset averaging")
     if deltas is None:
         sel = np.arange(G.order)
     else:
@@ -249,12 +222,8 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int,
     sums = _fibre_sums(G, k, fv[norm_class[labels]], n_left)[sel]
 
     # right side: per conjugacy class of the norm, average f over v * gamma
-    pk = p**k
-    vs = []
-    for x in small.elements:
-        if ((x[0] - 1) % pk == 0 and x[1] % pk == 0
-                and x[2] % pk == 0 and (x[3] - 1) % pk == 0):
-            vs.append(x)
+    Gs = MatGroup(RingTables(p, 1, j))
+    vs = list(zip(*(c[Gs.congruence_mask(k)].tolist() for c in Gs.comps)))
     rhs = []
     for gamma in small.class_reps:
         s = sum(fv[small.class_of(small.mul(v, gamma))] for v in vs)

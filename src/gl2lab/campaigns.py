@@ -60,17 +60,21 @@ def _render(v):
 def norm_bijection_checks(cases=((2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1))):
     out = []
     for (p, r, n) in cases:
-        tab = sigma_orbits(p, r, n)
-        out.append(Check("sigma-orbit-count", {"p": p, "r": r, "n": n},
-                         tab.class_count, tab.orbit_count))
-        out.append(Check("norm-bijection", {"p": p, "r": r, "n": n},
-                         True, tab.bijection))
-        out.append(Check("centralizer-orders", {"p": p, "r": r, "n": n},
-                         True, tab.all_centralizers_match()))
-        out.append(Check("orbit-stabilizer", {"p": p, "r": r, "n": n}, True,
-                         all(o.size * o.tw_centralizer == tab.group_order
-                             for o in tab.orbits)))
+        out.extend(norm_table_checks(sigma_orbits(p, r, n)))
     return out
+
+
+def norm_table_checks(tab):
+    """The four norm-bijection checks of one sigma-orbit table."""
+    inputs = {"p": tab.p, "r": tab.r, "n": tab.n}
+    return [
+        Check("sigma-orbit-count", inputs, tab.class_count, tab.orbit_count),
+        Check("norm-bijection", inputs, True, tab.bijection),
+        Check("centralizer-orders", inputs, True, tab.all_centralizers_match()),
+        Check("orbit-stabilizer", inputs, True,
+              all(o.size * o.tw_centralizer == tab.group_order
+                  for o in tab.orbits)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -327,12 +327,10 @@ def _run_command(args) -> int:
 
     if cmd == "verify-norm":
         from .basechange import sigma_orbits
-        checks = campaigns.norm_bijection_checks(
-            cases=((args.p, args.r, args.n),))
-        return _verdict("norm-bijection", checks,
+        tab = sigma_orbits(args.p, args.r, args.n)
+        return _verdict("norm-bijection", campaigns.norm_table_checks(tab),
                         {"p": args.p, "r": args.r, "n": args.n}, args.out,
-                        extra={"table": sigma_orbits(args.p, args.r,
-                                                     args.n).to_dict()})
+                        extra={"table": tab.to_dict()})
 
     if cmd == "verify-exact-seq":
         checks = campaigns.exact_sequence_checks(

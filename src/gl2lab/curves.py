@@ -75,27 +75,8 @@ class WeierstrassCurve:
     F: SmallField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        F = self.F = SmallField(self.q)
-        a1, a2, a3, a4, a6 = self.a
-        m, ad, neg = F.mul, F.add, F.neg
-
-        def s(*xs):
-            acc = 0
-            for x in xs:
-                acc = int(ad(acc, x))
-            return acc
-
-        b2 = s(m(a1, a1), _nmul(F, 4, a2))
-        b4 = s(_nmul(F, 2, a4), m(a1, a3))
-        b6 = s(m(a3, a3), _nmul(F, 4, a6))
-        b8 = s(m(m(a1, a1), a6), _nmul(F, 4, m(a2, a6)),
-               neg(m(a1, m(a3, a4))), m(a2, m(a3, a3)), neg(m(a4, a4)))
-        c4 = s(m(b2, b2), neg(_nmul(F, 24, b4)))
-        disc = s(neg(m(m(b2, b2), b8)), neg(_nmul(F, 8, m(b4, m(b4, b4)))),
-                 neg(_nmul(F, 27, m(b6, b6))), _nmul(F, 9, m(b2, m(b4, b6))))
-        self.disc = disc
-        self.j = int(F.mul(F.mul(c4, F.mul(c4, c4)), F.inv(disc))) if disc else None
-        if disc == 0:
+        self.F = SmallField(self.q)
+        if _discriminant(self.F, *self.a) == 0:
             raise DomainError("singular Weierstrass equation")
 
     def points(self):
@@ -185,11 +166,33 @@ class WeierstrassCurve:
 
 
 def _nmul(F, n, x):
-    """n * x for a small non-negative integer n (reduced mod char)."""
-    acc = 0
+    """n * x for a small non-negative integer n (reduced mod char).
+
+    x is a field code or an array of codes.
+    """
+    acc = x * 0
     for _ in range(n % F.p):
-        acc = int(F.ADD[acc, x])
+        acc = F.ADD[acc, x]
     return acc
+
+
+def _discriminant(F, a1, a2, a3, a4, a6):
+    """Discriminant of the Weierstrass tuple, by table lookups.
+
+    The coefficients are field codes or arrays of codes (then elementwise).
+    """
+    ADD, MUL, NEG = F.ADD, F.MUL, F.NEG
+    b2 = ADD[MUL[a1, a1], _nmul(F, 4, a2)]
+    b4 = ADD[_nmul(F, 2, a4), MUL[a1, a3]]
+    b6 = ADD[MUL[a3, a3], _nmul(F, 4, a6)]
+    b8 = ADD[MUL[MUL[a1, a1], a6],
+             ADD[_nmul(F, 4, MUL[a2, a6]),
+                 ADD[NEG[MUL[a1, MUL[a3, a4]]],
+                     ADD[MUL[a2, MUL[a3, a3]], NEG[MUL[a4, a4]]]]]]
+    return ADD[NEG[MUL[MUL[b2, b2], b8]],
+               ADD[NEG[_nmul(F, 8, MUL[b4, MUL[b4, b4]])],
+                   ADD[NEG[_nmul(F, 27, MUL[b6, b6])],
+                       _nmul(F, 9, MUL[b2, MUL[b4, b6]])]]]
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +219,20 @@ def _transform_all(q, a, subs):
     def mul(x, y):
         return MUL[x, y]
 
-    def nm(k, x):
-        out = np.zeros_like(x)
-        for _ in range(k % F.p):
-            out = ADD[out, x]
-        return out
-
     u2 = mul(u, u)
     u3 = mul(u2, u)
     u4 = mul(u2, u2)
     u6 = mul(u3, u3)
-    na1 = mul(add(a1, nm(2, s)), INV[u])
-    na2 = mul(add(a2, add(NEG[mul(s, a1)], add(nm(3, rr), NEG[mul(s, s)]))),
+    na1 = mul(add(a1, _nmul(F, 2, s)), INV[u])
+    na2 = mul(add(a2, add(NEG[mul(s, a1)],
+                          add(_nmul(F, 3, rr), NEG[mul(s, s)]))),
               INV[u2])
-    na3 = mul(add(a3, add(mul(rr, a1), nm(2, t))), INV[u3])
+    na3 = mul(add(a3, add(mul(rr, a1), _nmul(F, 2, t))), INV[u3])
     na4 = mul(add(a4, add(NEG[mul(s, a3)],
-              add(nm(2, mul(rr, a2)),
+              add(_nmul(F, 2, mul(rr, a2)),
                   add(NEG[mul(add(t, mul(rr, s)), a1)],
-                      add(nm(3, mul(rr, rr)), NEG[nm(2, mul(s, t))]))))),
+                      add(_nmul(F, 3, mul(rr, rr)),
+                          NEG[_nmul(F, 2, mul(s, t))]))))),
               INV[u4])
     na6 = mul(add(a6, add(mul(rr, a4),
               add(mul(mul(rr, rr), a2),
@@ -308,29 +307,9 @@ def _nonsingular_mask(q):
 
     Index c stands for (a1, a2, a3, a4, a6) = base-q digits of c, least first.
     """
-    F = SmallField(q)
-    ADD, MUL, NEG = F.ADD, F.MUL, F.NEG
     codes = np.arange(q**5, dtype=np.int64)
-    comps = [(codes // q**i) % q for i in range(5)]
-    a1, a2, a3, a4, a6 = comps
-
-    def nm(k, x):
-        out = np.zeros_like(x)
-        for _ in range(k % F.p):
-            out = ADD[out, x]
-        return out
-
-    b2 = ADD[MUL[a1, a1], nm(4, a2)]
-    b4 = ADD[nm(2, a4), MUL[a1, a3]]
-    b6 = ADD[MUL[a3, a3], nm(4, a6)]
-    b8 = ADD[MUL[MUL[a1, a1], a6],
-             ADD[nm(4, MUL[a2, a6]),
-                 ADD[NEG[MUL[a1, MUL[a3, a4]]],
-                     ADD[MUL[a2, MUL[a3, a3]], NEG[MUL[a4, a4]]]]]]
-    disc = ADD[NEG[MUL[MUL[b2, b2], b8]],
-               ADD[NEG[nm(8, MUL[b4, MUL[b4, b4]])],
-                   ADD[NEG[nm(27, MUL[b6, b6])], nm(9, MUL[b2, MUL[b4, b6]])]]]
-    return disc != 0
+    return _discriminant(SmallField(q), *((codes // q**i) % q
+                                          for i in range(5))) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -542,13 +542,8 @@ class LocalMatrix:
     # -- ring structure ---------------------------------------------------------
 
     def __matmul__(self, other):
-        a1, b1, c1, d1 = self.m
-        a2, b2, c2, d2 = other.m
-        prod = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-                c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-        prec = min(self.prec, other.prec)
-        exact = None
         if self.exact is not None and other.exact is not None:
+            # the exact product alone: _build ignores truncated entries then
             f = self.ctx.defining_poly
             x, y = self.exact, other.exact
             exact = (
@@ -557,7 +552,13 @@ class LocalMatrix:
                 _o_add(_o_mul(x[2], y[0], f), _o_mul(x[3], y[2], f)),
                 _o_add(_o_mul(x[2], y[1], f), _o_mul(x[3], y[3], f)),
             )
-        return self._build(self.e + other.e, prod, prec, exact=exact)
+            return self._build(self.e + other.e, None, None, exact=exact)
+        a1, b1, c1, d1 = self.m
+        a2, b2, c2, d2 = other.m
+        prod = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+        return self._build(self.e + other.e, prod,
+                           min(self.prec, other.prec))
 
     def scale(self, k: int):
         """p^k * g."""
@@ -701,24 +702,28 @@ def _scaled_gre(x: GaloisRingElement, shift: int, prec: int):
     return x.shift(shift), prec + shift
 
 
-def _one_minus_tr_plus_det(g: LocalMatrix):
-    """(D, K): D = 1 - tr g + det g known modulo p^K."""
+def _tr_det(g: LocalMatrix):
+    """(tr g, det g, K): trace and determinant of g, both known mod p^K."""
     tr, ktr = _scaled_gre(g.trace_gre(), g.e, g.prec)
     det, kdet = _scaled_gre(g.det_gre(), 2 * g.e, g.prec)
-    K = min(ktr, kdet)
-    return 1 - tr + det, K
+    return tr, det, min(ktr, kdet)
 
 
-def ell_min(g: LocalMatrix, cap: int):
-    """min(ell(g), cap), certified; needs v_p(det g) >= 1 and v_p(tr g) = 0."""
+def _require_ell_domain(g: LocalMatrix):
+    """ell(g) needs v_p(det g) >= 1 and v_p(tr g) = 0."""
     if g.det_valuation() < 1:
         raise DomainError("ell is defined only for v_p(det) >= 1")
     if g.trace_val_ge(1) or not g.trace_val_ge(0):
         raise DomainError("ell is defined only for v_p(tr) = 0")
-    D, K = _one_minus_tr_plus_det(g)
+
+
+def ell_min(g: LocalMatrix, cap: int):
+    """min(ell(g), cap), certified; needs v_p(det g) >= 1 and v_p(tr g) = 0."""
+    _require_ell_domain(g)
+    tr, det, K = _tr_det(g)
     if K < cap:
         raise PrecisionExhausted(f"need {cap} certified digits, have {K}")
-    v = D.valuation_below(cap)
+    v = (1 - tr + det).valuation_below(cap)
     return cap if v is None else v
 
 
@@ -734,10 +739,7 @@ def _o_scale_exact(coeffs, shift, p):
 
 def ell_of(g: LocalMatrix) -> ExtendedNat:
     """v_p(1 - tr g + det g); INF needs exact input data to certify."""
-    if g.det_valuation() < 1:
-        raise DomainError("ell is defined only for v_p(det) >= 1")
-    if g.trace_val_ge(1) or not g.trace_val_ge(0):
-        raise DomainError("ell is defined only for v_p(tr) = 0")
+    _require_ell_domain(g)
     if g.exact_tr is not None and g.exact_det is not None:
         p, r = g.ctx.p, g.ctx.r
         (st, ct), (sd, cd) = g.exact_tr, g.exact_det
@@ -746,8 +748,8 @@ def ell_of(g: LocalMatrix) -> ExtendedNat:
                    _o_scale_exact(cd, sd, p))
         v = min(vp_int(c, p) for c in D)
         return INF if v.is_infinite else v
-    D, K = _one_minus_tr_plus_det(g)
-    v = D.valuation_below(K)
+    tr, det, K = _tr_det(g)
+    v = (1 - tr + det).valuation_below(K)
     if v is None:
         raise PrecisionExhausted("vanishes to working precision, not provably zero")
     return ExtendedNat(v)
@@ -792,9 +794,8 @@ def unit_eigenvalue(gamma: LocalMatrix, n: int) -> GaloisRingElement:
         raise DomainError("no unit eigenvalue: v_p(tr) >= 1")
     if gamma.det_valuation() < 1:
         raise DomainError("unit eigenvalue needs v_p(det) >= 1")
-    tr, ktr = _scaled_gre(gamma.trace_gre(), gamma.e, gamma.prec)
-    det, kdet = _scaled_gre(gamma.det_gre(), 2 * gamma.e, gamma.prec)
-    if min(ktr, kdet) < n:
+    tr, det, K = _tr_det(gamma)
+    if K < n:
         raise PrecisionExhausted("not enough digits for the requested level")
     ctx = gamma.ctx
     x = tr

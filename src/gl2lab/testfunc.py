@@ -17,8 +17,8 @@ from typing import Optional
 
 from .cyclotomic import CyclotomicValue
 from .errors import DomainError, PrecisionExhausted
-from .padic import (INF, ExtendedNat, GaloisRingElement, LocalMatrix,
-                    ell_min, ell_of, k_of, unit_eigenvalue)
+from .padic import (ExtendedNat, GaloisRingElement, LocalMatrix, ell_min,
+                    ell_of, k_of, unit_eigenvalue)
 from .ratfunc import RationalFunctionT
 
 OFF_SUPPORT = "off-support"
@@ -57,13 +57,23 @@ def phi_p0(g: LocalMatrix) -> Fraction:
 
 def phi_pn(g: LocalMatrix, n: int) -> int:
     """The level-n central function, exact integer values."""
-    q = g.ctx.q
     branch, k, ell = phi_branch(g, n)
     if branch == OFF_SUPPORT:
         return 0
-    if branch == TRACE_DIVISIBLE:
+    return branch_value(g.ctx.q, n, k, branch == TRACE_DIVISIBLE, ell)
+
+
+def branch_value(q: int, n: int, k: int, tr_div: bool, ell) -> int:
+    """Level-n value at invariant k of a v_p(det) = 1 element, integral trace.
+
+    tr_div: p divides the trace; otherwise ell may be any certified
+    min(ell, c) with c >= n - k, since only ell < n - k is consulted.
+    """
+    if k > n - 1:
+        return 0
+    if tr_div:
         return -1 - q
-    if branch == SMALL_ELL:
+    if ell < n - k:
         return 1 - q**(2 * ell)
     return 1 + q**(2 * (n - k) - 1)
 

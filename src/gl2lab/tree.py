@@ -13,13 +13,14 @@ shells following the vertex-counting lemma (weights q/(q+1) resp.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional
 
 from .errors import (DomainError, NotStabilizable, PrecisionExhausted,
                      check_cap)
 from .padic import LocalContext, LocalMatrix, ell_min, k_of
+from .testfunc import branch_value
 
 
 class TreeVertex:
@@ -222,14 +223,11 @@ def orbital_ratio(gamma: LocalMatrix, n: int,
                   phi_at: Optional[Callable[[int], Fraction]] = None):
     """O(level-n function) / O(level-0 function) as an exact rational.
 
-    Computed as (q-1) * sum over vertices at distance <= n-1 of
-    weight(v) * value(distance), the value being the level-n branch value
-    at stabilization distance k = d.  Equals the closed-form constant.
-    Returns (ratio, supported); (0, False) when gamma is not conjugate
-    to an integral matrix.
+    The sum of the contributions of `orbital_shell_tally`: (q-1) times
+    weight(v) * value(distance) over the vertices at distance <= n-1.
+    Equals the closed-form constant.  Returns (ratio, supported);
+    (0, False) when gamma is not conjugate to an integral matrix.
     """
-    ctx = gamma.ctx
-    q = ctx.q
     try:
         integral = gamma.trace_val_ge(0) and gamma.det_valuation() >= 0
     except DomainError:
@@ -238,43 +236,30 @@ def orbital_ratio(gamma: LocalMatrix, n: int,
         return Fraction(0), False
     if gamma.det_valuation() != 1:
         raise DomainError("orbital ratio needs v_p(det) = 1")
+    rows = orbital_shell_tally(gamma, n, phi_at)
+    return sum((row["contribution"] for row in rows), Fraction(0)), True
+
+
+def orbital_shell_tally(gamma: LocalMatrix, n: int,
+                        phi_at: Optional[Callable[[int], Fraction]] = None):
+    """Shell-by-shell contributions backing orbital_ratio.
+
+    phi_at(d) is the value at stabilization distance d; by default the
+    level-n branch value at invariant k = d.
+    """
+    q = gamma.ctx.q
     tr_div = gamma.trace_val_ge(1)
     ell_cap = None if tr_div else ell_min(gamma, n)
     if phi_at is None:
         def phi_at(d):
-            return Fraction(_branch_value(q, n, tr_div, ell_cap, d))
-    w = vertex_weight(gamma)
-    total = phi_at(0) * Fraction(1)
-    for d in range(1, n):
-        count = (q + 1) * q**(d - 1)
-        # per-vertex weight, summed over the shell
-        total += count * w * phi_at(d)
-    return (q - 1) * total, True
-
-
-def orbital_shell_tally(gamma: LocalMatrix, n: int):
-    """Shell-by-shell contributions backing orbital_ratio, for reporting."""
-    q = gamma.ctx.q
-    tr_div = gamma.trace_val_ge(1)
-    ell_cap = None if tr_div else ell_min(gamma, n)
+            return Fraction(branch_value(q, n, d, tr_div, ell_cap))
     w = vertex_weight(gamma)
     rows = []
     for d in range(0, n):
         count = 1 if d == 0 else (q + 1) * q**(d - 1)
         weight = Fraction(1) if d == 0 else w
-        value = Fraction(_branch_value(q, n, tr_div, ell_cap, d))
+        value = phi_at(d)
         rows.append({"distance": d, "vertices": count,
                      "weight": weight, "value": value,
                      "contribution": (q - 1) * count * weight * value})
     return rows
-
-
-def _branch_value(q, n, tr_div, ell_cap, d):
-    """Level-n branch value for stabilization distance d (= the invariant k)."""
-    if d > n - 1:
-        return 0
-    if tr_div:
-        return -1 - q
-    if ell_cap < n - d:
-        return 1 - q**(2 * ell_cap)
-    return 1 + q**(2 * (n - d) - 1)

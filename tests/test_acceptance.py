@@ -7,8 +7,6 @@ values are integers, rationals, cyclotomic numbers or polynomials.
 
 import time
 
-import pytest
-
 from gl2lab import campaigns
 
 

@@ -2,13 +2,18 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gl2lab.basechange import (_fibre_sums, bc_unit_identity,
+from gl2lab import basechange
+from gl2lab.basechange import (_commutant_units, _fibre_sums,
+                               _norm_preimage_in_commutant, bc_unit_identity,
                                orbit_label_data, sigma_orbits,
                                unit_group_exactness)
+from gl2lab.cli import main
+from gl2lab.errors import DomainError
 from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup, RingTables
 
@@ -71,6 +76,49 @@ def test_sigma_orbits_centralizer_match(p, r, n):
     assert sum(tab.group_order // o.norm_centralizer
                for o in tab.orbits) == tab.group_order
 
+
+
+def _commutant_loop(G, gamma, scalars):
+    """Reference: the units a*1 + b*gamma, one Python (a, b) step at a time."""
+    t = G.t
+    gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
+    ident = G.single([[1, 0], [0, 1]])
+    out = []
+    for a in scalars:
+        for b in scalars:
+            m = tuple(int(t.ADD[t.MUL[a, i], t.MUL[b, g]])
+                      for i, g in zip(ident, gm))
+            if t.UNIT[int(G.det(tuple(np.int64(x) for x in m)))]:
+                out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1)])
+def test_commutant_search_matches_python_loop(p, r, n):
+    # the array routine lists the same units in the same (a, b) order, so
+    # the first norm preimage, and with it the matching, is unchanged
+    G = MatGroup(RingTables(p, r, n))
+    for gamma in FiniteGL2(p, n).class_reps:
+        gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
+        for scalars in (range(G.t.Q), range(p**n)):
+            units = _commutant_units(G, gm, scalars)
+            assert list(zip(*(x.tolist() for x in units))) == _commutant_loop(
+                G, gamma, scalars)
+        first = next(m for m in _commutant_loop(G, gamma, range(G.t.Q))
+                     if int(G.encode(*G.norm(tuple(np.int64(x) for x in m))))
+                     == int(G.encode(*gm)))
+        assert _norm_preimage_in_commutant(G, gamma) == int(G.idx(first))
+
+
+def test_bad_matching_raises(monkeypatch):
+    # every class sent to one delta: the matching is not a bijection
+    monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(basechange, "_norm_preimage_in_commutant",
+                        lambda G, gamma: 0)
+    with pytest.raises(DomainError, match="two classes map to one sigma-orbit"):
+        orbit_label_data(2, 2, 1)
+    with pytest.raises(DomainError, match="two classes map to one sigma-orbit"):
+        sigma_orbits(3, 2, 1)
 
 def test_norm_constant_on_orbits_up_to_conjugacy():
     # N(h^-1 delta h^sigma) lands in the class matched with delta's orbit
@@ -165,6 +213,42 @@ def test_bc_unit_fibre_sums_match_u_loop(p, r, j, k):
     with pytest.raises(AssertionError, match="fibre of reduction"):
         _fibre_sums(G, k, values[0], fibre_size + 1)
 
+
+
+def _bc_unit_oracle(fs, k, p, r, j):
+    """Reference identity for each function in fs: u-loop left sums, right
+    sums over a Python scan of GL2(Z/p^j) for the elements = 1 mod p^k."""
+    tables, G, labels, norm_class = orbit_label_data(p, r, j)
+    small = FiniteGL2(p, j)
+    values = np.asarray(fs, dtype=np.int64)[:, norm_class[labels]]
+    left = _u_loop_sums(G, k, values)
+    n_left = int(np.count_nonzero(G.congruence_mask(k)))
+    pk = p**k
+    vs = [x for x in small.elements
+          if (x[0] - 1) % pk == 0 and x[1] % pk == 0
+          and x[2] % pk == 0 and (x[3] - 1) % pk == 0]
+    out = []
+    for f, lf in zip(fs, left):
+        right = [Fraction(sum(f[small.class_of(small.mul(v, g))] for v in vs),
+                          len(vs)) for g in small.class_reps]
+        out.append(all(Fraction(int(lf[i]), n_left)
+                       == right[norm_class[labels[i]]] for i in range(G.order)))
+    return out
+
+
+def test_bc_unit_3210_runs_under_default_cap(monkeypatch, capsys):
+    # no cap on |Gamma(p^k)|: the fibre pass is O(|G|), and MatGroup still
+    # caps the matrix-code space
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    p, r, j, k = 3, 2, 1, 0
+    assert main(["verify-bc-unit", "--p", "3", "--r", "2",
+                 "--j", "1", "--k", "0"]) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    nclasses = len(FiniteGL2(p, j).class_reps)
+    fs = [[1] * nclasses, [int(c == 0) for c in range(nclasses)],
+          [c * c % 5 for c in range(nclasses)]]
+    assert _bc_unit_oracle(fs, k, p, r, j) == [True] * len(fs)
+    assert [bc_unit_identity(f, k, p, r, j) for f in fs] == [True] * len(fs)
 
 def test_bc_unit_against_brute_force_oracle():
     # independent path at (p, r, j, k) = (2, 2, 1, 1): Gamma(p) at modulus p

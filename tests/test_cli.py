@@ -155,3 +155,24 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["summary"]["failed"] == 0
+
+
+def test_verify_norm_builds_its_table_once(capsys, monkeypatch):
+    from gl2lab import basechange, campaigns
+
+    calls = []
+    real = basechange.sigma_orbits
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(basechange, "sigma_orbits", counted)
+    monkeypatch.setattr(campaigns, "sigma_orbits", counted)
+    code, out = run(capsys, "verify-norm", "--p", "3", "--r", "2", "--n", "1")
+    assert code == 0
+    assert calls == [(3, 2, 1)]
+    rep = json.loads(out)
+    assert rep["table"] == json.loads(json.dumps(real(3, 2, 1).to_dict()))
+    assert rep["checks"] == [c.to_dict() for c in
+                             campaigns.norm_bijection_checks(cases=((3, 2, 1),))]

@@ -101,6 +101,37 @@ def test_nonsingular_mask_matches_curve_construction(q):
         assert bool(mask[c]) == nonsingular, a
 
 
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_nonsingular_mask_matches_singular_points(q):
+    # independent of the discriminant: a tuple is singular iff some affine
+    # (x, y) over F_q solves the equation and both partial derivatives.  A
+    # Weierstrass cubic is smooth at infinity and irreducible, so a singular
+    # point is unique, hence Galois-fixed and F_q-rational.
+    F = SmallField(q)
+    add, mul, neg = F.ADD, F.MUL, F.NEG
+    codes = np.arange(q**5)
+    a1, a2, a3, a4, a6 = ((codes // q**i) % q for i in range(5))
+
+    def times(k, x):
+        out = np.zeros_like(x)
+        for _ in range(k):
+            out = add[out, x]
+        return out
+
+    singular = np.zeros(q**5, dtype=bool)
+    for x, y in itertools.product(range(q), repeat=2):
+        # f = y^2 + a1 x y + a3 y - x^3 - a2 x^2 - a4 x - a6
+        xx = mul[x, x]
+        f = add[add[add[mul[y, y], mul[a1, mul[x, y]]], mul[a3, y]],
+                neg[add[add[add[mul[xx, x], mul[a2, xx]], mul[a4, x]], a6]]]
+        fx = add[mul[a1, y], neg[add[add[times(3, np.full_like(a2, xx)),
+                                         times(2, mul[a2, x])], a4]]]
+        fy = add[add[times(2, np.full_like(a1, y)), mul[a1, x]], a3]
+        singular |= (f == 0) & (fx == 0) & (fy == 0)
+    assert singular.sum() == q**4        # the singular tuples number q^4
+    assert np.array_equal(_nonsingular_mask(q), ~singular)
+
 def test_census_result_is_a_fresh_list():
     first = enumerate_curves(7)
     expected = [(E.a, E.aut_order) for E in first]

@@ -300,6 +300,38 @@ def test_inverse_and_equality_contract():
     assert g1 != g2  # exponents differ
 
 
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_exact_matmul_matches_truncated_product(p, r):
+    # two exact factors give only the exact product; it must agree with
+    # the truncated product of the same matrices without their exact data
+    ctx = get_context(p, r, 8)
+    rnd = random.Random(100 * p + r)
+
+    def entry():
+        x = [rnd.randrange(-30, 31) for _ in range(r)]
+        return x[0] if r == 1 else x
+
+    def stripped(g):
+        return LocalMatrix(ctx, g.e, g.m, prec=g.prec)
+
+    done = 0
+    while done < 40:
+        rows = [[[entry(), entry()], [entry(), entry()]] for _ in range(2)]
+        try:
+            g, h = (LocalMatrix.from_integers(ctx, m, e=rnd.randrange(-1, 2))
+                    for m in rows)
+            g.det_valuation(), h.det_valuation()
+        except DomainError:
+            continue        # the zero or a singular matrix
+        gh = g @ h
+        assert gh.exact is not None
+        truncated = stripped(g) @ stripped(h)
+        assert truncated.exact is None
+        assert gh == truncated
+        assert gh.det_valuation() == g.det_valuation() + h.det_valuation()
+        done += 1
+
 def test_textual_encodings_roundtrip():
     ctx = get_context(2, 2, 3)
     x = ctx.el((3, 5))
