@@ -69,9 +69,10 @@ def _emit(report: dict, out=None):
         sys.stdout.write(text)
 
 
-def _verdict(campaign: str, checks, config, out=None, extra=None) -> int:
+def _verdict(campaign: str, checks, config, out=None, extra=None,
+             seed=campaigns.DEFAULT_SEED) -> int:
     if isinstance(config, dict):
-        config = CampaignConfig(campaign, config)
+        config = CampaignConfig(campaign, config, seed)
     rows = [c.to_dict() for c in checks]
     passed = sum(1 for c in checks if c.passed)
     report = {
@@ -276,7 +277,7 @@ def _run_command(args) -> int:
                                            probes=args.probes, seed=args.seed)
             return _verdict("tree-lemma", checks,
                             {"p": args.p, "r": args.r, "probes": args.probes},
-                            args.out)
+                            args.out, seed=args.seed)
         if not args.gamma:
             raise DomainError("--gamma is required without --verify")
         ctx = get_context(args.p, args.r, 2 * args.depth + 8)
@@ -338,7 +339,7 @@ def _run_command(args) -> int:
             seed=args.seed)
         return _verdict("exact-sequence", checks,
                         {"p": args.p, "r": args.r, "n": args.n,
-                         "samples": args.samples}, args.out)
+                         "samples": args.samples}, args.out, seed=args.seed)
 
     if cmd == "verify-bc-unit":
         checks = campaigns.bc_unit_checks(p=args.p, r=args.r, j=args.j,
@@ -352,21 +353,21 @@ def _run_command(args) -> int:
                                         samples=args.samples, seed=args.seed)
         return _verdict("tower", checks,
                         {"q": args.q, "n": args.n, "samples": args.samples},
-                        args.out)
+                        args.out, seed=args.seed)
 
     if cmd == "verify-central":
         checks = campaigns.centrality_checks(q=args.q, n=args.n,
                                              samples=args.samples,
                                              seed=args.seed)
         return _verdict("centrality", checks,
-                        {"q": args.q, "n": args.n}, args.out)
+                        {"q": args.q, "n": args.n}, args.out, seed=args.seed)
 
     if cmd == "verify-orbital":
         checks = campaigns.orbital_checks(cases=((args.q, args.n),),
                                           per=args.samples, seed=args.seed)
         return _verdict("orbital", checks,
                         {"q": args.q, "n": args.n, "samples": args.samples},
-                        args.out)
+                        args.out, seed=args.seed)
 
     if cmd == "verify-cr":
         checks = campaigns.cross_identity_checks(ps=(args.p,), ns=(args.n,))

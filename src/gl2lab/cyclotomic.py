@@ -44,13 +44,16 @@ def cyclotomic_polynomial(M: int):
 
 @lru_cache(maxsize=None)
 def _reduction_rows(M: int):
-    """x^k mod Phi_M for deg <= k <= 2 deg - 2, as Fraction vectors."""
+    """x^k mod Phi_M for deg <= k < max(2 deg - 1, M), as Fraction vectors.
+
+    That covers every product of two reduced vectors and every zeta_M^k.
+    """
     phi = cyclotomic_polynomial(M)
     deg = len(phi) - 1
     rows = {}
     cur = [Fraction(-phi[j]) for j in range(deg)]  # x^deg
     rows[deg] = tuple(cur)
-    for k in range(deg + 1, 2 * deg - 1):
+    for k in range(deg + 1, max(2 * deg - 1, M)):
         nxt = [Fraction(0)] + cur[:-1]
         lead = cur[-1]
         if lead:
@@ -90,24 +93,7 @@ class CyclotomicValue:
     @classmethod
     def zeta(cls, M, k=1):
         """zeta_M^k."""
-        k %= M
-        if M == 1:
-            return cls.rational(M, 1)
-        deg, _ = _reduction_rows(M)
-        if M == 2:
-            return cls.rational(M, (-1) ** k)
-        if k < deg:
-            return cls(M, (0,) * k + (1,))
-        # reduce zeta^k via repeated multiplication by zeta
-        acc = cls.rational(M, 1)
-        z = cls(M, (0, 1))
-        e = k
-        while e:
-            if e & 1:
-                acc = acc * z
-            z = z * z
-            e >>= 1
-        return acc
+        return cls(M, (0,) * (k % M) + (1,))
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -67,8 +67,6 @@ class RingTables:
         self.INV = inv
         self.one = encode(ctx.one.coeffs)
         self.zero = 0
-        # codes of the prime subring Z/p^n inside GR
-        self.subring = np.arange(pn, dtype=np.int32)
 
 
 def _vp(c, p, n):
@@ -142,9 +140,6 @@ class MatGroup:
 
     def det(self, x):
         return self.rsub(self.rmul(x[0], x[3]), self.rmul(x[1], x[2]))
-
-    def trace(self, x):
-        return self.radd(x[0], x[3])
 
     def minv(self, x):
         di = self.t.INV[self.det(x)]

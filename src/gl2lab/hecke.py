@@ -2,8 +2,8 @@
 
 Functions bi-invariant under the principal congruence subgroup K = Gamma(p^n)
 with finite support are stored as maps from canonical right-coset keys to
-values.  The canonical key reduces the primitive part of g modulo the
-sublattice p^n * M * M2(O) + p^(n+d) * M2(O) of the flattened matrix module,
+values.  The canonical key of g = p^e * M is the Hermite basis
+H = [[p^a, 0], [c, p^b]] of the lattice M O^2 together with H^-1 M mod p^n,
 which determines the right coset exactly.  Convolution is the finite sum
 (f1 * f2)(g) = vol(K) * sum over supp(f1)/K of f1(h) f2(h^-1 g) with
 vol(GL2(Z_q)) = q - 1.
@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 
 from .errors import DomainError, PrecisionExhausted, check_cap
 from .padic import (LocalContext, LocalMatrix, factor_prime_power, get_context,
-                    group_order_gl2, vp_int)
+                    group_order_gl2)
 from .ratfunc import RationalFunctionT
 from .testfunc import phi_pn, phi_pnt
 
@@ -26,115 +26,44 @@ from .testfunc import phi_pn, phi_pnt
 # canonical right-coset keys
 
 
-def _echelon_mod_pe(gens, width, e_exp, p):
-    """Howell-style echelon pivots of the subgroup of (Z/p^e_exp)^width.
-
-    Pivot rows have zeros left of their pivot column and pivot entry p^a;
-    for a > 0 the tail p^(e-a) * row is fed back so that the pivot list
-    generates the whole subgroup, which makes vector reduction canonical.
-    """
-    pe = p**e_exp
-    rows = [r for r in ([x % pe for x in g] for g in gens) if any(r)]
-    pivots = []
-    for col in range(width):
-        idxs = [i for i, r in enumerate(rows) if r[col] % pe]
-        if not idxs:
-            continue
-        i0 = min(idxs, key=lambda i: vp_int(rows[i][col] % pe, p).value)
-        row = rows.pop(i0)
-        a = vp_int(row[col] % pe, p).value
-        uinv = pow(row[col] // p**a, -1, pe)
-        row = [(x * uinv) % pe for x in row]
-        for i, r in enumerate(rows):
-            if r[col] % pe:
-                f = r[col] // p**a
-                rows[i] = [(x - f * y) % pe for x, y in zip(r, row)]
-        rows = [r for r in rows if any(r)]
-        pivots.append((col, a, row))
-        if a > 0:
-            tail = [(p**(e_exp - a) * x) % pe for x in row]
-            if any(tail):
-                rows.append(tail)
-    return pivots
-
-
-def _howell_normalize(pivots, e_exp, p):
-    """Reduce each pivot row above later pivots: canonical module key."""
-    pe = p**e_exp
-    rows = [list(r) for (_, _, r) in pivots]
-    meta = [(c, a) for (c, a, _) in pivots]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            cj, aj = meta[j]
-            f = rows[i][cj] // p**aj
-            if f:
-                rows[i] = [(x - f * y) % pe for x, y in zip(rows[i], rows[j])]
-    return tuple((c, a, tuple(r)) for (c, a), r in zip(meta, rows))
-
-
-def _reduce_vec(vec, pivots, pe, p):
-    v = [x % pe for x in vec]
-    for col, a, row in pivots:
-        f = v[col] // p**a
-        if f:
-            v = [(x - f * y) % pe for x, y in zip(v, row)]
-    return tuple(v)
-
-
-def _gen_powers(ctx):
-    """1, g, ..., g^(r-1) as ring elements."""
-    out, cur = [], ctx.one
-    for _ in range(ctx.r):
-        out.append(cur)
-        cur = cur * ctx.generator
-    return out
-
-
 def canonical_coset_rep(g: LocalMatrix, n: int):
     """Key identifying the right coset g * Gamma(p^n); equal keys iff equal cosets.
 
-    For n >= 1 the coset of the primitive part M is the affine set
-    M + p^n M M2(O), reduced canonically mod p^(n+d); for n = 0 it is the
-    column lattice of M, keyed by its Howell normal form mod p^d.
+    Write g = p^e * M with M primitive and d = v(det M).  The lattice M O^2
+    has exactly one basis H = [[p^a, 0], [c, p^b]] with a + b = d and c in
+    O/p^b, and H^-1 M lies in GL2(O), so the coset is determined by
+    (e, d, a, c, H^-1 M mod p^n).  Only the digits of M below max(n + d, 1)
+    are read; at n = 0 the last part is empty.
     """
     ctx = g.ctx
-    p, r = ctx.p, ctx.r
+    p = ctx.p
     d = g.det_valuation() - 2 * g.e  # valuation of det of the primitive part
     depth = max(n + d, 1)
     if g.prec < depth:
         raise PrecisionExhausted("coset key needs more certified digits")
-    a, b, c, dd = g.m
-    if n == 0:
-        cols = []
-        for gp in _gen_powers(ctx):
-            ca, cc = a * gp, c * gp
-            cols.append(list(ca.coeffs_mod(depth)) + list(cc.coeffs_mod(depth)))
-            cb, cd = b * gp, dd * gp
-            cols.append(list(cb.coeffs_mod(depth)) + list(cd.coeffs_mod(depth)))
-        width = 2 * r
-        cols += [[(p**depth if i == j else 0) for j in range(width)]
-                 for i in range(width)]
-        pivots = _echelon_mod_pe(cols, width, depth, p)
-        return (g.e, d, _howell_normalize(pivots, depth, p))
-
-    def flat(mat):
-        return [coef for x in mat for coef in x.coeffs_mod(depth)]
-
-    vec = flat((a, b, c, dd))
-    width = 4 * r
-    gens = []
-    pn_ = p**n
-    for gp in _gen_powers(ctx):
-        sa, sb, sc, sd = (x * gp * pn_ for x in (a, b, c, dd))
-        # M * E11 places column (a, c) in the first column, etc.
-        gens.append(flat((sa, ctx.zero, sc, ctx.zero)))
-        gens.append(flat((ctx.zero, sa, ctx.zero, sc)))
-        gens.append(flat((sb, ctx.zero, sd, ctx.zero)))
-        gens.append(flat((ctx.zero, sb, ctx.zero, sd)))
-    gens += [[(p**depth if i == j else 0) for j in range(width)]
-             for i in range(width)]
-    pivots = _echelon_mod_pe(gens, width, depth, p)
-    return (g.e, d, _reduce_vec(vec, pivots, p**depth, p))
+    top, bottom = g.m[:2], g.m[2:]
+    vals = [x.valuation_below(depth) for x in top]
+    a = min((v for v in vals if v is not None), default=d)
+    b = d - a
+    pa, pd, pn = p**a, p**d, p**n
+    c = ctx.zero
+    if b:
+        # column j with v(M1j) = a gives (p^a, c) = column j / (M1j / p^a)
+        j = vals.index(a)
+        ctx_b = get_context(p, ctx.r, b)
+        unit = ctx_b.el([x // pa for x in top[j].coeffs_mod(d)])
+        c = ctx.el((ctx_b.el(bottom[j].coeffs) * unit.inverse()).coeffs)
+    rows = ()
+    if n:
+        rows = tuple(tuple(x // pa % pn for x in y.coeffs_mod(depth))
+                     for y in top)
+        for y, z in zip(top, bottom):
+            num = (z.shift(a) - c * y).coeffs_mod(depth)
+            if any(x % pd for x in num):
+                raise AssertionError(f"p^{a} * {z} - {c} * {y} is not "
+                                     f"divisible by p^{d}")
+            rows += (tuple(x // pd % pn for x in num),)
+    return (g.e, d, a, c.coeffs, rows)
 
 
 def in_congruence_subgroup(x: LocalMatrix, n: int) -> bool:

@@ -560,17 +560,6 @@ class LocalMatrix:
         return self._build(self.e + other.e, prod,
                            min(self.prec, other.prec))
 
-    def scale(self, k: int):
-        """p^k * g."""
-        tr = det = None
-        if self.exact is None:
-            if self.exact_tr is not None:
-                tr = (self.exact_tr[0] + k, self.exact_tr[1])
-            if self.exact_det is not None:
-                det = (self.exact_det[0] + 2 * k, self.exact_det[1])
-        return LocalMatrix(self.ctx, self.e + k, self.m, prec=self.prec,
-                           exact=self.exact, exact_tr=tr, exact_det=det)
-
     def inverse(self):
         a, b, c, d = self.m
         det = a * d - b * c

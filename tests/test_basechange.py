@@ -1,6 +1,7 @@
 """Norm map, sigma-conjugacy, unit-group exact sequence, BC unit identity."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from gl2lab.basechange import (_commutant_units, _fibre_sums,
                                orbit_label_data, sigma_orbits,
                                unit_group_exactness)
 from gl2lab.cli import main
-from gl2lab.errors import DomainError
 from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup, RingTables
 
@@ -110,15 +110,27 @@ def test_commutant_search_matches_python_loop(p, r, n):
         assert _norm_preimage_in_commutant(G, gamma) == int(G.idx(first))
 
 
-def test_bad_matching_raises(monkeypatch):
-    # every class sent to one delta: the matching is not a bijection
+def test_bad_matching_raises(monkeypatch, capsys):
+    # every class sent to one delta: the matching is not a bijection, and
+    # that is a failed check with exit 1, not an exception
+    from gl2lab import campaigns
     monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
     monkeypatch.setattr(basechange, "_norm_preimage_in_commutant",
                         lambda G, gamma: 0)
-    with pytest.raises(DomainError, match="two classes map to one sigma-orbit"):
-        orbit_label_data(2, 2, 1)
-    with pytest.raises(DomainError, match="two classes map to one sigma-orbit"):
-        sigma_orbits(3, 2, 1)
+    tables, G, labels, norm_class = orbit_label_data(2, 2, 1)
+    assert np.count_nonzero(norm_class >= 0) == 1
+    tab = sigma_orbits(3, 2, 1)
+    assert not tab.bijection and len(tab.orbits) == 1
+    rows = {c.name: c for c in campaigns.norm_bijection_checks(cases=((3, 2, 1),))}
+    assert not rows["norm-bijection"].passed
+    assert rows["norm-bijection"].to_dict()["actual"] is False
+    assert main(["verify-norm", "--p", "3", "--r", "2", "--n", "1"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert [c["pass"] for c in rep["checks"]
+            if c["name"] == "norm-bijection"] == [False]
+    n_classes = len(FiniteGL2(2, 1).class_reps)
+    assert bc_unit_identity([1] * n_classes, 0, 2, 2, 1) is False
+
 
 def test_norm_constant_on_orbits_up_to_conjugacy():
     # N(h^-1 delta h^sigma) lands in the class matched with delta's orbit

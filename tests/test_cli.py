@@ -176,3 +176,16 @@ def test_verify_norm_builds_its_table_once(capsys, monkeypatch):
     assert rep["table"] == json.loads(json.dumps(real(3, 2, 1).to_dict()))
     assert rep["checks"] == [c.to_dict() for c in
                              campaigns.norm_bijection_checks(cases=((3, 2, 1),))]
+
+
+def test_verdict_reports_the_seed_that_ran(capsys):
+    argv = ["verify-orbital", "--q", "3", "--n", "2", "--samples", "30"]
+    reps = {}
+    for seed in (None, 7, 20259):
+        code, out = run(capsys, *argv, *(["--seed", str(seed)] if seed else []))
+        assert code == 0
+        reps[seed] = json.loads(out)
+    assert reps[7]["config"]["seed"] == 7
+    assert reps[None]["config"]["seed"] == 20259
+    assert reps[None] == reps[20259]
+    assert reps[7]["checks"] != reps[20259]["checks"]

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from gl2lab.errors import DomainError, PrecisionExhausted
 from gl2lab.hecke import (CosetFunction, canonical_coset_rep,
                           congruence_elements, convolve,
                           double_coset_indicator, e_congruence,
@@ -14,30 +17,6 @@ from gl2lab.hecke import (CosetFunction, canonical_coset_rep,
 from gl2lab.padic import LocalMatrix, get_context
 from gl2lab.ratfunc import RationalFunctionT
 from gl2lab.testfunc import phi_pn, phi_pnt
-
-
-def test_howell_reduction_is_constant_on_cosets():
-    # reduce(v) must agree for v and v + (any lattice combination), incl.
-    # deep-valuation tails that plain echelon forms miss
-    from gl2lab.hecke import _echelon_mod_pe, _reduce_vec
-    for p, e in ((2, 4), (3, 3)):
-        pe = p**e
-        rnd = random.Random(1000 + p)
-        for _ in range(60):
-            width = rnd.choice((3, 4))
-            gens = [[rnd.randrange(pe) * rnd.choice((1, p, p * p))
-                     for _ in range(width)] for _ in range(3)]
-            gens += [[pe if i == j else 0 for j in range(width)]
-                     for i in range(width)]
-            pivots = _echelon_mod_pe(gens, width, e, p)
-            v = [rnd.randrange(pe) for _ in range(width)]
-            base = _reduce_vec(v, pivots, pe, p)
-            for _ in range(8):
-                w = list(v)
-                for g in gens:
-                    c = rnd.randrange(pe)
-                    w = [(x + c * y) % pe for x, y in zip(w, g)]
-                assert _reduce_vec(w, pivots, pe, p) == base
 
 
 def test_coset_keys_vs_membership_examples():
@@ -84,6 +63,83 @@ def test_coset_keys_match_membership_randomized(q, n):
     for m in pool[:10]:
         for u in us:
             assert canonical_coset_rep(m @ u, n) == canonical_coset_rep(m, n)
+
+
+KEY_CASES = [(2, 1), (3, 1), (2, 2)]
+KEY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                        database=None,
+                        suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def _int_rows(r, bound):
+    entry = st.lists(st.integers(0, bound - 1), min_size=r, max_size=r)
+    row = st.lists(entry, min_size=2, max_size=2)
+    return st.lists(row, min_size=2, max_size=2)
+
+
+def _build(ctx, rows, e=0):
+    try:
+        g = LocalMatrix.from_integers(ctx, rows, e=e)
+        d = g.det_valuation() - 2 * g.e
+    except DomainError:
+        assume(False)
+    assume(d <= 3)
+    return g
+
+
+@st.composite
+def keyed_matrices(draw):
+    p, r = draw(st.sampled_from(KEY_CASES))
+    ctx = get_context(p, r, 12)
+    n = draw(st.integers(0, 2))
+    g = _build(ctx, draw(_int_rows(r, p**3)), e=draw(st.integers(-1, 0)))
+    return n, g
+
+
+@st.composite
+def coset_pairs(draw):
+    """(n, g1, g2): g2 unrelated to g1, or g1 times I + p^m X, m in {n-1, n}."""
+    n, g1 = draw(keyed_matrices())
+    ctx = g1.ctx
+    p, r = ctx.p, ctx.r
+    if draw(st.booleans()):
+        g2 = _build(ctx, draw(_int_rows(r, p**3)), e=g1.e)
+    else:
+        m = draw(st.integers(max(n - 1, 0), n))
+        rows = [[[p**m * y for y in entry] for entry in row]
+                for row in draw(_int_rows(r, p**2))]
+        rows[0][0][0] += 1
+        rows[1][1][0] += 1
+        g2 = g1 @ _build(ctx, rows)
+        assume(g2.det_valuation() - 2 * g2.e <= 3)
+    return n, g1, g2
+
+
+@KEY_SETTINGS
+@given(coset_pairs(), st.booleans(), st.booleans())
+def test_coset_key_equality_is_same_coset(case, trunc1, trunc2):
+    # the oracle sees the exact matrices; the keys may see truncated ones
+    n, g1, g2 = case
+    k1 = canonical_coset_rep(g1.inverse().inverse() if trunc1 else g1, n)
+    k2 = canonical_coset_rep(g2.inverse().inverse() if trunc2 else g2, n)
+    assert (k1 == k2) == same_coset(g1, g2, n)
+
+
+@KEY_SETTINGS
+@given(keyed_matrices(), st.lists(st.integers(0, 7), min_size=4, max_size=4))
+def test_coset_key_needs_n_plus_d_digits(case, noise):
+    n, g = case
+    d = g.det_valuation() - 2 * g.e
+    for prec in range(1, n + d):
+        short = LocalMatrix(g.ctx, g.e, g.m, prec=prec)
+        with pytest.raises(PrecisionExhausted):
+            canonical_coset_rep(short, n)
+    if n:
+        # n + d digits are enough, and the digits above them are not read
+        shift = g.ctx.p**(n + d)
+        noisy = tuple(x + shift * k for x, k in zip(g.m, noise))
+        short = LocalMatrix(g.ctx, g.e, noisy, prec=n + d)
+        assert canonical_coset_rep(short, n) == canonical_coset_rep(g, n)
 
 
 def test_congruence_membership():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gl2lab.errors import DomainError
+from gl2lab.hecke import canonical_coset_rep
 from gl2lab.padic import LocalMatrix, get_context, k_of
 from gl2lab.testfunc import GammaInvariants, c_closed
 from gl2lab.tree import (TreeVertex, base_vertex, enumerate_vertices,
@@ -31,21 +32,9 @@ def test_enumerate_counts_examples():
     assert len(enumerate_vertices(ctx3, 3)) == 53
 
 
-def _column_module_key(ctx, rows, d):
-    """Howell key of the column lattice mod p^d (independent dedup oracle)."""
-    from gl2lab.hecke import _echelon_mod_pe, _howell_normalize
-    p, r = ctx.p, ctx.r
-    m = LocalMatrix.from_integers(ctx, rows)
-    a, b, c, dd = m.m
-    gens = []
-    cur = ctx.one
-    for _ in range(r):
-        for (x, y) in (((a * cur), (c * cur)), ((b * cur), (dd * cur))):
-            gens.append(list(x.coeffs_mod(d)) + list(y.coeffs_mod(d)))
-        cur = cur * ctx.generator
-    gens += [[(p**d if i == j else 0) for j in range(2 * r)]
-             for i in range(2 * r)]
-    return _howell_normalize(_echelon_mod_pe(gens, 2 * r, d, p), d, p)
+def _column_module_key(ctx, rows):
+    """Level-0 coset key, i.e. the column lattice (independent dedup oracle)."""
+    return canonical_coset_rep(LocalMatrix.from_integers(ctx, rows), 0)
 
 
 @pytest.mark.parametrize("q,depth", [(2, 3), (3, 2)])
@@ -56,7 +45,7 @@ def test_vertex_enumeration_against_hnf_oracle(q, depth):
         mine = set()
         for v in shell(ctx, d):
             rows = v.basis_rows(ctx)
-            mine.add(_column_module_key(ctx, rows, d))
+            mine.add(_column_module_key(ctx, rows))
         oracle = set()
         count = 0
         for s in range(d + 1):
@@ -66,7 +55,7 @@ def test_vertex_enumeration_against_hnf_oracle(q, depth):
                 if s == 0 and t != 0:
                     continue
                 oracle.add(_column_module_key(
-                    ctx, [[q**s, t], [0, q**(d - s)]], d))
+                    ctx, [[q**s, t], [0, q**(d - s)]]))
                 count += 1
         assert count == (q + 1) * q**(d - 1)
         assert len(oracle) == count       # HNF forms are pairwise distinct
