@@ -33,16 +33,20 @@ class Check:
     inputs: dict
     expected: Any
     actual: Any
+    witness: dict = None  # the first failing input and its two values
 
     @property
     def passed(self) -> bool:
         return self.expected == self.actual
 
     def to_dict(self):
-        return {"name": self.name, "inputs": self.inputs,
-                "expected": _render(self.expected),
-                "actual": _render(self.actual),
-                "pass": self.passed}
+        row = {"name": self.name, "inputs": self.inputs,
+               "expected": _render(self.expected),
+               "actual": _render(self.actual),
+               "pass": self.passed}
+        if not self.passed and self.witness is not None:
+            row["witness"] = self.witness
+        return row
 
 
 def _render(v):
@@ -51,6 +55,14 @@ def _render(v):
     if isinstance(v, (list, tuple)):
         return [_render(x) for x in v]
     return v
+
+
+def _witness(fails, names):
+    """The first failure as text: matrices by to_text(), values by str()."""
+    if not fails:
+        return None
+    return {k: v.to_text() if isinstance(v, LocalMatrix) else str(v)
+            for k, v in zip(names, fails[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +141,8 @@ def tower_checks(cases=((2, 1), (2, 2), (3, 1)), samples=200,
     for (q, n) in cases:
         ok, fails, cnt = tower_identity_check(q, n, count=samples, seed=seed)
         out.append(Check("tower-identity", {"q": q, "n": n, "samples": cnt},
-                         0, len(fails)))
+                         0, len(fails),
+                         _witness(fails, ("g", "level_n", "average"))))
     return out
 
 
@@ -366,7 +379,8 @@ def _lift_det_val_one(ctx, residue, p):
 def centrality_checks(q=2, n=1, samples=100, seed=DEFAULT_SEED):
     ok, fails, total = centrality_check(q, n, count=samples, seed=seed)
     return [Check("hecke-centrality",
-                  {"q": q, "n": n, "checks": total}, 0, len(fails))]
+                  {"q": q, "n": n, "checks": total}, 0, len(fails),
+                  _witness(fails, ("w", "g", "phi_star_f", "f_star_phi")))]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ and seed; wall-clock timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -148,7 +149,6 @@ def main(argv=None) -> int:
     sp = add_parser("char-table", help="principal-series character data")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
 
     sp = add_parser("ss-trace", help="semisimple point trace")
     sp.add_argument("--p", type=int, required=True)
@@ -184,7 +184,6 @@ def main(argv=None) -> int:
     sp = add_parser("verify-central", help="criterion 9")
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--generators", type=int, default=3)
     sp.add_argument("--samples", type=int, default=100)
 
     sp = add_parser("verify-orbital", help="criterion 5 at one (q, n)")
@@ -424,14 +423,15 @@ def _run_command(args) -> int:
         names = []
         for name, fn in campaigns.ALL_CAMPAIGNS.items():
             t0 = time.time()
-            checks = fn()
+            seeded = "seed" in inspect.signature(fn).parameters
+            checks = fn(seed=args.seed) if seeded else fn()
             sys.stderr.write(f"[report-all] {name}: "
                              f"{sum(c.passed for c in checks)}/{len(checks)} "
                              f"[{time.time() - t0:.1f}s]\n")
             all_checks.extend(checks)
             names.append(name)
         return _verdict("report-all", all_checks, {"campaigns": names},
-                        args.out)
+                        args.out, seed=args.seed)
 
     raise DomainError(f"unknown command {cmd}")
 

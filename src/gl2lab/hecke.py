@@ -125,31 +125,27 @@ def e_congruence(ctx: LocalContext, n: int) -> CosetFunction:
     return CosetFunction(ctx, n, {key: (ident, Fraction(1) / vol)})
 
 
-def double_coset_indicator(ctx: LocalContext, n: int, w: LocalMatrix,
-                           depth: int = None) -> CosetFunction:
-    """Indicator of Gamma(p^n) w Gamma(p^n) as a right-coset support map.
+def double_coset_indicator(ctx: LocalContext, n: int,
+                           w: LocalMatrix) -> CosetFunction:
+    """Indicator of K w K, K = Gamma(p^n) with n >= 1, as a right-coset map.
 
-    The right cosets are found by saturating u * w over a transversal of
-    Gamma(p^(n+depth)) in Gamma(p^n); the count must be stable when the
-    depth increases by one, which is asserted.
+    With w = p^e * M, M primitive and d = v(det M), w (1 + p^(n+d) X) w^-1 =
+    1 + p^n M X (p^d M^-1) lies in K, so u * w over u in K / Gamma(p^(n+d))
+    meets every right coset.  K is normal in GL2(O), so there are exactly
+    [K : K cap w K w^-1] = q^d of them; another count raises DomainError.
     """
+    if n < 1:
+        raise DomainError(f"double-coset indicators need n >= 1, got {n}")
     d = w.det_valuation() - 2 * w.e
-    depth = depth if depth is not None else d + 1
-    reps1 = _saturate_left(ctx, n, w, depth)
-    reps2 = _saturate_left(ctx, n, w, depth + 1)
-    if len(reps1) != len(reps2):
-        raise DomainError("double-coset enumeration did not stabilize")
-    return CosetFunction(ctx, n, {k: (rep, Fraction(1))
-                                  for k, rep in reps1.items()})
-
-
-def _saturate_left(ctx, n, w, depth):
     reps = {}
-    for u in congruence_elements(ctx, n, depth):
+    for u in congruence_elements(ctx, n, d):
         g = u @ w
-        key = canonical_coset_rep(g, n)
-        reps.setdefault(key, g)
-    return reps
+        reps.setdefault(canonical_coset_rep(g, n), g)
+    if len(reps) != ctx.q**d:
+        raise DomainError(f"Gamma(p^{n}) {w.to_text()} Gamma(p^{n}) gave "
+                          f"{len(reps)} right cosets, not q^{d} = {ctx.q**d}")
+    return CosetFunction(ctx, n, {k: (rep, Fraction(1))
+                                  for k, rep in reps.items()})
 
 
 def congruence_elements(ctx: LocalContext, n: int, depth: int):
@@ -158,44 +154,46 @@ def congruence_elements(ctx: LocalContext, n: int, depth: int):
     pn_ = p**n
     space = list(itertools.product(range(p**depth), repeat=r))
     check_cap(len(space)**4, "congruence subgroup enumeration")
-    for x11 in space:
-        for x12 in space:
-            for x21 in space:
-                for x22 in space:
-                    rows = [
-                        [tuple((1 if i == 0 else 0) + pn_ * c
-                               for i, c in enumerate(x11)),
-                         tuple(pn_ * c for c in x12)],
-                        [tuple(pn_ * c for c in x21),
-                         tuple((1 if i == 0 else 0) + pn_ * c
-                               for i, c in enumerate(x22))],
-                    ]
-                    yield LocalMatrix.from_integers(ctx, rows)
+    one, zero = (1,) + (0,) * (r - 1), (0,) * r
+    for x in itertools.product(space, repeat=4):
+        ents = [tuple(i + pn_ * c for i, c in zip(base, xi))
+                for base, xi in zip((one, zero, zero, one), x)]
+        yield LocalMatrix.from_integers(ctx, [ents[:2], ents[2:]])
 
 
 def phi_support(ctx: LocalContext, n: int) -> CosetFunction:
-    """The level-n central function with its support enumerated into cosets."""
-    p, r, q = ctx.p, ctx.r, ctx.q
+    """The level-n central function with its support listed coset by coset.
+
+    The support is k(g) = k < n, v(det g) = 1, tr g integral.  Then g = p^-k H U
+    for one primitive Hermite basis H = [[p^a, 0], [c, p^b]] (a + b = 1 + 2k,
+    c in O/p^b) and U in GL2(O), and g Gamma(p^n) is (k, H, U mod p^n); as
+    k < n, tr g mod O is a coset invariant.  So each candidate p^-k H U, U
+    over GL2(O/p^n), is its own coset, kept if its trace is integral.
+    """
+    p, q = ctx.p, ctx.q
+    count = sum(q**(2 * k) * (q + 1) for k in range(n)) * group_order_gl2(q, n)
+    check_cap(count, "central function support enumeration")
+    ring = list(itertools.product(range(p**n), repeat=ctx.r))
+    units = [LocalMatrix.from_integers(ctx, [[x, y], [z, t]])
+             for x, y, z, t in itertools.product(ring, repeat=4)
+             if (ctx.el(x) * ctx.el(t) - ctx.el(y) * ctx.el(z)).is_unit()]
     support = {}
-    for kk in range(0, n):  # k(g) = kk, i.e. e = -kk
-        d = 1 + 2 * kk
-        depth = n + d
-        check_cap((p**depth)**(4 * r), "central function support enumeration")
-        space = itertools.product(
-            itertools.product(range(p**depth), repeat=r), repeat=4)
-        for quad in space:
-            rows = [[quad[0], quad[1]], [quad[2], quad[3]]]
-            try:
-                m = LocalMatrix.from_integers(ctx, rows, e=-kk)
-                if m.e != -kk:  # not primitive at this scale
-                    continue
-                if m.det_valuation() != 1 or not m.trace_val_ge(0):
-                    continue
-            except DomainError:
-                continue
-            key = canonical_coset_rep(m, n)
-            if key not in support:
-                support[key] = (m, Fraction(phi_pn(m, n)))
+    for k in range(n):
+        for a in range(2 + 2 * k):
+            b = 1 + 2 * k - a
+            for c in itertools.product(range(p**b), repeat=ctx.r):
+                if a and b and all(x % p == 0 for x in c):
+                    continue  # H = p * H' is not primitive
+                H = LocalMatrix.from_integers(ctx, [[p**a, 0], [c, p**b]],
+                                              e=-k)
+                for u in units:
+                    m = H @ u
+                    if not m.trace_val_ge(0):
+                        continue
+                    key = canonical_coset_rep(m, n)
+                    if key in support:
+                        raise AssertionError(f"{m.to_text()} repeats a coset")
+                    support[key] = (m, Fraction(phi_pn(m, n)))
     return CosetFunction(ctx, n, support, formula=None)
 
 
@@ -292,15 +290,13 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     failures = []
     for g in sample:
         vals = [phi_pnt(g @ u, n + 1) for u in us]
-        avg = vals[0]
-        for v in vals[1:]:
-            avg = avg + v
-        avg = avg * Fraction(1, len(us))
+        avg = sum(vals[1:], vals[0]) * Fraction(1, len(us))
         lhs = phi_pnt(g, n)
         if not (avg == lhs):
             failures.append((g, lhs, avg))
-        if avg.specialize(q) != Fraction(phi_pn(g, n)):
-            failures.append((g, "specialization mismatch", avg.specialize(q)))
+        spec, want = avg.specialize(q), Fraction(phi_pn(g, n))
+        if spec != want:
+            failures.append((g, want, spec))
     return len(failures) == 0, failures, len(sample)
 
 

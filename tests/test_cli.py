@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, schemas, determinism."""
 
+import inspect
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +135,8 @@ def test_usage_errors_exit_two(capsys):
     ["tree-orbital", "--p", "2", "--n", "0", "--gamma", "[[0,1],[-2,0]]"],
     ["verify-central", "--n", "0"],
     ["verify-tower", "--q", "2", "--n", "0"],
+    ["verify-central", "--generators", "1"],
+    ["char-table", "--p", "2", "--n", "1", "--json"],
 ])
 def test_malformed_input_exits_two(capsys, argv):
     assert main(argv) == 2
@@ -189,3 +193,68 @@ def test_verdict_reports_the_seed_that_ran(capsys):
     assert reps[None]["config"]["seed"] == 20259
     assert reps[None] == reps[20259]
     assert reps[7]["checks"] != reps[20259]["checks"]
+
+
+def test_report_all_passes_its_seed(capsys, monkeypatch):
+    from gl2lab import campaigns
+
+    seeded = {"exact-sequence", "tower", "orbital", "tree-lemma", "centrality"}
+    assert seeded == {name for name, fn in campaigns.ALL_CAMPAIGNS.items()
+                      if "seed" in inspect.signature(fn).parameters}
+    calls = {}
+
+    def stub(name):
+        def seeded_campaign(seed=campaigns.DEFAULT_SEED):
+            calls[name] = {"seed": seed}
+            return [campaigns.Check(name, {}, 0, 0)]
+
+        def unseeded_campaign():
+            calls[name] = {}
+            return [campaigns.Check(name, {}, 0, 0)]
+        return seeded_campaign if name in seeded else unseeded_campaign
+
+    monkeypatch.setattr(campaigns, "ALL_CAMPAIGNS",
+                        {name: stub(name) for name in campaigns.ALL_CAMPAIGNS})
+    for argv, seed in ((["report-all"], 20259),
+                       (["report-all", "--seed", "7"], 7)):
+        calls.clear()
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["config"]["seed"] == seed
+        assert calls == {name: {"seed": seed} if name in seeded else {}
+                         for name in campaigns.ALL_CAMPAIGNS}
+
+
+def test_failed_centrality_row_keeps_its_witness(capsys, monkeypatch):
+    from gl2lab import hecke
+    from gl2lab.testfunc import phi_pn
+
+    argv = ["verify-central", "--q", "2", "--n", "1", "--samples", "5"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and "witness" not in json.loads(out)["checks"][0]
+
+    def broken(ctx, n, deformed=False):
+        return hecke.CosetFunction(
+            ctx, n, formula=lambda g: Fraction(phi_pn(g, n)) + 1)
+
+    monkeypatch.setattr(hecke, "phi_formula", broken)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    row = json.loads(out)["checks"][0]
+    assert not row["pass"] and row["actual"] > 0
+    wit = row["witness"]
+    assert set(wit) == {"w", "g", "phi_star_f", "f_star_phi"}
+    assert wit["w"].startswith("p^") and wit["g"].startswith("p^")
+    assert Fraction(wit["phi_star_f"]) != Fraction(wit["f_star_phi"])
+
+
+def test_failed_tower_row_keeps_its_witness(capsys, monkeypatch):
+    from gl2lab import hecke
+
+    real = hecke.phi_pn
+    monkeypatch.setattr(hecke, "phi_pn", lambda g, n: real(g, n) + 1)
+    code, out = run(capsys, "verify-tower", "--q", "2", "--n", "1",
+                    "--samples", "5")
+    assert code == 1
+    wit = json.loads(out)["checks"][0]["witness"]
+    assert set(wit) == {"g", "level_n", "average"}
+    assert Fraction(wit["level_n"]) == Fraction(wit["average"]) + 1

@@ -1,14 +1,20 @@
 """Hecke convolution: coset keys, identities, tower, centrality."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from gl2lab import hecke
 from gl2lab.errors import DomainError, PrecisionExhausted
-from gl2lab.hecke import (CosetFunction, canonical_coset_rep,
+from gl2lab.hecke import (CosetFunction, branch_covering_sample,
+                          canonical_coset_rep, centrality_check,
                           congruence_elements, convolve,
                           double_coset_indicator, e_congruence,
                           in_congruence_subgroup, phi0_support, phi_formula,
@@ -299,3 +305,112 @@ def test_associativity_spot_check():
             acc += val * inner(h.inverse() @ g)
         rhs.append(acc * vol)
     assert lhs == rhs
+
+
+def _phi_support_cube(ctx, n):
+    """Oracle: {key: value} over every matrix with entries below p^(n+d)."""
+    p, r = ctx.p, ctx.r
+    out = {}
+    for kk in range(n):
+        depth = n + 1 + 2 * kk
+        for quad in itertools.product(
+                itertools.product(range(p**depth), repeat=r), repeat=4):
+            try:
+                m = LocalMatrix.from_integers(ctx, [quad[:2], quad[2:]], e=-kk)
+                if (m.e != -kk or m.det_valuation() != 1
+                        or not m.trace_val_ge(0)):
+                    continue
+            except DomainError:
+                continue
+            out.setdefault(canonical_coset_rep(m, n), Fraction(phi_pn(m, n)))
+    return out
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
+def test_phi_support_matches_the_matrix_cube(p, r, n):
+    ctx = get_context(p, r, 2 * n + 8)
+    sup = phi_support(ctx, n).support
+    assert {k: v for k, (_, v) in sup.items()} == _phi_support_cube(ctx, n)
+    assert all(canonical_coset_rep(m, n) == k for k, (m, _) in sup.items())
+
+
+def test_phi_support_at_level_two():
+    # the cube is out of reach at n = 2 (k = 1 needs entries below p^5), so
+    # check the support conditions and the value at sampled points instead
+    n = 2
+    ctx = get_context(2, 1, 2 * n + 8)
+    sup = phi_support(ctx, n).support
+    for rep, val in sup.values():
+        assert -rep.e < n and rep.det_valuation() == 1 and rep.trace_val_ge(0)
+        assert val == Fraction(phi_pn(rep, n))
+    hit_k = set()  # k(g) of the sampled points found in the support
+    for g in branch_covering_sample(ctx, n, count=300, seed=5):
+        if g.det_valuation() != 1:
+            continue
+        hit = sup.get(canonical_coset_rep(g, n))
+        assert (hit[1] if hit else 0) == Fraction(phi_pn(g, n))
+        if hit:
+            hit_k.add(-g.e)
+    assert hit_k == {0, 1}
+
+
+def _double_coset_cases(ctx):
+    """The three centrality generators and non-diagonal w with d = 1 and 2."""
+    p = ctx.p
+    rows = [[[0, 1], [1, 0]], [[p, 0], [0, 1]], [[0, 1], [p, 0]],
+            [[1, 1], [p, 0]]]
+    if p == 2:  # depth d + 1 = 3 stays under the cap only at p = 2
+        rows.append([[p, 1], [0, p]])
+    return [LocalMatrix.from_integers(ctx, x) for x in rows]
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 1, 1), (3, 1, 1), (2, 1, 2)])
+def test_double_coset_indicator_matches_deeper_saturation(p, r, n):
+    ctx = get_context(p, r, 2 * n + 8)
+    for w in _double_coset_cases(ctx):
+        d = w.det_valuation()
+        deeper = {canonical_coset_rep(u @ w, n)
+                  for u in congruence_elements(ctx, n, d + 1)}
+        f = double_coset_indicator(ctx, n, w)
+        assert set(f.support) == deeper and len(deeper) == ctx.q**d
+        for key, (rep, val) in f.support.items():
+            assert canonical_coset_rep(rep, n) == key and val == 1
+
+
+@pytest.mark.parametrize("rows,keep", [
+    ([[0, 1], [1, 0]], slice(1, None)),   # drops the only element
+    ([[2, 0], [0, 1]], slice(0, 1)),      # keeps one of q^4
+])
+def test_double_coset_indicator_raises_on_a_missed_coset(monkeypatch, rows,
+                                                         keep):
+    ctx = get_context(2, 1, 10)
+    real = hecke.congruence_elements
+    monkeypatch.setattr(hecke, "congruence_elements",
+                        lambda *args: list(real(*args))[keep])
+    with pytest.raises(DomainError):
+        double_coset_indicator(ctx, 1, LocalMatrix.from_integers(ctx, rows))
+
+
+def test_double_coset_indicator_needs_level_one():
+    ctx = get_context(2, 1, 10)
+    with pytest.raises(DomainError):
+        double_coset_indicator(ctx, 0, LocalMatrix.identity(ctx))
+
+
+def test_centrality_at_q3():
+    ctx = get_context(3, 1, 10)
+    w = LocalMatrix.from_integers(ctx, [[3, 0], [0, 1]])
+    ok, fails, total = centrality_check(3, 1, generators=[w], count=5)
+    assert ok and not fails and total == 18
+
+
+def test_hecke_import_leaves_numpy_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, gl2lab.hecke\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
