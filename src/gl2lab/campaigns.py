@@ -177,6 +177,8 @@ def orbital_checks(cases=((2, 1), (2, 2), (3, 1), (3, 2)), per=50,
                    seed=DEFAULT_SEED):
     out = []
     for (q, n) in cases:
+        if n < 1:
+            raise DomainError(f"orbital checks need n >= 1, got {n}")
         ctx = get_context(q, 1, 2 * n + 6)
         sample = _orbital_sample(ctx, n, per, seed)
         branches = {"trace-divisible": 0, "ell-at-least-n": 0, "ell-below-n": 0}

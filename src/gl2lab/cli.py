@@ -13,7 +13,6 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import campaigns
@@ -29,37 +28,6 @@ from .tree import fixed_set, orbital_ratio, orbital_shell_tally
 SCHEMA_VERSION = "1"
 
 
-@dataclass
-class CampaignConfig:
-    """Validated campaign parameters; equal configs yield identical bytes."""
-
-    command: str
-    params: dict
-    seed: int = campaigns.DEFAULT_SEED
-
-    def __post_init__(self):
-        from .padic import _is_prime
-        p = self.params.get("p")
-        if p is not None and not _is_prime(p):
-            raise DomainError(f"p = {p} is not prime")
-        for key in ("r",):
-            v = self.params.get(key)
-            if v is not None and v < 1:
-                raise DomainError(f"{key} must be >= 1")
-        n = self.params.get("n")
-        if n is not None and n < 0:
-            raise DomainError("n must be >= 0")
-        m = self.params.get("m")
-        if m is not None:
-            if m < 3:
-                raise DomainError("m must be >= 3")
-            if p is not None and m % p == 0:
-                raise DomainError("m must be prime to p")
-
-    def to_dict(self):
-        return {"command": self.command, "seed": self.seed, **self.params}
-
-
 def _emit(report: dict, out=None):
     report = {"schema_version": SCHEMA_VERSION, **report}
     text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
@@ -70,15 +38,13 @@ def _emit(report: dict, out=None):
         sys.stdout.write(text)
 
 
-def _verdict(campaign: str, checks, config, out=None, extra=None,
+def _verdict(campaign: str, checks, params: dict, out=None, extra=None,
              seed=campaigns.DEFAULT_SEED) -> int:
-    if isinstance(config, dict):
-        config = CampaignConfig(campaign, config, seed)
     rows = [c.to_dict() for c in checks]
     passed = sum(1 for c in checks if c.passed)
     report = {
         "campaign": campaign,
-        "config": config.to_dict(),
+        "config": {"command": campaign, "seed": seed, **params},
         "checks": rows,
         "summary": {"total": len(rows), "passed": passed,
                     "failed": len(rows) - passed},
@@ -235,7 +201,8 @@ def _dispatch(args) -> int:
 
 def _run_command(args) -> int:
     cmd = args.command
-    if cmd in ("tree-orbital", "verify-tower", "verify-central") and args.n < 1:
+    if cmd in ("tree-orbital", "verify-tower", "verify-central",
+               "verify-orbital") and args.n < 1:
         raise DomainError(f"{cmd} needs n >= 1")
 
     if cmd == "eval-phi":

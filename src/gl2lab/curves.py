@@ -24,7 +24,8 @@ import numpy as np
 from .errors import DomainError, ResourceLimit, check_cap
 from .finitegl2 import FiniteGL2, e_gamma, fixed_surjections, ss_trace_point
 from .gl2group import RingTables
-from .padic import _is_prime, factor_prime_power, group_order_gl2
+from .padic import (LocalMatrix, _is_prime, factor_prime_power, get_context,
+                    group_order_gl2, unit_eigenvalue)
 
 
 class SmallField:
@@ -358,18 +359,10 @@ class IsogenyClassRecord:
 
 
 def _unit_root_mod(a_E: int, q: int, p: int, n: int) -> int:
-    """Hensel: unit root of x^2 - a_E x + q mod p^n (needs p not dividing a_E)."""
-    if a_E % p == 0:
-        raise DomainError("no unit root in the supersingular case")
-    mod = p**n
-    x = a_E % mod
-    for _ in range(n.bit_length() + 2):
-        fx = (x * x - a_E * x + q) % mod
-        dfx = (2 * x - a_E) % mod
-        x = (x - fx * pow(dfx, -1, mod)) % mod
-    if (x * x - a_E * x + q) % mod or x % p == 0:
-        raise AssertionError(f"Hensel lift failed for a_E = {a_E} mod {mod}")
-    return x
+    """Unit root of x^2 - a_E x + q mod p^n: the unit eigenvalue of its
+    companion matrix, a DomainError when p divides a_E (supersingular)."""
+    frob = LocalMatrix.from_integers(get_context(p, 1, n), [[0, -q], [1, a_E]])
+    return unit_eigenvalue(frob, n).coeffs[0]
 
 
 def isogeny_classes(q: int, n: int = 1) -> List[IsogenyClassRecord]:

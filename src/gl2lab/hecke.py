@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, List, Optional
 
@@ -20,7 +21,7 @@ from .errors import DomainError, PrecisionExhausted, check_cap
 from .padic import (LocalContext, LocalMatrix, factor_prime_power, get_context,
                     group_order_gl2)
 from .ratfunc import RationalFunctionT
-from .testfunc import phi_pn, phi_pnt
+from .testfunc import branch_value_t, phi_branch, phi_pn, phi_pnt
 
 # ---------------------------------------------------------------------------
 # canonical right-coset keys
@@ -161,6 +162,11 @@ def congruence_elements(ctx: LocalContext, n: int, depth: int):
         yield LocalMatrix.from_integers(ctx, [ents[:2], ents[2:]])
 
 
+def _support_candidates(q: int, n: int) -> int:
+    """Candidates p^-k H U that phi_support lists, a bound on its support."""
+    return sum(q**(2 * k) * (q + 1) for k in range(n)) * group_order_gl2(q, n)
+
+
 def phi_support(ctx: LocalContext, n: int) -> CosetFunction:
     """The level-n central function with its support listed coset by coset.
 
@@ -170,9 +176,9 @@ def phi_support(ctx: LocalContext, n: int) -> CosetFunction:
     k < n, tr g mod O is a coset invariant.  So each candidate p^-k H U, U
     over GL2(O/p^n), is its own coset, kept if its trace is integral.
     """
-    p, q = ctx.p, ctx.q
-    count = sum(q**(2 * k) * (q + 1) for k in range(n)) * group_order_gl2(q, n)
-    check_cap(count, "central function support enumeration")
+    p = ctx.p
+    check_cap(_support_candidates(ctx.q, n),
+              "central function support enumeration")
     ring = list(itertools.product(range(p**n), repeat=ctx.r))
     units = [LocalMatrix.from_integers(ctx, [[x, y], [z, t]])
              for x, y, z, t in itertools.product(ring, repeat=4)
@@ -222,11 +228,12 @@ def convolve(f1: CosetFunction, f2: CosetFunction, at: List[LocalMatrix]):
     if not f1.support:
         raise DomainError("left factor needs an enumerated support")
     vol = vol_congruence(f1.ctx, f1.n)
+    inverses = [(h.inverse(), val) for h, val in f1.items()]
     out = []
     for g in at:
         acc = None
-        for h, val in f1.items():
-            term = f2(h.inverse() @ g) * val
+        for hinv, val in inverses:
+            term = f2(hinv @ g) * val
             acc = term if acc is None else acc + term
         out.append(acc * vol)
     return out
@@ -280,7 +287,9 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     """phi_{p,n,t} = phi_{p,n+1,t} * e_{Gamma(p^n)} on a branch-covering sample.
 
     Also asserts that specializing t := q reproduces the undeformed level-n
-    function on the same sample.  Exact rational-function equality.
+    function on the same sample.  Exact rational-function equality.  The
+    level-(n+1) value at g u depends only on the branch key of g u, so the
+    average over u is a count of keys times one value per distinct key.
     """
     p, r = factor_prime_power(q)
     ctx = get_context(p, r, 2 * (n + 1) + 6)
@@ -289,8 +298,9 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     us = list(congruence_elements(ctx, n, 1))
     failures = []
     for g in sample:
-        vals = [phi_pnt(g @ u, n + 1) for u in us]
-        avg = sum(vals[1:], vals[0]) * Fraction(1, len(us))
+        keys = Counter(phi_branch(g @ u, n + 1) for u in us)
+        avg = sum((branch_value_t(q, n + 1, *key) * Fraction(c, len(us))
+                   for key, c in keys.items()), RationalFunctionT.zero(q))
         lhs = phi_pnt(g, n)
         if not (avg == lhs):
             failures.append((g, lhs, avg))
@@ -302,11 +312,21 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
 
 def centrality_check(q: int, n: int, generators=None, count: int = 100,
                      seed: int = 20259):
-    """phi * f = f * phi for double-coset generators f, sampled exactly."""
+    """phi * f = f * phi for double-coset generators f, sampled exactly.
+
+    With d the det valuation of a primitive part, the key of h^-1 g reads
+    n + d(h) + d(g) digits of a product that lost d(h) of them when h was
+    inverted.  h runs over the support (d <= 2n - 1) and the double cosets
+    (d(w)); g over the sample, whose entries lie below p^(n+2) (d <= 2n + 3),
+    and over support points times a generator.  The phi_pn calls read fewer.
+    """
     p, r = factor_prime_power(q)
-    ctx = get_context(p, r, 2 * n + 8)
-    phi_sup = phi_support(ctx, n)
-    phi_fn = phi_formula(ctx, n)
+    # d(w) of each generator; the default ones below have d <= 1
+    dws = [1] if generators is None else [w.det_valuation() - 2 * w.e
+                                          for w in generators]
+    dh = max(2 * n - 1, *dws)
+    dg = max(2 * n + 3, 2 * n - 1 + max(dws))
+    ctx = get_context(p, r, n + 2 * dh + dg)
     if generators is None:
         generators = [
             LocalMatrix.from_integers(ctx, [[0, 1], [1, 0]]),
@@ -314,18 +334,22 @@ def centrality_check(q: int, n: int, generators=None, count: int = 100,
             LocalMatrix.from_integers(ctx, [[0, 1], [p, 0]]),
         ]
     sample = branch_covering_sample(ctx, n, count=count, seed=seed)
+    if any(g.det_valuation() - 2 * g.e > dg for g in sample):
+        raise PrecisionExhausted(f"a sample point is deeper than d = {dg}")
+    extra = 10  # support points times each generator
+    check_cap(_support_candidates(q, n) * (len(sample) + extra * len(generators)),
+              "central function convolution")
+    phi_sup = phi_support(ctx, n)
+    phi_fn = phi_formula(ctx, n)
     # include points in the product support: h * w shapes
-    extra = []
     for w in generators:
-        for rep, _ in list(phi_sup.items())[:10]:
-            extra.append(rep @ w)
-    sample = sample + extra
+        for rep, _ in list(phi_sup.items())[:extra]:
+            sample.append(rep @ w)
     failures = []
     for w in generators:
         f = double_coset_indicator(ctx, n, w)
-        for g in sample:
-            left = convolve(phi_sup, f, [g])[0]
-            right = convolve(f, phi_fn, [g])[0]
+        for g, left, right in zip(sample, convolve(phi_sup, f, sample),
+                                  convolve(f, phi_fn, sample)):
             if left != right:
                 failures.append((w, g, left, right))
     return len(failures) == 0, failures, len(sample) * len(generators)

@@ -80,8 +80,12 @@ def branch_value(q: int, n: int, k: int, tr_div: bool, ell) -> int:
 
 def phi_pnt(g: LocalMatrix, n: int) -> RationalFunctionT:
     """Deformed level-n function; phi_pnt(g)(t := q) == phi_pn(g)."""
-    q = g.ctx.q
-    branch, k, ell = phi_branch(g, n)
+    return branch_value_t(g.ctx.q, n, *phi_branch(g, n))
+
+
+def branch_value_t(q: int, n: int, branch: str, k: int,
+                   ell) -> RationalFunctionT:
+    """Deformed level-n value at a branch key (branch, k, ell) of phi_branch."""
     if branch == OFF_SUPPORT:
         return RationalFunctionT.zero(q)
     if branch == TRACE_DIVISIBLE:

@@ -7,7 +7,10 @@ values are integers, rationals, cyclotomic numbers or polynomials.
 
 import time
 
+import pytest
+
 from gl2lab import campaigns
+from gl2lab.errors import DomainError
 
 
 def _report(num, title, checks):
@@ -64,6 +67,12 @@ def test_criterion_05_orbital_ratio():
             assert c.inputs["branches"]["ell-at-least-n"] > 0  # incl ell = oo
     _report(5, "tree orbital ratio equals the closed form on all branches",
             checks)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_orbital_checks_need_level_one(n):
+    with pytest.raises(DomainError):
+        campaigns.orbital_checks(cases=((2, n),), per=3)
 
 
 def test_criterion_06_character_cross_identity():

@@ -135,6 +135,8 @@ def test_usage_errors_exit_two(capsys):
     ["tree-orbital", "--p", "2", "--n", "0", "--gamma", "[[0,1],[-2,0]]"],
     ["verify-central", "--n", "0"],
     ["verify-tower", "--q", "2", "--n", "0"],
+    ["verify-orbital", "--q", "2", "--n", "0", "--samples", "3"],
+    ["verify-orbital", "--q", "2", "--n", "-1", "--samples", "3"],
     ["verify-central", "--generators", "1"],
     ["char-table", "--p", "2", "--n", "1", "--json"],
 ])

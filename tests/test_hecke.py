@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gl2lab import hecke
-from gl2lab.errors import DomainError, PrecisionExhausted
+from gl2lab.errors import DomainError, PrecisionExhausted, ResourceLimit
 from gl2lab.hecke import (CosetFunction, branch_covering_sample,
                           canonical_coset_rep, centrality_check,
                           congruence_elements, convolve,
@@ -268,6 +268,24 @@ def test_tower_average_formula_case():
     assert avg == expected == phi_pnt(g, n)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_tower_key_histogram_matches_the_sum_over_u(monkeypatch, q):
+    # oracle: the average as one phi_pnt per u; a level-n value that no
+    # average takes makes every point fail, so the failures carry the averages
+    n = 1
+    ctx = get_context(q, 1, 2 * (n + 1) + 6)
+    sample = branch_covering_sample(ctx, n + 1, count=40)
+    us = list(congruence_elements(ctx, n, 1))
+    off = RationalFunctionT.t_power(q, 99)
+    monkeypatch.setattr(hecke, "phi_pnt", lambda g, level: off)
+    ok, fails, cnt = tower_identity_check(q, n, sample=sample)
+    assert not ok and cnt == len(fails) == len(sample)
+    for g, (point, lhs, avg) in zip(sample, fails):
+        vals = [phi_pnt(g @ u, n + 1) for u in us]
+        assert point is g and lhs == off
+        assert avg == sum(vals[1:], vals[0]) * Fraction(1, len(us))
+
+
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1)])
 def test_tower_identity_sampled(q, n):
     ok, fails, cnt = tower_identity_check(q, n, count=60)
@@ -402,6 +420,54 @@ def test_centrality_at_q3():
     w = LocalMatrix.from_integers(ctx, [[3, 0], [0, 1]])
     ok, fails, total = centrality_check(3, 1, generators=[w], count=5)
     assert ok and not fails and total == 18
+
+
+def test_convolve_whole_sample_matches_per_point(monkeypatch):
+    # every point of the centrality sample, evaluated alone
+    calls = []
+
+    def recording(f1, f2, at):
+        out = convolve(f1, f2, at)
+        calls.append((f1, f2, list(at), out))
+        return out
+
+    monkeypatch.setattr(hecke, "convolve", recording)
+    ctx = get_context(2, 1, 10)
+    w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
+    ok, _, total = centrality_check(2, 1, generators=[w])
+    assert ok and len(calls) == 2
+    for f1, f2, at, out in calls:
+        assert len(at) == total
+        assert out == [convolve(f1, f2, [g])[0] for g in at]
+
+
+def test_centrality_at_level_two():
+    ctx = get_context(2, 1, 10)
+    w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
+    ok, fails, total = centrality_check(2, 2, generators=[w], count=3)
+    assert ok and not fails and total == 20
+
+
+@pytest.mark.parametrize("q,n,size", [
+    (2, 1, 2_340), (3, 1, 24_960), (4, 1, 117_000), (2, 2, 187_200),
+    (3, 2, 155_520 * 130)])
+def test_centrality_caps_the_convolution_first(monkeypatch, q, n, size):
+    # support candidates times the 100 + 3 * 10 sample points
+    seen = []
+
+    def stop(size, what, default=200_000):
+        seen.append((what, size))
+        raise ResourceLimit(what)
+
+    monkeypatch.setattr(hecke, "check_cap", stop)
+    with pytest.raises(ResourceLimit):
+        centrality_check(q, n)
+    assert seen == [("central function convolution", size)]
+
+
+def test_centrality_beyond_the_cap_raises():
+    with pytest.raises(ResourceLimit):
+        centrality_check(3, 2)
 
 
 def test_hecke_import_leaves_numpy_out():
