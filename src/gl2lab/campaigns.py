@@ -403,15 +403,15 @@ def census_checks(qs=(4, 7, 13), m=3,
         if q % m == 1:
             out.append(Check("moduli-count-two-components",
                              {"q": q, "m": m}, 2 * (q - 3), direct))
-        bad = 0
+        fails = []
         for E in curves:
-            weil = E.trace**2 <= 4 * q
-            ss1 = E.trace % p == 0
-            ss2 = E.count() % p == 1 % p
-            if not weil or ss1 != ss2:
-                bad += 1
-        out.append(Check("weil-and-supersingular-criteria",
-                         {"q": q}, 0, bad))
+            # the trace from the count itself, so a bad count fails this row
+            count = E.count()
+            trace = q + 1 - count
+            if trace**2 > 4 * q or (trace % p == 0) != (count % p == 1 % p):
+                fails.append((E.a, trace, count))
+        out.append(Check("weil-and-supersingular-criteria", {"q": q}, 0,
+                         len(fails), _witness(fails, ("a", "trace", "count"))))
     for (p, r, n, mm) in boundary_cases:
         formula = boundary_ss_trace(p, r, n, mm)
         packets, fixed, sizes_ok = boundary_orbit_report(p, r, n, mm)

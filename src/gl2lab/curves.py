@@ -3,10 +3,11 @@
 Curves in long Weierstrass form over F_q (q <= 16 by default) are
 enumerated up to isomorphism under the substitution action
 (u, r, s, t): x -> u^2 x' + r, y -> u^3 y' + s u^2 x' + t, which is valid
-in every characteristic.  The sweep is driven by a vectorized mask of the
-nonsingular coefficient tuples: each step takes the least tuple not yet
-covered, computes its whole orbit at once and checks that the orbits
-partition the mask.  The census is computed once per q and cached.  Point
+in every characteristic.  Four generators of the substitution group each
+permute the nonsingular coefficient tuples, and the orbit routine of
+`gl2group` (the one behind conjugacy classes and sigma-orbits) splits those
+tuples into isomorphism classes; each orbit's size gives |Aut|.  The
+census is computed once per q and cached.  Point
 counts, automorphism orders, level structure counts, Honda-Tate style
 isogeny-class tables, per-point semisimple traces and the boundary term
 are all exact.
@@ -23,9 +24,10 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimit, check_cap
 from .finitegl2 import FiniteGL2, e_gamma, fixed_surjections, ss_trace_point
-from .gl2group import RingTables
-from .padic import (LocalMatrix, _is_prime, factor_prime_power, get_context,
-                    group_order_gl2, unit_eigenvalue)
+from .gl2group import MatGroup, RingTables
+from .padic import (LocalMatrix, _is_prime, _least_prime_factor,
+                    factor_prime_power, get_context, group_order_gl2,
+                    unit_eigenvalue)
 
 
 class SmallField:
@@ -200,26 +202,16 @@ def _discriminant(F, a1, a2, a3, a4, a6):
 # the census
 
 
-def _substitution_arrays(q):
-    """All (u, r, s, t) with u a unit, as an array (code 0 is the zero element)."""
-    grid = [(u, rr, s, t) for u in range(1, q) for rr in range(q)
-            for s in range(q) for t in range(q)]
-    return np.array(grid, dtype=np.int64)
-
-
 def _transform_all(q, a, subs):
-    """Images of the curve under all substitutions; returns coefficient arrays."""
+    """Images of curves under substitutions; returns coefficient arrays.
+
+    `a` holds five codes or arrays of codes and `subs` is an array of
+    (u, r, s, t) rows; the two broadcast against each other.
+    """
     F = SmallField(q)
-    ADD, MUL, NEG, INV = F.ADD, F.MUL, F.NEG, F.INV
-    a1, a2, a3, a4, a6 = (np.full(len(subs), x, dtype=np.int64) for x in a)
+    add, mul, NEG, INV = F.add, F.mul, F.NEG, F.INV
+    a1, a2, a3, a4, a6 = (np.asarray(x) for x in a)
     u, rr, s, t = subs[:, 0], subs[:, 1], subs[:, 2], subs[:, 3]
-
-    def add(x, y):
-        return ADD[x, y]
-
-    def mul(x, y):
-        return MUL[x, y]
-
     u2 = mul(u, u)
     u3 = mul(u2, u)
     u4 = mul(u2, u2)
@@ -259,48 +251,67 @@ def enumerate_curves(q: int, cap: int = 16) -> List[WeierstrassCurve]:
 
 @functools.cache
 def _census(q):
-    """The census at q, sorted by coefficients; verified as a partition.
+    """The census at q, sorted by coefficients, each orbit checked.
 
-    The least unvisited nonsingular code is the least element of its
-    orbit, since every smaller nonsingular code lies in an orbit already
-    found; so it is the orbit's canonical representative.
+    The substitution group is generated by (u0, 0, 0, 0), u0 a generator
+    of F_q^x, and the translations (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1):
+    conjugation by u0 scales r by u0^(+-2) and s by u0^(+-1), whose powers
+    span F_q over F_p, and the commutators of the r- and s-translations
+    give every t.  Each generator permutes the nonsingular codes, and the
+    orbits of these permutations are the isomorphism classes.  A class is
+    represented by its least code; its stabilizer is Aut(E).
     """
-    subs = _substitution_arrays(q)
+    F = SmallField(q)
     group_order = (q - 1) * q**3
-    if len(subs) != group_order:
-        raise AssertionError("substitution group has the wrong order")
     mask = _nonsingular_mask(q)
-    unvisited = mask.copy()
+    size = int(mask.sum())
+    index = _index_among(mask)
+    digits = [x[mask] for x in _digits(q, 5, np.uint8)]
+    gens = ((_unit_generator(F), 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
+            (1, 0, 0, 1))
+    perms = [index[_code(q, *_transform_all(q, digits, np.array([g])))]
+             for g in gens]
+    del index  # q^5 entries; free them before the orbit pass
+    for g, perm in zip(gens, perms):
+        # one-to-one onto the nonsingular codes: no code -1, none hit twice
+        if (len(perm) != size or perm.min() < 0
+                or np.bincount(perm, minlength=size).max() > 1):
+            raise AssertionError(f"substitution {g} over F_{q} does not "
+                                 "permute the nonsingular tuples")
+    _, labels = MatGroup.orbit_labels(perms)
+    # orbits are numbered by their least index, which is their least code
+    first = np.unique(labels, return_index=True)[1]
     curves = []
-    covered = 0
-    c0 = 0
-    while True:
-        c0 += int(np.argmax(unvisited[c0:]))
-        if not unvisited[c0]:
-            break
-        rep = tuple((c0 // q**i) % q for i in range(5))
-        na1, na2, na3, na4, na6 = _transform_all(q, rep, subs)
-        orbit = np.unique(na1 + q * (na2 + q * (na3 + q * (na4 + q * na6))))
-        # inside the unvisited nonsingular set: disjoint from earlier orbits
-        if orbit[0] != c0 or not unvisited[orbit].all():
-            raise AssertionError(f"orbit of {rep} over F_{q} is not a new "
-                                 "set of nonsingular tuples")
-        if group_order % len(orbit):
-            raise AssertionError("orbit size does not divide the group order")
+    for i, orbit in zip(first.tolist(), np.bincount(labels).tolist()):
+        rep = tuple(int(x[i]) for x in digits)
+        if group_order % orbit:
+            raise AssertionError(f"orbit of {rep} over F_{q} has {orbit} "
+                                 f"tuples, not a divisor of {group_order}")
         # the stabilizer is Aut(E): it holds -1 and divides 24 (Silverman
         # III.10.1), which a closed but too small orbit would break
-        aut = group_order // len(orbit)
+        aut = group_order // orbit
         if aut % 2 or 24 % aut:
             raise AssertionError(f"orbit of {rep} over F_{q} gives |Aut| = "
                                  f"{aut}, not an even divisor of 24")
-        unvisited[orbit] = False
-        covered += len(orbit)
         curves.append(WeierstrassCurve(q, rep, aut_order=aut))
-    # every nonsingular tuple is in exactly one orbit
-    if covered != int(mask.sum()):
-        raise AssertionError("orbits do not cover the nonsingular tuples")
     curves.sort(key=lambda E: E.a)
     return tuple(curves)
+
+
+def _code(q, a1, a2, a3, a4, a6):
+    """Index of a coefficient tuple, a1 least; int32, so uint8 cannot wrap."""
+    a6 = np.asarray(a6, dtype=np.int32)
+    return a1 + q * (a2 + q * (a3 + q * (a4 + q * a6)))
+
+
+def _unit_generator(F):
+    """The least generator of the cyclic group F_q^x."""
+    for u in range(1, F.q):
+        x, order = u, 1
+        while x != F.one:
+            x, order = int(F.MUL[x, u]), order + 1
+        if order == F.q - 1:
+            return u
 
 
 def _nonsingular_mask(q):
@@ -308,9 +319,20 @@ def _nonsingular_mask(q):
 
     Index c stands for (a1, a2, a3, a4, a6) = base-q digits of c, least first.
     """
-    codes = np.arange(q**5, dtype=np.int64)
-    return _discriminant(SmallField(q), *((codes // q**i) % q
-                                          for i in range(5))) != 0
+    return _discriminant(SmallField(q), *_digits(q, 5, np.uint8)) != 0
+
+
+def _digits(base, count, dtype):
+    """The `count` base-`base` digits of 0..base^count - 1, least first."""
+    digit = np.arange(base, dtype=dtype)
+    return [np.broadcast_to(digit[:, None],
+                            (base**(count - 1 - i), base, base**i)).ravel()
+            for i in range(count)]
+
+
+def _index_among(mask):
+    """Index of each True entry among the True entries; -1 at the others."""
+    return np.where(mask, np.cumsum(mask, dtype=np.int32) - 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +484,25 @@ def ss_lefschetz(p: int, r: int, n: int, m: int) -> LefschetzReport:
 def gl2_order_mod(N: int) -> int:
     """|GL2(Z/N)| by multiplicativity over prime powers."""
     out = 1
-    for p in range(2, N + 1):
-        if N % p == 0 and _is_prime(p):
-            a = 0
-            while N % p == 0:
-                N //= p
-                a += 1
-            out *= group_order_gl2(p, a)
+    while N > 1:
+        p, a = _least_prime_factor(N), 0
+        while N % p == 0:
+            N, a = N // p, a + 1
+        out *= group_order_gl2(p, a)
     return out
+
+
+def _check_boundary_input(p, r, n, m):
+    """The boundary term needs p prime, r, n >= 1 and m >= 3 prime to p."""
+    if not _is_prime(p) or r < 1 or n < 1:
+        raise DomainError("boundary term needs a prime p, r >= 1 and n >= 1")
+    if m < 3 or m % p == 0:
+        raise DomainError("level m >= 3 prime to p required")
 
 
 def boundary_ss_trace(p: int, r: int, n: int, m: int) -> Fraction:
     """Boundary contribution: 0 unless p^r = 1 mod m, else the packet count."""
-    if n < 1:
-        raise DomainError("boundary term needs n >= 1")
-    if m < 3 or m % p == 0:
-        raise DomainError("level m >= 3 prime to p required")
+    _check_boundary_input(p, r, n, m)
     if pow(p, r, m) != 1 % m:
         return Fraction(0)
     modulus = p**n * m
@@ -492,70 +517,39 @@ def boundary_ss_trace(p: int, r: int, n: int, m: int) -> Fraction:
 def boundary_orbit_report(p: int, r: int, n: int, m: int):
     """Independent enumeration of boundary packets.
 
-    Returns (packets, fixed_packets, sizes_ok): cosets of {+-unipotent} in
-    GL2(Z/p^n m) grouped into inertia orbits, the count of orbits fixed by
-    the Frobenius action through its tame quotient, and whether every
-    orbit has size p^(n-1) (p-1).
+    Returns (packets, fixed_packets, sizes_ok): the orbits of GL2(Z/p^n m)
+    under left multiplication by +-1, the unipotent [[1, 1], [0, 1]] and
+    inertia, the count of orbits fixed by the Frobenius action through its
+    tame quotient, and whether every orbit is p^(n-1) (p-1) cosets of
+    {+-unipotent}.
     """
+    _check_boundary_input(p, r, n, m)
     N = p**n * m
     check_cap(N**4, "boundary group enumeration")
-    codes = np.arange(N**4, dtype=np.int64)
-    a = codes % N
-    b = (codes // N) % N
-    c = (codes // N**2) % N
-    d = (codes // N**3) % N
-    det = (a * d - b * c) % N
-    unit = np.gcd(det, N) == 1
-    el = codes[unit]
-    a, b, c, d = a[el], b[el], c[el], d[el]
+    a, b, c, d = _digits(N, 4, np.int32)
+    unit = np.gcd((a * d - b * c) % N, N) == 1
+    a, b, c, d = a[unit], b[unit], c[unit], d[unit]
+    index = _index_among(unit)
 
-    def left_mul(u, comps):
-        ua, ub, uc, ud = u
-        xa, xb, xc, xd = comps
-        return ((ua * xa + ub * xc) % N, (ua * xb + ub * xd) % N,
-                (uc * xa + ud * xc) % N, (uc * xb + ud * xd) % N)
+    def left_mul(ua, ub, uc, ud):
+        """Index permutation of x -> u x."""
+        return index[(ua * a + ub * c) % N + N * ((ua * b + ub * d) % N)
+                     + N**2 * ((uc * a + ud * c) % N)
+                     + N**3 * ((uc * b + ud * d) % N)]
 
-    def codes_of(comps):
-        xa, xb, xc, xd = comps
-        return xa + N * (xb + N * (xc + N * xd))
-
-    # subgroup {+-1} * unipotent upper triangular
-    subgroup = []
-    for sgn in (1, N - 1):
-        for x in range(N):
-            subgroup.append(((sgn) % N, (sgn * x) % N, 0, sgn % N))
-    comps = (a, b, c, d)
-    coset_label = None
-    for u in subgroup:
-        cc = codes_of(left_mul(u, comps))
-        coset_label = cc if coset_label is None else np.minimum(coset_label, cc)
-
-    # inertia: diag(k^-1, 1) for k in (Z/p^n)^x lifted to be 1 mod m
-    inertia = []
-    for k in range(1, p**n):
-        if k % p == 0:
-            continue
-        kl = _crt(pow(k, -1, p**n), p**n, 1, m)
-        inertia.append((kl % N, 0, 0, 1))
-    # inertia is a group, so one min-pass over it reaches every orbit label
-    lab = np.full(N**4, -1, dtype=np.int64)
-    lab[el] = coset_label
-    packet_label = coset_label.copy()
-    for u in inertia:
-        cc = codes_of(left_mul(u, comps))
-        packet_label = np.minimum(packet_label, lab[cc])
-    lab_of = np.full(N**4, -1, dtype=np.int64)
-    lab_of[el] = packet_label
-
-    packets, counts = np.unique(packet_label, return_counts=True)
-    sizes_ok = bool(np.all(counts == 2 * N * len(inertia)))
-    # Frobenius through the tame quotient: x = p^r mod m, 1 mod p^n
+    # inertia: diag(k, 1) for k in (Z/p^n)^x lifted to be 1 mod m
+    inertia = [left_mul(_crt(k, p**n, 1, m), 0, 0, 1)
+               for k in range(1, p**n) if k % p]
+    packets, labels = MatGroup.orbit_labels(
+        [left_mul(1, 1, 0, 1), left_mul(N - 1, 0, 0, N - 1)] + inertia)
+    sizes_ok = bool(np.all(np.bincount(labels) == 2 * N * len(inertia)))
+    # Frobenius through the tame quotient: x = p^r mod m, 1 mod p^n; it
+    # normalizes the group above, so it maps packets onto packets
     x0 = _crt(1, p**n, pow(p, r, m), m)
-    frob = (pow(x0, -1, N), 0, 0, 1)
-    cc = codes_of(left_mul(frob, comps))
+    frob = left_mul(pow(x0, -1, N), 0, 0, 1)
     # a packet is fixed iff its elements keep their packet label
-    fixed_packets = int(len(np.unique(packet_label[lab_of[cc] == packet_label])))
-    return int(len(packets)), fixed_packets, sizes_ok
+    fixed_packets = len(np.unique(labels[labels[frob] == labels]))
+    return packets, fixed_packets, sizes_ok
 
 
 def _crt(r1, m1, r2, m2):

@@ -296,6 +296,8 @@ def ss_trace_point(kind: str, h: ClassFunction, p: int, r: int, n: int,
     ordinary:      sum_chi tr(h | Ind(1 x chi)) chi(a)^-1
     supersingular: tr(h | 1) - p^r tr(h | St)
     """
+    if r < 1:
+        raise DomainError("semisimple point trace needs r >= 1")
     G = FiniteGL2(p, n)
     if kind == "supersingular":
         one = tr_rep(h, trivial_character(G))

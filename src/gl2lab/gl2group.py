@@ -195,7 +195,8 @@ class MatGroup:
     def _bcast(self, g):
         return tuple(np.full(self.order, int(v), dtype=np.int64) for v in g)
 
-    def orbit_labels(self, perms):
+    @staticmethod
+    def orbit_labels(perms):
         """Orbits of the group generated by the index permutations `perms`.
 
         Every element points at the root of its tree, the tree's least
@@ -206,9 +207,10 @@ class MatGroup:
         whole trees takes a few passes even where plain label propagation
         needs one per step of a long cycle.  At the end each element holds
         the least index of its orbit.  Returns (count, labels), the orbits
-        numbered 0..count-1 in the order of those least indices.
+        numbered 0..count-1 in the order of those least indices.  The
+        permutations share one length and dtype, which the work arrays take.
         """
-        root = np.arange(self.order)
+        root = np.arange(len(perms[0]), dtype=perms[0].dtype)
         merged = True
         while merged:
             merged = False
@@ -223,8 +225,9 @@ class MatGroup:
                 up = root[root]
                 while not np.array_equal(up, root):
                     root, up = up, up[up]
-        roots, labels = np.unique(root, return_inverse=True)
-        return len(roots), labels
+        # the roots are the least indices; number them in index order
+        is_root = root == np.arange(len(root))
+        return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
 
     def congruence_mask(self, k):
         """Elements congruent to the identity mod p^k."""

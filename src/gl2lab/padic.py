@@ -12,9 +12,10 @@ what allows answers like "this valuation is infinite" to be certified.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import total_ordering
 
-from .errors import DomainError, PrecisionExhausted
+from .errors import DomainError, PrecisionExhausted, check_cap
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,9 @@ def smallest_irreducible(p, r):
     """Monic degree-r polynomial over F_p, irreducible, least coefficient code.
 
     Coefficient code is c0 + c1*p + ...; coefficients lifted to [0, p).
+    The search is capped by the p^(r//2) trial divisors of one candidate.
     """
+    check_cap(p**(r // 2), f"irreducibility search at degree {r} over F_{p}")
     for code in range(p**r):
         c, coeffs = code, []
         for _ in range(r):
@@ -125,29 +128,28 @@ def smallest_irreducible(p, r):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _least_prime_factor(n):
+    """The least prime factor of n >= 2, by capped trial division."""
+    check_cap(math.isqrt(n), f"trial division of {n}")
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and _least_prime_factor(p) == p
 
 
 def factor_prime_power(q: int):
     """(p, r) with q = p^r."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            r = 0
-            while q % p == 0:
-                q //= p
-                r += 1
-            if q != 1:
-                raise DomainError("q must be a prime power")
-            return p, r
-    raise DomainError("q must be >= 2")
+    if q < 2:
+        raise DomainError("q must be >= 2")
+    p = _least_prime_factor(q)
+    r = 0
+    while q % p == 0:
+        q //= p
+        r += 1
+    if q != 1:
+        raise DomainError("q must be a prime power")
+    return p, r
 
 
 def group_order_gl2(q: int, n: int) -> int:

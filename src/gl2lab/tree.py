@@ -226,13 +226,10 @@ def orbital_ratio(gamma: LocalMatrix, n: int,
     The sum of the contributions of `orbital_shell_tally`: (q-1) times
     weight(v) * value(distance) over the vertices at distance <= n-1.
     Equals the closed-form constant.  Returns (ratio, supported);
-    (0, False) when gamma is not conjugate to an integral matrix.
+    (0, False) when gamma is not conjugate to an integral matrix.  A
+    singular gamma raises DomainError.
     """
-    try:
-        integral = gamma.trace_val_ge(0) and gamma.det_valuation() >= 0
-    except DomainError:
-        integral = False
-    if not integral:
+    if not (gamma.trace_val_ge(0) and gamma.det_valuation() >= 0):
         return Fraction(0), False
     if gamma.det_valuation() != 1:
         raise DomainError("orbital ratio needs v_p(det) = 1")

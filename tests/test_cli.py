@@ -2,11 +2,16 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from gl2lab.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run(capsys, *argv):
@@ -139,11 +144,42 @@ def test_usage_errors_exit_two(capsys):
     ["verify-orbital", "--q", "2", "--n", "-1", "--samples", "3"],
     ["verify-central", "--generators", "1"],
     ["char-table", "--p", "2", "--n", "1", "--json"],
+    ["boundary", "--p", "4", "--n", "1", "--m", "3"],
+    ["boundary", "--p", "4", "--n", "1", "--m", "3", "--enumerate"],
+    ["boundary", "--p", "6", "--n", "1", "--m", "5"],
+    ["boundary", "--p", "2", "--r", "0", "--n", "1", "--m", "3"],
+    ["ss-trace", "--p", "3", "--r", "0", "--n", "1", "--kind", "supersingular"],
+    ["ss-trace", "--p", "3", "--r", "-1", "--n", "1",
+     "--kind", "supersingular"],
+    ["tree-orbital", "--p", "2", "--n", "1", "--gamma", "[[1,1],[1,1]]"],
+    ["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[1,1],[1,1]]"],
+    ["tree-fixed-set", "--p", "2", "--gamma", "[[1,1],[1,1]]"],
 ])
 def test_malformed_input_exits_two(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-phi", "--p", "1000000000000000003", "--n", "1",
+     "--matrix", "[[2,0],[0,1]]"],
+    ["eval-phi", "--p", "2", "--r", "40", "--n", "1",
+     "--matrix", "[[2,0],[0,1]]"],
+    ["census", "--q", "1000000000000000003", "--m", "3"],
+    ["verify-tower", "--q", "1000000000000000003", "--n", "1"],
+])
+def test_unbounded_search_is_refused(argv):
+    # in a subprocess with a timeout, so a search without a cap fails the
+    # test instead of hanging the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("GL2LAB_MAX_ELEMS", None)
+    proc = subprocess.run([sys.executable, "-m", "gl2lab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "cap is" in proc.stderr
 
 
 def test_matrix_with_coefficient_lists(capsys):

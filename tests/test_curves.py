@@ -1,5 +1,6 @@
 """Curve census, level structures, Lefschetz sums, boundary."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -8,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from gl2lab.curves import (SmallField, WeierstrassCurve, _nonsingular_mask,
-                           _substitution_arrays, _transform_all,
+from gl2lab.curves import (SmallField, WeierstrassCurve, _crt,
+                           _nonsingular_mask, _transform_all,
                            boundary_orbit_report, boundary_ss_trace,
                            enumerate_curves, factor_prime_power, gl2_order_mod,
                            isogeny_classes, level_m_count, point_trace,
@@ -49,7 +50,8 @@ def test_weil_bound_q5():
 
 @pytest.mark.parametrize("q,count", [(2, 5), (3, 8), (5, 12)])
 def test_census_class_counts_and_mass(q, count):
-    # the sweep itself checks that the orbits partition the nonsingular tuples
+    # the census itself checks that every generator permutes the nonsingular
+    # tuples and that every orbit gives an even |Aut| dividing 24
     cs = enumerate_curves(q)
     assert len(cs) == count
     group_order = (q - 1) * q**3
@@ -59,6 +61,13 @@ def test_census_class_counts_and_mass(q, count):
     # equivalently there are exactly (q-1) q^4 nonsingular coefficient tuples
     from fractions import Fraction
     assert sum(Fraction(1, E.aut_order) for E in cs) == q
+
+
+def _substitution_arrays(q):
+    """All (u, r, s, t) with u a unit, as an array (code 0 is the zero element)."""
+    grid = [(u, rr, s, t) for u in range(1, q) for rr in range(q)
+            for s in range(q) for t in range(q)]
+    return np.array(grid, dtype=np.int64)
 
 
 def _per_tuple_sweep(q):
@@ -83,7 +92,7 @@ def _per_tuple_sweep(q):
     return sorted(out)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_census_matches_per_tuple_sweep(q):
     assert [(E.a, E.aut_order) for E in enumerate_curves(q)] == _per_tuple_sweep(q)
 
@@ -139,7 +148,7 @@ def test_census_result_is_a_fresh_list():
     assert [(E.a, E.aut_order) for E in enumerate_curves(7)] == expected
 
 
-_BROKEN_SWEEP = """
+_BROKEN_CENSUS = """
 import sys
 import numpy as np
 import gl2lab.curves as curves
@@ -152,12 +161,12 @@ first = []
 def wrong(q, a, subs):
     images = true_transform(q, a, subs)
     if {kind!r} == "singular":
-        # the singular tuple y^2 = x^3 joins the orbit
-        return tuple(np.append(x, 0) for x in images)
+        # the first tuple is sent to the singular tuple y^2 = x^3
+        return tuple(np.concatenate([[0], x[1:]]) for x in images)
     if {kind!r} == "identity":
-        # only the identity substitution: closed orbits of size 1
-        return tuple(x[:1] for x in images)
-    # every later step gets the first orbit again
+        # every generator acts as the identity: orbits of size 1
+        return tuple(a)
+    # every generator gets the first one's images
     first.append(images)
     return first[0]
 
@@ -166,10 +175,11 @@ curves.enumerate_curves(5)
 """
 
 
-_BROKEN_SWEEP_ERRORS = {"singular": "is not a new set",
-                        "repeated": "is not a new set",
-                        # q = 5: |Aut| = |G| = 4 * 5^3
-                        "identity": "|Aut| = 500, not an even divisor of 24"}
+_BROKEN_CENSUS_ERRORS = {
+    "singular": "substitution (2, 0, 0, 0) over F_5 does not permute",
+    # q = 5: |G| = 4 * 5^3; alone, u0 = 2 moves a tuple by at most 4 images
+    "repeated": "orbit of (0, 0, 1, 0, 0) over F_5 gives |Aut| = 125",
+    "identity": "orbit of (0, 0, 1, 0, 0) over F_5 gives |Aut| = 500"}
 
 
 @pytest.mark.parametrize("kind", ["singular", "repeated", "identity"])
@@ -179,11 +189,35 @@ def test_census_partition_check_survives_python_O(kind):
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-O", "-c",
-                           _BROKEN_SWEEP.format(kind=kind)],
+                           _BROKEN_CENSUS.format(kind=kind)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
-    assert "AssertionError: orbit of" in proc.stderr
-    assert _BROKEN_SWEEP_ERRORS[kind] in proc.stderr
+    assert "AssertionError: " + _BROKEN_CENSUS_ERRORS[kind] in proc.stderr
+
+
+def test_failed_census_row_keeps_its_witness(monkeypatch):
+    from gl2lab import campaigns
+
+    def weil_row():
+        rows = [c for c in campaigns.census_checks(qs=(4,), boundary_cases=())
+                if c.name == "weil-and-supersingular-criteria"]
+        assert len(rows) == 1
+        return rows[0].to_dict()
+
+    row = weil_row()
+    assert row["pass"] and "witness" not in row
+
+    def with_bad_count(q):
+        curves = enumerate_curves(q)
+        fake = dataclasses.replace(curves[1])
+        fake.count = lambda: 0       # trace q + 1 breaks the Weil bound
+        return [curves[0], fake] + curves[2:]
+
+    monkeypatch.setattr(campaigns, "enumerate_curves", with_bad_count)
+    row = weil_row()
+    assert not row["pass"] and row["actual"] == 1
+    assert row["witness"] == {"a": str(enumerate_curves(4)[1].a),
+                              "trace": "5", "count": "0"}
 
 
 def test_automorphisms_act_freely_on_bases():
@@ -229,7 +263,7 @@ def _key(P):
 
 
 def _apply_subst(F, a, u, rr, s, t):
-    """Coefficients of the substituted equation (same formulas as the sweep)."""
+    """Coefficients of the substituted equation (the census formulas)."""
     subs = np.array([[u, rr, s, t]], dtype=np.int64)
     na = _transform_all(F.q, a, subs)
     return tuple(int(x[0]) for x in na)
@@ -343,6 +377,67 @@ def test_boundary_formula_values():
         boundary_ss_trace(3, 1, 1, 3)                  # m not prime to p
     with pytest.raises(DomainError):
         boundary_ss_trace(7, 1, 0, 3)
+
+
+def _boundary_by_min_passes(p, r, n, m):
+    """Reference boundary packets: label each element by the least code of
+    its {+-unipotent} coset, then by the least coset label over inertia.
+
+    One min-pass over each set reaches every label because both sets are
+    groups.  Returns (packets, fixed_packets, sizes_ok).
+    """
+    N = p**n * m
+    codes = np.arange(N**4, dtype=np.int64)
+    a, b, c, d = (codes // N**i % N for i in range(4))
+    unit = np.gcd((a * d - b * c) % N, N) == 1
+    el = codes[unit]
+    comps = (a[unit], b[unit], c[unit], d[unit])
+
+    def left_mul_codes(u):
+        ua, ub, uc, ud = u
+        xa, xb, xc, xd = comps
+        return ((ua * xa + ub * xc) % N + N * ((ua * xb + ub * xd) % N)
+                + N**2 * ((uc * xa + ud * xc) % N)
+                + N**3 * ((uc * xb + ud * xd) % N))
+
+    subgroup = [(sgn, sgn * x % N, 0, sgn) for sgn in (1, N - 1)
+                for x in range(N)]
+    coset_label = None
+    for u in subgroup:
+        cc = left_mul_codes(u)
+        coset_label = cc if coset_label is None else np.minimum(coset_label, cc)
+    inertia = [(_crt(pow(k, -1, p**n), p**n, 1, m), 0, 0, 1)
+               for k in range(1, p**n) if k % p]
+    lab = np.full(N**4, -1, dtype=np.int64)
+    lab[el] = coset_label
+    packet_label = coset_label.copy()
+    for u in inertia:
+        packet_label = np.minimum(packet_label, lab[left_mul_codes(u)])
+    lab_of = np.full(N**4, -1, dtype=np.int64)
+    lab_of[el] = packet_label
+    packets, counts = np.unique(packet_label, return_counts=True)
+    sizes_ok = bool(np.all(counts == 2 * N * len(inertia)))
+    x0 = _crt(1, p**n, pow(p, r, m), m)
+    cc = left_mul_codes((pow(x0, -1, N), 0, 0, 1))
+    fixed = len(np.unique(packet_label[lab_of[cc] == packet_label]))
+    return len(packets), fixed, sizes_ok
+
+
+@pytest.mark.parametrize("p,r,n,m", [
+    (7, 1, 1, 3), (5, 2, 1, 3), (2, 1, 1, 3), (5, 1, 1, 3), (3, 1, 1, 4),
+    (2, 1, 2, 3), (3, 2, 1, 4), (2, 2, 1, 3)])
+def test_boundary_orbits_match_min_passes(p, r, n, m):
+    expected = _boundary_by_min_passes(p, r, n, m)
+    assert boundary_orbit_report(p, r, n, m) == expected
+
+
+@pytest.mark.parametrize("p,r,n,m", [(4, 1, 1, 3), (6, 1, 1, 5), (2, 0, 1, 3),
+                                     (2, 1, 0, 3), (3, 1, 1, 3), (5, 1, 1, 2)])
+def test_boundary_rejects_impossible_input(p, r, n, m):
+    with pytest.raises(DomainError):
+        boundary_ss_trace(p, r, n, m)
+    with pytest.raises(DomainError):
+        boundary_orbit_report(p, r, n, m)
 
 
 def test_boundary_oracle_agreement():

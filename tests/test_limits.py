@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from gl2lab.errors import ResourceLimit, check_cap, max_elems
+from gl2lab.errors import DomainError, ResourceLimit, check_cap, max_elems
 from gl2lab.padic import get_context
 from gl2lab.tree import enumerate_vertices
 
@@ -38,6 +38,33 @@ def test_census_cap(monkeypatch):
     monkeypatch.setenv("GL2LAB_MAX_ELEMS", "100")
     with pytest.raises(ResourceLimit):
         enumerate_curves(7)
+
+
+def test_number_searches_respect_cap(monkeypatch):
+    from gl2lab.padic import _is_prime, factor_prime_power, smallest_irreducible
+    # exact below the cap: primes, prime powers and the rest up to 1000
+    primes = [n for n in range(1000) if n > 1
+              and all(n % d for d in range(2, n))]
+    assert [n for n in range(1000) if _is_prime(n)] == primes
+    for q in range(2, 1000):
+        p = min(d for d in range(2, q + 1) if q % d == 0)
+        r = next((k for k in range(1, 11) if p**k == q), None)
+        if r is None:
+            with pytest.raises(DomainError):
+                factor_prime_power(q)
+        else:
+            assert factor_prime_power(q) == (p, r)
+    # the trial division reads up to sqrt(n), the irreducibility search
+    # p^(r // 2) divisors per candidate; both are capped before they start
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", "30")
+    assert _is_prime(953) and factor_prime_power(29**2) == (29, 2)
+    with pytest.raises(ResourceLimit):
+        _is_prime(1021)
+    with pytest.raises(ResourceLimit):
+        factor_prime_power(1024)
+    assert len(smallest_irreducible(2, 9)) == 10
+    with pytest.raises(ResourceLimit):
+        smallest_irreducible(2, 10)
 
 
 def test_no_assert_statements_in_src():
