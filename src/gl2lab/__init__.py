@@ -13,12 +13,15 @@ from .padic import (INF, ExtendedNat, GaloisRingElement, LocalContext,
                     get_context, k_of, norm_map, sigma_conjugate,
                     unit_eigenvalue)
 
+# The seed of every sampled check unless a caller passes its own.
+DEFAULT_SEED = 20259
+
 __all__ = [
     "DomainError", "GL2LabError", "NotStabilizable", "PrecisionExhausted",
     "ResourceLimit", "INF", "ExtendedNat", "GaloisRingElement",
     "LocalContext", "LocalMatrix", "context_for_level", "ell_of",
     "frobenius", "get_context", "k_of", "norm_map", "sigma_conjugate",
-    "unit_eigenvalue",
+    "unit_eigenvalue", "DEFAULT_SEED",
 ]
 
 __version__ = "0.1.0"

@@ -4,26 +4,26 @@ Every campaign prints a machine-readable report (JSON, or CSV for the
 census) and exits 0 on all-pass, 1 on any failed verification, 2 on a
 usage error.  Reports are byte-deterministic for a fixed configuration
 and seed; wall-clock timings go to stderr only.
+
+Each command imports the layers it uses when it runs, and the table
+commands check p, n, q and the boundary level with the table layers' own
+rules (in `padic`) before they load them.  So the local-path commands
+(eval-phi, tree-orbital, tree-fixed-set, verify-tower, verify-central,
+verify-orbital) run without numpy, and so does a table command whose prime,
+level, prime power or boundary input is malformed.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
-from fractions import Fraction
 
-from . import campaigns
-from .curves import (boundary_orbit_report, boundary_ss_trace,
-                     enumerate_curves, level_m_count, ss_lefschetz)
+from . import DEFAULT_SEED
 from .errors import DomainError, GL2LabError
-from .finitegl2 import (FiniteGL2, e_gamma, induced_character,
-                        ss_trace_point, steinberg_character)
-from .padic import LocalMatrix, factor_prime_power, get_context
-from .testfunc import phi_branch, phi_pn, phi_pnt, phi_p0
-from .tree import fixed_set, orbital_ratio, orbital_shell_tally
+from .padic import (LocalMatrix, check_boundary_input, check_prime_level,
+                    factor_prime_power, get_context)
 
 SCHEMA_VERSION = "1"
 
@@ -39,7 +39,7 @@ def _emit(report: dict, out=None):
 
 
 def _verdict(campaign: str, checks, params: dict, out=None, extra=None,
-             seed=campaigns.DEFAULT_SEED) -> int:
+             seed=DEFAULT_SEED) -> int:
     rows = [c.to_dict() for c in checks]
     passed = sum(1 for c in checks if c.passed)
     report = {
@@ -78,7 +78,7 @@ def _parse_matrix(ctx, text, e=0):
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to this file")
-    common.add_argument("--seed", type=int, default=campaigns.DEFAULT_SEED)
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser = argparse.ArgumentParser(
         prog="gl2lab",
         description="exact GL(2) p-adic harmonic analysis verification lab")
@@ -206,6 +206,9 @@ def _run_command(args) -> int:
         raise DomainError(f"{cmd} needs n >= 1")
 
     if cmd == "eval-phi":
+        from fractions import Fraction
+
+        from .testfunc import phi_branch, phi_pn, phi_p0, phi_pnt
         ctx = get_context(args.p, args.r, 2 * args.n + 6)
         g = _parse_matrix(ctx, args.matrix, e=args.e)
         branch, k, ell = phi_branch(g, args.n)
@@ -223,6 +226,7 @@ def _run_command(args) -> int:
         return 0
 
     if cmd == "tree-orbital":
+        from .tree import orbital_ratio, orbital_shell_tally
         ctx = get_context(args.p, args.r, 2 * args.n + 6)
         g = _parse_matrix(ctx, args.gamma, e=args.e)
         ratio, supported = orbital_ratio(g, args.n)
@@ -239,13 +243,15 @@ def _run_command(args) -> int:
 
     if cmd == "tree-fixed-set":
         if args.verify:
-            checks = campaigns.tree_checks(qs=(args.p**args.r,),
-                                           probes=args.probes, seed=args.seed)
+            from .checks import tree_checks
+            checks = tree_checks(qs=(args.p**args.r,), probes=args.probes,
+                                 seed=args.seed)
             return _verdict("tree-lemma", checks,
                             {"p": args.p, "r": args.r, "probes": args.probes},
                             args.out, seed=args.seed)
         if not args.gamma:
             raise DomainError("--gamma is required without --verify")
+        from .tree import fixed_set
         ctx = get_context(args.p, args.r, 2 * args.depth + 8)
         g = _parse_matrix(ctx, args.gamma, e=args.e)
         rep = fixed_set(g, args.depth)
@@ -262,6 +268,9 @@ def _run_command(args) -> int:
         return 0
 
     if cmd == "char-table":
+        check_prime_level(args.p, args.n)
+        from .finitegl2 import (FiniteGL2, induced_character,
+                                steinberg_character)
         G = FiniteGL2(args.p, args.n)
         st = steinberg_character(args.p, args.n)
         table = {
@@ -284,6 +293,8 @@ def _run_command(args) -> int:
         return 0
 
     if cmd == "ss-trace":
+        check_prime_level(args.p, args.n)
+        from .finitegl2 import FiniteGL2, e_gamma, ss_trace_point
         G = FiniteGL2(args.p, args.n)
         val = ss_trace_point(args.kind, e_gamma(G), args.p, args.r, args.n,
                              a=args.a)
@@ -294,13 +305,15 @@ def _run_command(args) -> int:
 
     if cmd == "verify-norm":
         from .basechange import sigma_orbits
+        from .campaigns import norm_table_checks
         tab = sigma_orbits(args.p, args.r, args.n)
-        return _verdict("norm-bijection", campaigns.norm_table_checks(tab),
+        return _verdict("norm-bijection", norm_table_checks(tab),
                         {"p": args.p, "r": args.r, "n": args.n}, args.out,
                         extra={"table": tab.to_dict()})
 
     if cmd == "verify-exact-seq":
-        checks = campaigns.exact_sequence_checks(
+        from .campaigns import exact_sequence_checks
+        checks = exact_sequence_checks(
             cases=((args.p, args.r, args.n),), samples=args.samples,
             seed=args.seed)
         return _verdict("exact-sequence", checks,
@@ -308,36 +321,40 @@ def _run_command(args) -> int:
                          "samples": args.samples}, args.out, seed=args.seed)
 
     if cmd == "verify-bc-unit":
-        checks = campaigns.bc_unit_checks(p=args.p, r=args.r, j=args.j,
-                                          k=args.k, functions=args.functions)
+        from .campaigns import bc_unit_checks
+        checks = bc_unit_checks(p=args.p, r=args.r, j=args.j, k=args.k,
+                                functions=args.functions)
         return _verdict("bc-unit", checks,
                         {"p": args.p, "r": args.r, "j": args.j, "k": args.k},
                         args.out)
 
     if cmd == "verify-tower":
-        checks = campaigns.tower_checks(cases=((args.q, args.n),),
-                                        samples=args.samples, seed=args.seed)
+        from .checks import tower_checks
+        checks = tower_checks(cases=((args.q, args.n),), samples=args.samples,
+                              seed=args.seed)
         return _verdict("tower", checks,
                         {"q": args.q, "n": args.n, "samples": args.samples},
                         args.out, seed=args.seed)
 
     if cmd == "verify-central":
-        checks = campaigns.centrality_checks(q=args.q, n=args.n,
-                                             samples=args.samples,
-                                             seed=args.seed)
+        from .checks import centrality_checks
+        checks = centrality_checks(q=args.q, n=args.n, samples=args.samples,
+                                   seed=args.seed)
         return _verdict("centrality", checks,
                         {"q": args.q, "n": args.n}, args.out, seed=args.seed)
 
     if cmd == "verify-orbital":
-        checks = campaigns.orbital_checks(cases=((args.q, args.n),),
-                                          per=args.samples, seed=args.seed)
+        from .checks import orbital_checks
+        checks = orbital_checks(cases=((args.q, args.n),), per=args.samples,
+                                seed=args.seed)
         return _verdict("orbital", checks,
                         {"q": args.q, "n": args.n, "samples": args.samples},
                         args.out, seed=args.seed)
 
     if cmd == "verify-cr":
-        checks = campaigns.cross_identity_checks(ps=(args.p,), ns=(args.n,))
-        checks += campaigns.drinfeld_checks(pns=((args.p, args.n),))
+        from .campaigns import cross_identity_checks, drinfeld_checks
+        checks = cross_identity_checks(ps=(args.p,), ns=(args.n,))
+        checks += drinfeld_checks(pns=((args.p, args.n),))
         return _verdict("cross-identity", checks,
                         {"p": args.p, "n": args.n}, args.out)
 
@@ -345,6 +362,7 @@ def _run_command(args) -> int:
         p, r = factor_prime_power(args.q)
         if args.r is not None and args.r != r:
             raise DomainError(f"q = {args.q} forces r = {r}")
+        from .curves import enumerate_curves, level_m_count, ss_lefschetz
         rep = ss_lefschetz(p, r, args.n, args.m)
         curves = enumerate_curves(args.q)
         if args.format == "csv":
@@ -369,6 +387,8 @@ def _run_command(args) -> int:
         return 0
 
     if cmd == "boundary":
+        check_boundary_input(args.p, args.r, args.n, args.m)
+        from .curves import boundary_orbit_report, boundary_ss_trace
         val = boundary_ss_trace(args.p, args.r, args.n, args.m)
         report = {"campaign": "boundary", "p": args.p, "r": args.r,
                   "n": args.n, "m": args.m, "value": str(val)}
@@ -386,6 +406,9 @@ def _run_command(args) -> int:
         return code
 
     if cmd == "report-all":
+        import inspect
+
+        from . import campaigns
         all_checks = []
         names = []
         for name, fn in campaigns.ALL_CAMPAIGNS.items():

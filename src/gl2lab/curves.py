@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimit, check_cap
 from .finitegl2 import FiniteGL2, e_gamma, fixed_surjections, ss_trace_point
 from .gl2group import MatGroup, RingTables
-from .padic import (LocalMatrix, _is_prime, _least_prime_factor,
+from .padic import (LocalMatrix, _least_prime_factor, check_boundary_input,
                     factor_prime_power, get_context, group_order_gl2,
                     unit_eigenvalue)
 
@@ -115,6 +115,36 @@ class WeierstrassCurve:
     def is_supersingular(self) -> bool:
         p, _ = factor_prime_power(self.q)
         return self.trace % p == 0
+
+    def hasse_invariant(self) -> int:
+        """The Hasse invariant of the model, a field code that is 0 exactly
+        when E is supersingular; it reads the coefficients, not the points.
+
+        a1 at p = 2, b2 at p = 3, and at p >= 5 the coefficient of x^(p-1)
+        in f^((p-1)/2), where y^2 = f(x) = x^3 + b2/4 x^2 + b4/2 x + b6/4
+        is the model with the square completed.
+        """
+        F = self.F
+        p = F.p
+        a1, a2, a3, a4, a6 = self.a
+        if p == 2:
+            return a1
+        b2 = int(F.add(F.mul(a1, a1), _nmul(F, 4, a2)))
+        if p == 3:
+            return b2
+        b4 = int(F.add(_nmul(F, 2, a4), F.mul(a1, a3)))
+        b6 = int(F.add(F.mul(a3, a3), _nmul(F, 4, a6)))
+        half, quarter = F.inv(_nmul(F, 2, F.one)), F.inv(_nmul(F, 4, F.one))
+        f = [int(F.mul(b6, quarter)), int(F.mul(b4, half)),
+             int(F.mul(b2, quarter)), F.one]      # ascending powers of x
+        power = [F.one]
+        for _ in range((p - 1) // 2):
+            prod = [0] * (len(power) + 3)
+            for i, x in enumerate(power):
+                for j, y in enumerate(f):
+                    prod[i + j] = int(F.add(prod[i + j], F.mul(x, y)))
+            power = prod
+        return power[p - 1]
 
     # -- group law -------------------------------------------------------------
 
@@ -492,17 +522,9 @@ def gl2_order_mod(N: int) -> int:
     return out
 
 
-def _check_boundary_input(p, r, n, m):
-    """The boundary term needs p prime, r, n >= 1 and m >= 3 prime to p."""
-    if not _is_prime(p) or r < 1 or n < 1:
-        raise DomainError("boundary term needs a prime p, r >= 1 and n >= 1")
-    if m < 3 or m % p == 0:
-        raise DomainError("level m >= 3 prime to p required")
-
-
 def boundary_ss_trace(p: int, r: int, n: int, m: int) -> Fraction:
     """Boundary contribution: 0 unless p^r = 1 mod m, else the packet count."""
-    _check_boundary_input(p, r, n, m)
+    check_boundary_input(p, r, n, m)
     if pow(p, r, m) != 1 % m:
         return Fraction(0)
     modulus = p**n * m
@@ -523,7 +545,7 @@ def boundary_orbit_report(p: int, r: int, n: int, m: int):
     tame quotient, and whether every orbit is p^(n-1) (p-1) cosets of
     {+-unipotent}.
     """
-    _check_boundary_input(p, r, n, m)
+    check_boundary_input(p, r, n, m)
     N = p**n * m
     check_cap(N**4, "boundary group enumeration")
     a, b, c, d = _digits(N, 4, np.int32)

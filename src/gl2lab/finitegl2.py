@@ -17,7 +17,7 @@ import numpy as np
 from .cyclotomic import CyclotomicValue
 from .errors import DomainError
 from .gl2group import _group_and_labels
-from .padic import _is_prime, group_order_gl2
+from .padic import check_prime_level, group_order_gl2
 
 
 def _totient_prime_power(p, n):
@@ -83,8 +83,7 @@ class FiniteGL2:
         return cls._cache[key]
 
     def _build(self, p, n):
-        if not _is_prime(p) or n < 1:
-            raise DomainError("need a prime p and n >= 1")
+        check_prime_level(p, n)
         self.p, self.n, self.mod = p, n, p**n
         # over Z/p^n a ring code is the residue itself and sigma is trivial
         _, G, _, labels = _group_and_labels(p, 1, n)

@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, List, Optional
 
+from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
 from .padic import (LocalContext, LocalMatrix, factor_prime_power, get_context,
                     group_order_gl2)
@@ -25,6 +26,19 @@ from .testfunc import branch_value_t, phi_branch, phi_pn, phi_pnt
 
 # ---------------------------------------------------------------------------
 # canonical right-coset keys
+
+
+def coset_key_head(g: LocalMatrix, n: int):
+    """(e, d) for g = p^e * M with d = v(det M), the first two parts of the
+    coset key of g, found without the Hermite basis.
+
+    Raises PrecisionExhausted unless M has the max(n + d, 1) certified digits
+    that the rest of the key reads.
+    """
+    d = g.det_valuation() - 2 * g.e
+    if g.prec < max(n + d, 1):
+        raise PrecisionExhausted("coset key needs more certified digits")
+    return g.e, d
 
 
 def canonical_coset_rep(g: LocalMatrix, n: int):
@@ -38,10 +52,8 @@ def canonical_coset_rep(g: LocalMatrix, n: int):
     """
     ctx = g.ctx
     p = ctx.p
-    d = g.det_valuation() - 2 * g.e  # valuation of det of the primitive part
+    e, d = coset_key_head(g, n)
     depth = max(n + d, 1)
-    if g.prec < depth:
-        raise PrecisionExhausted("coset key needs more certified digits")
     top, bottom = g.m[:2], g.m[2:]
     vals = [x.valuation_below(depth) for x in top]
     a = min((v for v in vals if v is not None), default=d)
@@ -64,7 +76,7 @@ def canonical_coset_rep(g: LocalMatrix, n: int):
                 raise AssertionError(f"p^{a} * {z} - {c} * {y} is not "
                                      f"divisible by p^{d}")
             rows += (tuple(x // pd % pn for x in num),)
-    return (g.e, d, a, c.coeffs, rows)
+    return (e, d, a, c.coeffs, rows)
 
 
 def in_congruence_subgroup(x: LocalMatrix, n: int) -> bool:
@@ -104,10 +116,15 @@ class CosetFunction:
         self.support = support or {}
         self.formula = formula
         self.zero = zero
+        # a point whose (e, d) no support key has is off the support, so
+        # the rest of its key is never computed
+        self.heads = {key[:2] for key in self.support}
 
     def __call__(self, g: LocalMatrix):
         if self.formula is not None:
             return self.formula(g)
+        if coset_key_head(g, self.n) not in self.heads:
+            return self.zero
         hit = self.support.get(canonical_coset_rep(g, self.n))
         return hit[1] if hit is not None else self.zero
 
@@ -244,7 +261,7 @@ def convolve(f1: CosetFunction, f2: CosetFunction, at: List[LocalMatrix]):
 
 
 def branch_covering_sample(ctx: LocalContext, n: int, count: int = 200,
-                           seed: int = 20259):
+                           seed: int = DEFAULT_SEED):
     """Matrices hitting every branch of the level-n function."""
     p, q = ctx.p, ctx.q
     rnd = random.Random(seed)
@@ -283,7 +300,7 @@ def _random_unimodular(ctx, rnd):
 
 
 def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
-                         seed: int = 20259):
+                         seed: int = DEFAULT_SEED):
     """phi_{p,n,t} = phi_{p,n+1,t} * e_{Gamma(p^n)} on a branch-covering sample.
 
     Also asserts that specializing t := q reproduces the undeformed level-n
@@ -311,7 +328,7 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
 
 
 def centrality_check(q: int, n: int, generators=None, count: int = 100,
-                     seed: int = 20259):
+                     seed: int = DEFAULT_SEED):
     """phi * f = f * phi for double-coset generators f, sampled exactly.
 
     With d the det valuation of a primitive part, the key of h^-1 g reads

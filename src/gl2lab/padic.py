@@ -138,6 +138,23 @@ def _is_prime(p):
     return p >= 2 and _least_prime_factor(p) == p
 
 
+# Input rules of the table layers, kept here, free of numpy, so that the
+# command line rejects bad input before it loads those layers.
+
+def check_prime_level(p, n):
+    """GL2(Z/p^n) needs a prime p and n >= 1."""
+    if not _is_prime(p) or n < 1:
+        raise DomainError("need a prime p and n >= 1")
+
+
+def check_boundary_input(p, r, n, m):
+    """The boundary term needs p prime, r, n >= 1 and m >= 3 prime to p."""
+    if not _is_prime(p) or r < 1 or n < 1:
+        raise DomainError("boundary term needs a prime p, r >= 1 and n >= 1")
+    if m < 3 or m % p == 0:
+        raise DomainError("level m >= 3 prime to p required")
+
+
 def factor_prime_power(q: int):
     """(p, r) with q = p^r."""
     if q < 2:

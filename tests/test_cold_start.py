@@ -1,0 +1,92 @@
+"""The local-path commands and malformed table input load no table layer.
+
+Each command runs in a fresh interpreter, as from the console script, and
+reports which of the numpy-backed modules it left loaded.  No bytecode is
+written.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+TABLE_MODULES = ("numpy", "gl2lab.gl2group", "gl2lab.finitegl2",
+                 "gl2lab.basechange", "gl2lab.curves")
+
+RUN = """
+import contextlib, io, json, sys
+from gl2lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps({{"code": code,
+                   "loaded": [m for m in {modules!r} if m in sys.modules]}}))
+"""
+
+
+def _fresh(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-B", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _run(argv):
+    return _fresh(RUN.format(argv=argv, modules=TABLE_MODULES))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0],[0,1]]"],
+    ["eval-phi", "--p", "3", "--n", "2", "--matrix", "[[3,0],[0,4]]",
+     "--deformed"],
+    ["tree-orbital", "--p", "2", "--n", "1", "--gamma", "[[0,1],[-2,0]]"],
+    ["tree-fixed-set", "--p", "2", "--gamma", "[[2,1],[0,1]]"],
+    ["tree-fixed-set", "--p", "2", "--verify", "--probes", "5"],
+    ["verify-orbital", "--q", "3", "--n", "1", "--samples", "10"],
+    ["verify-tower", "--q", "2", "--n", "1", "--samples", "5"],
+    ["verify-central", "--q", "2", "--n", "1", "--samples", "3"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_local_path_command_loads_no_table_layer(argv):
+    assert _run(argv) == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["char-table", "--p", "2", "--n", "0"],
+    ["ss-trace", "--p", "4", "--n", "1", "--kind", "supersingular"],
+    ["boundary", "--p", "7", "--n", "1", "--m", "2"],
+    ["boundary", "--p", "6", "--n", "1", "--m", "5"],
+    ["census", "--q", "6", "--m", "3"],
+], ids=" ".join)
+def test_malformed_table_command_exits_before_the_table_layer(argv):
+    assert _run(argv) == {"code": 2, "loaded": []}
+
+
+def test_a_table_command_still_loads_its_layer():
+    rep = _run(["char-table", "--p", "2", "--n", "1"])
+    assert rep["code"] == 0 and "gl2lab.finitegl2" in rep["loaded"]
+
+
+TRACED = """
+import json, sys
+sys.path.insert(0, {bench!r})
+from tracer import COUNTED_CACHES, LRU_CACHES, TIMED
+import gl2lab.campaigns
+named = {{module for module, _ in TIMED.values()}}
+named |= {{module for (module, _), _ in COUNTED_CACHES.values()}}
+named |= {{module for module, _ in LRU_CACHES.values()}}
+named.discard("gl2lab.cli")   # the tracer imports the CLI by name
+print(json.dumps({{"named": sorted(named),
+                   "missing": sorted(named - set(sys.modules))}}))
+"""
+
+
+def test_campaigns_binds_every_layer_the_tracer_names():
+    rep = _fresh(TRACED.format(bench=os.path.join(ROOT, "perfbench")))
+    assert "gl2lab.curves" in rep["named"] and rep["missing"] == []

@@ -220,6 +220,43 @@ def test_failed_census_row_keeps_its_witness(monkeypatch):
                               "trace": "5", "count": "0"}
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_hasse_invariant_vanishes_exactly_when_p_divides_the_trace(q):
+    p, _ = factor_prime_power(q)
+    curves = enumerate_curves(q)
+    assert [E.hasse_invariant() == 0 for E in curves] == \
+        [E.trace % p == 0 for E in curves]
+
+
+def test_hasse_invariant_on_known_curves():
+    # y^2 = x^3 + 1 is supersingular iff p = 2 mod 3, y^2 = x^3 + x iff
+    # p = 3 mod 4
+    assert WeierstrassCurve(5, (0, 0, 0, 0, 1)).hasse_invariant() == 0
+    assert WeierstrassCurve(7, (0, 0, 0, 0, 1)).hasse_invariant() != 0
+    assert WeierstrassCurve(7, (0, 0, 0, 1, 0)).hasse_invariant() == 0
+    assert WeierstrassCurve(5, (0, 0, 0, 1, 0)).hasse_invariant() != 0
+
+
+def test_census_row_fails_when_the_count_moves_the_trace_mod_p(monkeypatch):
+    # a count one lower keeps the trace inside the Weil bound but makes an
+    # ordinary curve's trace even, which its Hasse invariant (a1) contradicts
+    from gl2lab import campaigns
+    curves = enumerate_curves(4)
+    i = next(i for i, E in enumerate(curves) if E.trace in (-3, -1, 1, 3))
+    E = curves[i]
+    assert E.hasse_invariant() != 0
+    fake = dataclasses.replace(E)
+    fake.count = lambda: E.count() - 1
+    monkeypatch.setattr(campaigns, "enumerate_curves",
+                        lambda q: curves[:i] + [fake] + curves[i + 1:])
+    rows = [c.to_dict() for c in campaigns.census_checks(qs=(4,),
+                                                         boundary_cases=())
+            if c.name == "weil-and-supersingular-criteria"]
+    assert len(rows) == 1 and not rows[0]["pass"] and rows[0]["actual"] == 1
+    assert rows[0]["witness"] == {"a": str(E.a), "trace": str(E.trace + 1),
+                                  "count": str(E.count() - 1)}
+
+
 def test_automorphisms_act_freely_on_bases():
     # direct-action freeness behind the integrality of the moduli count
     q, m = 7, 3

@@ -15,7 +15,7 @@ from gl2lab import hecke
 from gl2lab.errors import DomainError, PrecisionExhausted, ResourceLimit
 from gl2lab.hecke import (CosetFunction, branch_covering_sample,
                           canonical_coset_rep, centrality_check,
-                          congruence_elements, convolve,
+                          congruence_elements, convolve, coset_key_head,
                           double_coset_indicator, e_congruence,
                           in_congruence_subgroup, phi0_support, phi_formula,
                           phi_support, same_coset, tower_identity_check,
@@ -439,6 +439,44 @@ def test_convolve_whole_sample_matches_per_point(monkeypatch):
     for f1, f2, at, out in calls:
         assert len(at) == total
         assert out == [convolve(f1, f2, [g])[0] for g in at]
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2)])
+def test_support_lookup_skips_only_points_off_its_heads(monkeypatch, q, n):
+    # every support-backed lookup of a centrality run against the full key
+    filtered = CosetFunction.__call__
+    seen = {"lookups": 0, "skipped": 0, "wrong": []}
+
+    def both(self, g):
+        got = filtered(self, g)
+        if self.formula is None:
+            hit = self.support.get(canonical_coset_rep(g, self.n))
+            if got != (hit[1] if hit is not None else self.zero):
+                seen["wrong"].append(g.to_text())
+            seen["lookups"] += 1
+            seen["skipped"] += coset_key_head(g, self.n) not in self.heads
+        return got
+
+    monkeypatch.setattr(CosetFunction, "__call__", both)
+    ctx = get_context(q, 1, 10)
+    w = LocalMatrix.from_integers(ctx, [[q, 0], [0, 1]])
+    ok, _, _ = centrality_check(q, n, generators=[w], count=3)
+    assert ok and seen["wrong"] == []
+    assert 0 < seen["skipped"] < seen["lookups"]
+
+
+def test_off_support_lookup_still_needs_its_key_digits():
+    ctx = get_context(2, 1, 10)
+    f = double_coset_indicator(ctx, 2, LocalMatrix.from_integers(
+        ctx, [[2, 0], [0, 1]]))
+    g = LocalMatrix.from_integers(ctx, [[4, 0], [0, 1]])
+    assert coset_key_head(g, 2) == (0, 2)
+    assert (0, 2) not in f.heads and f(g) == 0
+    # d = 2 is certified by 3 digits, the key at n = 2 needs n + d = 4
+    short = LocalMatrix(ctx, g.e, g.m, prec=3)
+    assert short.det_valuation() == 2
+    with pytest.raises(PrecisionExhausted):
+        f(short)
 
 
 def test_centrality_at_level_two():
