@@ -112,30 +112,29 @@ def orbital_checks(cases=((2, 1), (2, 2), (3, 1), (3, 2)), per=50,
         ctx = get_context(q, 1, 2 * n + 6)
         sample = _orbital_sample(ctx, n, per, seed)
         branches = {"trace-divisible": 0, "ell-at-least-n": 0, "ell-below-n": 0}
-        bad = 0
+        fails = []  # (gamma, closed form, ratio), one per failed comparison
         for g in sample:
             ratio, supported = orbital_ratio(g, n)
             inv = GammaInvariants.from_matrix(g, n)
-            if ratio != c_closed(inv, n, q):
-                bad += 1
+            closed = c_closed(inv, n, q)
             if inv.v_tr >= 1:
                 branches["trace-divisible"] += 1
                 # the proof-line coefficient is ratio / (q - 1)
                 coeff = -(1 + q) * sum(q**i for i in range(n))
-                if ratio != coeff * (q - 1):
-                    bad += 1
+                branch = coeff * (q - 1)
             elif not (inv.ell < n):
                 branches["ell-at-least-n"] += 1
-                if ratio != (q**(2 * n - 1) + q**(2 * n - 2)) * (q - 1):
-                    bad += 1
+                branch = (q**(2 * n - 1) + q**(2 * n - 2)) * (q - 1)
             else:
                 branches["ell-below-n"] += 1
-                if ratio != 0:
-                    bad += 1
+                branch = 0
+            fails += [(g, want, ratio) for want in (closed, branch)
+                      if ratio != want]
         out.append(Check("orbital-ratio-closed-form",
                          {"q": q, "n": n, "samples": len(sample),
                           "branches": branches},
-                         0, bad))
+                         0, len(fails),
+                         _witness(fails, ("gamma", "closed_form", "ratio"))))
         # at p = 2 every unit is 1 mod 2, so ell < n is unreachable for n = 1
         reachable = ["trace-divisible", "ell-at-least-n"]
         if q != 2 or n >= 2:
@@ -154,7 +153,7 @@ def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
     for q in qs:
         ctx = get_context(q, 1, 14)
         rnd = random.Random(seed + q)
-        bad_unique, bad_k, tested = 0, 0, 0
+        bad_unique, bad_k, tested = [], [], 0
         while tested < probes:
             rows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
             try:
@@ -176,16 +175,19 @@ def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
                 continue
             rep = fixed_set(g, k + 1)
             if not rep.nearest_unique:
-                bad_unique += 1
+                bad_unique.append((g, rep.nearest, rep.nearest_unique))
             if rep.k_tree != k:
-                bad_k += 1
+                bad_k.append((g, k, rep.k_tree))
             tested += 1
         out.append(Check("nearest-vertex-unique", {"q": q, "probes": tested},
-                         0, bad_unique))
+                         0, len(bad_unique),
+                         _witness(bad_unique,
+                                  ("gamma", "nearest", "nearest_unique"))))
         out.append(Check("k-tree-equals-k", {"q": q, "probes": tested},
-                         0, bad_k))
+                         0, len(bad_k),
+                         _witness(bad_k, ("gamma", "k", "k_tree"))))
         # neighbor counts, exhaustive over residue matrices mod p
-        bad_counts = 0
+        bad_counts = []  # (gamma, values), one per failed comparison
         seen_counts = set()
         for a in range(q):
             for b in range(q):
@@ -198,17 +200,20 @@ def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
                         stab_nbrs = sum(
                             1 for v in enumerate_vertices(ctx, 1)
                             if v.d == 1 and stabilizes(lifted, v))
-                        if fixed_lines != stab_nbrs:
-                            bad_counts += 1
                         expected = 1 if lifted.trace_val_ge(1) else 2
-                        if fixed_lines != expected:
-                            bad_counts += 1
                         seen_counts.add(q + 1 - fixed_lines)
-                        if (q + 1 - fixed_lines) not in (q, q - 1):
-                            bad_counts += 1
+                        for ok in (fixed_lines == stab_nbrs,
+                                   fixed_lines == expected,
+                                   q + 1 - fixed_lines in (q, q - 1)):
+                            if not ok:
+                                bad_counts.append((lifted, fixed_lines,
+                                                   stab_nbrs, expected))
         out.append(Check("neighbor-non-stabilized-counts",
                          {"q": q, "counts_seen": sorted(seen_counts)},
-                         0, bad_counts))
+                         0, len(bad_counts),
+                         _witness(bad_counts,
+                                  ("gamma", "fixed_lines",
+                                   "stabilized_neighbors", "expected"))))
     return out
 
 

@@ -6,11 +6,12 @@ usage error.  Reports are byte-deterministic for a fixed configuration
 and seed; wall-clock timings go to stderr only.
 
 Each command imports the layers it uses when it runs, and the table
-commands check p, n, q and the boundary level with the table layers' own
-rules (in `padic`) before they load them.  So the local-path commands
-(eval-phi, tree-orbital, tree-fixed-set, verify-tower, verify-central,
-verify-orbital) run without numpy, and so does a table command whose prime,
-level, prime power or boundary input is malformed.
+commands check p, n, q, r, the point kind and residue and the level m with
+the table layers' own rules (in `padic`) before they load them.  So the
+local-path commands (eval-phi, tree-orbital, tree-fixed-set, verify-tower,
+verify-central, verify-orbital) run without numpy, and so does a table
+command whose prime, level, prime power, point or boundary input is
+malformed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import time
 
 from . import DEFAULT_SEED
 from .errors import DomainError, GL2LabError
-from .padic import (LocalMatrix, check_boundary_input, check_prime_level,
+from .padic import (LocalMatrix, check_boundary_input, check_level,
+                    check_point_trace_input, check_prime_level,
                     factor_prime_power, get_context)
 
 SCHEMA_VERSION = "1"
@@ -294,6 +296,7 @@ def _run_command(args) -> int:
 
     if cmd == "ss-trace":
         check_prime_level(args.p, args.n)
+        check_point_trace_input(args.p, args.r, args.kind, args.a)
         from .finitegl2 import FiniteGL2, e_gamma, ss_trace_point
         G = FiniteGL2(args.p, args.n)
         val = ss_trace_point(args.kind, e_gamma(G), args.p, args.r, args.n,
@@ -362,6 +365,7 @@ def _run_command(args) -> int:
         p, r = factor_prime_power(args.q)
         if args.r is not None and args.r != r:
             raise DomainError(f"q = {args.q} forces r = {r}")
+        check_level(p, args.m)
         from .curves import enumerate_curves, level_m_count, ss_lefschetz
         rep = ss_lefschetz(p, r, args.n, args.m)
         curves = enumerate_curves(args.q)

@@ -26,8 +26,8 @@ from .errors import DomainError, ResourceLimit, check_cap
 from .finitegl2 import FiniteGL2, e_gamma, fixed_surjections, ss_trace_point
 from .gl2group import MatGroup, RingTables
 from .padic import (LocalMatrix, _least_prime_factor, check_boundary_input,
-                    factor_prime_power, get_context, group_order_gl2,
-                    unit_eigenvalue)
+                    check_level, factor_prime_power, get_context,
+                    group_order_gl2, unit_eigenvalue)
 
 
 class SmallField:
@@ -371,11 +371,7 @@ def _index_among(mask):
 
 def level_m_count(E: WeierstrassCurve, m: int) -> int:
     """Moduli points above E: ordered bases of E[m](F_q) divided by |Aut|."""
-    p, _ = factor_prime_power(E.q)
-    if m < 3:
-        raise DomainError("level m >= 3 required")
-    if m % p == 0:
-        raise DomainError("level must be prime to the characteristic")
+    check_level(factor_prime_power(E.q)[0], m)
     tors = [P for P in E.points() if E.scalar_mul(m, P) is None]
     if len(tors) != m * m:
         return 0

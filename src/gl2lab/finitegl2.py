@@ -17,7 +17,8 @@ import numpy as np
 from .cyclotomic import CyclotomicValue
 from .errors import DomainError
 from .gl2group import _group_and_labels
-from .padic import check_prime_level, group_order_gl2
+from .padic import (check_point_trace_input, check_prime_level,
+                    group_order_gl2)
 
 
 def _totient_prime_power(p, n):
@@ -295,17 +296,12 @@ def ss_trace_point(kind: str, h: ClassFunction, p: int, r: int, n: int,
     ordinary:      sum_chi tr(h | Ind(1 x chi)) chi(a)^-1
     supersingular: tr(h | 1) - p^r tr(h | St)
     """
-    if r < 1:
-        raise DomainError("semisimple point trace needs r >= 1")
+    check_point_trace_input(p, r, kind, a)
     G = FiniteGL2(p, n)
     if kind == "supersingular":
         one = tr_rep(h, trivial_character(G))
         st = tr_rep(h, steinberg_character(p, n))
         return one - st * p**r
-    if kind != "ordinary":
-        raise DomainError("kind must be 'ordinary' or 'supersingular'")
-    if a is None or a % p == 0:
-        raise DomainError("ordinary point needs a unit eigenvalue residue")
     a_inv = pow(a, -1, G.mod)
     acc = CyclotomicValue.rational(G.char_order, 0)
     for chi in G.characters():

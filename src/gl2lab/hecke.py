@@ -19,10 +19,11 @@ from typing import Callable, List, Optional
 
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
-from .padic import (LocalContext, LocalMatrix, factor_prime_power, get_context,
-                    group_order_gl2)
+from .padic import (LocalContext, LocalMatrix, _o_add, _o_mul, _o_sub,
+                    ell_min_scaled, factor_prime_power, get_context,
+                    group_order_gl2, scaled_val_ge)
 from .ratfunc import RationalFunctionT
-from .testfunc import branch_value_t, phi_branch, phi_pn, phi_pnt
+from .testfunc import branch_key, branch_value_t, phi_pn, phi_pnt
 
 # ---------------------------------------------------------------------------
 # canonical right-coset keys
@@ -179,6 +180,95 @@ def congruence_elements(ctx: LocalContext, n: int, depth: int):
         yield LocalMatrix.from_integers(ctx, [ents[:2], ents[2:]])
 
 
+def tower_tr_det(ctx: LocalContext, m, n: int, modulus: int) -> Counter:
+    """How often each (tr(M u), det(M u)) mod `modulus` occurs over u in
+    Gamma(p^n)/Gamma(p^(n+1)), for M given by the integer coefficient tuples
+    m = (a, b, c, d) of its entries; the pairs are coefficient tuples.
+
+    With u = 1 + p^n X, tr(M u) = tr M + p^n (a x11 + d x22) + p^n (c x12 + b x21)
+    and det(M u) = det M (1 + p^n x11)(1 + p^n x22) - det M p^(2n) x12 x21:
+    each is a part in (x11, x22) plus a part in (x12, x21), so the q^4 pairs
+    come from two tables of q^2 entries, each counted by its residues first.
+    """
+    p, r, f = ctx.p, ctx.r, ctx.defining_poly
+    a, b, c, d = m
+    digits = list(itertools.product(range(p), repeat=r))
+    pn = p**n
+
+    def scaled(x, s=pn):
+        return tuple(s * y for y in x)
+
+    def residues(pairs):
+        return Counter((tuple(y % modulus for y in tr),
+                        tuple(y % modulus for y in det)) for tr, det in pairs)
+
+    one = (1,) + (0,) * (r - 1)
+    tr_m = _o_add(a, d)
+    det_m = _o_sub(_o_mul(a, d, f), _o_mul(b, c, f))
+    diagonal = residues(
+        (_o_add(tr_m, scaled(_o_add(_o_mul(a, x11, f), _o_mul(d, x22, f)))),
+         _o_mul(det_m, _o_mul(_o_add(one, scaled(x11)),
+                              _o_add(one, scaled(x22)), f), f))
+        for x11, x22 in itertools.product(digits, repeat=2))
+    cross = residues(
+        (scaled(_o_add(_o_mul(c, x12, f), _o_mul(b, x21, f))),
+         _o_mul(det_m, scaled(_o_mul(x12, x21, f), pn * pn), f))
+        for x12, x21 in itertools.product(digits, repeat=2))
+    out = Counter()
+    for (t1, d1), c1 in diagonal.items():
+        for (t2, d2), c2 in cross.items():
+            out[tuple((x + y) % modulus for x, y in zip(t1, t2)),
+                tuple((x - y) % modulus for x, y in zip(d1, d2))] += c1 * c2
+    return out
+
+
+class _ReadsPairs(Exception):
+    """The branch of g u depends on the pair (tr(M u), det(M u))."""
+
+
+def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
+    """Counter(phi_branch(g @ u, n + 1) for u in congruence_elements(ctx, n, 1)),
+    without forming the products.
+
+    g = p^e M and g u = p^e M u have the same e, so the same k = -e, and the
+    same v(det); the branch reads g u only through tr(M u) and det(M u)
+    (`tower_tr_det`), never deeper than p^(n + 1 + k).  So the pairs are
+    counted mod that power, and each residue is classified once, certified
+    as g u would be: for an exact g the trace predicates are exact, otherwise
+    every read is mod p^prec(g) and raises PrecisionExhausted where g u would.
+    """
+    if n < 1:
+        raise DomainError(f"tower averages need n >= 1, got {n}")
+    ctx, p, e = g.ctx, g.ctx.p, g.e
+    check_cap(ctx.q**4, "congruence subgroup enumeration")
+    if g.exact is not None:
+        # an exact product g u is exact again, with ctx.N digits
+        m, v_det, tr_prec, prec = g.exact, g.det_valuation(), None, ctx.N
+    else:
+        # g u keeps the digits of g, but not its exact trace and determinant
+        prec = g.prec
+        m = tuple(x.coeffs for x in g.m)
+        v_det = LocalMatrix(ctx, e, g.m, prec=prec).det_valuation()
+        tr_prec = prec
+
+    def read(*_):
+        raise _ReadsPairs
+
+    try:
+        # a branch reached without reading tr or ell is that of every g u
+        return Counter({branch_key(n + 1, -e, v_det, read, read): ctx.q**4})
+    except _ReadsPairs:
+        pass
+    keys = Counter()
+    for (tr, det), c in tower_tr_det(ctx, m, n, p**max(n + 1 - e, 0)).items():
+        keys[branch_key(
+            n + 1, -e, v_det,
+            lambda j: scaled_val_ge(tr, e, j, p, tr_prec),
+            lambda cap: ell_min_scaled(ctx.el(tr), ctx.el(det), e, prec,
+                                       cap))] += c
+    return keys
+
+
 def _support_candidates(q: int, n: int) -> int:
     """Candidates p^-k H U that phi_support lists, a bound on its support."""
     return sum(q**(2 * k) * (q + 1) for k in range(n)) * group_order_gl2(q, n)
@@ -303,20 +393,20 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
                          seed: int = DEFAULT_SEED):
     """phi_{p,n,t} = phi_{p,n+1,t} * e_{Gamma(p^n)} on a branch-covering sample.
 
-    Also asserts that specializing t := q reproduces the undeformed level-n
+    Also checks that specializing t := q reproduces the undeformed level-n
     function on the same sample.  Exact rational-function equality.  The
     level-(n+1) value at g u depends only on the branch key of g u, so the
-    average over u is a count of keys times one value per distinct key.
+    average over u is a count of keys (`tower_key_histogram`) times one
+    value per distinct key.
     """
     p, r = factor_prime_power(q)
     ctx = get_context(p, r, 2 * (n + 1) + 6)
     if sample is None:
         sample = branch_covering_sample(ctx, n + 1, count=count, seed=seed)
-    us = list(congruence_elements(ctx, n, 1))
     failures = []
     for g in sample:
-        keys = Counter(phi_branch(g @ u, n + 1) for u in us)
-        avg = sum((branch_value_t(q, n + 1, *key) * Fraction(c, len(us))
+        keys = tower_key_histogram(g, n)
+        avg = sum((branch_value_t(q, n + 1, *key) * Fraction(c, q**4)
                    for key, c in keys.items()), RationalFunctionT.zero(q))
         lhs = phi_pnt(g, n)
         if not (avg == lhs):

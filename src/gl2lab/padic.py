@@ -147,12 +147,30 @@ def check_prime_level(p, n):
         raise DomainError("need a prime p and n >= 1")
 
 
+def check_level(p, m):
+    """A full level-m structure in characteristic p needs m >= 3 prime to p."""
+    if m < 3:
+        raise DomainError("level m >= 3 required")
+    if m % p == 0:
+        raise DomainError("level must be prime to the characteristic")
+
+
 def check_boundary_input(p, r, n, m):
     """The boundary term needs p prime, r, n >= 1 and m >= 3 prime to p."""
     if not _is_prime(p) or r < 1 or n < 1:
         raise DomainError("boundary term needs a prime p, r >= 1 and n >= 1")
-    if m < 3 or m % p == 0:
-        raise DomainError("level m >= 3 prime to p required")
+    check_level(p, m)
+
+
+def check_point_trace_input(p, r, kind, a=None):
+    """A semisimple point trace needs r >= 1 and a known kind; an ordinary
+    point also needs its unit eigenvalue residue a, prime to p."""
+    if r < 1:
+        raise DomainError("semisimple point trace needs r >= 1")
+    if kind not in ("ordinary", "supersingular"):
+        raise DomainError("kind must be 'ordinary' or 'supersingular'")
+    if kind == "ordinary" and (a is None or a % p == 0):
+        raise DomainError("ordinary point needs a unit eigenvalue residue")
 
 
 def factor_prime_power(q: int):
@@ -484,6 +502,18 @@ def _as_ocoeffs(entry, r):
     return t
 
 
+def scaled_val_ge(coeffs, shift, k, p, prec=None):
+    """Certified v(p^shift * x) >= k for x in O given by integer coefficients:
+    exact when prec is None, else x is known mod p^prec only."""
+    need = k - shift
+    if need <= 0:
+        return True
+    if prec is not None and need > prec:
+        raise PrecisionExhausted("trace predicate deeper than certified digits")
+    pk = p**need
+    return all(c % pk == 0 for c in coeffs)
+
+
 def _exact_min_val(flat_entries, p):
     vals = [vp_int(c, p) for entry in flat_entries for c in entry]
     return min(vals)
@@ -649,14 +679,9 @@ class LocalMatrix:
         """Certified predicate v_p(tr g) >= k."""
         if self.exact_tr is not None:
             sh, coeffs = self.exact_tr
-            pk = self.ctx.p**max(k - sh, 0)
-            return all(c % pk == 0 for c in coeffs)
-        need = k - self.e
-        if need <= 0:
-            return True
-        if need > self.prec:
-            raise PrecisionExhausted("trace predicate deeper than certified digits")
-        return self.trace_gre().valuation_below(need) is None
+            return scaled_val_ge(coeffs, sh, k, self.ctx.p)
+        return scaled_val_ge(self.trace_gre().coeffs, self.e, k, self.ctx.p,
+                             self.prec)
 
     # -- equality / encoding ----------------------------------------------------
 
@@ -712,8 +737,13 @@ def _scaled_gre(x: GaloisRingElement, shift: int, prec: int):
 
 def _tr_det(g: LocalMatrix):
     """(tr g, det g, K): trace and determinant of g, both known mod p^K."""
-    tr, ktr = _scaled_gre(g.trace_gre(), g.e, g.prec)
-    det, kdet = _scaled_gre(g.det_gre(), 2 * g.e, g.prec)
+    return _scaled_tr_det(g.trace_gre(), g.det_gre(), g.e, g.prec)
+
+
+def _scaled_tr_det(tr, det, e, prec):
+    """(p^e tr, p^2e det, K) for tr and det known mod p^prec."""
+    tr, ktr = _scaled_gre(tr, e, prec)
+    det, kdet = _scaled_gre(det, 2 * e, prec)
     return tr, det, min(ktr, kdet)
 
 
@@ -728,7 +758,13 @@ def _require_ell_domain(g: LocalMatrix):
 def ell_min(g: LocalMatrix, cap: int):
     """min(ell(g), cap), certified; needs v_p(det g) >= 1 and v_p(tr g) = 0."""
     _require_ell_domain(g)
-    tr, det, K = _tr_det(g)
+    return ell_min_scaled(g.trace_gre(), g.det_gre(), g.e, g.prec, cap)
+
+
+def ell_min_scaled(tr, det, e, prec, cap):
+    """min(v(1 - p^e tr + p^2e det), cap) for tr and det known mod p^prec,
+    certified as ell_min certifies g = p^e M from tr M and det M."""
+    tr, det, K = _scaled_tr_det(tr, det, e, prec)
     if K < cap:
         raise PrecisionExhausted(f"need {cap} certified digits, have {K}")
     v = (1 - tr + det).valuation_below(cap)

@@ -36,11 +36,22 @@ def phi_branch(g: LocalMatrix, n: int):
     if n < 1:
         raise DomainError("phi_pn needs n >= 1")
     k = k_of(g)
-    if g.det_valuation() != 1 or not g.trace_val_ge(0) or k > n - 1:
+    return branch_key(n, k, g.det_valuation(), g.trace_val_ge,
+                      lambda cap: ell_min(g, cap))
+
+
+def branch_key(n: int, k: int, v_det: int, trace_val_ge, ell_capped):
+    """The level-n decision tree on the invariants of an element g.
+
+    k = k(g) and v_det = v_p(det g); trace_val_ge(j) certifies v_p(tr g) >= j
+    and ell_capped(c) certifies min(ell(g), c).  Each is called only where
+    the tree reads it, so a read that lacks digits raises where it is made.
+    """
+    if v_det != 1 or not trace_val_ge(0) or k > n - 1:
         return OFF_SUPPORT, k, None
-    if g.trace_val_ge(1):
+    if trace_val_ge(1):
         return TRACE_DIVISIBLE, k, None
-    lm = ell_min(g, n - k)
+    lm = ell_capped(n - k)
     if lm < n - k:
         return SMALL_ELL, k, lm
     return LARGE_ELL, k, lm

@@ -296,3 +296,91 @@ def test_failed_tower_row_keeps_its_witness(capsys, monkeypatch):
     wit = json.loads(out)["checks"][0]["witness"]
     assert set(wit) == {"g", "level_n", "average"}
     assert Fraction(wit["level_n"]) == Fraction(wit["average"]) + 1
+
+
+def _rows(out):
+    return {row["name"]: row for row in json.loads(out)["checks"]}
+
+
+def test_failed_orbital_row_keeps_its_witness(capsys, monkeypatch):
+    from gl2lab import checks
+
+    argv = ["verify-orbital", "--q", "3", "--n", "1", "--samples", "10"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and "witness" not in _rows(out)["orbital-ratio-closed-form"]
+    real = checks.c_closed
+    monkeypatch.setattr(checks, "c_closed", lambda inv, n, q: real(inv, n, q) + 1)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    row = _rows(out)["orbital-ratio-closed-form"]
+    assert not row["pass"] and row["actual"] == 10
+    wit = row["witness"]
+    assert set(wit) == {"gamma", "closed_form", "ratio"}
+    assert wit["gamma"].startswith("p^")
+    assert int(wit["closed_form"]) == int(wit["ratio"]) + 1
+
+
+TREE_ARGV = ["tree-fixed-set", "--p", "2", "--verify", "--probes", "5"]
+
+
+def test_passing_tree_rows_carry_no_witness(capsys):
+    code, out = run(capsys, *TREE_ARGV)
+    assert code == 0
+    assert not any("witness" in row for row in _rows(out).values())
+
+
+@pytest.mark.parametrize("field,value,name,keys", [
+    ("nearest_unique", False, "nearest-vertex-unique",
+     {"gamma", "nearest", "nearest_unique"}),
+    ("k_tree", 99, "k-tree-equals-k", {"gamma", "k", "k_tree"}),
+])
+def test_failed_tree_probe_row_keeps_its_witness(capsys, monkeypatch, field,
+                                                 value, name, keys):
+    import dataclasses
+
+    from gl2lab import checks
+
+    real = checks.fixed_set
+    monkeypatch.setattr(checks, "fixed_set", lambda g, depth: dataclasses.replace(
+        real(g, depth), **{field: value}))
+    code, out = run(capsys, *TREE_ARGV)
+    assert code == 1
+    rows = _rows(out)
+    assert not rows[name]["pass"] and rows[name]["actual"] == 5
+    wit = rows[name]["witness"]
+    assert set(wit) == keys and wit["gamma"].startswith("p^")
+    assert wit[field] == str(value)
+    if field == "k_tree":
+        assert int(wit["k"]) != 99
+    other = ({"nearest-vertex-unique", "k-tree-equals-k"} - {name}).pop()
+    assert rows[other]["pass"] and "witness" not in rows[other]
+
+
+def test_failed_neighbor_count_row_keeps_its_witness(capsys, monkeypatch):
+    from gl2lab import checks
+
+    real = checks.stabilized_line_count
+    monkeypatch.setattr(checks, "stabilized_line_count",
+                        lambda g: real(g) + 1)
+    code, out = run(capsys, *TREE_ARGV)
+    assert code == 1
+    row = _rows(out)["neighbor-non-stabilized-counts"]
+    assert not row["pass"] and row["actual"] > 0
+    wit = row["witness"]
+    assert set(wit) == {"gamma", "fixed_lines", "stabilized_neighbors",
+                        "expected"}
+    assert wit["gamma"].startswith("p^")
+    # one too many fixed lines: neither the neighbors nor the closed form agree
+    assert int(wit["fixed_lines"]) == int(wit["stabilized_neighbors"]) + 1
+    assert int(wit["fixed_lines"]) == int(wit["expected"]) + 1
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_verify_tower_reaches_extension_fields(capsys, q):
+    # r = 2: the average runs on the coefficient pairs, not on q^4 products
+    code, out = run(capsys, "verify-tower", "--q", str(q), "--n", "1",
+                    "--samples", "12")
+    rep = json.loads(out)
+    assert code == 0 and rep["summary"] == {"failed": 0, "passed": 1,
+                                            "total": 1}
+    assert rep["checks"][0]["inputs"] == {"q": q, "n": 1, "samples": 12}

@@ -68,6 +68,18 @@ def test_malformed_table_command_exits_before_the_table_layer(argv):
     assert _run(argv) == {"code": 2, "loaded": []}
 
 
+@pytest.mark.parametrize("argv", [
+    ["ss-trace", "--p", "3", "--r", "0", "--n", "1", "--kind",
+     "supersingular"],
+    ["ss-trace", "--p", "3", "--n", "1", "--kind", "ordinary"],
+    ["ss-trace", "--p", "3", "--n", "1", "--kind", "ordinary", "--a", "6"],
+    ["census", "--q", "5", "--m", "2"],
+], ids=" ".join)
+def test_malformed_point_or_level_exits_before_numpy(argv):
+    # the rules live in padic, called by finitegl2 and curves and by the CLI
+    assert _run(argv) == {"code": 2, "loaded": []}
+
+
 def test_a_table_command_still_loads_its_layer():
     rep = _run(["char-table", "--p", "2", "--n", "1"])
     assert rep["code"] == 0 and "gl2lab.finitegl2" in rep["loaded"]

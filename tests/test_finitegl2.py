@@ -284,3 +284,17 @@ def test_finite_gl2_respects_the_cap(monkeypatch):
         FiniteGL2(3, 2)
     monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**8))
     assert FiniteGL2(3, 2).order == 3888
+
+
+@pytest.mark.parametrize("kind,r,a", [
+    ("supersingular", 0, None), ("ordinary", 1, None), ("ordinary", 1, 6),
+    ("neither", 1, 2),
+])
+def test_point_trace_rejects_what_the_command_line_rejects(kind, r, a):
+    from gl2lab.padic import check_point_trace_input
+
+    G = FiniteGL2(3, 1)
+    with pytest.raises(DomainError):
+        check_point_trace_input(3, r, kind, a)
+    with pytest.raises(DomainError):
+        ss_trace_point(kind, e_gamma(G), 3, r, 1, a=a)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,10 @@ from gl2lab.hecke import (CosetFunction, branch_covering_sample,
                           double_coset_indicator, e_congruence,
                           in_congruence_subgroup, phi0_support, phi_formula,
                           phi_support, same_coset, tower_identity_check,
-                          vol_congruence)
-from gl2lab.padic import LocalMatrix, get_context
+                          tower_key_histogram, tower_tr_det, vol_congruence)
+from gl2lab.padic import LocalMatrix, factor_prime_power, get_context
 from gl2lab.ratfunc import RationalFunctionT
-from gl2lab.testfunc import phi_pn, phi_pnt
+from gl2lab.testfunc import phi_branch, phi_pn, phi_pnt
 
 
 def test_coset_keys_vs_membership_examples():
@@ -518,3 +519,117 @@ def test_hecke_import_leaves_numpy_out():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the tower average on coefficient pairs against the products g u
+
+TOWER_CASES = [(2, 1), (2, 2), (3, 1), (4, 1)]
+TOWER_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                          database=None,
+                          suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+def _per_u(g, n):
+    """The oracle: one product and one classification per u."""
+    return Counter(phi_branch(g @ u, n + 1)
+                   for u in congruence_elements(g.ctx, n, 1))
+
+
+@st.composite
+def tower_points(draw):
+    """(n, g): g exact, conjugated (truncated) or cut to fewer digits, with
+    e from 1 down to -(n + 1); the anchors p^-k [[p^(k+1), 1], [0, p^k]]
+    have a and d divisible by p, so only the cross terms move their trace."""
+    q, n = draw(st.sampled_from(TOWER_CASES))
+    p, r = factor_prime_power(q)
+    ctx = get_context(p, r, 2 * (n + 1) + 6)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n + 1))
+        unit = [draw(st.integers(1, p - 1))] + [0] * (r - 1)
+        rows = [[[p**(k + 1)] + [0] * (r - 1), unit],
+                [[0] * r, [p**k] + [0] * (r - 1)]]
+        e = -k
+    else:
+        rows = draw(_int_rows(r, p**(n + 2)))
+        e = draw(st.integers(-(n + 1), 1))
+    try:
+        g = LocalMatrix.from_integers(ctx, rows, e=e)
+        g.det_valuation()
+    except DomainError:
+        assume(False)
+    kind = draw(st.sampled_from(["exact", "conjugated", "cut"]))
+    if kind == "conjugated":
+        h = _build(ctx, draw(_int_rows(r, p**3)))
+        assume(h.det_valuation() == 0)
+        g = g.conjugate_by(h)
+    elif kind == "cut":
+        g = LocalMatrix(ctx, g.e, g.m, prec=draw(st.integers(1, ctx.N)))
+    return n, g
+
+
+@TOWER_SETTINGS
+@given(tower_points())
+def test_tower_key_histogram_is_the_per_u_counter(case):
+    n, g = case
+    want = _outcome(_per_u, g, n)
+    assert _outcome(tower_key_histogram, g, n) == want
+    if want is not PrecisionExhausted:
+        assert sum(want.values()) == g.ctx.q**4
+
+
+@pytest.mark.parametrize("q,n", TOWER_CASES)
+def test_tower_pairs_are_the_exact_traces_and_determinants(q, n):
+    # exact g u carries tr(M u) and det(M u) over O, p^(2n) det X included;
+    # p^40 exceeds every coefficient here, so the residues are the values
+    p, r = factor_prime_power(q)
+    ctx = get_context(p, r, 2 * (n + 1) + 6)
+    big = p**40
+
+    def mod(x):
+        return tuple(y % big for y in x)
+
+    for g in branch_covering_sample(ctx, n + 1, count=12, seed=5):
+        if g.exact is None:
+            continue
+        prods = [g @ u for u in congruence_elements(ctx, n, 1)]
+        assert all(h.e == g.e for h in prods)
+        assert tower_tr_det(ctx, g.exact, n, big) == Counter(
+            (mod(h.exact_tr[1]), mod(h.exact_det[1])) for h in prods)
+
+
+@pytest.mark.parametrize("rows,e,n,prec", [
+    ([[2, 0], [0, 1]], 0, 2, 2),     # ell needs n + 1 = 3 digits
+    ([[4, 1], [0, 2]], -1, 1, 3),    # v(det M) = 3 is not certified
+    ([[2, 0], [0, 1]], 0, 1, 1),     # v(det M) = 1 is not certified
+])
+def test_tower_histogram_raises_where_the_products_do(rows, e, n, prec):
+    ctx = get_context(2, 1, 10)
+    g = LocalMatrix.from_integers(ctx, rows, e=e)
+    short = LocalMatrix(ctx, g.e, g.m, prec=prec)
+    with pytest.raises(PrecisionExhausted):
+        _per_u(short, n)
+    with pytest.raises(PrecisionExhausted):
+        tower_key_histogram(short, n)
+    # one more digit is enough on both paths
+    longer = LocalMatrix(ctx, g.e, g.m, prec=prec + 1)
+    assert tower_key_histogram(longer, n) == _per_u(longer, n) == _per_u(g, n)
+
+
+def test_tower_histogram_keeps_the_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**4 - 1))
+    ctx = get_context(3, 1, 12)
+    g = LocalMatrix.from_integers(ctx, [[3, 0], [0, 1]])
+    with pytest.raises(ResourceLimit):
+        tower_key_histogram(g, 1)
+    with pytest.raises(ResourceLimit):
+        tower_identity_check(3, 1, count=5)
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**4))
+    assert sum(tower_key_histogram(g, 1).values()) == 3**4
