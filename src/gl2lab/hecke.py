@@ -231,7 +231,8 @@ def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
     without forming the products.
 
     g = p^e M and g u = p^e M u have the same e, so the same k = -e, and the
-    same v(det); the branch reads g u only through tr(M u) and det(M u)
+    same v(det); a branch reached without reading the trace is that of every
+    g u.  Otherwise the branch reads g u only through tr(M u) and det(M u)
     (`tower_tr_det`), never deeper than p^(n + 1 + k).  So the pairs are
     counted mod that power, and each residue is classified once, certified
     as g u would be: for an exact g the trace predicates are exact, otherwise
@@ -255,7 +256,6 @@ def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
         raise _ReadsPairs
 
     try:
-        # a branch reached without reading tr or ell is that of every g u
         return Counter({branch_key(n + 1, -e, v_det, read, read): ctx.q**4})
     except _ReadsPairs:
         pass
