@@ -180,11 +180,16 @@ def census_checks(qs=(4, 7, 13), m=3,
     for q in qs:
         p, r = factor_prime_power(q)
         curves = enumerate_curves(q)
+        # the span enumeration against the closed form that ss_lefschetz sums
         rep0 = ss_lefschetz(p, r, 0, m)
-        direct = sum(level_m_count(E, m) for E in curves)
+        closed = rep0.level_points
+        spans = [level_m_count(E, m) for E in curves]
+        direct = sum(spans)
+        fails = [(E.a, span, closed[E.a]) for E, span in zip(curves, spans)
+                 if span != closed[E.a]]
         out.append(Check("lefschetz-n0-equals-census",
-                         {"q": q, "m": m},
-                         direct, int(rep0.total)))
+                         {"q": q, "m": m}, direct, int(rep0.total),
+                         _witness(fails, ("a", "span_count", "closed_form"))))
         if q % m == 1:
             out.append(Check("moduli-count-two-components",
                              {"q": q, "m": m}, 2 * (q - 3), direct))

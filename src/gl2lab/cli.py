@@ -77,6 +77,17 @@ def _parse_matrix(ctx, text, e=0):
     return LocalMatrix.from_integers(ctx, rows, e=e)
 
 
+def _positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to this file")
@@ -135,7 +146,7 @@ def main(argv=None) -> int:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--samples", type=_positive_int, default=20)
 
     sp = add_parser("verify-bc-unit", help="criterion 3")
     sp.add_argument("--p", type=int, default=2)
@@ -147,17 +158,17 @@ def main(argv=None) -> int:
     sp = add_parser("verify-tower", help="criterion 4 at one (q, n)")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_positive_int, default=200)
 
     sp = add_parser("verify-central", help="criterion 9")
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--samples", type=_positive_int, default=100)
 
     sp = add_parser("verify-orbital", help="criterion 5 at one (q, n)")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=_positive_int, default=50)
 
     sp = add_parser("verify-cr", help="criteria 6 and 7 at one (p, n)")
     sp.add_argument("--p", type=int, required=True)
@@ -366,13 +377,13 @@ def _run_command(args) -> int:
         if args.r is not None and args.r != r:
             raise DomainError(f"q = {args.q} forces r = {r}")
         check_level(p, args.m)
-        from .curves import enumerate_curves, level_m_count, ss_lefschetz
+        from .curves import enumerate_curves, ss_lefschetz
         rep = ss_lefschetz(p, r, args.n, args.m)
         curves = enumerate_curves(args.q)
         if args.format == "csv":
             lines = ["a1,a2,a3,a4,a6,trace,aut_order,level_points,ss_trace"]
             for E in curves:
-                pts = level_m_count(E, args.m)
+                pts = rep.level_points[E.a]
                 tr = next((row["point_trace"] for row in rep.per_class
                            if row["trace"] == E.trace), 0)
                 lines.append(",".join(map(str, (*E.a, E.trace, E.aut_order,

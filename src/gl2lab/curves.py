@@ -1,16 +1,19 @@
 """Census of elliptic curves over small finite fields and semisimple sums.
 
-Curves in long Weierstrass form over F_q (q <= 16 by default) are
-enumerated up to isomorphism under the substitution action
-(u, r, s, t): x -> u^2 x' + r, y -> u^3 y' + s u^2 x' + t, which is valid
-in every characteristic.  Four generators of the substitution group each
-permute the nonsingular coefficient tuples, and the orbit routine of
+Curves over F_q are enumerated up to isomorphism from the Weierstrass
+normal forms (Silverman, Appendix A, Prop. A.1.1): y^2 = x^3 + a4 x + a6
+for p >= 5, and two families each for p = 3 and p = 2, split by j = 0.
+Each family is closed under its residual group of substitutions
+(u, r, s, t): x -> u^2 x' + r, y -> u^3 y' + s u^2 x' + t, whose
+generators permute the family's nonsingular tuples; the orbit routine of
 `gl2group` (the one behind conjugacy classes and sigma-orbits) splits those
-tuples into isomorphism classes; each orbit's size gives |Aut|.  The
-census is computed once per q and cached.  Point
-counts, automorphism orders, level structure counts, Honda-Tate style
-isogeny-class tables, per-point semisimple traces and the boundary term
-are all exact.
+tuples into isomorphism classes, and each orbit's size gives |Aut|.  A
+class is represented by the least code among its normal-form tuples.  The
+families hold at most q^3 tuples, the cap's measure (default q <= 125);
+the census is computed once per q and cached.  Point counts, automorphism
+orders, level structure counts (by span enumeration and in closed form),
+Honda-Tate style isogeny-class tables, per-point semisimple traces and the
+boundary term are all exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimit, check_cap
+from .errors import DomainError, check_cap
 from .finitegl2 import FiniteGL2, e_gamma, fixed_surjections, ss_trace_point
 from .gl2group import MatGroup, RingTables
 from .padic import (LocalMatrix, _least_prime_factor, check_boundary_input,
@@ -266,71 +269,104 @@ def _transform_all(q, a, subs):
     return na1, na2, na3, na4, na6
 
 
-def enumerate_curves(q: int, cap: int = 16) -> List[WeierstrassCurve]:
+def enumerate_curves(q: int) -> List[WeierstrassCurve]:
     """All elliptic curves over F_q up to isomorphism, with |Aut| recorded.
 
-    Each class is represented by the least coefficient code in its orbit.
-    The census is computed once per q (see `_census`); every call checks
-    the caps first and returns a fresh list.
+    Each class is represented by the least code among its normal-form
+    tuples.  The census is computed once per q (see `_census`); every call
+    checks the cap first and returns a fresh list.  The one cap, q^3,
+    bounds both the largest normal-form family and the point walk of the
+    about 2q classes with q^2 candidate points each.
     """
-    if q > cap:
-        raise ResourceLimit(f"census cap is q <= {cap}")
-    check_cap(q**5, "Weierstrass coefficient space", default=2_000_000)
+    check_cap(q**3, "Weierstrass normal-form space", default=2_000_000)
     return list(_census(q))
+
+
+# Unconstrained and nonzero coefficients of a normal-form family.
+_ANY, _UNIT = "any", "unit"
+
+
+def _normal_forms(F):
+    """The normal-form families over F (Silverman, Appendix A, Prop. A.1.1).
+
+    Each is (shape, generators, group order): the shape gives a1..a6 as a
+    fixed code, _ANY or _UNIT; the substitutions (u, r, s, t) that keep the
+    shape form the residual group, generated by (u0, 0, 0, 0), u0 a
+    generator of F_q^x, and translations over an F_p-basis of F_q.  The
+    families split the curves by characteristic and by j = 0 or not, so no
+    class lies in two of them.
+    """
+    q, p, r = F.q, F.p, F.r
+    u = (_unit_generator(F), 0, 0, 0)
+    basis = [p**i for i in range(r)]    # the codes of 1, x, .., x^(r-1)
+    if p >= 5:
+        return [((0, 0, 0, _ANY, _ANY), [u], q - 1)]
+    if p == 3:
+        return [((0, _UNIT, 0, 0, _ANY), [u], q - 1),
+                ((0, 0, 0, _UNIT, _ANY), [u] + [(1, b, 0, 0) for b in basis],
+                 (q - 1) * q)]
+    return [((1, _ANY, 0, 0, _ANY), [(1, 0, b, 0) for b in basis], q),
+            ((0, 0, _UNIT, _ANY, _ANY),
+             [u] + [(1, int(F.MUL[b, b]), b, 0) for b in basis]
+             + [(1, 0, 0, b) for b in basis], (q - 1) * q * q)]
+
+
+def _family(F, shape):
+    """The nonsingular tuples of one shape, as five arrays in code order."""
+    values = [np.arange(F.q) if x == _ANY else np.arange(1, F.q) if x == _UNIT
+              else np.array([x]) for x in shape]
+    # a6 varies slowest and weighs most in a code, so the grid is sorted
+    a = [x.ravel() for x in np.meshgrid(*values[::-1], indexing="ij")[::-1]]
+    nonsingular = _discriminant(F, *a) != 0
+    return [x[nonsingular] for x in a]
 
 
 @functools.cache
 def _census(q):
     """The census at q, sorted by coefficients, each orbit checked.
 
-    The substitution group is generated by (u0, 0, 0, 0), u0 a generator
-    of F_q^x, and the translations (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1):
-    conjugation by u0 scales r by u0^(+-2) and s by u0^(+-1), whose powers
-    span F_q over F_p, and the commutators of the r- and s-translations
-    give every t.  Each generator permutes the nonsingular codes, and the
-    orbits of these permutations are the isomorphism classes.  A class is
-    represented by its least code; its stabilizer is Aut(E).
+    Each generator of a family's residual group permutes the family's
+    nonsingular tuples, and the orbits of these permutations are the
+    isomorphism classes in the family.  A class is represented by its
+    least code; its stabilizer in the residual group is Aut(E).
     """
     F = SmallField(q)
-    group_order = (q - 1) * q**3
-    mask = _nonsingular_mask(q)
-    size = int(mask.sum())
-    index = _index_among(mask)
-    digits = [x[mask] for x in _digits(q, 5, np.uint8)]
-    gens = ((_unit_generator(F), 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
-            (1, 0, 0, 1))
-    perms = [index[_code(q, *_transform_all(q, digits, np.array([g])))]
-             for g in gens]
-    del index  # q^5 entries; free them before the orbit pass
-    for g, perm in zip(gens, perms):
-        # one-to-one onto the nonsingular codes: no code -1, none hit twice
-        if (len(perm) != size or perm.min() < 0
-                or np.bincount(perm, minlength=size).max() > 1):
-            raise AssertionError(f"substitution {g} over F_{q} does not "
-                                 "permute the nonsingular tuples")
-    _, labels = MatGroup.orbit_labels(perms)
-    # orbits are numbered by their least index, which is their least code
-    first = np.unique(labels, return_index=True)[1]
     curves = []
-    for i, orbit in zip(first.tolist(), np.bincount(labels).tolist()):
-        rep = tuple(int(x[i]) for x in digits)
-        if group_order % orbit:
-            raise AssertionError(f"orbit of {rep} over F_{q} has {orbit} "
-                                 f"tuples, not a divisor of {group_order}")
-        # the stabilizer is Aut(E): it holds -1 and divides 24 (Silverman
-        # III.10.1), which a closed but too small orbit would break
-        aut = group_order // orbit
-        if aut % 2 or 24 % aut:
-            raise AssertionError(f"orbit of {rep} over F_{q} gives |Aut| = "
-                                 f"{aut}, not an even divisor of 24")
-        curves.append(WeierstrassCurve(q, rep, aut_order=aut))
+    for shape, gens, group_order in _normal_forms(F):
+        a = _family(F, shape)
+        codes = _code(q, *a)
+        perms = []
+        for g in gens:
+            image = _code(q, *_transform_all(q, a, np.array([g])))
+            perm = np.minimum(np.searchsorted(codes, image), len(codes) - 1)
+            # one-to-one onto the family: every image in it, none hit twice
+            if (np.any(codes[perm] != image)
+                    or np.bincount(perm, minlength=len(codes)).max() > 1):
+                raise AssertionError(f"substitution {g} over F_{q} does not "
+                                     f"permute the normal forms {shape}")
+            perms.append(perm)
+        _, labels = MatGroup.orbit_labels(perms)
+        # orbits are numbered by their least index, which is their least code
+        first = np.unique(labels, return_index=True)[1]
+        for i, orbit in zip(first.tolist(), np.bincount(labels).tolist()):
+            rep = tuple(int(x[i]) for x in a)
+            if group_order % orbit:
+                raise AssertionError(f"orbit of {rep} over F_{q} has {orbit} "
+                                     f"tuples, not a divisor of {group_order}")
+            # the stabilizer is Aut(E): it holds -1 and divides 24 (Silverman
+            # III.10.1), which a closed but too small orbit would break
+            aut = group_order // orbit
+            if aut % 2 or 24 % aut:
+                raise AssertionError(f"orbit of {rep} over F_{q} gives |Aut| "
+                                     f"= {aut}, not an even divisor of 24")
+            curves.append(WeierstrassCurve(q, rep, aut_order=aut))
     curves.sort(key=lambda E: E.a)
     return tuple(curves)
 
 
 def _code(q, a1, a2, a3, a4, a6):
-    """Index of a coefficient tuple, a1 least; int32, so uint8 cannot wrap."""
-    a6 = np.asarray(a6, dtype=np.int32)
+    """Index of a coefficient tuple, a1 least; int64, as q^5 passes 2^31."""
+    a6 = np.asarray(a6, dtype=np.int64)
     return a1 + q * (a2 + q * (a3 + q * (a4 + q * a6)))
 
 
@@ -342,14 +378,6 @@ def _unit_generator(F):
             x, order = int(F.MUL[x, u]), order + 1
         if order == F.q - 1:
             return u
-
-
-def _nonsingular_mask(q):
-    """Vectorized nonsingularity of every Weierstrass tuple over F_q.
-
-    Index c stands for (a1, a2, a3, a4, a6) = base-q digits of c, least first.
-    """
-    return _discriminant(SmallField(q), *_digits(q, 5, np.uint8)) != 0
 
 
 def _digits(base, count, dtype):
@@ -387,6 +415,26 @@ def level_m_count(E: WeierstrassCurve, m: int) -> int:
                 bases += 1
     if bases % E.aut_order:
         raise AssertionError("automorphisms do not act freely on bases")
+    return bases // E.aut_order
+
+
+def level_m_count_closed(E: WeierstrassCurve, m: int) -> int:
+    """`level_m_count` in closed form: |GL2(Z/m)| / |Aut| when E[m] is
+    rational, else 0.
+
+    A rational E[m] puts the m-th roots of unity in F_q (Weil pairing), so
+    q = 1 mod m, and then #E[m](F_q) = m^2.  Its ordered bases are then
+    |GL2(Z/m)| many, and Aut(E) acts on them freely for m >= 3.
+    """
+    check_level(factor_prime_power(E.q)[0], m)
+    if (E.q - 1) % m or E.count() % (m * m):
+        return 0
+    if sum(E.scalar_mul(m, P) is None for P in E.points()) != m * m:
+        return 0
+    bases = gl2_order_mod(m)
+    if bases % E.aut_order:
+        raise AssertionError(f"|Aut| = {E.aut_order} of {E.a} over F_{E.q} "
+                             f"does not divide the {bases} bases of E[{m}]")
     return bases // E.aut_order
 
 
@@ -438,6 +486,7 @@ class LefschetzReport:
     total: Fraction
     moduli_points: int
     boundary: Optional[Fraction]
+    level_points: Dict[tuple, int]  # per curve, keyed by its coefficients
 
     def to_dict(self):
         return {
@@ -483,13 +532,20 @@ def _check_point_trace(val, direct, p, r, n, kind):
 
 
 def ss_lefschetz(p: int, r: int, n: int, m: int) -> LefschetzReport:
-    """Sum of semisimple point traces over the level-m census at q = p^r."""
+    """Sum of semisimple point traces over the level-m census at q = p^r.
+
+    The level count of each curve is the closed form, computed once and
+    kept in `level_points`.
+    """
     q = p**r
     per_class = []
     total = Fraction(0)
     moduli_points = 0
+    level_points = {}
     for rec in isogeny_classes(q, n=max(n, 1)):
-        pts = sum(level_m_count(E, m) for E in rec.curves)
+        for E in rec.curves:
+            level_points[E.a] = level_m_count_closed(E, m)
+        pts = sum(level_points[E.a] for E in rec.curves)
         if pts == 0:
             continue
         tr = point_trace(p, r, n, rec.ordinary,
@@ -500,7 +556,7 @@ def ss_lefschetz(p: int, r: int, n: int, m: int) -> LefschetzReport:
         moduli_points += pts
     boundary = boundary_ss_trace(p, r, n, m) if n >= 1 else None
     return LefschetzReport(q, p, r, n, m, per_class, total, moduli_points,
-                           boundary)
+                           boundary, level_points)
 
 
 # ---------------------------------------------------------------------------

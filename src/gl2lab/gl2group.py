@@ -33,6 +33,7 @@ class RingTables:
         self.ctx = ctx
         pn = p**n
         Q = pn**r
+        check_cap(Q**2, "ring operation tables")
         self.Q = Q
         base = [pn**i for i in range(r)]
 
@@ -243,7 +244,9 @@ def _group_and_labels(p, r, n):
     """(tables, G, count, labels): the sigma-conjugacy orbits of GL2(GR(p^n, r)).
 
     At r = 1 sigma is the identity and the orbits are the conjugacy classes.
+    The group's code space is capped before the ring tables are built.
     """
+    check_cap(p**(4 * n * r), "GL2 matrix-code space")
     tables = RingTables(p, r, n)
     G = MatGroup(tables)
     perms = [G.sigma_conj_perm(g) for g in G.generators()]

@@ -370,7 +370,7 @@ def branch_covering_sample(ctx: LocalContext, n: int, count: int = 200,
         try:
             m = LocalMatrix.from_integers(ctx, rows, e=-rnd.randrange(n + 1))
             m.det_valuation()
-        except Exception:
+        except (DomainError, PrecisionExhausted):
             continue
         h = _random_unimodular(ctx, rnd)
         out.append(m.conjugate_by(h) if rnd.random() < 0.5 else m)
@@ -385,7 +385,7 @@ def _random_unimodular(ctx, rnd):
             h = LocalMatrix.from_integers(ctx, rows)
             if h.det_valuation() == 0:
                 return h
-        except Exception:
+        except (DomainError, PrecisionExhausted):
             continue
 
 

@@ -106,3 +106,9 @@ def test_criterion_10_census_consistency():
     _report(10, "census/Lefschetz/boundary consistency at q in {4, 7, 13}",
             checks)
     assert time.time() - t0 < 900, "census block exceeds the runtime budget"
+
+
+def test_census_consistency_beyond_sixteen():
+    # the normal forms bring q = 17, 25 and 32 under the default cap
+    checks = campaigns.census_checks(qs=(17, 25, 32), boundary_cases=())
+    _report(10, "census/Lefschetz consistency at q in {17, 25, 32}", checks)

@@ -107,6 +107,51 @@ def test_census_and_boundary(capsys):
     assert json.loads(out)["value"] == "384"
 
 
+@pytest.mark.parametrize("q", [17, 25, 32])
+def test_census_beyond_sixteen(capsys, q):
+    code, out = run(capsys, "census", "--q", str(q), "--m", "3")
+    assert code == 0
+    lines = out.strip().split("\n")
+    rows = [list(map(int, line.split(","))) for line in lines[1:-1]]
+    assert sum(Fraction(1, row[6]) for row in rows) == q
+    points = sum(row[7] for row in rows)
+    assert json.loads(lines[-1])["total"] == str(points)
+    assert points == (2 * (q - 3) if q % 3 == 1 else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["char-table", "--p", "2", "--n", "30"],
+    ["census", "--q", "7", "--m", "3", "--n", "50"],
+])
+def test_group_cap_comes_before_the_ring_tables(capsys, monkeypatch, argv):
+    from gl2lab.curves import enumerate_curves
+    from gl2lab.gl2group import RingTables
+
+    enumerate_curves(7)          # the field tables of F_7, built at full size
+
+    def no_tables(self, p, r, n):
+        pytest.fail(f"ring tables of GR({p}^{n}, {r}) built before the cap")
+    monkeypatch.setattr(RingTables, "_build", no_tables)
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", "1000")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "GL2 matrix-code space needs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-exact-seq", "--p", "2", "--r", "2", "--n", "1"],
+    ["verify-tower", "--q", "2", "--n", "1"],
+    ["verify-central"],
+    ["verify-orbital", "--q", "2", "--n", "1"],
+])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_exit_two(capsys, command, samples):
+    assert main(command + ["--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"--samples: need an integer >= 1, got '{samples}'" in err
+
+
 def test_byte_determinism(capsys):
     _, out1 = run(capsys, "verify-tower", "--q", "2", "--n", "1",
                   "--samples", "25")

@@ -1,6 +1,7 @@
 """Curve census, level structures, Lefschetz sums, boundary."""
 
 import dataclasses
+import functools
 import itertools
 import os
 import subprocess
@@ -9,13 +10,15 @@ import sys
 import numpy as np
 import pytest
 
-from gl2lab.curves import (SmallField, WeierstrassCurve, _crt,
-                           _nonsingular_mask, _transform_all,
-                           boundary_orbit_report, boundary_ss_trace,
-                           enumerate_curves, factor_prime_power, gl2_order_mod,
-                           isogeny_classes, level_m_count, point_trace,
+from gl2lab.curves import (SmallField, WeierstrassCurve, _code, _crt, _digits,
+                           _discriminant, _index_among, _transform_all,
+                           _unit_generator, boundary_orbit_report,
+                           boundary_ss_trace, enumerate_curves,
+                           factor_prime_power, gl2_order_mod, isogeny_classes,
+                           level_m_count, level_m_count_closed, point_trace,
                            ss_lefschetz)
 from gl2lab.errors import DomainError
+from gl2lab.gl2group import MatGroup
 
 
 def test_small_field_tables():
@@ -70,6 +73,10 @@ def _substitution_arrays(q):
     return np.array(grid, dtype=np.int64)
 
 
+def _tuple_of(q, c):
+    return tuple((c // q**i) % q for i in range(5))
+
+
 def _per_tuple_sweep(q):
     """Reference census: build a curve for every unvisited tuple, in order."""
     subs = _substitution_arrays(q)
@@ -83,25 +90,102 @@ def _per_tuple_sweep(q):
             WeierstrassCurve(q, a)
         except DomainError:
             continue
-        na1, na2, na3, na4, na6 = _transform_all(q, a, subs)
-        orbit = np.unique(na1 + q * (na2 + q * (na3 + q * (na4 + q * na6))))
+        orbit = np.unique(_code(q, *_transform_all(q, a, subs)))
         seen[orbit] = True
-        c0 = int(orbit[0])
-        out.append((tuple((c0 // q**i) % q for i in range(5)),
-                    group_order // len(orbit)))
+        out.append((_tuple_of(q, int(orbit[0])), group_order // len(orbit)))
     return sorted(out)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def _nonsingular_mask(q):
+    """Vectorized nonsingularity of every Weierstrass tuple over F_q.
+
+    Index c stands for (a1, a2, a3, a4, a6) = base-q digits of c, least first.
+    """
+    return _discriminant(SmallField(q), *_digits(q, 5, np.uint8)) != 0
+
+
+def _q5_orbit_census(q):
+    """Reference census: orbits on all q^5 long-Weierstrass tuples.
+
+    The substitution group is generated by (u0, 0, 0, 0) and the
+    translations (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1): conjugation by
+    u0 scales r by u0^(+-2) and s by u0^(+-1), whose powers span F_q over
+    F_p, and the commutators of the r- and s-translations give every t.
+    Returns the sorted (least tuple, |Aut|) of every orbit.
+    """
+    mask = _nonsingular_mask(q)
+    index = _index_among(mask)
+    digits = [x[mask] for x in _digits(q, 5, np.uint8)]
+    gens = ((_unit_generator(SmallField(q)), 0, 0, 0), (1, 1, 0, 0),
+            (1, 0, 1, 0), (1, 0, 0, 1))
+    perms = [index[_code(q, *_transform_all(q, digits, np.array([g])))]
+             for g in gens]
+    for perm in perms:
+        assert perm.min() >= 0 and np.bincount(perm).max() == 1
+    _, labels = MatGroup.orbit_labels(perms)
+    first = np.unique(labels, return_index=True)[1]
+    group_order = (q - 1) * q**3
+    return sorted((tuple(int(x[i]) for x in digits), group_order // orbit)
+                  for i, orbit in zip(first.tolist(),
+                                      np.bincount(labels).tolist()))
+
+
+@functools.cache
+def _oracle(q):
+    """The q^5 reference census: the per-tuple sweep up to q = 9, the
+    vectorized orbit census above."""
+    return _per_tuple_sweep(q) if q <= 9 else _q5_orbit_census(q)
+
+
+def _full_orbit_class(q, a):
+    """(least tuple, |Aut|) of the full substitution orbit of a tuple."""
+    orbit = np.unique(_code(q, *_transform_all(q, a, _substitution_arrays(q))))
+    return _tuple_of(q, int(orbit[0])), (q - 1) * q**3 // len(orbit)
+
+
+CENSUS_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+@pytest.mark.parametrize("q", CENSUS_QS)
 def test_census_matches_per_tuple_sweep(q):
-    assert [(E.a, E.aut_order) for E in enumerate_curves(q)] == _per_tuple_sweep(q)
+    # each normal-form representative, mapped to the least code of its full
+    # orbit, lands on its own q^5 class, with the same |Aut|
+    curves = enumerate_curves(q)
+    classes = [_full_orbit_class(q, E.a) for E in curves]
+    assert [aut for _, aut in classes] == [E.aut_order for E in curves]
+    assert sorted(classes) == _oracle(q)
+
+
+def _invariants(E, level_count):
+    p, _ = factor_prime_power(E.q)
+    level = None if p == 3 else level_count(E, 3)
+    return (E.trace, E.aut_order, E.hasse_invariant() == 0, level)
+
+
+@pytest.mark.parametrize("q", CENSUS_QS)
+def test_census_invariants_match_the_q5_classes(q):
+    # level counts in closed form here, by span enumeration on the oracle
+    ours = sorted(_invariants(E, level_m_count_closed)
+                  for E in enumerate_curves(q))
+    theirs = sorted(_invariants(WeierstrassCurve(q, a, aut_order=aut),
+                                level_m_count)
+                    for a, aut in _oracle(q))
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("q", [4, 7, 13])
+def test_closed_level_count_matches_span_enumeration(q):
+    counts = [(level_m_count(E, 3), level_m_count_closed(E, 3))
+              for E in enumerate_curves(q)]
+    assert all(span == closed for span, closed in counts)
+    assert sum(span for span, _ in counts) == 2 * (q - 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_nonsingular_mask_matches_curve_construction(q):
     mask = _nonsingular_mask(q)
     for c in range(q**5):
-        a = tuple((c // q**i) % q for i in range(5))
+        a = _tuple_of(q, c)
         try:
             WeierstrassCurve(q, a)
             nonsingular = True
@@ -109,37 +193,6 @@ def test_nonsingular_mask_matches_curve_construction(q):
             nonsingular = False
         assert bool(mask[c]) == nonsingular, a
 
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_nonsingular_mask_matches_singular_points(q):
-    # independent of the discriminant: a tuple is singular iff some affine
-    # (x, y) over F_q solves the equation and both partial derivatives.  A
-    # Weierstrass cubic is smooth at infinity and irreducible, so a singular
-    # point is unique, hence Galois-fixed and F_q-rational.
-    F = SmallField(q)
-    add, mul, neg = F.ADD, F.MUL, F.NEG
-    codes = np.arange(q**5)
-    a1, a2, a3, a4, a6 = ((codes // q**i) % q for i in range(5))
-
-    def times(k, x):
-        out = np.zeros_like(x)
-        for _ in range(k):
-            out = add[out, x]
-        return out
-
-    singular = np.zeros(q**5, dtype=bool)
-    for x, y in itertools.product(range(q), repeat=2):
-        # f = y^2 + a1 x y + a3 y - x^3 - a2 x^2 - a4 x - a6
-        xx = mul[x, x]
-        f = add[add[add[mul[y, y], mul[a1, mul[x, y]]], mul[a3, y]],
-                neg[add[add[add[mul[xx, x], mul[a2, xx]], mul[a4, x]], a6]]]
-        fx = add[mul[a1, y], neg[add[add[times(3, np.full_like(a2, xx)),
-                                         times(2, mul[a2, x])], a4]]]
-        fy = add[add[times(2, np.full_like(a1, y)), mul[a1, x]], a3]
-        singular |= (f == 0) & (fx == 0) & (fy == 0)
-    assert singular.sum() == q**4        # the singular tuples number q^4
-    assert np.array_equal(_nonsingular_mask(q), ~singular)
 
 def test_census_result_is_a_fresh_list():
     first = enumerate_curves(7)
@@ -150,36 +203,38 @@ def test_census_result_is_a_fresh_list():
 
 _BROKEN_CENSUS = """
 import sys
-import numpy as np
 import gl2lab.curves as curves
 
 if __debug__:
     sys.exit("not running under python -O")
-true_transform = curves._transform_all
-first = []
+true_forms = curves._normal_forms
 
-def wrong(q, a, subs):
-    images = true_transform(q, a, subs)
-    if {kind!r} == "singular":
-        # the first tuple is sent to the singular tuple y^2 = x^3
-        return tuple(np.concatenate([[0], x[1:]]) for x in images)
-    if {kind!r} == "identity":
-        # every generator acts as the identity: orbits of size 1
-        return tuple(a)
-    # every generator gets the first one's images
-    first.append(images)
-    return first[0]
+def broken(F):
+    out = []
+    for shape, gens, order in true_forms(F):
+        if {kind!r} == "singular":
+            # u = 0 is no substitution: it sends every tuple to y^2 = x^3
+            gens = [(0, 0, 0, 0)] + gens[1:]
+        elif {kind!r} == "identity":
+            gens = [(1, 0, 0, 0)]
+        else:
+            # the first generator in place of every other one
+            gens = [gens[0]] * len(gens)
+        out.append((shape, gens, order))
+    return out
 
-curves._transform_all = wrong
-curves.enumerate_curves(5)
+curves._normal_forms = broken
+curves.enumerate_curves(9)
 """
 
 
 _BROKEN_CENSUS_ERRORS = {
-    "singular": "substitution (2, 0, 0, 0) over F_5 does not permute",
-    # q = 5: |G| = 4 * 5^3; alone, u0 = 2 moves a tuple by at most 4 images
-    "repeated": "orbit of (0, 0, 1, 0, 0) over F_5 gives |Aut| = 125",
-    "identity": "orbit of (0, 0, 1, 0, 0) over F_5 gives |Aut| = 500"}
+    "singular": "substitution (0, 0, 0, 0) over F_9 does not permute the "
+                "normal forms (0, 'unit', 0, 0, 'any')",
+    # q = 9, y^2 = x^3 + a4 x + a6 (j = 0): |G| = 8 * 9; alone, u0 moves
+    # (a4, a6) = (1, 0) to -1 and back, and the identity not at all
+    "repeated": "orbit of (0, 0, 0, 1, 0) over F_9 gives |Aut| = 36",
+    "identity": "orbit of (0, 0, 0, 1, 0) over F_9 gives |Aut| = 72"}
 
 
 @pytest.mark.parametrize("kind", ["singular", "repeated", "identity"])
@@ -218,6 +273,31 @@ def test_failed_census_row_keeps_its_witness(monkeypatch):
     assert not row["pass"] and row["actual"] == 1
     assert row["witness"] == {"a": str(enumerate_curves(4)[1].a),
                               "trace": "5", "count": "0"}
+
+
+def test_lefschetz_row_names_the_curve_whose_counts_differ(monkeypatch):
+    import gl2lab.curves as curves
+    from gl2lab import campaigns
+
+    def lefschetz_row():
+        rows = [c.to_dict() for c in campaigns.census_checks(
+            qs=(7,), boundary_cases=())
+            if c.name == "lefschetz-n0-equals-census"]
+        assert len(rows) == 1
+        return rows[0]
+
+    row = lefschetz_row()
+    assert row["pass"] and "witness" not in row
+    assert row["expected"] == row["actual"] == 8
+    E = enumerate_curves(7)[2]
+    real = curves.level_m_count_closed
+    monkeypatch.setattr(curves, "level_m_count_closed",
+                        lambda C, m: real(C, m) + (C.a == E.a))
+    row = lefschetz_row()
+    assert not row["pass"] and (row["expected"], row["actual"]) == (8, 9)
+    span = level_m_count(E, 3)
+    assert row["witness"] == {"a": str(E.a), "span_count": str(span),
+                              "closed_form": str(span + 1)}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])

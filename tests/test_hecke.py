@@ -20,7 +20,8 @@ from gl2lab.hecke import (CosetFunction, branch_covering_sample,
                           double_coset_indicator, e_congruence,
                           in_congruence_subgroup, phi0_support, phi_formula,
                           phi_support, same_coset, tower_identity_check,
-                          tower_key_histogram, tower_tr_det, vol_congruence)
+                          tower_key_histogram, tower_tr_det, vol_congruence,
+                          _random_unimodular)
 from gl2lab.padic import LocalMatrix, factor_prime_power, get_context
 from gl2lab.ratfunc import RationalFunctionT
 from gl2lab.testfunc import phi_branch, phi_pn, phi_pnt
@@ -633,3 +634,30 @@ def test_tower_histogram_keeps_the_enumeration_cap(monkeypatch):
         tower_identity_check(3, 1, count=5)
     monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**4))
     assert sum(tower_key_histogram(g, 1).values()) == 3**4
+
+
+def _from_integers_failing_once(monkeypatch, at_call):
+    """LocalMatrix.from_integers raising TypeError at one call, exact
+    otherwise, so a sampler that swallows it still returns."""
+    real = LocalMatrix.from_integers
+    calls = []
+
+    def failing(cls, ctx, rows, e=0):
+        calls.append(rows)
+        if len(calls) == at_call:
+            raise TypeError("a programming error, not a rejected draw")
+        return real(ctx, rows, e=e)
+    monkeypatch.setattr(LocalMatrix, "from_integers", classmethod(failing))
+
+
+def test_samplers_let_programming_errors_through(monkeypatch):
+    # the samplers skip only the draws the library rejects (DomainError,
+    # PrecisionExhausted); anything else is a bug and must surface
+    ctx, n = get_context(2, 1, 12), 1
+    anchors = len(branch_covering_sample(ctx, n, count=0))
+    _from_integers_failing_once(monkeypatch, anchors + 1)
+    with pytest.raises(TypeError):
+        branch_covering_sample(ctx, n, count=anchors + 3)
+    _from_integers_failing_once(monkeypatch, 1)
+    with pytest.raises(TypeError):
+        _random_unimodular(ctx, random.Random(0))

@@ -31,9 +31,11 @@ def test_tree_enumeration_respects_cap(monkeypatch):
 
 def test_census_cap(monkeypatch):
     from gl2lab.curves import enumerate_curves
+    # the cap is q^3 <= 2,000,000: q = 125 is the last prime power under it
+    assert len(enumerate_curves(17)) == 36
     with pytest.raises(ResourceLimit):
-        enumerate_curves(17)          # default cap is q <= 16
-    # the caps are checked on every call, also once the census is cached
+        enumerate_curves(128)
+    # the cap is checked on every call, also once the census is cached
     assert len(enumerate_curves(7)) == 18
     monkeypatch.setenv("GL2LAB_MAX_ELEMS", "100")
     with pytest.raises(ResourceLimit):
