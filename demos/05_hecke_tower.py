@@ -20,8 +20,9 @@ ctx = get_context(q, 1, 12)
 g = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
 print(f"descent by averaging at g = {g}:")
 # The worked example: one product g u and one value per u.  The campaign
-# below takes the fast path, hecke.tower_key_histogram, which counts the
-# branch keys of g u from tr(M u) and det(M u) without forming g u.
+# below takes the fast path, hecke.tower_key_histogram, which classifies
+# the q trace residues tr M + p^n y, each standing for q^3 of the u,
+# without forming g u.
 acc = RationalFunctionT.zero(q)
 for u in congruence_elements(ctx, n, 1):
     acc = acc + phi_pnt(g @ u, n + 1)

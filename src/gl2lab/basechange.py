@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -192,13 +192,12 @@ def unit_group_exactness(gamma, p: int, r: int, n: int) -> bool:
 # base-change unit identity at finite level
 
 
-def bc_unit_identity(f_values, k: int, p: int, r: int, j: int,
-                     deltas: Optional[np.ndarray] = None) -> bool:
+def bc_unit_identity(f_values, k: int, p: int, r: int, j: int) -> bool:
     """Averages of f(N(u delta)) over u in Gamma(p^k) at modulus p^j equal
     averages of f(v N(delta)) over v in the p-adic-side Gamma(p^k).
 
-    f_values: one integer per conjugacy class of GL2(Z/p^j).
-    Exhaustive over all delta when deltas is None.
+    f_values: one integer per conjugacy class of GL2(Z/p^j); every delta is
+    checked.
 
     Gamma(p^k) is the kernel of reduction mod p^k, so u -> u delta maps it
     bijectively onto the fibre of delta under that reduction.  The left
@@ -217,11 +216,7 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int,
 
     # left side: average f(N(u delta)) = f-value of the orbit of (u delta)
     n_left = int(np.count_nonzero(G.congruence_mask(k)))
-    if deltas is None:
-        sel = np.arange(G.order)
-    else:
-        sel = np.asarray(deltas)
-    sums = _fibre_sums(G, k, fv[norm_class[labels]], n_left)[sel]
+    sums = _fibre_sums(G, k, fv[norm_class[labels]], n_left)
 
     # right side: per conjugacy class of the norm, average f over v * gamma
     Gs = MatGroup(RingTables(p, 1, j))
@@ -232,10 +227,9 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int,
         rhs.append(Fraction(int(s), len(vs)))
     rhs_num = np.asarray([f.numerator for f in rhs], dtype=np.int64)
     rhs_den = np.asarray([f.denominator for f in rhs], dtype=np.int64)
-    cls_of_sel = norm_class[labels[sel]]
+    cls = norm_class[labels]
     # compare sums/n_left against rhs fraction per element
-    return bool(np.all(sums * rhs_den[cls_of_sel]
-                       == rhs_num[cls_of_sel] * n_left))
+    return bool(np.all(sums * rhs_den[cls] == rhs_num[cls] * n_left))
 
 
 def _fibre_sums(G: MatGroup, k: int, per_el: np.ndarray, fibre_size: int):

@@ -305,10 +305,13 @@ def _normal_forms(F):
         return [((0, _UNIT, 0, 0, _ANY), [u], q - 1),
                 ((0, 0, 0, _UNIT, _ANY), [u] + [(1, b, 0, 0) for b in basis],
                  (q - 1) * q)]
+    # no t-translations are needed: (1, s^2, s, 0) (1, s'^2, s', 0)
+    # (1, (s + s')^2, s + s', 0)^-1 = (1, 0, 0, s s'^2), and s' = 1 gives
+    # every t
     return [((1, _ANY, 0, 0, _ANY), [(1, 0, b, 0) for b in basis], q),
             ((0, 0, _UNIT, _ANY, _ANY),
-             [u] + [(1, int(F.MUL[b, b]), b, 0) for b in basis]
-             + [(1, 0, 0, b) for b in basis], (q - 1) * q * q)]
+             [u] + [(1, int(F.MUL[b, b]), b, 0) for b in basis],
+             (q - 1) * q * q)]
 
 
 def _family(F, shape):

@@ -57,9 +57,9 @@ class RingTables:
                             dtype=np.int32)
         self.SIG = np.array([encode(els[i].frobenius().coeffs_mod(n))
                              for i in range(Q)], dtype=np.int32)
-        self.VAL = np.array([min((v.value if not v.is_infinite else n)
-                                 for v in ([_vp(c, p, n) for c in decode(i)]))
-                             for i in range(Q)], dtype=np.int32)
+        self.VAL = np.array([n if v is None else v
+                             for v in (x.valuation_below(n) for x in els)],
+                            dtype=np.int32)
         self.UNIT = self.VAL == 0
         inv = np.zeros(Q, dtype=np.int32)
         for i in range(Q):
@@ -68,12 +68,6 @@ class RingTables:
         self.INV = inv
         self.one = encode(ctx.one.coeffs)
         self.zero = 0
-
-
-def _vp(c, p, n):
-    from .padic import vp_int
-    v = vp_int(c % p**n, p)
-    return v
 
 
 class MatGroup:

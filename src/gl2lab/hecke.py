@@ -111,12 +111,12 @@ class CosetFunction:
     """Finitely supported right-Gamma(p^n)-coset function, or formula-backed."""
 
     def __init__(self, ctx: LocalContext, n: int, support=None,
-                 formula: Optional[Callable] = None, zero=Fraction(0)):
+                 formula: Optional[Callable] = None):
         self.ctx = ctx
         self.n = n
         self.support = support or {}
         self.formula = formula
-        self.zero = zero
+        self.zero = Fraction(0)
         # a point whose (e, d) no support key has is off the support, so
         # the rest of its key is never computed
         self.heads = {key[:2] for key in self.support}
@@ -180,92 +180,47 @@ def congruence_elements(ctx: LocalContext, n: int, depth: int):
         yield LocalMatrix.from_integers(ctx, [ents[:2], ents[2:]])
 
 
-def tower_tr_det(ctx: LocalContext, m, n: int, modulus: int) -> Counter:
-    """How often each (tr(M u), det(M u)) mod `modulus` occurs over u in
-    Gamma(p^n)/Gamma(p^(n+1)), for M given by the integer coefficient tuples
-    m = (a, b, c, d) of its entries; the pairs are coefficient tuples.
-
-    With u = 1 + p^n X, tr(M u) = tr M + p^n (a x11 + d x22) + p^n (c x12 + b x21)
-    and det(M u) = det M (1 + p^n x11)(1 + p^n x22) - det M p^(2n) x12 x21:
-    each is a part in (x11, x22) plus a part in (x12, x21), so the q^4 pairs
-    come from two tables of q^2 entries, each counted by its residues first.
-    """
-    p, r, f = ctx.p, ctx.r, ctx.defining_poly
-    a, b, c, d = m
-    digits = list(itertools.product(range(p), repeat=r))
-    pn = p**n
-
-    def scaled(x, s=pn):
-        return tuple(s * y for y in x)
-
-    def residues(pairs):
-        return Counter((tuple(y % modulus for y in tr),
-                        tuple(y % modulus for y in det)) for tr, det in pairs)
-
-    one = (1,) + (0,) * (r - 1)
-    tr_m = _o_add(a, d)
-    det_m = _o_sub(_o_mul(a, d, f), _o_mul(b, c, f))
-    diagonal = residues(
-        (_o_add(tr_m, scaled(_o_add(_o_mul(a, x11, f), _o_mul(d, x22, f)))),
-         _o_mul(det_m, _o_mul(_o_add(one, scaled(x11)),
-                              _o_add(one, scaled(x22)), f), f))
-        for x11, x22 in itertools.product(digits, repeat=2))
-    cross = residues(
-        (scaled(_o_add(_o_mul(c, x12, f), _o_mul(b, x21, f))),
-         _o_mul(det_m, scaled(_o_mul(x12, x21, f), pn * pn), f))
-        for x12, x21 in itertools.product(digits, repeat=2))
-    out = Counter()
-    for (t1, d1), c1 in diagonal.items():
-        for (t2, d2), c2 in cross.items():
-            out[tuple((x + y) % modulus for x, y in zip(t1, t2)),
-                tuple((x - y) % modulus for x, y in zip(d1, d2))] += c1 * c2
-    return out
-
-
-class _ReadsPairs(Exception):
-    """The branch of g u depends on the pair (tr(M u), det(M u))."""
-
-
 def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
     """Counter(phi_branch(g @ u, n + 1) for u in congruence_elements(ctx, n, 1)),
     without forming the products.
 
-    g = p^e M and g u = p^e M u have the same e, so the same k = -e, and the
-    same v(det); a branch reached without reading the trace is that of every
-    g u.  Otherwise the branch reads g u only through tr(M u) and det(M u)
-    (`tower_tr_det`), never deeper than p^(n + 1 + k).  So the pairs are
-    counted mod that power, and each residue is classified once, certified
-    as g u would be: for an exact g the trace predicates are exact, otherwise
-    every read is mod p^prec(g) and raises PrecisionExhausted where g u would.
+    Write g = p^e M with k = -e, and u = 1 + p^n X.  Then g u = p^e M u has
+    the same e, so the same k, and the same v(det).  Where the key depends on
+    anything else, v(det M) = 1 + 2k and k <= n, and then:
+    - det(M u) - det M = det M (det u - 1) has valuation >= 1 + 2k + n, at
+      least n + 1 + k, the deepest digit ell reads, so det M stands for all;
+    - tr(M u) = tr M + p^n tr(M X), and the trace predicates and ell read the
+      trace only mod p^(n + 1), so only y = tr(M X) mod p matters;
+    - X -> tr(M X) mod p is a nonzero F_q-linear form, as M is primitive, so
+      each y in F_q comes from exactly q^3 of the u.
+    So the q residues tr M + p^n y are classified once each, with weight q^3;
+    a branch that reads neither gives one key for every y.  Each read is
+    certified as g u would: for an exact g the trace predicates are exact,
+    otherwise every read is mod p^prec(g) and raises PrecisionExhausted
+    where g u would.
     """
     if n < 1:
         raise DomainError(f"tower averages need n >= 1, got {n}")
-    ctx, p, e = g.ctx, g.ctx.p, g.e
-    check_cap(ctx.q**4, "congruence subgroup enumeration")
+    ctx, p, q, e = g.ctx, g.ctx.p, g.ctx.q, g.e
+    check_cap(q**4, "congruence subgroup enumeration")
+    a, b, c, d = g.exact or tuple(x.coeffs for x in g.m)
     if g.exact is not None:
         # an exact product g u is exact again, with ctx.N digits
-        m, v_det, tr_prec, prec = g.exact, g.det_valuation(), None, ctx.N
+        v_det, tr_prec, prec = g.det_valuation(), None, ctx.N
     else:
         # g u keeps the digits of g, but not its exact trace and determinant
-        prec = g.prec
-        m = tuple(x.coeffs for x in g.m)
+        prec = tr_prec = g.prec
         v_det = LocalMatrix(ctx, e, g.m, prec=prec).det_valuation()
-        tr_prec = prec
-
-    def read(*_):
-        raise _ReadsPairs
-
-    try:
-        return Counter({branch_key(n + 1, -e, v_det, read, read): ctx.q**4})
-    except _ReadsPairs:
-        pass
+    f, pn = ctx.defining_poly, p**n
+    tr_m = _o_add(a, d)
+    det = ctx.el(_o_sub(_o_mul(a, d, f), _o_mul(b, c, f)))
     keys = Counter()
-    for (tr, det), c in tower_tr_det(ctx, m, n, p**max(n + 1 - e, 0)).items():
+    for y in itertools.product(range(p), repeat=ctx.r):
+        tr = _o_add(tr_m, tuple(pn * x for x in y))
         keys[branch_key(
             n + 1, -e, v_det,
             lambda j: scaled_val_ge(tr, e, j, p, tr_prec),
-            lambda cap: ell_min_scaled(ctx.el(tr), ctx.el(det), e, prec,
-                                       cap))] += c
+            lambda cap: ell_min_scaled(ctx.el(tr), det, e, prec, cap))] += q**3
     return keys
 
 
@@ -310,10 +265,7 @@ def phi_support(ctx: LocalContext, n: int) -> CosetFunction:
     return CosetFunction(ctx, n, support, formula=None)
 
 
-def phi_formula(ctx: LocalContext, n: int, deformed=False) -> CosetFunction:
-    if deformed:
-        return CosetFunction(ctx, n, formula=lambda g: phi_pnt(g, n),
-                             zero=RationalFunctionT.zero(ctx.q))
+def phi_formula(ctx: LocalContext, n: int) -> CosetFunction:
     return CosetFunction(ctx, n, formula=lambda g: Fraction(phi_pn(g, n)))
 
 
@@ -396,10 +348,18 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     Also checks that specializing t := q reproduces the undeformed level-n
     function on the same sample.  Exact rational-function equality.  The
     level-(n+1) value at g u depends only on the branch key of g u, so the
-    average over u is a count of keys (`tower_key_histogram`) times one
-    value per distinct key.
+    average over u is a sum over at most q keys (`tower_key_histogram`),
+    each weighted by its count, of one value per key.
+
+    The values are rational functions in t of degree up to 2(n + 1), and
+    their exact sums cost about (n + 1)^2 per sample point, so that times
+    the number of points (at least the 2n + 8 anchors of the sampler) is
+    capped before the sample is drawn.
     """
     p, r = factor_prime_power(q)
+    points = len(sample) if sample is not None else max(count, 2 * n + 8)
+    check_cap(points * (n + 1)**2, "tower average arithmetic",
+              default=2_500_000)
     ctx = get_context(p, r, 2 * (n + 1) + 6)
     if sample is None:
         sample = branch_covering_sample(ctx, n + 1, count=count, seed=seed)

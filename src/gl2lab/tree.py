@@ -130,9 +130,9 @@ class FixedSetReport:
     k_tree: int
     nearest_unique: bool = True
 
-    def check_connected(self, ctx=None) -> bool:
+    def check_connected(self) -> bool:
         """The stabilized set induces a connected (convex) subtree."""
-        ctx = ctx or self.gamma.ctx
+        ctx = self.gamma.ctx
         sset = set(self.stabilized)
         for v in self.stabilized:
             for w in _path_between(ctx, v, self.nearest):

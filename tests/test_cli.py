@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -315,7 +316,7 @@ def test_failed_centrality_row_keeps_its_witness(capsys, monkeypatch):
     code, out = run(capsys, *argv)
     assert code == 0 and "witness" not in json.loads(out)["checks"][0]
 
-    def broken(ctx, n, deformed=False):
+    def broken(ctx, n):
         return hecke.CosetFunction(
             ctx, n, formula=lambda g: Fraction(phi_pn(g, n)) + 1)
 
@@ -341,6 +342,44 @@ def test_failed_tower_row_keeps_its_witness(capsys, monkeypatch):
     wit = json.loads(out)["checks"][0]["witness"]
     assert set(wit) == {"g", "level_n", "average"}
     assert Fraction(wit["level_n"]) == Fraction(wit["average"]) + 1
+
+
+def test_verify_tower_stops_at_a_large_n(capsys, monkeypatch):
+    # the exact rational-function sums grow with n: n = 1000 stops before
+    # anything is sampled, with the lab's message
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    t0 = time.perf_counter()
+    assert main(["verify-tower", "--q", "2", "--n", "1000"]) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert "tower average arithmetic" in err and "cap is 2500000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,size", [
+    # max(samples, 2n + 8 anchors) points, times (n + 1)^2
+    (["--q", "2", "--n", "1000"], 2008 * 1001**2),
+    (["--q", "2", "--n", "1000", "--samples", "1"], 2008 * 1001**2),
+    (["--q", "2", "--n", "100"], 208 * 101**2),
+    (["--q", "2", "--n", "100", "--samples", "50"], 208 * 101**2),
+    (["--q", "3", "--n", "1", "--samples", "300"], 300 * 2**2),
+    (["--q", "2", "--n", "2"], 200 * 3**2),
+])
+def test_verify_tower_cap_sees_n(capsys, monkeypatch, argv, size):
+    from gl2lab import hecke
+    from gl2lab.errors import ResourceLimit
+
+    seen = []
+
+    def stop(size, what, default=200_000):
+        seen.append((what, size, default))
+        raise ResourceLimit(what)
+
+    monkeypatch.setattr(hecke, "check_cap", stop)
+    assert main(["verify-tower", *argv]) == 2
+    assert seen == [("tower average arithmetic", size, 2_500_000)]
+    # (2, 100) at the default 200 samples and report-all's cases stay under
+    assert (size <= 2_500_000) == ("1000" not in argv)
 
 
 def _rows(out):

@@ -20,9 +20,10 @@ from gl2lab.hecke import (CosetFunction, branch_covering_sample,
                           double_coset_indicator, e_congruence,
                           in_congruence_subgroup, phi0_support, phi_formula,
                           phi_support, same_coset, tower_identity_check,
-                          tower_key_histogram, tower_tr_det, vol_congruence,
+                          tower_key_histogram, vol_congruence,
                           _random_unimodular)
-from gl2lab.padic import LocalMatrix, factor_prime_power, get_context
+from gl2lab.padic import (LocalMatrix, _o_add, _o_mul, _o_sub,
+                          factor_prime_power, get_context)
 from gl2lab.ratfunc import RationalFunctionT
 from gl2lab.testfunc import phi_branch, phi_pn, phi_pnt
 
@@ -586,6 +587,48 @@ def test_tower_key_histogram_is_the_per_u_counter(case):
         assert sum(want.values()) == g.ctx.q**4
 
 
+def tower_tr_det(ctx, m, n, modulus):
+    """The exact-pair oracle: how often each (tr(M u), det(M u)) mod
+    `modulus` occurs over u in Gamma(p^n)/Gamma(p^(n+1)), for M given by the
+    integer coefficient tuples m = (a, b, c, d) of its entries.
+
+    With u = 1 + p^n X, tr(M u) = tr M + p^n (a x11 + d x22) + p^n (c x12 + b x21)
+    and det(M u) = det M (1 + p^n x11)(1 + p^n x22) - det M p^(2n) x12 x21:
+    each is a part in (x11, x22) plus a part in (x12, x21), so the q^4 pairs
+    come from two tables of q^2 entries, each counted by its residues first.
+    """
+    p, r, f = ctx.p, ctx.r, ctx.defining_poly
+    a, b, c, d = m
+    digits = list(itertools.product(range(p), repeat=r))
+    pn = p**n
+
+    def scaled(x, s=pn):
+        return tuple(s * y for y in x)
+
+    def residues(pairs):
+        return Counter((tuple(y % modulus for y in tr),
+                        tuple(y % modulus for y in det)) for tr, det in pairs)
+
+    one = (1,) + (0,) * (r - 1)
+    tr_m = _o_add(a, d)
+    det_m = _o_sub(_o_mul(a, d, f), _o_mul(b, c, f))
+    diagonal = residues(
+        (_o_add(tr_m, scaled(_o_add(_o_mul(a, x11, f), _o_mul(d, x22, f)))),
+         _o_mul(det_m, _o_mul(_o_add(one, scaled(x11)),
+                              _o_add(one, scaled(x22)), f), f))
+        for x11, x22 in itertools.product(digits, repeat=2))
+    cross = residues(
+        (scaled(_o_add(_o_mul(c, x12, f), _o_mul(b, x21, f))),
+         _o_mul(det_m, scaled(_o_mul(x12, x21, f), pn * pn), f))
+        for x12, x21 in itertools.product(digits, repeat=2))
+    out = Counter()
+    for (t1, d1), c1 in diagonal.items():
+        for (t2, d2), c2 in cross.items():
+            out[tuple((x + y) % modulus for x, y in zip(t1, t2)),
+                tuple((x - y) % modulus for x, y in zip(d1, d2))] += c1 * c2
+    return out
+
+
 @pytest.mark.parametrize("q,n", TOWER_CASES)
 def test_tower_pairs_are_the_exact_traces_and_determinants(q, n):
     # exact g u carries tr(M u) and det(M u) over O, p^(2n) det X included;
@@ -604,6 +647,36 @@ def test_tower_pairs_are_the_exact_traces_and_determinants(q, n):
         assert all(h.e == g.e for h in prods)
         assert tower_tr_det(ctx, g.exact, n, big) == Counter(
             (mod(h.exact_tr[1]), mod(h.exact_det[1])) for h in prods)
+
+
+@pytest.mark.parametrize("q,n", TOWER_CASES)
+def test_tower_pairs_on_the_support_read_one_trace_digit(q, n):
+    # what tower_key_histogram stands on: where the branch reads the pair
+    # (v(det M) = 1 + 2k, k <= n), every det(M u) is det M mod p^(n+1+k),
+    # and mod p^(n+1) the traces are tr M + p^n y, each y in F_q q^3 times
+    p, r = factor_prime_power(q)
+    ctx = get_context(p, r, 2 * (n + 1) + 6)
+    f, digits = ctx.defining_poly, list(itertools.product(range(p), repeat=r))
+    seen = 0
+    for g in branch_covering_sample(ctx, n + 1, count=60, seed=5):
+        k = -g.e
+        if g.exact is None or g.det_valuation() != 1 or k > n:
+            continue
+        seen += 1
+        a, b, c, d = g.exact
+        big = p**(n + 1 + k)
+        det_m = tuple(x % big for x in
+                      _o_sub(_o_mul(a, d, f), _o_mul(b, c, f)))
+        pairs = tower_tr_det(ctx, g.exact, n, big)
+        assert {det for _, det in pairs} == {det_m}
+        traces = Counter()
+        for (tr, _), cnt in pairs.items():
+            traces[tuple(x % p**(n + 1) for x in tr)] += cnt
+        tr_m = _o_add(a, d)
+        assert traces == Counter({
+            tuple((t + p**n * x) % p**(n + 1) for t, x in zip(tr_m, y)): q**3
+            for y in digits})
+    assert seen >= 5
 
 
 @pytest.mark.parametrize("rows,e,n,prec", [
