@@ -17,7 +17,6 @@ element, where it is -.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List
 
 import numpy as np
@@ -218,18 +217,13 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int) -> bool:
     n_left = int(np.count_nonzero(G.congruence_mask(k)))
     sums = _fibre_sums(G, k, fv[norm_class[labels]], n_left)
 
-    # right side: per conjugacy class of the norm, average f over v * gamma
-    Gs = MatGroup(RingTables(p, 1, j))
-    vs = list(zip(*(c[Gs.congruence_mask(k)].tolist() for c in Gs.comps)))
-    rhs = []
-    for gamma in small.class_reps:
-        s = sum(fv[small.class_of(small.mul(v, gamma))] for v in vs)
-        rhs.append(Fraction(int(s), len(vs)))
-    rhs_num = np.asarray([f.numerator for f in rhs], dtype=np.int64)
-    rhs_den = np.asarray([f.denominator for f in rhs], dtype=np.int64)
-    cls = norm_class[labels]
-    # compare sums/n_left against rhs fraction per element
-    return bool(np.all(sums * rhs_den[cls] == rhs_num[cls] * n_left))
+    # right side: average f(v gamma) over v in Gamma(p^k) of GL2(Z/p^j), the
+    # same fibre sums, read at one element gamma of each class
+    Gs = small._group
+    n_right = int(np.count_nonzero(Gs.congruence_mask(k)))
+    first = np.unique(small._labels, return_index=True)[1]
+    rhs = _fibre_sums(Gs, k, fv[small._labels], n_right)[first]
+    return bool(np.all(sums * n_right == rhs[norm_class[labels]] * n_left))
 
 
 def _fibre_sums(G: MatGroup, k: int, per_el: np.ndarray, fibre_size: int):

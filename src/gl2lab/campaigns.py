@@ -17,9 +17,11 @@ from .checks import (DEFAULT_SEED, Check, _witness, centrality_checks,
                      orbital_checks, tower_checks, tree_checks)
 from .curves import (boundary_orbit_report, boundary_ss_trace,
                      enumerate_curves, level_m_count, ss_lefschetz)
+from .errors import check_cap
 from .finitegl2 import (ClassFunction, FiniteGL2, drinfeld_module_character,
                         e_gamma, fixed_surjections, induced_character,
-                        ss_trace_point, steinberg_character)
+                        ss_trace_closed, ss_trace_point,
+                        steinberg_character)
 from .padic import ExtendedNat, factor_prime_power, get_context, vp_int
 from .testfunc import GammaInvariants, c_closed, c_r_char
 
@@ -60,6 +62,8 @@ def norm_table_checks(tab):
 
 def exact_sequence_checks(cases=((2, 2, 1), (2, 2, 2), (3, 2, 1)),
                           samples=20, seed=DEFAULT_SEED):
+    # samples gammas, or the two anchors
+    check_cap(max(samples, 2), "unit-group exactness sample", default=20_000)
     rnd = random.Random(seed)
     out = []
     for (p, r, n) in cases:
@@ -104,30 +108,32 @@ def cross_identity_checks(ps=(2, 3), ns=(1, 2)):
     out = []
     for p in ps:
         for n in ns:
-            G = FiniteGL2(p, n)
-            h = e_gamma(G)
+            h = e_gamma(FiniteGL2(p, n))
             ctxn = get_context(p, 1, n + 2)
-            bad = 0
-            # trace-divisible branch
-            inv = GammaInvariants(1, ExtendedNat(1), None, None, n)
-            if c_closed(inv, n, p) != c_r_char(inv, h, p, 1, n).as_rational():
-                bad += 1
+            fails = []  # (input, closed form, character sum) per failed comparison
+
+            def compare(point, inv, vanishes=False):
+                closed, chars = c_closed(inv, n, p), c_r_char(inv, h, p, 1, n)
+                if closed != chars or (vanishes and closed != 0):
+                    fails.append((point, closed, chars))
+
+            compare("trace-divisible",
+                    GammaInvariants(1, ExtendedNat(1), None, None, n))
             # the explicit identity (1+p)(1-p^n) = 1 - p (p^n + p^(n-1) - 1)
-            if (1 + p) * (1 - p**n) != 1 - p * (p**n + p**(n - 1) - 1):
-                bad += 1
+            if (1 + p) * (1 - p**n) != ss_trace_closed(p, 1, n):
+                fails.append(("identity", (1 + p) * (1 - p**n),
+                              ss_trace_closed(p, 1, n)))
             # ordinary branch, every unit eigenvalue residue (ell = v_p(a - 1))
             for a in range(1, p**n):
-                if a % p == 0:
-                    continue
-                inv = GammaInvariants(1, ExtendedNat(0), vp_int(a - 1, p),
-                                      ctxn.el(a), n)
-                if c_closed(inv, n, p) != c_r_char(inv, h, p, 1, n).as_rational():
-                    bad += 1
-            # off-support: v_det != 1
-            inv = GammaInvariants(2, ExtendedNat(1), None, None, n)
-            if c_closed(inv, n, p) != 0 or not c_r_char(inv, h, p, 1, n).is_zero():
-                bad += 1
-            out.append(Check("c-closed-vs-characters", {"p": p, "n": n}, 0, bad))
+                if a % p != 0:
+                    compare(f"a = {a}", GammaInvariants(
+                        1, ExtendedNat(0), vp_int(a - 1, p), ctxn.el(a), n))
+            # off-support: v_det != 1, where both sides vanish
+            compare("off-support",
+                    GammaInvariants(2, ExtendedNat(1), None, None, n), True)
+            out.append(Check("c-closed-vs-characters", {"p": p, "n": n}, 0,
+                             len(fails), _witness(fails, ("input", "closed_form",
+                                                          "characters"))))
     return out
 
 
@@ -147,18 +153,20 @@ def drinfeld_checks(pns=((2, 1), (3, 1), (2, 2), (3, 2))):
                          True, acc == dr))
         # dual-path ss traces across all unit eigenvalue residues
         h = e_gamma(G)
-        bad = 0
+        fails = []  # (point, character sum, second path) per failed comparison
         for a in range(1, p**n):
             if a % p == 0:
                 continue
             char_path = ss_trace_point("ordinary", h, p, 1, n, a=a).as_rational()
             fixed_path = fixed_surjections(p, n, (1, 0, 0, 1), a=a)
             if char_path != fixed_path:
-                bad += 1
+                fails.append((f"a = {a}", char_path, fixed_path))
         ss_char = ss_trace_point("supersingular", h, p, 1, n).as_rational()
-        if ss_char != 1 - p * (p**n + p**(n - 1) - 1):
-            bad += 1
-        out.append(Check("ss-trace-dual-path", {"p": p, "n": n}, 0, bad))
+        if ss_char != ss_trace_closed(p, 1, n):
+            fails.append(("supersingular", ss_char, ss_trace_closed(p, 1, n)))
+        out.append(Check("ss-trace-dual-path", {"p": p, "n": n}, 0, len(fails),
+                         _witness(fails, ("point", "character_sum",
+                                          "second_path"))))
         # dimension bookkeeping
         triv = [c for c in G.characters() if c.is_trivial()][0]
         ind = induced_character(G, triv)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import DEFAULT_SEED
-from .errors import DomainError, PrecisionExhausted
+from .errors import DomainError, PrecisionExhausted, check_cap
 from .hecke import centrality_check, tower_identity_check
 from .padic import LocalMatrix, get_context, k_of
 from .testfunc import GammaInvariants, c_closed
@@ -109,6 +109,10 @@ def orbital_checks(cases=((2, 1), (2, 2), (3, 1), (3, 2)), per=50,
     for (q, n) in cases:
         if n < 1:
             raise DomainError(f"orbital checks need n >= 1, got {n}")
+        # per points (or the at most n + 4 anchors), each a sum over n shells
+        # at precision 2n + 6, so the work grows as points times n
+        check_cap(max(per, n + 4) * n, "orbital ratio shell sums",
+                  default=50_000)
         ctx = get_context(q, 1, 2 * n + 6)
         sample = _orbital_sample(ctx, n, per, seed)
         branches = {"trace-divisible": 0, "ell-at-least-n": 0, "ell-below-n": 0}
@@ -149,6 +153,7 @@ def orbital_checks(cases=((2, 1), (2, 2), (3, 1), (3, 2)), per=50,
 
 
 def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
+    check_cap(probes, "tree-lemma probes", default=10_000)
     out = []
     for q in qs:
         ctx = get_context(q, 1, 14)

@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     sp.add_argument("--depth", type=int, default=2)
     sp.add_argument("--verify", action="store_true",
                     help="run the tree-lemma battery instead (criterion 8)")
-    sp.add_argument("--probes", type=int, default=100)
+    sp.add_argument("--probes", type=_positive_int, default=100)
 
     sp = add_parser("char-table", help="principal-series character data")
     sp.add_argument("--p", type=int, required=True)

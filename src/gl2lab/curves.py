@@ -26,7 +26,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import DomainError, check_cap
-from .finitegl2 import FiniteGL2, e_gamma, fixed_surjections, ss_trace_point
+from .finitegl2 import (FiniteGL2, e_gamma, fixed_surjections, ss_trace_closed,
+                        ss_trace_point)
 from .gl2group import MatGroup, RingTables
 from .padic import (LocalMatrix, _least_prime_factor, check_boundary_input,
                     check_level, factor_prime_power, get_context,
@@ -202,14 +203,11 @@ class WeierstrassCurve:
 
 
 def _nmul(F, n, x):
-    """n * x for a small non-negative integer n (reduced mod char).
+    """n * x for a small non-negative integer n: the code of n is n mod p.
 
     x is a field code or an array of codes.
     """
-    acc = x * 0
-    for _ in range(n % F.p):
-        acc = F.ADD[acc, x]
-    return acc
+    return F.MUL[n % F.p, x]
 
 
 def _discriminant(F, a1, a2, a3, a4, a6):
@@ -523,7 +521,7 @@ def point_trace(p: int, r: int, n: int, ordinary: bool,
         _check_point_trace(val, direct, p, r, n, "ordinary")
         return int(direct)
     val = ss_trace_point("supersingular", h, p, r, n)
-    direct = 1 - p**r * (p**n + p**(n - 1) - 1)
+    direct = ss_trace_closed(p, r, n)
     _check_point_trace(val, direct, p, r, n, "supersingular")
     return direct
 

@@ -1,16 +1,16 @@
-"""Exact character theory of GL2(Z/p^n).
+"""Exact character theory of GL2(Z/p^n) on the `gl2group` code arrays (r = 1).
 
-Conjugacy classes from the shared orbit routine over the ring tables
-(`gl2group`), principal-series characters induced from the Borel, the
-Steinberg character, the permutation module on surjections
-(Z/p^n)^2 ->> Z/p^n with its commuting unit action, and the semisimple
-point traces built from them.  Values are exact cyclotomic numbers of
-order dividing phi(p^n).
+Conjugacy classes from the shared orbit routine; one table of Borel fixed
+points, from the arrays' matrix products, behind every principal-series
+character; the Steinberg character, the permutation module on surjections
+(Z/p^n)^2 ->> Z/p^n with its commuting unit action, and the semisimple point
+traces built from them.  Values are exact elements of Q(zeta_phi(p^n)).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -54,14 +54,15 @@ class UnitCharacter:
         self.group = group
         self.exponents = tuple(exponents)
 
-    def __call__(self, u: int) -> CyclotomicValue:
+    def exponent(self, u: int) -> int:
+        """e with chi(u) = zeta_M^e, reduced mod M."""
         g = self.group
-        dlog = g.unit_dlog[u % g.mod]
         M = g.char_order
-        e = 0
-        for j, a, (_, order) in zip(self.exponents, dlog, g.unit_gens):
-            e += j * a * (M // order)
-        return CyclotomicValue.zeta(M, e)
+        return sum(j * a * (M // order) for j, a, (_, order)
+                   in zip(self.exponents, g.unit_dlog[u % g.mod], g.unit_gens)) % M
+
+    def __call__(self, u: int) -> CyclotomicValue:
+        return CyclotomicValue.zeta(self.group.char_order, self.exponent(u))
 
     def is_trivial(self):
         return all(j == 0 for j in self.exponents)
@@ -105,72 +106,55 @@ class FiniteGL2:
         self.class_of_el = labels[lex].tolist()
         self.class_reps = [self.elements[i] for i in first]
         self.class_sizes = np.bincount(labels).tolist()
+        reps = tuple(np.array(x, dtype=np.int64) for x in zip(*self.class_reps))
+        self._inverse_classes = labels[G.idx(G.minv(reps))].tolist()
+        self.borel_counts = _borel_counts(G, reps)
+        self.order = len(self.elements)
+        self.identity_class = self.class_of((1, 0, 0, 1))
 
         # unit group bookkeeping for characters
-        mod = self.mod
         self.unit_gens = _unit_generators(p, n)
-        phi = _totient_prime_power(p, n)
-        self.char_order = phi if phi > 0 else 1
-        self.unit_dlog = {1: tuple(0 for _ in self.unit_gens)}
-        for gi, (g, order) in enumerate(self.unit_gens):
-            table = dict(self.unit_dlog)
-            for u, dl in list(table.items()):
-                x = u
-                for a in range(1, order):
-                    x = x * g % mod
-                    dl2 = list(dl)
-                    dl2[gi] = a
-                    table[x] = tuple(dl2)
-            self.unit_dlog = table
+        self.char_order = phi = _totient_prime_power(p, n)
+        self.unit_dlog = {}
+        for exps in itertools.product(*(range(o) for _, o in self.unit_gens)):
+            u = math.prod(pow(g, a, self.mod)
+                          for (g, _), a in zip(self.unit_gens, exps))
+            self.unit_dlog[u % self.mod] = exps
         if len(self.unit_dlog) != phi:
             raise AssertionError(f"unit generators {self.unit_gens} span "
-                                 f"{len(self.unit_dlog)} of {phi} units mod {mod}")
-
-    # -- matrix helpers ---------------------------------------------------------
-
-    def mul(self, x, y):
-        m = self.mod
-        return ((x[0] * y[0] + x[1] * y[2]) % m, (x[0] * y[1] + x[1] * y[3]) % m,
-                (x[2] * y[0] + x[3] * y[2]) % m, (x[2] * y[1] + x[3] * y[3]) % m)
-
-    def inv(self, x):
-        m = self.mod
-        det = (x[0] * x[3] - x[1] * x[2]) % m
-        di = pow(det, -1, m)
-        return ((x[3] * di) % m, (-x[1] * di) % m, (-x[2] * di) % m, (x[0] * di) % m)
+                                 f"{len(self.unit_dlog)} of {phi} units mod {self.mod}")
 
     def class_of(self, x) -> int:
-        m = self.mod
-        a, b, c, d = (v % m for v in x)
-        i = self._group.idx_of_code[a + m * (b + m * (c + m * d))]
+        i = self._group.idx(tuple(v % self.mod for v in x))
         if i < 0:
-            raise DomainError(f"{tuple(x)} is not invertible mod {m}")
+            raise DomainError(f"{tuple(x)} is not invertible mod {self.mod}")
         return int(self._labels[i])
 
-    @property
-    def order(self):
-        return len(self.elements)
-
-    @property
-    def identity_class(self):
-        return self.class_of((1, 0, 0, 1))
-
     def inverse_class(self, cid: int) -> int:
-        return self.class_of(self.inv(self.class_reps[cid]))
+        return self._inverse_classes[cid]
 
     def characters(self):
-        """All characters of (Z/p^n)^x."""
-        ranges = [range(order) for _, order in self.unit_gens]
-        if not ranges:
-            return [UnitCharacter(self, ())]
-        return [UnitCharacter(self, exps) for exps in itertools.product(*ranges)]
+        """All characters of (Z/p^n)^x, in the order of their exponents."""
+        return [UnitCharacter(self, exps) for exps in self.unit_dlog.values()]
 
-    def borel_coset_reps(self):
-        """Sections of the projective line over Z/p^n: p^n + p^(n-1) cosets."""
-        mod, p = self.mod, self.p
-        reps = [(1, 0, c, 1) for c in range(mod)]
-        reps += [(c * p, 1, 1, 0) for c in range(mod // p)]
-        return reps
+
+def _borel_counts(G, reps):
+    """counts[c, t]: the sections x of the projective line with x^-1 c x in
+    the Borel B (upper triangular) and lower-right entry t, c over reps.
+
+    One section per line: (1, 0, y, 1) for y mod p^n and (p y, 1, 1, 0) for
+    y mod p^(n-1).  x^-1 c x lies in B exactly when c fixes the line x e1.
+    """
+    mod, p = G.t.Q, G.t.p
+    y, w = np.arange(mod), np.arange(mod // p)
+    one, zero = np.ones_like, np.zeros_like
+    x = tuple(np.concatenate(halves)[None, :] for halves in
+              ((one(y), p * w), (zero(y), one(w)), (y, one(w)), (one(y), zero(w))))
+    z = G.matmul(G.minv(x), G.matmul(tuple(c[:, None] for c in reps), x))
+    cls, sec = np.nonzero(z[2] == 0)
+    counts = np.zeros((len(reps[0]), mod), dtype=np.int64)
+    np.add.at(counts, (cls, z[3][cls, sec]), 1)
+    return counts
 
 
 class ClassFunction:
@@ -233,19 +217,18 @@ def e_gamma(G: FiniteGL2) -> ClassFunction:
 
 def induced_character(G: FiniteGL2, chi: UnitCharacter) -> ClassFunction:
     """Character induced from the Borel subgroup, twisting by chi on the
-    lower-right torus coordinate; degree p^n + p^(n-1)."""
-    reps = G.borel_coset_reps()
-    mod = G.mod
+    lower-right torus coordinate; degree p^n + p^(n-1).
+
+    Ind(chi)(c) = sum_t borel_counts[c, t] chi(t): the sum of chi(t) over the
+    lines c fixes.  Each class's counts, bucketed by the exponent e of
+    chi(t) = zeta_M^e, are one element of Q(zeta_M), kept as its canonical
+    reduced vector, so the value is the same however it is summed.
+    """
     M = G.char_order
-    values = []
-    for c in G.class_reps:
-        acc = CyclotomicValue.rational(M, 0)
-        for x in reps:
-            z = G.mul(G.inv(x), G.mul(c, x))
-            if z[2] % mod == 0:
-                acc = acc + chi(z[3])
-        values.append(acc)
-    return ClassFunction(G, values)
+    sums = np.zeros((len(G.class_reps), M), dtype=np.int64)
+    for t in G.unit_dlog:
+        sums[:, chi.exponent(t)] += G.borel_counts[:, t]
+    return ClassFunction(G, [CyclotomicValue(M, row) for row in sums.tolist()])
 
 
 def steinberg_character(p: int, n: int) -> ClassFunction:
@@ -287,6 +270,12 @@ def tr_rep(h: ClassFunction, char: ClassFunction) -> CyclotomicValue:
     for cid, size in enumerate(G.class_sizes):
         acc = acc + h.values[cid] * char.values[cid] * size
     return acc / G.order
+
+
+def ss_trace_closed(p: int, r: int, n: int) -> int:
+    """The supersingular point trace against e_gamma in closed form:
+    1 - p^r (p^n + p^(n-1) - 1), as dim 1 = 1 and dim St = p^n + p^(n-1) - 1."""
+    return 1 - p**r * (p**n + p**(n - 1) - 1)
 
 
 def ss_trace_point(kind: str, h: ClassFunction, p: int, r: int, n: int,

@@ -400,12 +400,14 @@ def centrality_check(q: int, n: int, generators=None, count: int = 100,
             LocalMatrix.from_integers(ctx, [[p, 0], [0, 1]]),
             LocalMatrix.from_integers(ctx, [[0, 1], [p, 0]]),
         ]
+    extra = 10  # support points times each generator
+    # the sampler draws max(count, 2n + 6) points, its anchors included
+    check_cap(_support_candidates(q, n)
+              * (max(count, 2 * n + 6) + extra * len(generators)),
+              "central function convolution")
     sample = branch_covering_sample(ctx, n, count=count, seed=seed)
     if any(g.det_valuation() - 2 * g.e > dg for g in sample):
         raise PrecisionExhausted(f"a sample point is deeper than d = {dg}")
-    extra = 10  # support points times each generator
-    check_cap(_support_candidates(q, n) * (len(sample) + extra * len(generators)),
-              "central function convolution")
     phi_sup = phi_support(ctx, n)
     phi_fn = phi_formula(ctx, n)
     # include points in the product support: h * w shapes

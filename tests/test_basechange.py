@@ -18,29 +18,32 @@ from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup, RingTables
 
 
+def _mul(mod, x, y):
+    """Product of two matrices (a, b, c, d) over Z/mod."""
+    return ((x[0] * y[0] + x[1] * y[2]) % mod,
+            (x[0] * y[1] + x[1] * y[3]) % mod,
+            (x[2] * y[0] + x[3] * y[2]) % mod,
+            (x[2] * y[1] + x[3] * y[3]) % mod)
+
+
+def _inv(mod, x):
+    """Inverse of an invertible matrix (a, b, c, d) over Z/mod."""
+    di = pow((x[0] * x[3] - x[1] * x[2]) % mod, -1, mod)
+    return ((x[3] * di) % mod, (-x[1] * di) % mod,
+            (-x[2] * di) % mod, (x[0] * di) % mod)
+
+
 def brute_conjugacy_classes(p, n):
     """Independent oracle: conjugacy classes of GL2(Z/p^n) by full partition."""
     mod = p**n
     els = [m for m in itertools.product(range(mod), repeat=4)
            if (m[0] * m[3] - m[1] * m[2]) % p != 0]
 
-    def mul(x, y):
-        return ((x[0] * y[0] + x[1] * y[2]) % mod,
-                (x[0] * y[1] + x[1] * y[3]) % mod,
-                (x[2] * y[0] + x[3] * y[2]) % mod,
-                (x[2] * y[1] + x[3] * y[3]) % mod)
-
-    def inv(x):
-        det = (x[0] * x[3] - x[1] * x[2]) % mod
-        di = pow(det, -1, mod)
-        return ((x[3] * di) % mod, (-x[1] * di) % mod,
-                (-x[2] * di) % mod, (x[0] * di) % mod)
-
     unseen = set(els)
     classes = []
     while unseen:
         g = min(unseen)
-        orbit = {mul(inv(h), mul(g, h)) for h in els}
+        orbit = {_mul(mod, _inv(mod, h), _mul(mod, g, h)) for h in els}
         unseen -= orbit
         classes.append((g, len(orbit)))
     return classes
@@ -241,7 +244,8 @@ def _bc_unit_oracle(fs, k, p, r, j):
           and x[2] % pk == 0 and (x[3] - 1) % pk == 0]
     out = []
     for f, lf in zip(fs, left):
-        right = [Fraction(sum(f[small.class_of(small.mul(v, g))] for v in vs),
+        right = [Fraction(sum(f[small.class_of(_mul(small.mod, v, g))]
+                              for v in vs),
                           len(vs)) for g in small.class_reps]
         out.append(all(Fraction(int(lf[i]), n_left)
                        == right[norm_class[labels[i]]] for i in range(G.order)))

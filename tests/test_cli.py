@@ -468,3 +468,116 @@ def test_verify_tower_reaches_extension_fields(capsys, q):
     assert code == 0 and rep["summary"] == {"failed": 0, "passed": 1,
                                             "total": 1}
     assert rep["checks"][0]["inputs"] == {"q": q, "n": 1, "samples": 12}
+
+
+@pytest.mark.parametrize("argv,what,cap", [
+    (["verify-central", "--samples", "100000000"],
+     "central function convolution", 200_000),
+    (["verify-orbital", "--q", "2", "--n", "1", "--samples", "100000000"],
+     "orbital ratio shell sums", 50_000),
+    (["verify-exact-seq", "--p", "2", "--r", "2", "--n", "1",
+      "--samples", "100000000"], "unit-group exactness sample", 20_000),
+    (["tree-fixed-set", "--p", "2", "--verify", "--probes", "100000000"],
+     "tree-lemma probes", 10_000),
+])
+def test_sampled_counts_are_capped_before_they_are_drawn(capsys, monkeypatch,
+                                                          argv, what, cap):
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert f"{what} needs" in err and f"cap is {cap}" in err
+    assert "Traceback" not in err
+
+
+def test_probes_below_one_exit_two(capsys):
+    for probes in ("0", "-5"):
+        assert main(["tree-fixed-set", "--p", "2", "--verify",
+                     "--probes", probes]) == 2
+        err = capsys.readouterr().err
+        assert "argument --probes: need an integer >= 1" in err
+
+
+def test_report_all_and_oneshot_counts_lie_under_the_sample_caps(monkeypatch):
+    # each cap is the first thing its battery does; stop there and compare
+    from gl2lab import campaigns, checks, hecke
+
+    class Capped(Exception):
+        pass
+
+    seen = []
+
+    def record(size, what, default=200_000):
+        seen.append((what, size, default))
+        raise Capped(what)
+
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    for module in (campaigns, checks, hecke):
+        monkeypatch.setattr(module, "check_cap", record)
+    calls = [campaigns.exact_sequence_checks, campaigns.tree_checks,
+             campaigns.centrality_checks]
+    # report-all's orbital cases, and the one-shot verify-orbital's
+    calls += [lambda case=case, per=per: campaigns.orbital_checks(
+        cases=(case,), per=per)
+        for per in (50, 20) for case in ((2, 1), (2, 2), (3, 1), (3, 2))]
+    for call in calls:
+        with pytest.raises(Capped):
+            call()
+    assert len(seen) == len(calls)
+    assert all(size <= default for _, size, default in seen)
+
+
+def test_failed_cross_identity_row_keeps_its_witness(capsys, monkeypatch):
+    from gl2lab import campaigns
+
+    argv = ["verify-cr", "--p", "3", "--n", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and not any("witness" in row
+                                 for row in json.loads(out)["checks"])
+    real = campaigns.c_r_char
+    # one more on the ordinary branch, at a = 1 and a = 2
+    monkeypatch.setattr(campaigns, "c_r_char", lambda inv, h, p, r, n: (
+        real(inv, h, p, r, n) + (inv.t2_residue is not None)))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    row = _rows(out)["c-closed-vs-characters"]
+    assert not row["pass"] and row["actual"] == 2
+    wit = row["witness"]
+    assert set(wit) == {"input", "closed_form", "characters"}
+    assert wit["input"] == "a = 1"
+    assert Fraction(wit["characters"]) == Fraction(wit["closed_form"]) + 1
+    assert _rows(out)["ss-trace-dual-path"]["pass"]
+
+
+def test_failed_dual_path_row_keeps_its_witness(capsys, monkeypatch):
+    from gl2lab import campaigns
+
+    argv = ["verify-cr", "--p", "3", "--n", "1"]
+    real = campaigns.fixed_surjections
+    monkeypatch.setattr(campaigns, "fixed_surjections", lambda p, n, g, a=1: (
+        real(p, n, g, a=a) + (a == 2)))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    rows = _rows(out)
+    row = rows["ss-trace-dual-path"]
+    assert not row["pass"] and row["actual"] == 1
+    assert row["witness"] == {"point": "a = 2", "character_sum": "0",
+                              "second_path": "1"}
+    assert rows["c-closed-vs-characters"]["pass"]
+    assert "witness" not in rows["c-closed-vs-characters"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["report-all"],
+     "11ec09e0f1cd27522ede9542b5c7047a353d9f2ca62c8b30ab037afda438abda"),
+    (["report-all", "--seed", "7"],
+     "cf49edfbe3340c9d41abf509a84f983508f913986b9dd119febe1684456571a0"),
+])
+def test_report_all_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    import hashlib
+
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

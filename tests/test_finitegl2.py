@@ -9,6 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from gl2lab.cyclotomic import CyclotomicValue
 from gl2lab.errors import DomainError, ResourceLimit
 from gl2lab.finitegl2 import (ClassFunction, FiniteGL2, _unit_generators,
                               drinfeld_module_character, e_gamma,
@@ -18,6 +19,19 @@ from gl2lab.finitegl2 import (ClassFunction, FiniteGL2, _unit_generators,
 from gl2lab.gl2group import MatGroup, RingTables
 
 
+def _mul(mod, x, y):
+    """Product of two matrices (a, b, c, d) over Z/mod."""
+    return ((x[0] * y[0] + x[1] * y[2]) % mod, (x[0] * y[1] + x[1] * y[3]) % mod,
+            (x[2] * y[0] + x[3] * y[2]) % mod, (x[2] * y[1] + x[3] * y[3]) % mod)
+
+
+def _inv(mod, x):
+    """Inverse of an invertible matrix (a, b, c, d) over Z/mod."""
+    di = pow((x[0] * x[3] - x[1] * x[2]) % mod, -1, mod)
+    return ((x[3] * di) % mod, (-x[1] * di) % mod,
+            (-x[2] * di) % mod, (x[0] * di) % mod)
+
+
 @pytest.mark.parametrize("p,n,order", [(2, 1, 6), (3, 1, 48), (2, 2, 96),
                                        (3, 2, 3888), (2, 3, 1536)])
 def test_group_orders_and_class_partition(p, n, order):
@@ -25,9 +39,9 @@ def test_group_orders_and_class_partition(p, n, order):
     assert G.order == order == p**(4 * (n - 1)) * (p * p - 1) * (p * p - p)
     assert sum(G.class_sizes) == order
     # class map is constant on conjugacy orbits (spot check)
-    g = G.elements[1]
+    g, m = G.elements[1], G.mod
     for h in G.elements[:40]:
-        assert G.class_of(G.mul(G.inv(h), G.mul(g, h))) == G.class_of(g)
+        assert G.class_of(_mul(m, _inv(m, h), _mul(m, g, h))) == G.class_of(g)
 
 
 def test_s3_structure():
@@ -144,28 +158,99 @@ def test_dual_path_on_class_reps():
 
 
 # ---------------------------------------------------------------------------
+# the Borel count table against conjugation coset by coset
+
+
+def _fixed_line_entries(G, c):
+    """The lower-right entry of x^-1 c x for every section x of the projective
+    line (p^n + p^(n-1) Borel cosets) that makes it upper triangular."""
+    m, p = G.mod, G.p
+    for x in ([(1, 0, y, 1) for y in range(m)]
+              + [(y * p, 1, 1, 0) for y in range(m // p)]):
+        z = _mul(m, _inv(m, x), _mul(m, c, x))
+        if z[2] == 0:
+            yield z[3]
+
+
+BOREL_CASES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1), (7, 1)]
+
+
+@pytest.mark.parametrize("p,n", BOREL_CASES)
+def test_borel_counts_match_conjugation(p, n):
+    G = FiniteGL2(p, n)
+    expect = np.zeros((len(G.class_reps), G.mod), dtype=np.int64)
+    for cid, c in enumerate(G.class_reps):
+        for t in _fixed_line_entries(G, c):
+            expect[cid, t] += 1
+    assert np.array_equal(G.borel_counts, expect)
+    assert (G.borel_counts.sum(axis=1)[G.identity_class]
+            == p**n + p**(n - 1))
+
+
+@pytest.mark.parametrize("p,n", BOREL_CASES)
+def test_induced_character_matches_conjugation(p, n):
+    G = FiniteGL2(p, n)
+    zero = CyclotomicValue.rational(G.char_order, 0)
+    for chi in G.characters():
+        expect = [sum((chi(t) for t in _fixed_line_entries(G, c)), zero)
+                  for c in G.class_reps]
+        # the canonical vectors, hence every printed value, agree
+        assert ([v.coeffs for v in induced_character(G, chi).values]
+                == [v.coeffs for v in expect]), chi
+
+
+@pytest.mark.parametrize("p,n", BOREL_CASES)
+def test_inverse_class_is_the_class_of_the_inverse(p, n):
+    G = FiniteGL2(p, n)
+    for cid, rep in enumerate(G.class_reps):
+        assert G.inverse_class(cid) == G.class_of(_inv(G.mod, rep))
+
+
+def _unit_dlog_by_copies(gens, mod):
+    """Discrete logs by copying the table once per generator power."""
+    dlog = {1: tuple(0 for _ in gens)}
+    for gi, (g, order) in enumerate(gens):
+        table = dict(dlog)
+        for u, dl in list(table.items()):
+            x = u
+            for a in range(1, order):
+                x = x * g % mod
+                table[x] = dl[:gi] + (a,) + dl[gi + 1:]
+        dlog = table
+    return dlog
+
+
+@pytest.mark.parametrize("p,n", BOREL_CASES + [(2, 4), (13, 1)])
+def test_unit_dlog_matches_the_copy_construction(p, n):
+    G = FiniteGL2(p, n)
+    assert G.unit_dlog == _unit_dlog_by_copies(G.unit_gens, G.mod)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (7, 1)])
+def test_character_exponent_is_reduced_and_multiplicative(p, n):
+    G = FiniteGL2(p, n)
+    M, units = G.char_order, list(G.unit_dlog)
+    for chi in G.characters():
+        for u in units:
+            e = chi.exponent(u)
+            assert 0 <= e < M and chi(u) == CyclotomicValue.zeta(M, e)
+            for v in units[:5]:
+                assert chi.exponent(u * v) == (e + chi.exponent(v)) % M
+
+
+# ---------------------------------------------------------------------------
 # the table backbone against the tuple depth-first search it replaced
 
 
 def _classes_by_tuple_search(p, n):
     """Conjugacy classes of GL2(Z/p^n) by depth-first search over tuples."""
     mod = p**n
-
-    def mul(x, y):
-        return ((x[0] * y[0] + x[1] * y[2]) % mod, (x[0] * y[1] + x[1] * y[3]) % mod,
-                (x[2] * y[0] + x[3] * y[2]) % mod, (x[2] * y[1] + x[3] * y[3]) % mod)
-
-    def inv(x):
-        di = pow((x[0] * x[3] - x[1] * x[2]) % mod, -1, mod)
-        return ((x[3] * di) % mod, (-x[1] * di) % mod,
-                (-x[2] * di) % mod, (x[0] * di) % mod)
-
     elements = [m for m in itertools.product(range(mod), repeat=4)
                 if (m[0] * m[3] - m[1] * m[2]) % p != 0]
     index = {m: i for i, m in enumerate(elements)}
     gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
     gens += [(u, 0, 0, 1) for u, _ in _unit_generators(p, n)]
-    gens += [inv(g) for g in gens]
+    gens += [_inv(mod, g) for g in gens]
     class_of = [-1] * len(elements)
     reps, sizes = [], []
     for i, m in enumerate(elements):
@@ -177,7 +262,7 @@ def _classes_by_tuple_search(p, n):
         while stack:
             x = stack.pop()
             for g in gens:
-                j = index[mul(inv(g), mul(x, g))]
+                j = index[_mul(mod, _inv(mod, g), _mul(mod, x, g))]
                 if class_of[j] == -1:
                     class_of[j] = cid
                     size += 1
