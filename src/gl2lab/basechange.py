@@ -17,6 +17,7 @@ element, where it is -.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List
 
 import numpy as np
@@ -163,28 +164,32 @@ def unit_group_exactness(gamma, p: int, r: int, n: int) -> bool:
     d2 = the norm; Z_p resp. Z_pr are the unit groups of the subrings
     generated by gamma over Z/p^n resp. GR(p^n, r).
     """
+    return unit_group_defect(gamma, p, r, n) is None
+
+
+def unit_group_defect(gamma, p: int, r: int, n: int):
+    """The first spot where the sequence of `unit_group_exactness` is not
+    exact at gamma, with the sizes of the two sets compared there; None if
+    it is exact."""
     G = MatGroup(RingTables(p, r, n))
     gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
     big = _commutant_units(G, gm, range(G.t.Q))
     small = set(G.encode(*_commutant_units(G, gm, range(p**n))).tolist())
     one = int(G.encode(*G.single([[1, 0], [0, 1]])))
     key = G.encode(*big)
-
-    # position 1: the sigma-fixed points of the big unit group are the small one
-    if set(key[G.encode(*G.sigma(big)) == key].tolist()) != small:
-        return False
-
     d1 = G.encode(*G.matmul(big, G.minv(G.sigma(big))))
     d2 = G.encode(*G.norm(big))
-    if set(d1.tolist()) != set(key[d2 == one].tolist()):
-        return False
-
-    # exactness at the last spot: the norm surjects onto the small units
-    if set(d2.tolist()) != small:
-        return False
-
-    # kernel of d1 is the image of the small units (same as position 1)
-    return set(key[d1 == one].tolist()) == small
+    spots = (
+        # the sigma-fixed points of the big unit group are the small one
+        ("sigma-fixed units = small units",
+         set(key[G.encode(*G.sigma(big)) == key].tolist()), small),
+        ("image d1 = kernel d2", set(d1.tolist()), set(key[d2 == one].tolist())),
+        # exactness at the last spot: the norm surjects onto the small units
+        ("image d2 = small units", set(d2.tolist()), small),
+        # kernel of d1 is the image of the small units
+        ("kernel d1 = small units", set(key[d1 == one].tolist()), small))
+    return next(((spot, len(a), len(b)) for spot, a, b in spots if a != b),
+                None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +202,14 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int) -> bool:
 
     f_values: one integer per conjugacy class of GL2(Z/p^j); every delta is
     checked.
+    """
+    return bc_unit_defect(f_values, k, p, r, j) is None
+
+
+def bc_unit_defect(f_values, k: int, p: int, r: int, j: int):
+    """The first delta where `bc_unit_identity` fails, as its four entry
+    codes and the left and right averages; None where the identity holds.
+    An orbit that no class claims has no f-value, so no left average.
 
     Gamma(p^k) is the kernel of reduction mod p^k, so u -> u delta maps it
     bijectively onto the fibre of delta under that reduction.  The left
@@ -210,20 +223,27 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int) -> bool:
     fv = np.asarray([int(v) for v in f_values], dtype=np.int64)
     if len(fv) != len(small.class_reps):
         raise DomainError("one value per conjugacy class required")
-    if np.any(norm_class < 0):
-        return False  # an orbit without a class has no f-value
+    cls = norm_class[labels]
+    if np.any(cls < 0):
+        i = int(np.flatnonzero(cls < 0)[0])
+        return [int(x[i]) for x in G.comps], None, None
 
     # left side: average f(N(u delta)) = f-value of the orbit of (u delta)
     n_left = int(np.count_nonzero(G.congruence_mask(k)))
-    sums = _fibre_sums(G, k, fv[norm_class[labels]], n_left)
+    sums = _fibre_sums(G, k, fv[cls], n_left)
 
     # right side: average f(v gamma) over v in Gamma(p^k) of GL2(Z/p^j), the
     # same fibre sums, read at one element gamma of each class
     Gs = small._group
     n_right = int(np.count_nonzero(Gs.congruence_mask(k)))
     first = np.unique(small._labels, return_index=True)[1]
-    rhs = _fibre_sums(Gs, k, fv[small._labels], n_right)[first]
-    return bool(np.all(sums * n_right == rhs[norm_class[labels]] * n_left))
+    rhs = _fibre_sums(Gs, k, fv[small._labels], n_right)[first][cls]
+    bad = np.flatnonzero(sums * n_right != rhs * n_left)
+    if len(bad) == 0:
+        return None
+    i = int(bad[0])
+    return ([int(x[i]) for x in G.comps], Fraction(int(sums[i]), n_left),
+            Fraction(int(rhs[i]), n_right))
 
 
 def _fibre_sums(G: MatGroup, k: int, per_el: np.ndarray, fibre_size: int):

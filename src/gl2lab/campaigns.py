@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 
-from .basechange import bc_unit_identity, sigma_orbits, unit_group_exactness
+from .basechange import (bc_unit_defect, bc_unit_identity, sigma_orbits,
+                         unit_group_defect, unit_group_exactness)
 from .checks import (DEFAULT_SEED, Check, _witness, centrality_checks,
                      orbital_checks, tower_checks, tree_checks)
 from .curves import (boundary_orbit_report, boundary_ss_trace,
@@ -72,10 +73,13 @@ def exact_sequence_checks(cases=((2, 2, 1), (2, 2, 2), (3, 2, 1)),
         while len(gammas) < samples:
             g = G.elements[rnd.randrange(len(G.elements))]
             gammas.append(g)
-        ok = all(unit_group_exactness(g, p, r, n) for g in gammas)
+        bad = [g for g in gammas if not unit_group_exactness(g, p, r, n)]
+        fails = [(bad[0], *unit_group_defect(bad[0], p, r, n))] if bad else []
         out.append(Check("unit-group-exact-sequence",
                          {"p": p, "r": r, "n": n, "samples": len(gammas)},
-                         True, ok))
+                         True, not bad,
+                         _witness(fails, ("gamma", "spot", "left_size",
+                                          "right_size"))))
     return out
 
 
@@ -94,9 +98,11 @@ def bc_unit_checks(p=2, r=2, j=2, k=1, functions=3):
     out = []
     for i, f in enumerate(fs[:functions]):
         ok = bc_unit_identity(f, k, p, r, j)
+        fails = [] if ok else [bc_unit_defect(f, k, p, r, j)]
         out.append(Check("bc-unit-identity",
                          {"p": p, "r": r, "j": j, "k": k, "function": i},
-                         True, ok))
+                         True, ok, _witness(fails, ("delta", "left_average",
+                                                    "right_average"))))
     return out
 
 

@@ -12,22 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-
-
-def _zp_divmod_exact(a, b):
-    """Exact integer polynomial division (b monic), remainder must be 0."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        q[i] = c
-        if c:
-            for j in range(len(b)):
-                a[i + j] -= c * b[j]
-    if any(a):
-        raise AssertionError(f"division by {tuple(b)} was not exact: "
-                             f"remainder {a}")
-    return q
+from .poly import add, divide, mul
 
 
 @lru_cache(maxsize=None)
@@ -38,30 +23,22 @@ def cyclotomic_polynomial(M: int):
     f = [-1] + [0] * (M - 1) + [1]  # x^M - 1
     for d in range(1, M):
         if M % d == 0:
-            f = _zp_divmod_exact(f, list(cyclotomic_polynomial(d)))
+            f, rem = divide(f, cyclotomic_polynomial(d))
+            if any(rem):
+                raise AssertionError(f"Phi_{d} leaves remainder {rem}")
     return tuple(f)
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(M: int):
-    """x^k mod Phi_M for deg <= k < max(2 deg - 1, M), as Fraction vectors.
+    """x^k mod Phi_M for deg <= k < max(2 deg - 1, M), as int vectors.
 
     That covers every product of two reduced vectors and every zeta_M^k.
     """
     phi = cyclotomic_polynomial(M)
     deg = len(phi) - 1
-    rows = {}
-    cur = [Fraction(-phi[j]) for j in range(deg)]  # x^deg
-    rows[deg] = tuple(cur)
-    for k in range(deg + 1, max(2 * deg - 1, M)):
-        nxt = [Fraction(0)] + cur[:-1]
-        lead = cur[-1]
-        if lead:
-            for j in range(deg):
-                nxt[j] -= lead * phi[j]
-        cur = nxt
-        rows[k] = tuple(cur)
-    return deg, rows
+    return deg, {k: tuple(divide((0,) * k + (1,), phi)[1])
+                 for k in range(deg, max(2 * deg - 1, M, deg + 1))}
 
 
 class CyclotomicValue:
@@ -106,8 +83,7 @@ class CyclotomicValue:
 
     def __add__(self, other):
         other = self._common(other)
-        return CyclotomicValue(self.M, tuple(a + b for a, b in
-                                             zip(self.coeffs, other.coeffs)))
+        return CyclotomicValue(self.M, add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -125,13 +101,7 @@ class CyclotomicValue:
             return CyclotomicValue(self.M, tuple(a * Fraction(other)
                                                  for a in self.coeffs))
         other = self._common(other)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * (2 * n - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    out[i + j] += ai * bj
-        return CyclotomicValue(self.M, out)
+        return CyclotomicValue(self.M, mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

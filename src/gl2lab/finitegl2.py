@@ -264,11 +264,14 @@ def drinfeld_module_character(p: int, n: int) -> ClassFunction:
 
 
 def tr_rep(h: ClassFunction, char: ClassFunction) -> CyclotomicValue:
-    """tr(h | pi) = |G|^-1 sum h(g) chi_pi(g); e_gamma gives dim pi."""
+    """tr(h | pi) = |G|^-1 sum h(g) chi_pi(g); e_gamma gives dim pi.
+
+    Only the classes where h is nonzero are summed."""
     G = h.group
     acc = CyclotomicValue.rational(G.char_order, 0)
     for cid, size in enumerate(G.class_sizes):
-        acc = acc + h.values[cid] * char.values[cid] * size
+        if not h.values[cid].is_zero():
+            acc = acc + h.values[cid] * char.values[cid] * size
     return acc / G.order
 
 

@@ -16,6 +16,7 @@ import math
 from functools import total_ordering
 
 from .errors import DomainError, PrecisionExhausted, check_cap
+from .poly import divide, horner, mul, trim
 
 
 # ---------------------------------------------------------------------------
@@ -80,33 +81,23 @@ def vp_int(x: int, p: int) -> ExtendedNat:
 # polynomials over F_p (defining polynomial selection)
 
 
-def _fp_polydivmod(a, b, p):
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(da - db + 1, 1)
-    for i in range(da - db, -1, -1):
-        c = (a[i + db] * inv_lead) % p
-        q[i] = c
-        if c:
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - c * b[j]) % p
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
 def _fp_irreducible(f, p):
-    """Monic f over F_p is irreducible (trial division up to deg/2)."""
-    r = len(f) - 1
-    if r == 1:
-        return True
-    for deg in range(1, r // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            g = list(tail) + [1]
-            _, rem = _fp_polydivmod(f, g, p)
-            if rem == [0]:
-                return False
+    """Ben-Or's test: monic f of degree r over F_p is irreducible exactly
+    when gcd(f, x^(p^i) - x mod f) = 1 over F_p for every i <= r/2."""
+    x = divide((0, 1), f, p)[1]
+    h = x  # x^(p^i) mod f
+    for _ in range((len(f) - 1) // 2):
+        base, e, h = h, p, divide((1,), f, p)[1]
+        while e:  # h <- base^p mod f
+            if e & 1:
+                h = divide(mul(h, base), f, p)[1]
+            base = divide(mul(base, base), f, p)[1]
+            e >>= 1
+        a, b = f, trim([(c - d) % p for c, d in zip(h, x)])
+        while b:  # Euclid over F_p
+            a, b = b, trim(divide(a, b, p)[1])
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -114,7 +105,8 @@ def smallest_irreducible(p, r):
     """Monic degree-r polynomial over F_p, irreducible, least coefficient code.
 
     Coefficient code is c0 + c1*p + ...; coefficients lifted to [0, p).
-    The search is capped by the p^(r//2) trial divisors of one candidate.
+    The search is capped by the p^(r//2) monic divisors of degree at most
+    r/2 that could split one candidate.
     """
     check_cap(p**(r // 2), f"irreducibility search at degree {r} over F_{p}")
     for code in range(p**r):
@@ -198,28 +190,10 @@ def group_order_gl2(q: int, n: int) -> int:
 # exact arithmetic in the order O = Z[x]/(f), f the fixed monic lift
 
 
-def _o_reduce(coeffs, f):
-    """Reduce an integer polynomial mod the monic integer polynomial f."""
-    c = list(coeffs)
-    r = len(f) - 1
-    for i in range(len(c) - 1, r - 1, -1):
-        lead = c[i]
-        if lead:
-            c[i] = 0
-            for j in range(r):
-                c[i - r + j] -= lead * f[j]
-    if len(c) < r:
-        c += [0] * (r - len(c))
-    return tuple(c[:r])
-
-
 def _o_mul(a, b, f):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _o_reduce(out, f)
+    """a * b in O = Z[x]/(f), f the fixed monic lift."""
+    out = mul(a, b)  # shorter than f (r = 1): nothing to reduce
+    return tuple(out) if len(out) < len(f) else tuple(divide(out, f)[1])
 
 
 def _o_add(a, b):
@@ -306,8 +280,8 @@ class LocalContext:
         f = self.defining_poly
         fprime = tuple(i * f[i] for i in range(1, len(f)))
         for _ in range(self.N.bit_length() + 2):
-            x = x - self._poly_eval(f, x) * self._poly_eval(fprime, x).inverse()
-        if self._poly_eval(f, x).coeffs != (0,) * self.r:
+            x = x - horner(f, x) * horner(fprime, x).inverse()
+        if horner(f, x).coeffs != (0,) * self.r:
             raise AssertionError(f"Hensel lift of the Frobenius root of {f} "
                                  f"failed at p = {self.p}, N = {self.N}")
         cols, power = [], self.one
@@ -316,12 +290,6 @@ class LocalContext:
             power = power * x
         self._sigma_cols = cols
         return cols
-
-    def _poly_eval(self, coeffs, x: "GaloisRingElement"):
-        acc = self.zero
-        for c in reversed(coeffs):
-            acc = acc * x + self.el(c)
-        return acc
 
     def sigma_coeffs(self, coeffs):
         cols = self._sigma_columns()
@@ -346,9 +314,17 @@ class LocalContext:
 
 
 def get_context(p: int, r: int, N: int) -> LocalContext:
-    """Cached context factory (contexts are immutable once built)."""
+    """Cached context factory (contexts are immutable once built).
+
+    The working precision is capped before a new context forms p^N: an
+    element of GR(p^N, r) may take at most r * N * bitlen(p) <= 10,000 bits,
+    so every value below q^N also prints as an int.
+    """
     key = (p, r, N)
     if key not in _CTX_CACHE:
+        check_cap(r * N * p.bit_length(),
+                  f"working precision of GR({p}^{N}, {r}) in bits",
+                  default=10_000)
         _CTX_CACHE[key] = LocalContext(p, r, N)
     return _CTX_CACHE[key]
 

@@ -11,57 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    """Exact division of Fraction polynomials (b monic-ish leading != 0)."""
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(_trim(a)) >= len(b):
-        a = list(_trim(a))
-        shift = len(a) - len(b)
-        c = Fraction(a[-1], 1) / b[-1]
-        q[shift] = c
-        for j in range(len(b)):
-            a[shift + j] -= c * b[j]
-    return _trim(q), _trim(a)
-
-
-def _peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+from .poly import add, divide, horner, mul, trim
 
 
 class RationalFunctionT:
@@ -71,13 +21,12 @@ class RationalFunctionT:
 
     def __init__(self, q, num, den_exp=0):
         self.q = q
-        num = _trim(Fraction(c) for c in num)
-        base = (Fraction(q), Fraction(0), Fraction(-1))  # q - t^2
+        num = trim([Fraction(c) for c in num])
         while num and den_exp > 0:
-            quo, rem = _pdivmod(num, base)
-            if rem:
+            quo, rem = divide(num, (-q, 0, 1))  # num = (q - t^2)(-quo) + rem
+            if any(rem):
                 break
-            num, den_exp = quo, den_exp - 1
+            num, den_exp = tuple(-Fraction(c) for c in quo), den_exp - 1
         if not num:
             den_exp = 0
         self.num = num
@@ -112,18 +61,19 @@ class RationalFunctionT:
     def __add__(self, other):
         other = self._common(other)
         k = max(self.den_exp, other.den_exp)
-        base = (Fraction(self.q), Fraction(0), Fraction(-1))
+        base = (self.q, 0, -1)  # q - t^2
         a, b = self.num, other.num
         for _ in range(k - self.den_exp):
-            a = _pmul(a, base)
+            a = mul(a, base)
         for _ in range(k - other.den_exp):
-            b = _pmul(b, base)
-        return RationalFunctionT(self.q, _padd(a, b), k)
+            b = mul(b, base)
+        return RationalFunctionT(self.q, add(a, b), k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunctionT(self.q, _pneg(self.num), self.den_exp)
+        return RationalFunctionT(self.q, tuple(-c for c in self.num),
+                                 self.den_exp)
 
     def __sub__(self, other):
         return self + (-self._common(other))
@@ -136,7 +86,7 @@ class RationalFunctionT:
             return RationalFunctionT(
                 self.q, tuple(c * Fraction(other) for c in self.num), self.den_exp)
         other = self._common(other)
-        return RationalFunctionT(self.q, _pmul(self.num, other.num),
+        return RationalFunctionT(self.q, mul(self.num, other.num),
                                  self.den_exp + other.den_exp)
 
     __rmul__ = __mul__
@@ -162,7 +112,7 @@ class RationalFunctionT:
         den = (Fraction(self.q) - tval * tval) ** self.den_exp
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at this t")
-        return _peval(self.num, tval) / den
+        return horner(self.num, tval) / den
 
     def __repr__(self):
         if not self.num:

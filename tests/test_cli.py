@@ -581,3 +581,134 @@ def test_report_all_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# digests of the one-shot commands that read the polynomial kernel, taken
+# before the rings shared it
+@pytest.mark.parametrize("argv,digest", [
+    (["eval-phi", "--p", "3", "--r", "2", "--n", "2", "--matrix",
+      "[[3,1],[0,1]]", "--deformed"],
+     "a31874ed274bc24f753b908acbe46ddcd7edbb4d54e345d68969a7a873e126e8"),
+    (["eval-phi", "--p", "2", "--r", "2", "--n", "1", "--matrix",
+      "[[2,0],[0,1]]"],
+     "6452637886802e29609ec2c8630b9a34dad373ccb896ca31fb6c92a2c521b1a3"),
+    (["eval-phi", "--p", "2", "--r", "35", "--n", "1", "--matrix",
+      "[[2,0],[0,1]]"],
+     "2b26ea367f1229da37e6ab781dd8555380d565e53681c3b21fedcdb6bed72380"),
+    (["char-table", "--p", "3", "--n", "2"],
+     "9210456c709411452f03fbeb6a936fe53ed7ddb28076c14ba9f6e4af265dcdf3"),
+    (["ss-trace", "--p", "3", "--r", "2", "--n", "1", "--kind", "ordinary",
+      "--a", "2"],
+     "2cc30b3b05d5177271a5d5680c7fd803ef0bbfb0f20e09a04528504deb5f1182"),
+    (["ss-trace", "--p", "3", "--r", "2", "--n", "1", "--kind",
+      "supersingular"],
+     "c49a35bb551c7a0ac1066ffdd975dd7e74c572414824d544ab4923a5ee9bdecb"),
+    (["verify-cr", "--p", "2", "--n", "2"],
+     "909f6f5e0ea6e0b6b4524199636f5f9f8e738c2937ba6055a055dc30598b4bf6"),
+], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else "")
+def test_oneshot_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    import hashlib
+
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-central", "--n", "100000"],
+    ["tree-orbital", "--p", "2", "--n", "1000000", "--gamma",
+     "[[0,1],[-2,0]]"],
+    ["eval-phi", "--p", "2", "--n", "100000", "--matrix", "[[2,0],[0,1]]"],
+    # q^(2n - 1) of 5,779 digits at q = 16 would pass N alone
+    ["eval-phi", "--p", "2", "--r", "4", "--n", "2400", "--matrix",
+     "[[2,0],[0,1]]"],
+], ids=lambda argv: " ".join(argv[:1] + argv[2:6]))
+def test_level_n_is_capped_before_its_integers_are_formed(capsys, monkeypatch,
+                                                          argv):
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert "working precision of GR(2^" in err and "cap is 10000" in err
+    assert "Traceback" not in err and "4300" not in err
+
+
+def test_report_all_contexts_lie_under_the_precision_cap(capsys, monkeypatch):
+    from gl2lab import padic
+
+    seen = []
+    real = padic.check_cap
+
+    def record(size, what, default=200_000):
+        if what.startswith("working precision"):
+            seen.append((what, size, default))
+        real(size, what, default)
+
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    monkeypatch.setattr(padic, "check_cap", record)
+    monkeypatch.setattr(padic, "_CTX_CACHE", {})
+    assert main(["report-all"]) == 0
+    capsys.readouterr()
+    assert len(seen) > 10
+    assert all(size <= default == 10_000 for _, size, default in seen)
+
+
+def test_failed_exact_sequence_row_keeps_its_witness(capsys, monkeypatch):
+    from gl2lab import basechange
+
+    argv = ["verify-exact-seq", "--p", "2", "--r", "2", "--n", "1",
+            "--samples", "4"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and "witness" not in out
+    real = basechange._commutant_units
+
+    def one_small_unit_short(G, gm, scalars):
+        units = real(G, gm, scalars)
+        return units if len(scalars) == G.t.Q else tuple(x[1:] for x in units)
+    monkeypatch.setattr(basechange, "_commutant_units", one_small_unit_short)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    row = _rows(out)["unit-group-exact-sequence"]
+    assert not row["pass"] and row["actual"] is False
+    wit = row["witness"]
+    # a scalar gamma has every small unit twice over, so it stays exact
+    assert wit["gamma"] == "(1, 0, 1, 1)"
+    assert wit["spot"] == "sigma-fixed units = small units"
+    assert int(wit["left_size"]) == int(wit["right_size"]) + 1
+
+
+def test_failed_bc_unit_row_keeps_its_witness(capsys, monkeypatch):
+    from gl2lab import basechange
+    from gl2lab.finitegl2 import FiniteGL2
+
+    argv = ["verify-bc-unit", "--p", "2", "--r", "2", "--j", "1", "--k", "0"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and "witness" not in out
+    real = basechange.orbit_label_data
+
+    def classes_shifted(p, r, j):
+        tables, G, labels, norm_class = real(p, r, j)
+        return tables, G, labels, (norm_class + 1) % (norm_class.max() + 1)
+    monkeypatch.setattr(basechange, "orbit_label_data", classes_shifted)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    rows = [row for row in json.loads(out)["checks"]
+            if row["name"] == "bc-unit-identity"]
+    # a constant f cannot tell the classes apart; an indicator can
+    assert rows[0]["pass"] and "witness" not in rows[0]
+    failed = [row for row in rows if not row["pass"]]
+    assert failed and all(set(row["witness"]) == {
+        "delta", "left_average", "right_average"} for row in failed)
+    # at k = 0 both averages run over the whole group: an indicator of class
+    # c averages to |c| / |GL2(Z/2)| on the right, while on the left the
+    # shift hands class c the elements whose norms lie in class c - 1
+    small = FiniteGL2(2, 1)
+    share = [Fraction(size, small.order) for size in small.class_sizes]
+    for row in failed:
+        c = row["inputs"]["function"] - 1
+        wit = row["witness"]
+        assert len(json.loads(wit["delta"])) == 4
+        assert Fraction(wit["left_average"]) == share[c - 1]
+        assert Fraction(wit["right_average"]) == share[c]

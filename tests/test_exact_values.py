@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gl2lab.cyclotomic import CyclotomicValue, cyclotomic_polynomial
 from gl2lab.errors import DomainError
+from gl2lab.padic import LocalMatrix, get_context
 from gl2lab.ratfunc import RationalFunctionT
+from gl2lab.testfunc import phi_pn, phi_pnt
 
 
 KNOWN_CYCLOTOMICS = {
@@ -86,3 +90,93 @@ def test_ratfunc_cross_multiplied_equality():
     lhs = RationalFunctionT(q, (0, 0, 1), 1) + 1
     rhs = RationalFunctionT(q, (q,), 1)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# canonical forms, as properties
+
+CANON = settings(max_examples=60, deadline=None, derandomize=True)
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@st.composite
+def ratfuncs(draw, q):
+    return RationalFunctionT(q, draw(st.lists(fractions, max_size=6)),
+                             draw(st.integers(0, 3)))
+
+
+def _canonical_ratfunc(f):
+    num = f.num
+    assert all(type(c) is Fraction for c in num)
+    assert not num or num[-1] != 0
+    if not num:
+        assert f.den_exp == 0
+    elif f.den_exp:
+        # (q - t^2) does not divide the numerator: t^2 -> q leaves a remainder
+        even = sum(c * f.q**(i // 2) for i, c in enumerate(num) if i % 2 == 0)
+        odd = sum(c * f.q**(i // 2) for i, c in enumerate(num) if i % 2 == 1)
+        assert (even, odd) != (0, 0)
+
+
+@CANON
+@given(st.sampled_from([2, 3, 4, 5]), st.data())
+def test_ratfunc_equal_values_have_equal_fields(q, data):
+    a, b = data.draw(ratfuncs(q)), data.draw(ratfuncs(q))
+    k = data.draw(st.integers(0, 2))
+    for f in (a, b, a + b, a - b, a * b, -a):
+        _canonical_ratfunc(f)
+    # the same value written over a higher power of (q - t^2)
+    num = a.num
+    for _ in range(k):
+        num = (RationalFunctionT(q, num) * RationalFunctionT(q, (q, 0, -1))).num
+    same = RationalFunctionT(q, num, a.den_exp + k)
+    assert same == a and (same.num, same.den_exp) == (a.num, a.den_exp)
+    assert hash(same) == hash(a) and repr(same) == repr(a)
+    back = (a + b) - b
+    assert (back.num, back.den_exp) == (a.num, a.den_exp)
+    t = data.draw(fractions)
+    if t * t != q:
+        assert (a * b).specialize(t) == a.specialize(t) * b.specialize(t)
+        assert (a + b).specialize(t) == a.specialize(t) + b.specialize(t)
+
+
+@CANON
+@given(st.sampled_from([2, 3]), st.integers(1, 2), st.data())
+def test_deformed_function_specializes_to_phi_pn(p, n, data):
+    ctx = get_context(p, 1, 2 * n + 6)
+    entries = data.draw(st.lists(st.integers(-p**3, p**3), min_size=4,
+                                 max_size=4))
+    assume(entries[0] * entries[3] != entries[1] * entries[2])
+    assume(any(e % p for e in entries))
+    g = LocalMatrix.from_integers(ctx, [entries[:2], entries[2:]])
+    assert phi_pnt(g, n).specialize(p) == phi_pn(g, n)
+
+
+@CANON
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]), st.data())
+def test_cyclotomic_equal_values_have_equal_fields(M, data):
+    phi = cyclotomic_polynomial(M)
+    deg = len(phi) - 1
+    top = max(2 * deg - 1, M, deg + 1)  # the powers x^k the rows reduce
+    a = CyclotomicValue(M, data.draw(st.lists(fractions, max_size=top)))
+    b = CyclotomicValue(M, data.draw(st.lists(fractions, max_size=top)))
+    for v in (a, b, a + b, a - b, a * b, -a):
+        assert len(v.coeffs) == deg
+        assert all(type(c) is Fraction for c in v.coeffs)
+    # the same value plus a multiple of Phi_M, written unreduced
+    extra = data.draw(st.lists(st.integers(-3, 3), max_size=top - deg))
+    shifted = list(a.coeffs) + [0] * len(extra)
+    for i, e in enumerate(extra):
+        for j, c in enumerate(phi):
+            shifted[i + j] += e * c
+    same = CyclotomicValue(M, shifted)
+    assert same == a and same.coeffs == a.coeffs and repr(same) == repr(a)
+    back = (a + b) - b
+    assert back.coeffs == a.coeffs
+    k, j = data.draw(st.integers(0, 2 * M)), data.draw(st.integers(0, 2 * M))
+    z = CyclotomicValue.zeta
+    assert z(M, k) * z(M, j) == z(M, k + j)
+    acc = CyclotomicValue.rational(M, 1)
+    for _ in range(M):
+        acc = acc * z(M)
+    assert acc == 1 and acc.coeffs == CyclotomicValue.rational(M, 1).coeffs

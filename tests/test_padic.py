@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2lab.errors import DomainError, PrecisionExhausted
 from gl2lab.padic import (INF, ExtendedNat, GaloisRingElement, LocalMatrix,
@@ -78,6 +80,40 @@ def test_frobenius_ring_automorphism_of_order_exactly_r(p, r, N):
     for _ in range(r):
         y = frobenius(y)
     assert y == ctx.generator
+
+
+RING_LAWS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def ring_triples(draw):
+    p, r, N = draw(st.sampled_from([(2, 2, 3), (2, 3, 2), (3, 2, 2),
+                                    (2, 5, 2), (5, 3, 2), (3, 4, 1)]))
+    ctx = get_context(p, r, N)
+    el = st.lists(st.integers(0, ctx.pN - 1), min_size=r, max_size=r)
+    return ctx, ctx.el(draw(el)), ctx.el(draw(el)), ctx.el(draw(el))
+
+
+@RING_LAWS
+@given(ring_triples())
+def test_galois_ring_laws_sigma_order_and_norm(case):
+    ctx, x, y, z = case
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * (y + z) == x * y + x * z and x * ctx.one == x
+    assert (x - y) + y == x and x + (-x) == ctx.zero
+    if x.is_unit():
+        assert x * x.inverse() == ctx.one
+    # sigma is a ring automorphism with sigma^r = id
+    assert frobenius(x * y + z) == frobenius(x) * frobenius(y) + frobenius(z)
+    s = x
+    for _ in range(ctx.r):
+        s = frobenius(s)
+    assert s == x
+    # the norm is multiplicative and lands in the sigma-fixed Z/p^N
+    assert norm_map(x * y) == norm_map(x) * norm_map(y)
+    assert frobenius(norm_map(x)) == norm_map(x)
+    assert norm_map(x).coeffs[1:] == (0,) * (ctx.r - 1)
 
 
 # ---------------------------------------------------------------------------
