@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .finitegl2 import FiniteGL2
 from .gl2group import MatGroup, RingTables, _group_and_labels
-from .padic import group_order_gl2
+from .padic import check_unit_group_input, group_order_gl2
 
 
 @dataclass
@@ -140,6 +140,7 @@ def orbit_label_data(p, r, n):
     orbit already taken, keeps norm_class -1; the callers report that as a
     failed bijection.  Cached per (p, r, n).
     """
+    check_unit_group_input(p, r, n)
     if (p, r, n) in _ORBIT_CACHE:
         return _ORBIT_CACHE[(p, r, n)]
     tables, G, count, labels = _group_and_labels(p, r, n)
@@ -171,6 +172,7 @@ def unit_group_defect(gamma, p: int, r: int, n: int):
     """The first spot where the sequence of `unit_group_exactness` is not
     exact at gamma, with the sizes of the two sets compared there; None if
     it is exact."""
+    check_unit_group_input(p, r, n)
     G = MatGroup(RingTables(p, r, n))
     gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
     big = _commutant_units(G, gm, range(G.t.Q))
@@ -216,8 +218,7 @@ def bc_unit_defect(f_values, k: int, p: int, r: int, j: int):
     sums are therefore fibre sums of f(N(.)), taken once for all delta in
     exact integer arithmetic; they equal the sums over u term by term.
     """
-    if not 0 <= k <= j:
-        raise DomainError("need 0 <= k <= j")
+    check_unit_group_input(p, r, j, k)
     tables, G, labels, norm_class = orbit_label_data(p, r, j)
     small = FiniteGL2(p, j)
     fv = np.asarray([int(v) for v in f_values], dtype=np.int64)

@@ -6,12 +6,12 @@ usage error.  Reports are byte-deterministic for a fixed configuration
 and seed; wall-clock timings go to stderr only.
 
 Each command imports the layers it uses when it runs, and the table
-commands check p, n, q, r, the point kind and residue and the level m with
-the table layers' own rules (in `padic`) before they load them.  So the
-local-path commands (eval-phi, tree-orbital, tree-fixed-set, verify-tower,
-verify-central, verify-orbital) run without numpy, and so does a table
-command whose prime, level, prime power, point or boundary input is
-malformed.
+commands check p, n, q, r, the point kind and residue, the level m and the
+congruence level k with the table layers' own rules (in `padic`) before
+they load them.  So the local-path commands (eval-phi, tree-orbital,
+tree-fixed-set, verify-tower, verify-central, verify-orbital) run without
+numpy, and so does a table command whose prime, level, prime power, point,
+boundary or unit-group input is malformed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from . import DEFAULT_SEED
 from .errors import DomainError, GL2LabError
 from .padic import (LocalMatrix, check_boundary_input, check_level,
                     check_point_trace_input, check_prime_level,
-                    factor_prime_power, get_context)
+                    check_unit_group_input, factor_prime_power,
+                    get_context)
 
 SCHEMA_VERSION = "1"
 
@@ -256,6 +257,8 @@ def _run_command(args) -> int:
 
     if cmd == "tree-fixed-set":
         if args.verify:
+            if args.r < 1:  # else p**r is a float
+                raise DomainError("need r >= 1")
             from .checks import tree_checks
             checks = tree_checks(qs=(args.p**args.r,), probes=args.probes,
                                  seed=args.seed)
@@ -318,6 +321,7 @@ def _run_command(args) -> int:
         return 0
 
     if cmd == "verify-norm":
+        check_unit_group_input(args.p, args.r, args.n)
         from .basechange import sigma_orbits
         from .campaigns import norm_table_checks
         tab = sigma_orbits(args.p, args.r, args.n)
@@ -326,6 +330,7 @@ def _run_command(args) -> int:
                         extra={"table": tab.to_dict()})
 
     if cmd == "verify-exact-seq":
+        check_unit_group_input(args.p, args.r, args.n)
         from .campaigns import exact_sequence_checks
         checks = exact_sequence_checks(
             cases=((args.p, args.r, args.n),), samples=args.samples,
@@ -335,6 +340,7 @@ def _run_command(args) -> int:
                          "samples": args.samples}, args.out, seed=args.seed)
 
     if cmd == "verify-bc-unit":
+        check_unit_group_input(args.p, args.r, args.j, args.k)
         from .campaigns import bc_unit_checks
         checks = bc_unit_checks(p=args.p, r=args.r, j=args.j, k=args.k,
                                 functions=args.functions)
@@ -366,6 +372,7 @@ def _run_command(args) -> int:
                         args.out, seed=args.seed)
 
     if cmd == "verify-cr":
+        check_prime_level(args.p, args.n)
         from .campaigns import cross_identity_checks, drinfeld_checks
         checks = cross_identity_checks(ps=(args.p,), ns=(args.n,))
         checks += drinfeld_checks(pns=((args.p, args.n),))

@@ -48,6 +48,9 @@ class CyclotomicValue:
 
     def __init__(self, M, coeffs):
         deg, rows = _reduction_rows(M)
+        if len(coeffs) > deg + len(rows):  # past the rows: divide by Phi_M
+            coeffs = divide([Fraction(c) for c in coeffs],
+                            cyclotomic_polynomial(M))[1]
         out = [Fraction(0)] * deg
         for k, c in enumerate(coeffs):
             c = Fraction(c)

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
-from .padic import (LocalContext, LocalMatrix, _o_add, _o_mul, _o_sub,
+from .padic import (LocalContext, LocalMatrix, _o_add, _o_det,
                     ell_min_scaled, factor_prime_power, get_context,
                     group_order_gl2, scaled_val_ge)
 from .ratfunc import RationalFunctionT
@@ -42,18 +42,19 @@ def coset_key_head(g: LocalMatrix, n: int):
     return g.e, d
 
 
-def canonical_coset_rep(g: LocalMatrix, n: int):
+def canonical_coset_rep(g: LocalMatrix, n: int, head=None):
     """Key identifying the right coset g * Gamma(p^n); equal keys iff equal cosets.
 
     Write g = p^e * M with M primitive and d = v(det M).  The lattice M O^2
     has exactly one basis H = [[p^a, 0], [c, p^b]] with a + b = d and c in
     O/p^b, and H^-1 M lies in GL2(O), so the coset is determined by
     (e, d, a, c, H^-1 M mod p^n).  Only the digits of M below max(n + d, 1)
-    are read; at n = 0 the last part is empty.
+    are read; at n = 0 the last part is empty.  ``head`` is coset_key_head(g,
+    n) when the caller has read it already.
     """
     ctx = g.ctx
     p = ctx.p
-    e, d = coset_key_head(g, n)
+    e, d = head or coset_key_head(g, n)
     depth = max(n + d, 1)
     top, bottom = g.m[:2], g.m[2:]
     vals = [x.valuation_below(depth) for x in top]
@@ -111,12 +112,12 @@ class CosetFunction:
     """Finitely supported right-Gamma(p^n)-coset function, or formula-backed."""
 
     def __init__(self, ctx: LocalContext, n: int, support=None,
-                 formula: Optional[Callable] = None):
+                 formula: Optional[Callable] = None, zero=Fraction(0)):
         self.ctx = ctx
         self.n = n
         self.support = support or {}
         self.formula = formula
-        self.zero = Fraction(0)
+        self.zero = zero
         # a point whose (e, d) no support key has is off the support, so
         # the rest of its key is never computed
         self.heads = {key[:2] for key in self.support}
@@ -124,9 +125,10 @@ class CosetFunction:
     def __call__(self, g: LocalMatrix):
         if self.formula is not None:
             return self.formula(g)
-        if coset_key_head(g, self.n) not in self.heads:
+        head = coset_key_head(g, self.n)
+        if head not in self.heads:
             return self.zero
-        hit = self.support.get(canonical_coset_rep(g, self.n))
+        hit = self.support.get(canonical_coset_rep(g, self.n, head))
         return hit[1] if hit is not None else self.zero
 
     def coset_reps(self):
@@ -211,9 +213,9 @@ def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
         # g u keeps the digits of g, but not its exact trace and determinant
         prec = tr_prec = g.prec
         v_det = LocalMatrix(ctx, e, g.m, prec=prec).det_valuation()
-    f, pn = ctx.defining_poly, p**n
+    pn = p**n
     tr_m = _o_add(a, d)
-    det = ctx.el(_o_sub(_o_mul(a, d, f), _o_mul(b, c, f)))
+    det = ctx.el(_o_det((a, b, c, d), ctx.defining_poly))
     keys = Counter()
     for y in itertools.product(range(p), repeat=ctx.r):
         tr = _o_add(tr_m, tuple(pn * x for x in y))
@@ -284,18 +286,44 @@ def phi0_support(ctx: LocalContext) -> CosetFunction:
 
 def convolve(f1: CosetFunction, f2: CosetFunction, at: List[LocalMatrix]):
     """(f1 * f2)(g) for each g in `at`; f1 must carry an enumerated support."""
+    return [v for v, in convolve_each(f1, [f2], at)]
+
+
+def convolve_each(f1: CosetFunction, f2s: List[CosetFunction],
+                  at: List[LocalMatrix]):
+    """((f1 * f2)(g) for f2 in f2s) for each g in `at`, in one pass: each
+    h^-1 g is formed once, and read once by `_joint(f2s)`."""
     if not f1.support:
         raise DomainError("left factor needs an enumerated support")
     vol = vol_congruence(f1.ctx, f1.n)
     inverses = [(h.inverse(), val) for h, val in f1.items()]
+    right = _joint(f2s)
     out = []
     for g in at:
-        acc = None
+        acc = [0] * len(f2s)
         for hinv, val in inverses:
-            term = f2(hinv @ g) * val
-            acc = term if acc is None else acc + term
-        out.append(acc * vol)
+            for i, v in enumerate(right(hinv @ g)):
+                if v:
+                    acc[i] += v * val
+        out.append(tuple(a * vol for a in acc))
     return out
+
+
+def _joint(fs: List[CosetFunction]) -> CosetFunction:
+    """One coset function whose value is the tuple of the values of fs.
+
+    When every f has an enumerated support at one level, a point's key head
+    is read once, and its full key built at most once, only when some f has
+    that head, for one dict lookup.
+    """
+    if any(f.formula is not None for f in fs) or len({f.n for f in fs}) > 1:
+        return CosetFunction(fs[0].ctx, fs[0].n,
+                             formula=lambda g: tuple(f(g) for f in fs))
+    reps = {key: rep for f in fs for key, (rep, _) in f.support.items()}
+    support = {key: (rep, tuple(f.support.get(key, (rep, f.zero))[1]
+                                for f in fs)) for key, rep in reps.items()}
+    return CosetFunction(fs[0].ctx, fs[0].n, support,
+                         zero=tuple(f.zero for f in fs))
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +442,11 @@ def centrality_check(q: int, n: int, generators=None, count: int = 100,
     for w in generators:
         for rep, _ in list(phi_sup.items())[:extra]:
             sample.append(rep @ w)
+    fs = [double_coset_indicator(ctx, n, w) for w in generators]
+    lefts = convolve_each(phi_sup, fs, sample)
     failures = []
-    for w in generators:
-        f = double_coset_indicator(ctx, n, w)
-        for g, left, right in zip(sample, convolve(phi_sup, f, sample),
-                                  convolve(f, phi_fn, sample)):
-            if left != right:
-                failures.append((w, g, left, right))
+    for i, (w, f) in enumerate(zip(generators, fs)):
+        for g, left, right in zip(sample, lefts, convolve(f, phi_fn, sample)):
+            if left[i] != right:
+                failures.append((w, g, left[i], right))
     return len(failures) == 0, failures, len(sample) * len(generators)

@@ -139,6 +139,15 @@ def check_prime_level(p, n):
         raise DomainError("need a prime p and n >= 1")
 
 
+def check_unit_group_input(p, r, n, k=0):
+    """The unit-group tables of GL2(GR(p^n, r)) need a prime p, r >= 1 and
+    n >= 1; a congruence level k in them needs 0 <= k <= n."""
+    if not _is_prime(p) or r < 1 or n < 1:
+        raise DomainError("need a prime p, r >= 1 and n >= 1")
+    if not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= {n}")
+
+
 def check_level(p, m):
     """A full level-m structure in characteristic p needs m >= 3 prime to p."""
     if m < 3:
@@ -202,6 +211,26 @@ def _o_add(a, b):
 
 def _o_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _o_matmul(x, y, f):
+    """The 2x2 product of row-major matrices of coefficient tuples over O."""
+    return (_o_add(_o_mul(x[0], y[0], f), _o_mul(x[1], y[2], f)),
+            _o_add(_o_mul(x[0], y[1], f), _o_mul(x[1], y[3], f)),
+            _o_add(_o_mul(x[2], y[0], f), _o_mul(x[3], y[2], f)),
+            _o_add(_o_mul(x[2], y[1], f), _o_mul(x[3], y[3], f)))
+
+
+def _o_det(x, f):
+    """ad - bc of a row-major matrix of coefficient tuples over O."""
+    return _o_sub(_o_mul(x[0], x[3], f), _o_mul(x[1], x[2], f))
+
+
+def _val_below(coeffs, p, cap):
+    """Least valuation of the coefficients mod p^cap, None if all vanish."""
+    pcap = p**cap
+    return min((vp_int(c % pcap, p).value for c in coeffs if c % pcap),
+               default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +429,7 @@ class GaloisRingElement:
         Only digits below ``cap`` are consulted, so the answer is certified
         whenever cap <= certified digits of this element.
         """
-        p = self.ctx.p
-        pcap = p**cap
-        best = None
-        for c in self.coeffs:
-            c %= pcap
-            if c == 0:
-                continue
-            v = vp_int(c, p).value
-            if best is None or v < best:
-                best = v
-        return best
+        return _val_below(self.coeffs, self.ctx.p, cap)
 
     def is_unit(self):
         return self.valuation_below(1) is not None and self.valuation_below(1) == 0
@@ -490,9 +509,15 @@ def scaled_val_ge(coeffs, shift, k, p, prec=None):
     return all(c % pk == 0 for c in coeffs)
 
 
-def _exact_min_val(flat_entries, p):
-    vals = [vp_int(c, p) for entry in flat_entries for c in entry]
-    return min(vals)
+def _primitive_exact(ctx, e, flat):
+    """p^e * flat, exact coefficient tuples, as a primitive exact matrix."""
+    v = min(vp_int(c, ctx.p) for entry in flat for c in entry)
+    if v.is_infinite:
+        raise DomainError("the zero matrix has no primitive representation")
+    pv = ctx.p**v.value
+    flat = tuple(tuple(c // pv for c in entry) for entry in flat)
+    m = tuple(ctx.el(entry) for entry in flat)
+    return LocalMatrix(ctx, e + v.value, m, prec=ctx.N, exact=flat)
 
 
 class LocalMatrix:
@@ -515,11 +540,8 @@ class LocalMatrix:
             raise PrecisionExhausted("no certified digits remain")
         self.exact = exact
         if exact is not None:
-            f = ctx.defining_poly
             exact_tr = (e, _o_add(exact[0], exact[3]))
-            ad = _o_mul(exact[0], exact[3], f)
-            bc = _o_mul(exact[1], exact[2], f)
-            exact_det = (2 * e, _o_sub(ad, bc))
+            exact_det = (2 * e, _o_det(exact, ctx.defining_poly))
         self.exact_tr = exact_tr
         self.exact_det = exact_det
 
@@ -529,13 +551,7 @@ class LocalMatrix:
     def from_integers(cls, ctx, rows, e=0):
         """Exact construction of p^e * [[a, b], [c, d]] from integer(-vector) entries."""
         flat = [_as_ocoeffs(x, ctx.r) for row in rows for x in row]
-        v = _exact_min_val(flat, ctx.p)
-        if v.is_infinite:
-            raise DomainError("the zero matrix has no primitive representation")
-        pv = ctx.p**v.value
-        flat = tuple(tuple(c // pv for c in entry) for entry in flat)
-        m = tuple(ctx.el(entry) for entry in flat)
-        return cls(ctx, e + v.value, m, prec=ctx.N, exact=flat)
+        return _primitive_exact(ctx, e, flat)
 
     @classmethod
     def identity(cls, ctx):
@@ -543,57 +559,47 @@ class LocalMatrix:
 
     # -- internal: renormalize to a primitive representation -------------------
 
-    def _build(self, e, entries, prec, exact=None, exact_tr=None, exact_det=None):
+    def _build(self, e, entries, prec):
+        """p^e * entries, coefficient tuples known mod p^prec, made primitive."""
         ctx = self.ctx
-        if exact is not None:
-            v = _exact_min_val(exact, ctx.p)
-            if v.is_infinite:
-                raise DomainError("zero matrix")
-            pv = ctx.p**v.value
-            exact = tuple(tuple(c // pv for c in ent) for ent in exact)
-            m = tuple(ctx.el(ent) for ent in exact)
-            return LocalMatrix(ctx, e + v.value, m, prec=ctx.N, exact=exact)
         if prec <= 0:
             raise PrecisionExhausted("no certified digits remain")
-        vals = [x.valuation_below(prec) for x in entries]
-        vals = [v for v in vals if v is not None]
-        if not vals:
+        pN = ctx.pN
+        entries = tuple(tuple(c % pN for c in x) for x in entries)
+        v = _val_below(itertools.chain(*entries), ctx.p, prec)
+        if v is None:
             raise PrecisionExhausted("cannot certify the content of the matrix")
-        v = min(vals)
-        entries = tuple(x.shift(-v) for x in entries)
-        return LocalMatrix(ctx, e + v, entries, prec=prec - v,
-                           exact_tr=exact_tr, exact_det=exact_det)
+        pv = ctx.p**v
+        m = tuple(GaloisRingElement(ctx, tuple(c // pv for c in x))
+                  for x in entries)
+        return LocalMatrix(ctx, e + v, m, prec=prec - v)
 
     # -- ring structure ---------------------------------------------------------
 
+    def entry_coeffs(self):
+        """The entries of M as coefficient tuples, row-major."""
+        return tuple(x.coeffs for x in self.m)
+
     def __matmul__(self, other):
+        f = self.ctx.defining_poly
         if self.exact is not None and other.exact is not None:
-            # the exact product alone: _build ignores truncated entries then
-            f = self.ctx.defining_poly
-            x, y = self.exact, other.exact
-            exact = (
-                _o_add(_o_mul(x[0], y[0], f), _o_mul(x[1], y[2], f)),
-                _o_add(_o_mul(x[0], y[1], f), _o_mul(x[1], y[3], f)),
-                _o_add(_o_mul(x[2], y[0], f), _o_mul(x[3], y[2], f)),
-                _o_add(_o_mul(x[2], y[1], f), _o_mul(x[3], y[3], f)),
-            )
-            return self._build(self.e + other.e, None, None, exact=exact)
-        a1, b1, c1, d1 = self.m
-        a2, b2, c2, d2 = other.m
-        prod = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-                c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-        return self._build(self.e + other.e, prod,
+            return _primitive_exact(self.ctx, self.e + other.e,
+                                    _o_matmul(self.exact, other.exact, f))
+        return self._build(self.e + other.e,
+                           _o_matmul(self.entry_coeffs(), other.entry_coeffs(), f),
                            min(self.prec, other.prec))
 
     def inverse(self):
-        a, b, c, d = self.m
-        det = a * d - b * c
+        det = self.det_gre()
         dv = det.valuation_below(self.prec)
         if dv is None:
             raise PrecisionExhausted("determinant valuation not certified")
-        u = det.shift(-dv)
-        uinv = u.inverse()
-        adj = (d * uinv, -b * uinv, -c * uinv, a * uinv)
+        w = det.shift(-dv).inverse().coeffs
+        nw = tuple(-c for c in w)
+        a, b, c, d = self.entry_coeffs()
+        f = self.ctx.defining_poly
+        adj = (_o_mul(d, w, f), _o_mul(b, nw, f), _o_mul(c, nw, f),
+               _o_mul(a, w, f))
         return self._build(-self.e - dv, adj, self.prec - dv)
 
     def frobenius_matrix(self):
@@ -616,8 +622,8 @@ class LocalMatrix:
     # -- invariants ---------------------------------------------------------------
 
     def det_gre(self):
-        a, b, c, d = self.m
-        return a * d - b * c
+        return GaloisRingElement(self.ctx, _o_det(self.entry_coeffs(),
+                                                  self.ctx.defining_poly))
 
     def trace_gre(self):
         return self.m[0] + self.m[3]
@@ -790,17 +796,12 @@ def norm_map(delta):
             acc = acc * cur
         return acc
     # finite-level 2x2 tuple of GaloisRingElements
-
-    def mat_mul(x, y):
-        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-    a, b, c, d = delta
-    acc = cur = (a, b, c, d)
-    for _ in range(a.ctx.r - 1):
-        cur = tuple(x.frobenius() for x in cur)
-        acc = mat_mul(acc, cur)
-    return acc
+    ctx = delta[0].ctx
+    acc = cur = tuple(x.coeffs for x in delta)
+    for _ in range(ctx.r - 1):
+        cur = tuple(ctx.sigma_coeffs(x) for x in cur)
+        acc = _o_matmul(acc, cur, ctx.defining_poly)
+    return tuple(GaloisRingElement(ctx, x) for x in acc)
 
 
 def sigma_conjugate(h: LocalMatrix, delta: LocalMatrix) -> LocalMatrix:

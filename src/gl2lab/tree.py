@@ -19,7 +19,8 @@ from typing import Callable, List, Optional
 
 from .errors import (DomainError, NotStabilizable, PrecisionExhausted,
                      check_cap)
-from .padic import LocalContext, LocalMatrix, ell_min, k_of
+from .padic import (LocalContext, LocalMatrix, _as_ocoeffs, _o_matmul,
+                    ell_min, k_of)
 from .testfunc import branch_value
 
 
@@ -101,22 +102,19 @@ def enumerate_vertices(ctx: LocalContext, D: int) -> List[TreeVertex]:
 def stabilizes(gamma: LocalMatrix, v: TreeVertex) -> bool:
     """gamma(Lambda_v) inside Lambda_v: H^-1 gamma H is integral."""
     ctx = gamma.ctx
-    rows = v.basis_rows(ctx)
-    H = LocalMatrix.from_integers(ctx, rows)
-    a, b, c, d = H.m
-    adj = (d, -b, -c, a)
-    ga, gb, gc, gd = gamma.m
-    # B = adj(H) * M * H where gamma = p^e M
-    t = (adj[0] * ga + adj[1] * gc, adj[0] * gb + adj[1] * gd,
-         adj[2] * ga + adj[3] * gc, adj[2] * gb + adj[3] * gd)
-    B = (t[0] * a + t[1] * c, t[0] * b + t[1] * d,
-         t[2] * a + t[3] * c, t[2] * b + t[3] * d)
     need = v.d - gamma.e  # v_p(det H) = d up to a unit
     if need <= 0:
         return True
     if need > gamma.prec:
         raise PrecisionExhausted("stabilization test deeper than certified digits")
-    return all(x.valuation_below(need) is None for x in B)
+    a, b, c, d = (_as_ocoeffs(x, ctx.r) for row in v.basis_rows(ctx)
+                  for x in row)
+    adj = (d, tuple(-x for x in b), tuple(-x for x in c), a)
+    # B = adj(H) * M * H where gamma = p^e M
+    f = ctx.defining_poly
+    B = _o_matmul(_o_matmul(adj, gamma.entry_coeffs(), f), (a, b, c, d), f)
+    pneed = ctx.p**need
+    return all(x % pneed == 0 for entry in B for x in entry)
 
 
 @dataclass

@@ -162,6 +162,26 @@ def test_unit_group_exactness_examples():
     assert unit_group_exactness((0, 1, 1, 1), 3, 2, 1)
 
 
+def test_unit_group_sequence_fails_at_its_last_spot_alone(monkeypatch):
+    # a norm that keeps its kernel but sends every other unit to -1: the
+    # image d2 shrinks to {1, -1}, a proper subgroup of the small units,
+    # while the spots before it stay exact
+    real = MatGroup.norm
+
+    def collapsed(self, x):
+        one = self.single([[1, 0], [0, 1]])
+        minus = self.single([[-1, 0], [0, -1]])
+        kernel = self.encode(*real(self, x)) == self.encode(*one)
+        return tuple(np.where(kernel, a, b) for a, b in zip(one, minus))
+
+    gamma = (0, 1, 1, 1)  # x^2 - x - 1 is irreducible mod 3: F_3[gamma] = F_9
+    assert basechange.unit_group_defect(gamma, 3, 2, 1) is None
+    monkeypatch.setattr(MatGroup, "norm", collapsed)
+    assert basechange.unit_group_defect(gamma, 3, 2, 1) == (
+        "image d2 = small units", 2, 8)
+    assert not unit_group_exactness(gamma, 3, 2, 1)
+
+
 def test_unit_group_exactness_random_222():
     G = FiniteGL2(2, 2)
     rnd = random.Random(23)

@@ -63,6 +63,11 @@ def test_local_path_command_loads_no_table_layer(argv):
     ["boundary", "--p", "7", "--n", "1", "--m", "2"],
     ["boundary", "--p", "6", "--n", "1", "--m", "5"],
     ["census", "--q", "6", "--m", "3"],
+    ["verify-norm", "--p", "4", "--r", "2", "--n", "1"],
+    ["verify-cr", "--p", "4", "--n", "1"],
+    ["verify-exact-seq", "--p", "2", "--r", "0", "--n", "1"],
+    ["verify-bc-unit", "--p", "6", "--r", "2"],
+    ["verify-bc-unit", "--k", "3"],
 ], ids=" ".join)
 def test_malformed_table_command_exits_before_the_table_layer(argv):
     assert _run(argv) == {"code": 2, "loaded": []}

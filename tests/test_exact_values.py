@@ -157,14 +157,13 @@ def test_deformed_function_specializes_to_phi_pn(p, n, data):
 def test_cyclotomic_equal_values_have_equal_fields(M, data):
     phi = cyclotomic_polynomial(M)
     deg = len(phi) - 1
-    top = max(2 * deg - 1, M, deg + 1)  # the powers x^k the rows reduce
-    a = CyclotomicValue(M, data.draw(st.lists(fractions, max_size=top)))
-    b = CyclotomicValue(M, data.draw(st.lists(fractions, max_size=top)))
+    a = CyclotomicValue(M, data.draw(st.lists(fractions)))
+    b = CyclotomicValue(M, data.draw(st.lists(fractions)))
     for v in (a, b, a + b, a - b, a * b, -a):
         assert len(v.coeffs) == deg
         assert all(type(c) is Fraction for c in v.coeffs)
     # the same value plus a multiple of Phi_M, written unreduced
-    extra = data.draw(st.lists(st.integers(-3, 3), max_size=top - deg))
+    extra = data.draw(st.lists(st.integers(-3, 3)))
     shifted = list(a.coeffs) + [0] * len(extra)
     for i, e in enumerate(extra):
         for j, c in enumerate(phi):
@@ -180,3 +179,13 @@ def test_cyclotomic_equal_values_have_equal_fields(M, data):
     for _ in range(M):
         acc = acc * z(M)
     assert acc == 1 and acc.coeffs == CyclotomicValue.rational(M, 1).coeffs
+
+
+@pytest.mark.parametrize("M,coeffs,reduced", [
+    (1, (0, 0, 1), (1,)),                # x^2 = 1 mod x - 1
+    (4, (0,) * 7 + (1,), (0, -1)),       # x^7 = x^3 = -x mod x^2 + 1
+])
+def test_cyclotomic_accepts_powers_past_the_rows(M, coeffs, reduced):
+    v = CyclotomicValue(M, coeffs)
+    assert v == CyclotomicValue(M, reduced)
+    assert v.coeffs == tuple(Fraction(c) for c in reduced)

@@ -425,23 +425,45 @@ def test_centrality_at_q3():
     assert ok and not fails and total == 18
 
 
-def test_convolve_whole_sample_matches_per_point(monkeypatch):
-    # every point of the centrality sample, evaluated alone
+def _record_shared_passes(monkeypatch, *args, **kw):
+    """centrality_check(*args, **kw) with every convolve_each call recorded
+    as (f1, f2s, at, out)."""
     calls = []
+    real = hecke.convolve_each
 
-    def recording(f1, f2, at):
-        out = convolve(f1, f2, at)
-        calls.append((f1, f2, list(at), out))
+    def recording(f1, f2s, at):
+        out = real(f1, f2s, at)
+        calls.append((f1, list(f2s), list(at), out))
         return out
 
-    monkeypatch.setattr(hecke, "convolve", recording)
+    monkeypatch.setattr(hecke, "convolve_each", recording)
+    result = centrality_check(*args, **kw)
+    monkeypatch.undo()
+    return result, calls
+
+
+def test_convolve_whole_sample_matches_per_point(monkeypatch):
+    # every point of the centrality sample, evaluated alone
     ctx = get_context(2, 1, 10)
     w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
-    ok, _, total = centrality_check(2, 1, generators=[w])
+    (ok, _, total), calls = _record_shared_passes(monkeypatch, 2, 1,
+                                                  generators=[w])
     assert ok and len(calls) == 2
-    for f1, f2, at, out in calls:
+    for f1, f2s, at, out in calls:
         assert len(at) == total
-        assert out == [convolve(f1, f2, [g])[0] for g in at]
+        assert out == [tuple(convolve(f1, f2, [g])[0] for f2 in f2s)
+                       for g in at]
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2)])
+def test_shared_left_values_match_each_convolution_alone(monkeypatch, q, n):
+    # phi * f_w for all generators in one pass, against each f_w alone
+    # (over the whole sample, which the test above pins to each point alone)
+    (ok, _, total), calls = _record_shared_passes(monkeypatch, q, n, count=3)
+    phi_sup, fs, at, out = calls[0]
+    assert ok and len(fs) == 3 and len(at) * 3 == total
+    assert len(calls) == 4 and all(len(c[1]) == 1 for c in calls[1:])
+    assert out == list(zip(*(convolve(phi_sup, f, at) for f in fs)))
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2)])

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gl2lab.errors import DomainError, PrecisionExhausted
@@ -367,6 +367,117 @@ def test_exact_matmul_matches_truncated_product(p, r):
         assert gh == truncated
         assert gh.det_valuation() == g.det_valuation() + h.det_valuation()
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-tuple kernel against the element path it replaced
+
+
+def _element_build(ctx, e, entries, prec):
+    """The renormalization of truncated element entries that LocalMatrix
+    products used before the tuple kernel: the oracle."""
+    if prec <= 0:
+        raise PrecisionExhausted("no certified digits remain")
+    vals = [x.valuation_below(prec) for x in entries]
+    vals = [v for v in vals if v is not None]
+    if not vals:
+        raise PrecisionExhausted("cannot certify the content of the matrix")
+    v = min(vals)
+    return LocalMatrix(ctx, e + v, tuple(x.shift(-v) for x in entries),
+                       prec=prec - v)
+
+
+def _element_matmul(x, y):
+    a1, b1, c1, d1 = x.m
+    a2, b2, c2, d2 = y.m
+    prod = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+    return _element_build(x.ctx, x.e + y.e, prod, min(x.prec, y.prec))
+
+
+def _element_det(x):
+    a, b, c, d = x.m
+    return a * d - b * c
+
+
+def _element_inverse(x):
+    a, b, c, d = x.m
+    det = _element_det(x)
+    dv = det.valuation_below(x.prec)
+    if dv is None:
+        raise PrecisionExhausted("determinant valuation not certified")
+    uinv = det.shift(-dv).inverse()
+    adj = (d * uinv, -b * uinv, -c * uinv, a * uinv)
+    return _element_build(x.ctx, -x.e - dv, adj, x.prec - dv)
+
+
+def _outcome(fn, *args):
+    """(e, prec, exact, entry coefficients) of a result, or its error."""
+    try:
+        out = fn(*args)
+    except (DomainError, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
+    return out.e, out.prec, out.exact, tuple(x.coeffs for x in out.m)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two matrices over GR(p^6, r), truncated to prec >= 1 with entries
+    often deep in p, the first sometimes exact."""
+    p, r = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    ctx = get_context(p, r, 6)
+    coeff = st.builds(lambda u, k: u * p**k % ctx.pN,
+                      st.integers(0, ctx.pN - 1), st.integers(0, ctx.N))
+
+    def operand():
+        m = tuple(ctx.el([draw(coeff) for _ in range(r)]) for _ in range(4))
+        return LocalMatrix(ctx, draw(st.integers(-2, 2)), m,
+                           prec=draw(st.integers(1, ctx.N)))
+    x, y = operand(), operand()
+    if draw(st.booleans()):
+        rows = [[list(z.coeffs) for z in x.m[:2]],
+                [list(z.coeffs) for z in x.m[2:]]]
+        assume(any(c for z in x.m for c in z.coeffs))
+        x = LocalMatrix.from_integers(ctx, rows, e=x.e)
+    return x, y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_operands())
+def test_tuple_kernel_matches_the_element_path(case):
+    x, y = case
+    assert _outcome(x.__matmul__, y) == _outcome(_element_matmul, x, y)
+    for g in (x, y):
+        assert g.det_gre().coeffs == _element_det(g).coeffs
+        assert (_outcome(LocalMatrix.inverse, g)
+                == _outcome(_element_inverse, g))
+
+
+def test_valuation_below_reads_only_the_digits_below_its_cap():
+    # the oracle above shares valuation_below, so pin it on its own
+    ctx = get_context(3, 2, 6)
+    x = ctx.el((9, 18))
+    assert [x.valuation_below(cap) for cap in (1, 2, 3, 6)] == [None, None, 2, 2]
+    assert ctx.el((27, 4)).valuation_below(1) == 0
+    assert ctx.zero.valuation_below(6) is None
+
+
+def test_tuple_kernel_raises_where_the_element_path_did():
+    ctx = get_context(3, 2, 6)
+    three, zero = ctx.el(3), ctx.zero
+    # entries divisible by p, one certified digit: no content, no det
+    x = LocalMatrix(ctx, 0, (three, zero, zero, three), prec=1)
+    y = LocalMatrix(ctx, 0, (ctx.one, zero, zero, ctx.one), prec=4)
+    for fn, oracle, args in ((LocalMatrix.__matmul__, _element_matmul, (x, y)),
+                             (LocalMatrix.__matmul__, _element_matmul, (y, x)),
+                             (LocalMatrix.inverse, _element_inverse, (x,))):
+        got = _outcome(fn, *args)
+        assert got[0] == "PrecisionExhausted" and got == _outcome(oracle, *args)
+    # two certified digits hold the content p: the product keeps one
+    x2 = LocalMatrix(ctx, 0, (three, zero, zero, three), prec=2)
+    assert _outcome(LocalMatrix.__matmul__, x2, y) == (1, 1, None, (
+        (1, 0), (0, 0), (0, 0), (1, 0)))
+
 
 def test_textual_encodings_roundtrip():
     ctx = get_context(2, 2, 3)

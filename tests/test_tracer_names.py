@@ -33,5 +33,5 @@ def test_tracer_wraps_every_name_of_tower_and_centrality():
     rep = json.loads(proc.stdout)
     assert rep["missing"] == []
     calls = rep["calls"]
-    assert calls["hecke.tower_check"] == 1 and calls["hecke.convolve"] == 6
+    assert calls["hecke.tower_check"] == 1 and calls["hecke.convolve"] == 3
     assert calls["testfunc.phi_branch"] > 0 and calls["hecke.phi_support"] == 1
