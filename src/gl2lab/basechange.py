@@ -70,12 +70,11 @@ def _commutant_units(G: MatGroup, gm, scalars):
 
     gm is one matrix as codes; returns a 4-tuple of code arrays.
     """
-    t = G.t
     s = np.asarray(scalars, dtype=np.int64)
     a, b = np.repeat(s, len(s)), np.tile(s, len(s))
     ident = G.single([[1, 0], [0, 1]])
-    m = tuple(t.ADD[t.MUL[a, i], t.MUL[b, g]] for i, g in zip(ident, gm))
-    unit = t.UNIT[G.det(m)]
+    m = tuple(G.radd(G.rmul(a, i), G.rmul(b, g)) for i, g in zip(ident, gm))
+    unit = G.t.UNIT[G.det(m)]
     return tuple(x[unit] for x in m)
 
 

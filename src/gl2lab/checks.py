@@ -9,6 +9,7 @@ is exact; a failing check carries the two values.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,8 @@ from typing import Any
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
 from .hecke import centrality_check, tower_identity_check
-from .padic import LocalMatrix, get_context, k_of
+from .padic import (LocalMatrix, _o_det, factor_prime_power, get_context,
+                    k_of)
 from .testfunc import GammaInvariants, c_closed
 from .tree import (enumerate_vertices, fixed_set, orbital_ratio,
                    stabilized_line_count, stabilizes)
@@ -153,10 +155,16 @@ def orbital_checks(cases=((2, 1), (2, 2), (3, 1), (3, 2)), per=50,
 
 
 def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
+    """The tree lemma over GR(p, r), q = p^r: probes of the nearest stabilized
+    vertex and k, and the stabilized neighbours of every residue matrix mod
+    p of determinant 0, q^4 of them with q + 1 neighbours each (capped)."""
     check_cap(probes, "tree-lemma probes", default=10_000)
+    for q in qs:
+        check_cap(q**4 * (q + 1), "tree-lemma residue neighbours")
     out = []
     for q in qs:
-        ctx = get_context(q, 1, 14)
+        p, r = factor_prime_power(q)
+        ctx = get_context(p, r, 14)
         rnd = random.Random(seed + q)
         bad_unique, bad_k, tested = [], [], 0
         while tested < probes:
@@ -194,25 +202,21 @@ def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
         # neighbor counts, exhaustive over residue matrices mod p
         bad_counts = []  # (gamma, values), one per failed comparison
         seen_counts = set()
-        for a in range(q):
-            for b in range(q):
-                for c in range(q):
-                    for d in range(q):
-                        lifted = _lift_det_val_one(ctx, (a, b, c, d), q)
-                        if lifted is None:
-                            continue
-                        fixed_lines = stabilized_line_count(lifted)
-                        stab_nbrs = sum(
-                            1 for v in enumerate_vertices(ctx, 1)
+        residues = list(itertools.product(range(p), repeat=r))  # F_q
+        for residue in itertools.product(residues, repeat=4):
+            lifted = _lift_det_val_one(ctx, residue)
+            if lifted is None:
+                continue
+            fixed_lines = stabilized_line_count(lifted)
+            stab_nbrs = sum(1 for v in enumerate_vertices(ctx, 1)
                             if v.d == 1 and stabilizes(lifted, v))
-                        expected = 1 if lifted.trace_val_ge(1) else 2
-                        seen_counts.add(q + 1 - fixed_lines)
-                        for ok in (fixed_lines == stab_nbrs,
-                                   fixed_lines == expected,
-                                   q + 1 - fixed_lines in (q, q - 1)):
-                            if not ok:
-                                bad_counts.append((lifted, fixed_lines,
-                                                   stab_nbrs, expected))
+            expected = 1 if lifted.trace_val_ge(1) else 2
+            seen_counts.add(q + 1 - fixed_lines)
+            for ok in (fixed_lines == stab_nbrs, fixed_lines == expected,
+                       q + 1 - fixed_lines in (q, q - 1)):
+                if not ok:
+                    bad_counts.append((lifted, fixed_lines, stab_nbrs,
+                                       expected))
         out.append(Check("neighbor-non-stabilized-counts",
                          {"q": q, "counts_seen": sorted(seen_counts)},
                          0, len(bad_counts),
@@ -222,16 +226,18 @@ def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
     return out
 
 
-def _lift_det_val_one(ctx, residue, p):
-    """Integral lift of a mod-p residue matrix with det valuation exactly 1."""
-    a, b, c, d = residue
-    if (a * d - b * c) % p != 0 or (a, b, c, d) == (0, 0, 0, 0):
+def _lift_det_val_one(ctx, residue):
+    """Integral lift with det valuation exactly 1 of a residue matrix mod p,
+    its entries F_q coefficient tuples, of determinant 0 in F_q."""
+    p = ctx.p
+    if (any(c % p for c in _o_det(residue, ctx.defining_poly))
+            or not any(itertools.chain(*residue))):
         return None
     for bump in ((0, 0, 0, 0), (0, 0, 0, p), (0, p, 0, 0), (p, 0, 0, 0),
                  (0, 0, p, 0), (p, 0, 0, p)):
-        rows = [[a + bump[0], b + bump[1]], [c + bump[2], d + bump[3]]]
+        a, b, c, d = ((x[0] + s,) + x[1:] for x, s in zip(residue, bump))
         try:
-            m = LocalMatrix.from_integers(ctx, rows)
+            m = LocalMatrix.from_integers(ctx, [[a, b], [c, d]])
             if m.e == 0 and m.det_valuation() == 1:
                 return m
         except (DomainError, PrecisionExhausted):

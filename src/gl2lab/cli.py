@@ -257,8 +257,7 @@ def _run_command(args) -> int:
 
     if cmd == "tree-fixed-set":
         if args.verify:
-            if args.r < 1:  # else p**r is a float
-                raise DomainError("need r >= 1")
+            get_context(args.p, args.r, 1)  # a prime p and r >= 1
             from .checks import tree_checks
             checks = tree_checks(qs=(args.p**args.r,), probes=args.probes,
                                  seed=args.seed)

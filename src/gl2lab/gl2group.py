@@ -53,6 +53,10 @@ class RingTables:
             for j in range(Q):
                 self.ADD[i, j] = encode((xi + els[j]).coeffs_mod(n))
                 self.MUL[i, j] = encode((xi * els[j]).coeffs_mod(n))
+        # flat views of the tables: one gather by x * Q + y costs less
+        # than the two-index gather ADD[x, y]
+        self.ADD_FLAT = self.ADD.ravel()
+        self.MUL_FLAT = self.MUL.ravel()
         self.NEG = np.array([encode((-els[i]).coeffs_mod(n)) for i in range(Q)],
                             dtype=np.int32)
         self.SIG = np.array([encode(els[i].frobenius().coeffs_mod(n))
@@ -100,14 +104,18 @@ class MatGroup:
 
     # -- ring ops on arrays -----------------------------------------------------
 
+    def _flat(self, x, y):
+        """Flat table index x * Q + y of code arrays (or codes) x and y."""
+        return np.asarray(x, dtype=np.intp) * self.t.Q + y
+
     def rmul(self, x, y):
-        return self.t.MUL[x, y]
+        return self.t.MUL_FLAT[self._flat(x, y)]
 
     def radd(self, x, y):
-        return self.t.ADD[x, y]
+        return self.t.ADD_FLAT[self._flat(x, y)]
 
     def rsub(self, x, y):
-        return self.t.ADD[x, self.t.NEG[y]]
+        return self.t.ADD_FLAT[self._flat(x, self.t.NEG[y])]
 
     # -- matrix ops ----------------------------------------------------------------
 

@@ -6,7 +6,8 @@ values.  The canonical key of g = p^e * M is the Hermite basis
 H = [[p^a, 0], [c, p^b]] of the lattice M O^2 together with H^-1 M mod p^n,
 which determines the right coset exactly.  Convolution is the finite sum
 (f1 * f2)(g) = vol(K) * sum over supp(f1)/K of f1(h) f2(h^-1 g) with
-vol(GL2(Z_q)) = q - 1.
+vol(GL2(Z_q)) = q - 1; a convolution by the indicator of a double coset
+needs only that double coset's right cosets (`convolve_double_coset`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, List, Optional
 
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
-from .padic import (LocalContext, LocalMatrix, _o_add, _o_det,
+from .padic import (LocalContext, LocalMatrix, _o_add, _o_det, _o_matmul,
                     ell_min_scaled, factor_prime_power, get_context,
                     group_order_gl2, scaled_val_ge)
 from .ratfunc import RationalFunctionT
@@ -226,44 +227,50 @@ def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
     return keys
 
 
-def _support_candidates(q: int, n: int) -> int:
-    """Candidates p^-k H U that phi_support lists, a bound on its support."""
-    return sum(q**(2 * k) * (q + 1) for k in range(n)) * group_order_gl2(q, n)
-
-
-def phi_support(ctx: LocalContext, n: int) -> CosetFunction:
-    """The level-n central function with its support listed coset by coset.
+def phi_support_reps(ctx: LocalContext, n: int):
+    """One representative of each coset in the support of the level-n central
+    function, produced lazily in a fixed order.
 
     The support is k(g) = k < n, v(det g) = 1, tr g integral.  Then g = p^-k H U
     for one primitive Hermite basis H = [[p^a, 0], [c, p^b]] (a + b = 1 + 2k,
     c in O/p^b) and U in GL2(O), and g Gamma(p^n) is (k, H, U mod p^n); as
     k < n, tr g mod O is a coset invariant.  So each candidate p^-k H U, U
-    over GL2(O/p^n), is its own coset, kept if its trace is integral.
+    over GL2(O/p^n), is its own coset, kept if its trace is integral.  The
+    order is k, then a, then c, then U by its entries mod p^n.
     """
-    p = ctx.p
-    check_cap(_support_candidates(ctx.q, n),
-              "central function support enumeration")
+    p, f = ctx.p, ctx.defining_poly
     ring = list(itertools.product(range(p**n), repeat=ctx.r))
-    units = [LocalMatrix.from_integers(ctx, [[x, y], [z, t]])
-             for x, y, z, t in itertools.product(ring, repeat=4)
-             if (ctx.el(x) * ctx.el(t) - ctx.el(y) * ctx.el(z)).is_unit()]
-    support = {}
+    pad = (0,) * (ctx.r - 1)
     for k in range(n):
+        pk = p**k
         for a in range(2 + 2 * k):
             b = 1 + 2 * k - a
             for c in itertools.product(range(p**b), repeat=ctx.r):
                 if a and b and all(x % p == 0 for x in c):
                     continue  # H = p * H' is not primitive
-                H = LocalMatrix.from_integers(ctx, [[p**a, 0], [c, p**b]],
-                                              e=-k)
+                h = ((p**a,) + pad, (0,) + pad, c, (p**b,) + pad)
+                units = (u for u in itertools.product(ring, repeat=4)
+                         if any(x % p for x in _o_det(u, f)))
                 for u in units:
-                    m = H @ u
-                    if not m.trace_val_ge(0):
-                        continue
-                    key = canonical_coset_rep(m, n)
-                    if key in support:
-                        raise AssertionError(f"{m.to_text()} repeats a coset")
-                    support[key] = (m, Fraction(phi_pn(m, n)))
+                    m = _o_matmul(h, u, f)
+                    if any(x % pk for x in _o_add(m[0], m[3])):
+                        continue  # p^-k tr(H U) is not integral
+                    yield LocalMatrix.from_integers(ctx, [m[:2], m[2:]], e=-k)
+
+
+def phi_support(ctx: LocalContext, n: int) -> CosetFunction:
+    """The level-n central function with its support listed coset by coset,
+    in the order of `phi_support_reps`.  Its candidates, q^2k (q + 1) bases H
+    per k < n times |GL2(O/p^n)| units, are capped first."""
+    q = ctx.q
+    check_cap(sum(q**(2 * k) * (q + 1) for k in range(n))
+              * group_order_gl2(q, n), "central function support enumeration")
+    support = {}
+    for m in phi_support_reps(ctx, n):
+        key = canonical_coset_rep(m, n)
+        if key in support:
+            raise AssertionError(f"{m.to_text()} repeats a coset")
+        support[key] = (m, Fraction(phi_pn(m, n)))
     return CosetFunction(ctx, n, support, formula=None)
 
 
@@ -285,45 +292,35 @@ def phi0_support(ctx: LocalContext) -> CosetFunction:
 
 
 def convolve(f1: CosetFunction, f2: CosetFunction, at: List[LocalMatrix]):
-    """(f1 * f2)(g) for each g in `at`; f1 must carry an enumerated support."""
-    return [v for v, in convolve_each(f1, [f2], at)]
-
-
-def convolve_each(f1: CosetFunction, f2s: List[CosetFunction],
-                  at: List[LocalMatrix]):
-    """((f1 * f2)(g) for f2 in f2s) for each g in `at`, in one pass: each
-    h^-1 g is formed once, and read once by `_joint(f2s)`."""
+    """(f1 * f2)(g) for each g in `at`; f1 must carry an enumerated support.
+    Each coset of f1 is inverted once for the whole of `at`."""
     if not f1.support:
         raise DomainError("left factor needs an enumerated support")
     vol = vol_congruence(f1.ctx, f1.n)
     inverses = [(h.inverse(), val) for h, val in f1.items()]
-    right = _joint(f2s)
     out = []
     for g in at:
-        acc = [0] * len(f2s)
+        acc = 0
         for hinv, val in inverses:
-            for i, v in enumerate(right(hinv @ g)):
-                if v:
-                    acc[i] += v * val
-        out.append(tuple(a * vol for a in acc))
+            v = f2(hinv @ g)
+            if v:
+                acc += v * val
+        out.append(acc * vol)
     return out
 
 
-def _joint(fs: List[CosetFunction]) -> CosetFunction:
-    """One coset function whose value is the tuple of the values of fs.
+def convolve_double_coset(f: CosetFunction, w: LocalMatrix,
+                          at: List[LocalMatrix]):
+    """(f * 1_{KwK})(g) for each g in `at`, K = Gamma(p^n), f right-K-invariant.
 
-    When every f has an enumerated support at one level, a point's key head
-    is read once, and its full key built at most once, only when some f has
-    that head, for one dict lookup.
+    h^-1 g lies in KwK exactly when h lies in g K w^-1 K, the disjoint union
+    of the q^d cosets g x_j K over the right-coset representatives x_j of
+    K w^-1 K, d = d(w).  So (f * 1_{KwK})(g) = vol(K) sum_j f(g x_j): q^d
+    values of f per point, and f's support need not be listed.
     """
-    if any(f.formula is not None for f in fs) or len({f.n for f in fs}) > 1:
-        return CosetFunction(fs[0].ctx, fs[0].n,
-                             formula=lambda g: tuple(f(g) for f in fs))
-    reps = {key: rep for f in fs for key, (rep, _) in f.support.items()}
-    support = {key: (rep, tuple(f.support.get(key, (rep, f.zero))[1]
-                                for f in fs)) for key, rep in reps.items()}
-    return CosetFunction(fs[0].ctx, fs[0].n, support,
-                         zero=tuple(f.zero for f in fs))
+    xs = double_coset_indicator(f.ctx, f.n, w.inverse()).coset_reps()
+    vol = vol_congruence(f.ctx, f.n)
+    return [vol * sum(f(g @ x) for x in xs) for g in at]
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +355,14 @@ def branch_covering_sample(ctx: LocalContext, n: int, count: int = 200,
 
 
 def _random_unimodular(ctx, rnd):
+    """An integer matrix with entries below p^3 and a unit determinant, drawn
+    by rejection on the integer determinant; h is built once, when kept."""
     p = ctx.p
     while True:
         rows = [[rnd.randrange(p**3) for _ in range(2)] for _ in range(2)]
-        try:
-            h = LocalMatrix.from_integers(ctx, rows)
-            if h.det_valuation() == 0:
-                return h
-        except (DomainError, PrecisionExhausted):
-            continue
+        (a, b), (c, d) = rows
+        if (a * d - b * c) % p:
+            return LocalMatrix.from_integers(ctx, rows)
 
 
 def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
@@ -407,46 +403,60 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
 
 def centrality_check(q: int, n: int, generators=None, count: int = 100,
                      seed: int = DEFAULT_SEED):
-    """phi * f = f * phi for double-coset generators f, sampled exactly.
+    """phi * f_w = f_w * phi for f_w = 1_{KwK}, K = Gamma(p^n), sampled exactly.
 
-    With d the det valuation of a primitive part, the key of h^-1 g reads
-    n + d(h) + d(g) digits of a product that lost d(h) of them when h was
-    inverted.  h runs over the support (d <= 2n - 1) and the double cosets
-    (d(w)); g over the sample, whose entries lie below p^(n+2) (d <= 2n + 3),
-    and over support points times a generator.  The phi_pn calls read fewer.
+    Each side is q^d(w) values of phi per point: f_w * phi by `convolve` over
+    the right cosets h = u w of KwK, phi * f_w by `convolve_double_coset` over
+    those x = u w^-1 of K w^-1 K.  The sample is `branch_covering_sample`
+    and the first ten support cosets of phi (`phi_support_reps`) times each
+    generator; the support is never listed.  Points times 2 q^d(w) summed
+    over the generators is capped before anything is sampled.
+
+    Precision.  Let N be the working precision, d(y) v(det) of the primitive
+    part of y, dw the largest d(w) and dg the deepest point: the branch
+    sample's entries lie below p^(n+2), so d <= 2n + 3, and a support coset
+    times w has d <= 2n - 1 + dw.  Every point is exact, or a conjugate by a
+    unimodular matrix, and so known to N digits.  h is exact; h^-1 and x are
+    known to N - d(w) digits, as inverting w loses d(w) of them.  A product
+    of two primitive matrices has content c at most the smaller d, so
+    y = g x or h^-1 g is known to N - d(w) - c digits, with d(y) = d(g) +
+    d(w) - 2c.  phi_pn(y, n) first certifies d(y), which needs
+    N - d(w) - c > d(y), so N >= dg + 2 dw + 1.  Off the support it reads
+    nothing more.  On it, d(y) = 1 + 2k with k < n, and it reads p^-k tr and
+    p^-2k det to n - k digits, so N - d(w) - c >= 2n, which 2n + 2 dw
+    <= dg + 2 dw covers.  The keys of the x read n + d(w) of their N - d(w)
+    digits.  So N = dg + 2 dw + 1, and a point deeper than dg raises
+    PrecisionExhausted.
     """
     p, r = factor_prime_power(q)
-    # d(w) of each generator; the default ones below have d <= 1
-    dws = [1] if generators is None else [w.det_valuation() - 2 * w.e
-                                          for w in generators]
-    dh = max(2 * n - 1, *dws)
-    dg = max(2 * n + 3, 2 * n - 1 + max(dws))
-    ctx = get_context(p, r, n + 2 * dh + dg)
+    # d(w) of each generator: the default ones below have d = 0, 1 and 1
+    dws = [0, 1, 1] if generators is None else [w.det_valuation() - 2 * w.e
+                                                for w in generators]
+    dw = max(dws)
+    dg = max(2 * n + 3, 2 * n - 1 + dw)
+    ctx = get_context(p, r, dg + 2 * dw + 1)
+    extra = 10  # support points times each generator
+    # the sampler draws max(count, 2n + 6) points, its anchors included
+    points = max(count, 2 * n + 6) + extra * len(dws)
+    check_cap(points * sum(2 * q**d for d in dws),
+              "central function convolution")
     if generators is None:
         generators = [
             LocalMatrix.from_integers(ctx, [[0, 1], [1, 0]]),
             LocalMatrix.from_integers(ctx, [[p, 0], [0, 1]]),
             LocalMatrix.from_integers(ctx, [[0, 1], [p, 0]]),
         ]
-    extra = 10  # support points times each generator
-    # the sampler draws max(count, 2n + 6) points, its anchors included
-    check_cap(_support_candidates(q, n)
-              * (max(count, 2 * n + 6) + extra * len(generators)),
-              "central function convolution")
     sample = branch_covering_sample(ctx, n, count=count, seed=seed)
+    # include points in the product support: h * w shapes
+    reps = list(itertools.islice(phi_support_reps(ctx, n), extra))
+    sample += [rep @ w for w in generators for rep in reps]
     if any(g.det_valuation() - 2 * g.e > dg for g in sample):
         raise PrecisionExhausted(f"a sample point is deeper than d = {dg}")
-    phi_sup = phi_support(ctx, n)
     phi_fn = phi_formula(ctx, n)
-    # include points in the product support: h * w shapes
-    for w in generators:
-        for rep, _ in list(phi_sup.items())[:extra]:
-            sample.append(rep @ w)
-    fs = [double_coset_indicator(ctx, n, w) for w in generators]
-    lefts = convolve_each(phi_sup, fs, sample)
     failures = []
-    for i, (w, f) in enumerate(zip(generators, fs)):
-        for g, left, right in zip(sample, lefts, convolve(f, phi_fn, sample)):
-            if left[i] != right:
-                failures.append((w, g, left[i], right))
+    for w in generators:
+        right = convolve(double_coset_indicator(ctx, n, w), phi_fn, sample)
+        left = convolve_double_coset(phi_fn, w, sample)
+        failures += [(w, g, lv, rv) for g, lv, rv in zip(sample, left, right)
+                     if lv != rv]
     return len(failures) == 0, failures, len(sample) * len(generators)

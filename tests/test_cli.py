@@ -316,9 +316,15 @@ def test_failed_centrality_row_keeps_its_witness(capsys, monkeypatch):
     code, out = run(capsys, *argv)
     assert code == 0 and "witness" not in json.loads(out)["checks"][0]
 
+    # +1 where g is integral with lower-left entry 0 mod p: right
+    # Gamma(p^n)-invariant, but not a class function, so not central (a
+    # constant shift would add vol q^d to both sides and cancel)
     def broken(ctx, n):
-        return hecke.CosetFunction(
-            ctx, n, formula=lambda g: Fraction(phi_pn(g, n)) + 1)
+        def value(g):
+            lower_left = g.m[2].coeffs
+            bump = g.e == 0 and all(c % ctx.p == 0 for c in lower_left)
+            return Fraction(phi_pn(g, n)) + bump
+        return hecke.CosetFunction(ctx, n, formula=value)
 
     monkeypatch.setattr(hecke, "phi_formula", broken)
     code, out = run(capsys, *argv)
@@ -329,6 +335,36 @@ def test_failed_centrality_row_keeps_its_witness(capsys, monkeypatch):
     assert set(wit) == {"w", "g", "phi_star_f", "f_star_phi"}
     assert wit["w"].startswith("p^") and wit["g"].startswith("p^")
     assert Fraction(wit["phi_star_f"]) != Fraction(wit["f_star_phi"])
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (5, 2)])
+def test_verify_central_reaches_past_the_listed_support(capsys, monkeypatch,
+                                                        q, n):
+    # levels whose support the old left side had to list: (3, 2) needed
+    # 20,217,600 elements against the default cap
+    from gl2lab import hecke
+
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    argv = ["verify-central", "--q", str(q), "--n", str(n)]
+    code, out = run(capsys, *argv)
+    row = json.loads(out)["checks"][0]
+    assert code == 0 and row["pass"] and row["inputs"]["checks"] == 390
+    # one bad right-side value at one point fails the run, with that point
+    # as the witness
+    real, bad = hecke.convolve, []
+
+    def one_bad_point(f1, f2, at):
+        out = real(f1, f2, at)
+        bad.append(at[7].to_text())
+        return out[:7] + [out[7] + 1] + out[8:]
+
+    monkeypatch.setattr(hecke, "convolve", one_bad_point)
+    code, out = run(capsys, *argv)
+    row = json.loads(out)["checks"][0]
+    assert code == 1 and row["actual"] == 3 and len(set(bad)) == 1
+    assert row["witness"]["g"] == bad[0]
+    assert (Fraction(row["witness"]["f_star_phi"])
+            == Fraction(row["witness"]["phi_star_f"]) + 1)
 
 
 def test_failed_tower_row_keeps_its_witness(capsys, monkeypatch):
@@ -497,6 +533,41 @@ def test_probes_below_one_exit_two(capsys):
                      "--probes", probes]) == 2
         err = capsys.readouterr().err
         assert "argument --probes: need an integer >= 1" in err
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3)])
+def test_tree_lemma_runs_over_unramified_extensions(capsys, monkeypatch, p,
+                                                    r):
+    # the residue matrices mod p are F_q coefficient tuples, q = p^r, and
+    # every one of the q^4 is examined
+    from gl2lab import checks
+
+    real, residues = checks._lift_det_val_one, set()
+
+    def lift(ctx, residue):
+        residues.add(residue)
+        return real(ctx, residue)
+
+    monkeypatch.setattr(checks, "_lift_det_val_one", lift)
+    code, out = run(capsys, "tree-fixed-set", "--p", str(p), "--r", str(r),
+                    "--verify", "--probes", "5")
+    rows = json.loads(out)["checks"]
+    assert code == 0 and len(rows) == 3 and all(row["pass"] for row in rows)
+    q = p**r
+    assert all(row["inputs"]["q"] == q for row in rows)
+    assert rows[2]["inputs"]["counts_seen"] == [q - 1, q]
+    assert len(residues) == q**4
+
+
+def test_tree_lemma_residues_are_capped(capsys, monkeypatch):
+    # q^4 residue matrices times q + 1 neighbours: 1,114,112 at q = 16
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    for argv in (["--p", "2", "--r", "4"], ["--p", "1009"]):
+        assert main(["tree-fixed-set", *argv, "--verify", "--probes",
+                     "5"]) == 2
+        err = capsys.readouterr().err
+        assert "tree-lemma residue neighbours needs" in err
+        assert "Traceback" not in err
 
 
 def test_report_all_and_oneshot_counts_lie_under_the_sample_caps(monkeypatch):

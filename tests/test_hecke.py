@@ -12,16 +12,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gl2lab import hecke
+from gl2lab import DEFAULT_SEED, hecke
 from gl2lab.errors import DomainError, PrecisionExhausted, ResourceLimit
 from gl2lab.hecke import (CosetFunction, branch_covering_sample,
                           canonical_coset_rep, centrality_check,
                           congruence_elements, convolve, coset_key_head,
-                          double_coset_indicator, e_congruence,
-                          in_congruence_subgroup, phi0_support, phi_formula,
-                          phi_support, same_coset, tower_identity_check,
-                          tower_key_histogram, vol_congruence,
-                          _random_unimodular)
+                          convolve_double_coset, double_coset_indicator,
+                          e_congruence, in_congruence_subgroup, phi0_support,
+                          phi_formula, phi_support, same_coset,
+                          tower_identity_check, tower_key_histogram,
+                          vol_congruence, _random_unimodular)
 from gl2lab.padic import (LocalMatrix, _o_add, _o_mul, _o_sub,
                           factor_prime_power, get_context)
 from gl2lab.ratfunc import RationalFunctionT
@@ -425,50 +425,76 @@ def test_centrality_at_q3():
     assert ok and not fails and total == 18
 
 
-def _record_shared_passes(monkeypatch, *args, **kw):
-    """centrality_check(*args, **kw) with every convolve_each call recorded
-    as (f1, f2s, at, out)."""
+def _record_calls(monkeypatch, name, *args, **kw):
+    """centrality_check(*args, **kw) with every call of hecke.<name> recorded
+    as (f, second argument, at, out)."""
     calls = []
-    real = hecke.convolve_each
+    real = getattr(hecke, name)
 
-    def recording(f1, f2s, at):
-        out = real(f1, f2s, at)
-        calls.append((f1, list(f2s), list(at), out))
+    def recording(f, x, at):
+        out = real(f, x, at)
+        calls.append((f, x, list(at), out))
         return out
 
-    monkeypatch.setattr(hecke, "convolve_each", recording)
+    monkeypatch.setattr(hecke, name, recording)
     result = centrality_check(*args, **kw)
     monkeypatch.undo()
     return result, calls
 
 
 def test_convolve_whole_sample_matches_per_point(monkeypatch):
-    # every point of the centrality sample, evaluated alone
+    # every point of the centrality sample, evaluated alone, on both sides
     ctx = get_context(2, 1, 10)
     w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
-    (ok, _, total), calls = _record_shared_passes(monkeypatch, 2, 1,
-                                                  generators=[w])
-    assert ok and len(calls) == 2
-    for f1, f2s, at, out in calls:
+    for name in ("convolve", "convolve_double_coset"):
+        (ok, _, total), calls = _record_calls(monkeypatch, name, 2, 1,
+                                              generators=[w])
+        assert ok and len(calls) == 1
+        f, x, at, out = calls[0]
         assert len(at) == total
-        assert out == [tuple(convolve(f1, f2, [g])[0] for f2 in f2s)
-                       for g in at]
+        assert out == [getattr(hecke, name)(f, x, [g])[0] for g in at]
+
+
+def _centrality_oracle_sample(q, n, count, seed=DEFAULT_SEED):
+    """The points of centrality_check(q, n, count=count) with the default
+    generators, the support points taken from the listed support, in a
+    context with the 7n + 1 digits that inverting the support cosets
+    (d <= 2n - 1) in the support-backed left side needs."""
+    ctx = get_context(*factor_prime_power(q), 7 * n + 1)
+    p = ctx.p
+    gens = [LocalMatrix.from_integers(ctx, rows) for rows in
+            ([[0, 1], [1, 0]], [[p, 0], [0, 1]], [[0, 1], [p, 0]])]
+    phi_sup = phi_support(ctx, n)
+    sample = branch_covering_sample(ctx, n, count=count, seed=seed)
+    sample += [rep @ w for w in gens for rep in phi_sup.coset_reps()[:10]]
+    return phi_sup, gens, sample
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2)])
 def test_shared_left_values_match_each_convolution_alone(monkeypatch, q, n):
-    # phi * f_w for all generators in one pass, against each f_w alone
-    # (over the whole sample, which the test above pins to each point alone)
-    (ok, _, total), calls = _record_shared_passes(monkeypatch, q, n, count=3)
-    phi_sup, fs, at, out = calls[0]
-    assert ok and len(fs) == 3 and len(at) * 3 == total
-    assert len(calls) == 4 and all(len(c[1]) == 1 for c in calls[1:])
-    assert out == list(zip(*(convolve(phi_sup, f, at) for f in fs)))
+    # the left side phi * f_w from the cosets of K w^-1 K, against the
+    # support-backed convolution over the listed support of phi, at every
+    # point of the sample, the support points times each generator included
+    (ok, _, total), calls = _record_calls(monkeypatch,
+                                          "convolve_double_coset", q, n,
+                                          count=3)
+    assert ok and len(calls) == 3
+    phi_sup, gens, sample = _centrality_oracle_sample(q, n, 3)
+    ctx = phi_sup.ctx
+    assert len(sample) * 3 == total
+    nonzero = 0
+    for (f, w, at, out), gen in zip(calls, gens):
+        assert f.formula is not None and w == gen and at == sample
+        oracle = convolve(phi_sup, double_coset_indicator(ctx, n, gen),
+                          sample)
+        assert out == oracle
+        nonzero += sum(1 for v in out if v)
+    assert nonzero > 0
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2)])
 def test_support_lookup_skips_only_points_off_its_heads(monkeypatch, q, n):
-    # every support-backed lookup of a centrality run against the full key
+    # every support-backed lookup of the oracle left side against the full key
     filtered = CosetFunction.__call__
     seen = {"lookups": 0, "skipped": 0, "wrong": []}
 
@@ -482,11 +508,15 @@ def test_support_lookup_skips_only_points_off_its_heads(monkeypatch, q, n):
             seen["skipped"] += coset_key_head(g, self.n) not in self.heads
         return got
 
+    phi_sup, gens, sample = _centrality_oracle_sample(q, n, 3)
+    ctx = phi_sup.ctx
+    f = double_coset_indicator(ctx, n, gens[1])
+    at = sample[:-20]  # the branch points and the support points times w_0
     monkeypatch.setattr(CosetFunction, "__call__", both)
-    ctx = get_context(q, 1, 10)
-    w = LocalMatrix.from_integers(ctx, [[q, 0], [0, 1]])
-    ok, _, _ = centrality_check(q, n, generators=[w], count=3)
-    assert ok and seen["wrong"] == []
+    left = convolve(phi_sup, f, at)
+    monkeypatch.undo()
+    assert left == convolve_double_coset(phi_formula(ctx, n), gens[1], at)
+    assert seen["wrong"] == []
     assert 0 < seen["skipped"] < seen["lookups"]
 
 
@@ -512,10 +542,11 @@ def test_centrality_at_level_two():
 
 
 @pytest.mark.parametrize("q,n,size", [
-    (2, 1, 2_340), (3, 1, 24_960), (4, 1, 117_000), (2, 2, 187_200),
-    (3, 2, 155_520 * 130)])
+    (2, 1, 1_300), (3, 1, 1_820), (4, 1, 2_340), (2, 2, 1_300),
+    (3, 2, 1_820), (2, 60, 1_560)])
 def test_centrality_caps_the_convolution_first(monkeypatch, q, n, size):
-    # support candidates times the 100 + 3 * 10 sample points
+    # the 100 + 3 * 10 sample points (or the 2n + 6 anchors and 3 * 10) times
+    # 2 q^d(w) formula values for each default generator, d(w) = 0, 1, 1
     seen = []
 
     def stop(size, what, default=200_000):
@@ -529,8 +560,41 @@ def test_centrality_caps_the_convolution_first(monkeypatch, q, n, size):
 
 
 def test_centrality_beyond_the_cap_raises():
-    with pytest.raises(ResourceLimit):
-        centrality_check(3, 2)
+    # 20,030 points times 10 values, and 130 points times 4,038 values
+    for q, count in ((2, 20_000), (1009, 100)):
+        with pytest.raises(ResourceLimit,
+                           match="central function convolution"):
+            centrality_check(q, 1, count=count)
+
+
+def test_centrality_raises_beyond_its_precision_budget(monkeypatch):
+    ctx = get_context(2, 1, 10)
+    w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
+    real_sample, real_context = hecke.branch_covering_sample, hecke.get_context
+
+    def deeper(ctx, n, count, seed):  # d = 2n + 4, past dg = 2n + 3
+        out = real_sample(ctx, n, count=count, seed=seed)
+        return out + [LocalMatrix.from_integers(ctx, [[2**(2 * n + 4), 0],
+                                                      [0, 1]])]
+
+    monkeypatch.setattr(hecke, "branch_covering_sample", deeper)
+    with pytest.raises(PrecisionExhausted):
+        centrality_check(2, 1, generators=[w], count=3)
+    monkeypatch.undo()
+    # two digits short of the budget, the default check at (2, 1) raises
+    # rather than guess
+    budget = []
+
+    def short(p, r, N):
+        if not budget:
+            budget.append(N)
+            N -= 2
+        return real_context(p, r, N)
+
+    monkeypatch.setattr(hecke, "get_context", short)
+    with pytest.raises(PrecisionExhausted):
+        centrality_check(2, 1)
+    assert budget == [8]
 
 
 def test_hecke_import_leaves_numpy_out():

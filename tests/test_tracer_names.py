@@ -33,5 +33,8 @@ def test_tracer_wraps_every_name_of_tower_and_centrality():
     rep = json.loads(proc.stdout)
     assert rep["missing"] == []
     calls = rep["calls"]
+    # centrality: three right sides by convolve, six double-coset lists (KwK
+    # and K w^-1 K per generator), and phi's support is never listed
     assert calls["hecke.tower_check"] == 1 and calls["hecke.convolve"] == 3
-    assert calls["testfunc.phi_branch"] > 0 and calls["hecke.phi_support"] == 1
+    assert calls["hecke.double_coset"] == 6
+    assert calls["testfunc.phi_branch"] > 0 and calls["hecke.phi_support"] == 0
