@@ -22,7 +22,7 @@ from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
 from .padic import (LocalContext, LocalMatrix, _o_add, _o_det, _o_matmul,
                     ell_min_scaled, factor_prime_power, get_context,
-                    group_order_gl2, scaled_val_ge)
+                    group_order_gl2, scaled_val_ge, vp_int)
 from .ratfunc import RationalFunctionT
 from .testfunc import branch_key, branch_value_t, phi_pn, phi_pnt
 
@@ -227,6 +227,37 @@ def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
     return keys
 
 
+def _units_mod(ctx: LocalContext, n: int):
+    """GL2(O/p^n) as coefficient tuples (a, b, c, d), lazily, in the
+    lexicographic order of the entries' coefficients mod p^n.
+
+    Nothing of size q^n is held.  A row (a, b) that is 0 mod p, or a first
+    column (a, c) that is 0 mod p, makes every completion singular, so those
+    prefixes are passed over whole; each unit then comes after at most a few
+    rejected candidates, at any n.
+    """
+    p, r, f = ctx.p, ctx.r, ctx.defining_poly
+    pn = p**n
+
+    def ring():
+        for i in range(pn**r):
+            yield tuple(i // pn**j % pn for j in reversed(range(r)))
+
+    def unit(x):
+        return any(y % p for y in x)
+
+    for a in ring():
+        for b in ring():
+            if not (unit(a) or unit(b)):
+                continue
+            for c in ring():
+                if not (unit(a) or unit(c)):
+                    continue
+                for d in ring():
+                    if unit(_o_det((a, b, c, d), f)):
+                        yield a, b, c, d
+
+
 def phi_support_reps(ctx: LocalContext, n: int):
     """One representative of each coset in the support of the level-n central
     function, produced lazily in a fixed order.
@@ -235,11 +266,10 @@ def phi_support_reps(ctx: LocalContext, n: int):
     for one primitive Hermite basis H = [[p^a, 0], [c, p^b]] (a + b = 1 + 2k,
     c in O/p^b) and U in GL2(O), and g Gamma(p^n) is (k, H, U mod p^n); as
     k < n, tr g mod O is a coset invariant.  So each candidate p^-k H U, U
-    over GL2(O/p^n), is its own coset, kept if its trace is integral.  The
-    order is k, then a, then c, then U by its entries mod p^n.
+    over GL2(O/p^n) (`_units_mod`), is its own coset, kept if its trace is
+    integral.  The order is k, then a, then c, then U.
     """
     p, f = ctx.p, ctx.defining_poly
-    ring = list(itertools.product(range(p**n), repeat=ctx.r))
     pad = (0,) * (ctx.r - 1)
     for k in range(n):
         pk = p**k
@@ -249,9 +279,7 @@ def phi_support_reps(ctx: LocalContext, n: int):
                 if a and b and all(x % p == 0 for x in c):
                     continue  # H = p * H' is not primitive
                 h = ((p**a,) + pad, (0,) + pad, c, (p**b,) + pad)
-                units = (u for u in itertools.product(ring, repeat=4)
-                         if any(x % p for x in _o_det(u, f)))
-                for u in units:
+                for u in _units_mod(ctx, n):
                     m = _o_matmul(h, u, f)
                     if any(x % pk for x in _o_add(m[0], m[3])):
                         continue  # p^-k tr(H U) is not integral
@@ -429,9 +457,12 @@ def centrality_check(q: int, n: int, generators=None, count: int = 100,
     PrecisionExhausted.
     """
     p, r = factor_prime_power(q)
-    # d(w) of each generator: the default ones below have d = 0, 1 and 1
-    dws = [0, 1, 1] if generators is None else [w.det_valuation() - 2 * w.e
-                                                for w in generators]
+    if generators is None:
+        rows = [[[0, 1], [1, 0]], [[p, 0], [0, 1]], [[0, 1], [p, 0]]]
+        # d(w) of a primitive integer matrix is v_p of its integer determinant
+        dws = [vp_int(a * d - b * c, p).value for (a, b), (c, d) in rows]
+    else:
+        dws = [w.det_valuation() - 2 * w.e for w in generators]
     dw = max(dws)
     dg = max(2 * n + 3, 2 * n - 1 + dw)
     ctx = get_context(p, r, dg + 2 * dw + 1)
@@ -441,11 +472,7 @@ def centrality_check(q: int, n: int, generators=None, count: int = 100,
     check_cap(points * sum(2 * q**d for d in dws),
               "central function convolution")
     if generators is None:
-        generators = [
-            LocalMatrix.from_integers(ctx, [[0, 1], [1, 0]]),
-            LocalMatrix.from_integers(ctx, [[p, 0], [0, 1]]),
-            LocalMatrix.from_integers(ctx, [[0, 1], [p, 0]]),
-        ]
+        generators = [LocalMatrix.from_integers(ctx, m) for m in rows]
     sample = branch_covering_sample(ctx, n, count=count, seed=seed)
     # include points in the product support: h * w shapes
     reps = list(itertools.islice(phi_support_reps(ctx, n), extra))

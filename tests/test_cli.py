@@ -367,6 +367,20 @@ def test_verify_central_reaches_past_the_listed_support(capsys, monkeypatch,
             == Fraction(row["witness"]["phi_star_f"]) + 1)
 
 
+@pytest.mark.parametrize("n", [30, 60])
+def test_verify_central_at_a_deep_level_holds_no_residue_list(capsys,
+                                                              monkeypatch, n):
+    # 2^n residues per entry pass every cap; the ten support points come
+    # from the lazy unit listing, so the run ends with a verdict
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    t0 = time.perf_counter()
+    code = main(["verify-central", "--q", "2", "--n", str(n)])
+    assert time.perf_counter() - t0 < 60
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code == 0 and json.loads(captured.out)["checks"][0]["pass"]
+
+
 def test_failed_tower_row_keeps_its_witness(capsys, monkeypatch):
     from gl2lab import hecke
 

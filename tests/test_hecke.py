@@ -21,8 +21,8 @@ from gl2lab.hecke import (CosetFunction, branch_covering_sample,
                           e_congruence, in_congruence_subgroup, phi0_support,
                           phi_formula, phi_support, same_coset,
                           tower_identity_check, tower_key_histogram,
-                          vol_congruence, _random_unimodular)
-from gl2lab.padic import (LocalMatrix, _o_add, _o_mul, _o_sub,
+                          vol_congruence, _random_unimodular, _units_mod)
+from gl2lab.padic import (LocalMatrix, _o_add, _o_det, _o_mul, _o_sub,
                           factor_prime_power, get_context)
 from gl2lab.ratfunc import RationalFunctionT
 from gl2lab.testfunc import phi_branch, phi_pn, phi_pnt
@@ -353,6 +353,26 @@ def test_phi_support_matches_the_matrix_cube(p, r, n):
     sup = phi_support(ctx, n).support
     assert {k: v for k, (_, v) in sup.items()} == _phi_support_cube(ctx, n)
     assert all(canonical_coset_rep(m, n) == k for k, (m, _) in sup.items())
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 1, 1), (3, 1, 1), (2, 1, 2),
+                                   (2, 2, 1), (3, 1, 2), (2, 1, 3)])
+def test_units_mod_is_the_filtered_product_in_order(p, r, n):
+    # the lazy listing against every quadruple of coefficient tuples mod p^n
+    # with a unit determinant, in itertools.product order
+    ctx = get_context(p, r, 5)
+    ring = list(itertools.product(range(p**n), repeat=r))
+    want = [u for u in itertools.product(ring, repeat=4)
+            if any(x % p for x in _o_det(u, ctx.defining_poly))]
+    assert list(_units_mod(ctx, n)) == want
+
+
+def test_units_mod_starts_at_once_at_a_deep_level():
+    # 2^60 residues per entry: the first units come without listing them
+    ctx = get_context(2, 1, 5)
+    first = list(itertools.islice(_units_mod(ctx, 60), 3))
+    assert first == [((0,), (1,), (1,), (0,)), ((0,), (1,), (1,), (1,)),
+                     ((0,), (1,), (1,), (2,))]
 
 
 def test_phi_support_at_level_two():
