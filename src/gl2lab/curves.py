@@ -92,16 +92,14 @@ class WeierstrassCurve:
             return self._points
         F = self.F
         a1, a2, a3, a4, a6 = self.a
-        pts = [None]
-        for x in range(self.q):
-            rhs = int(F.add(F.mul(x, F.mul(x, x)),
-                      F.add(F.mul(a2, F.mul(x, x)),
-                            F.add(F.mul(a4, x), a6))))
-            for y in range(self.q):
-                lhs = int(F.add(F.mul(y, y),
-                          F.add(F.mul(a1, F.mul(x, y)), F.mul(a3, y))))
-                if lhs == rhs:
-                    pts.append((x, y))
+        t = np.arange(self.q)
+        t2 = F.mul(t, t)
+        rhs = F.add(F.mul(t, t2), F.add(F.mul(a2, t2), F.add(F.mul(a4, t), a6)))
+        # row x: y -> y^2 + b y with b = a1 x + a3, one table for all (x, y)
+        b = F.add(F.mul(a1, t), a3)
+        lhs = F.add(t2[None, :], F.mul(b[:, None], t[None, :]))
+        xs, ys = np.nonzero(lhs == rhs[:, None])  # x, then y, ascending
+        pts = [None] + list(zip(xs.tolist(), ys.tolist()))
         self._points = pts
         return pts
 

@@ -372,11 +372,11 @@ def branch_covering_sample(ctx: LocalContext, n: int, count: int = 200,
         out.append(LocalMatrix.from_integers(ctx, rows, e=-kk))           # k(g) = kk
     while len(out) < count:
         rows = [[rnd.randrange(p**(n + 2)) for _ in range(2)] for _ in range(2)]
-        try:
-            m = LocalMatrix.from_integers(ctx, rows, e=-rnd.randrange(n + 1))
-            m.det_valuation()
-        except (DomainError, PrecisionExhausted):
+        e = -rnd.randrange(n + 1)
+        (a, b), (c, d) = rows
+        if a * d == b * c:  # singular, or the zero matrix
             continue
+        m = LocalMatrix.from_integers(ctx, rows, e=e)
         h = _random_unimodular(ctx, rnd)
         out.append(m.conjugate_by(h) if rnd.random() < 0.5 else m)
     return out

@@ -77,6 +77,12 @@ def vp_int(x: int, p: int) -> ExtendedNat:
     return ExtendedNat(v)
 
 
+def _vp_gcd(coeffs, p):
+    """min v_p over the integers coeffs, as v_p of their gcd; None if all vanish."""
+    g = math.gcd(*coeffs)
+    return None if g == 0 else vp_int(g, p).value
+
+
 # ---------------------------------------------------------------------------
 # polynomials over F_p (defining polynomial selection)
 
@@ -201,7 +207,9 @@ def group_order_gl2(q: int, n: int) -> int:
 
 def _o_mul(a, b, f):
     """a * b in O = Z[x]/(f), f the fixed monic lift."""
-    out = mul(a, b)  # shorter than f (r = 1): nothing to reduce
+    if len(f) == 2:  # O = Z: one integer product
+        return (a[0] * b[0],)
+    out = mul(a, b)
     return tuple(out) if len(out) < len(f) else tuple(divide(out, f)[1])
 
 
@@ -229,8 +237,35 @@ def _o_det(x, f):
 def _val_below(coeffs, p, cap):
     """Least valuation of the coefficients mod p^cap, None if all vanish."""
     pcap = p**cap
-    return min((vp_int(c % pcap, p).value for c in coeffs if c % pcap),
-               default=None)
+    return _vp_gcd([c % pcap for c in coeffs], p)
+
+
+def _o_inverse(x, ctx):
+    """The inverse in GR(p^N, r) of the unit with coefficient tuple x.
+
+    At r = 1 one modular inverse; at r > 1 the F_q inverse x^(q-2) mod p,
+    lifted by Newton's v <- v (2 - x v), which doubles the digits each step.
+    """
+    p, pN, f = ctx.p, ctx.pN, ctx.defining_poly
+    if not any(c % p for c in x):
+        raise DomainError("not a unit")
+    if ctx.r == 1:
+        return (pow(x[0], -1, pN),)
+    one = (1,) + (0,) * (ctx.r - 1)
+    v, base, k = one, tuple(c % p for c in x), ctx.q - 2
+    while k:
+        if k & 1:
+            v = tuple(c % p for c in _o_mul(v, base, f))
+        base = tuple(c % p for c in _o_mul(base, base, f))
+        k >>= 1
+    two, digits = (2,) + one[1:], 1
+    while digits < ctx.N:
+        v = tuple(c % pN for c in _o_mul(v, _o_sub(two, _o_mul(x, v, f)), f))
+        digits *= 2
+    check = tuple(c % pN for c in _o_mul(x, v, f))
+    if check != one:
+        raise AssertionError(f"Newton inverse of {x} failed: product {check}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +295,7 @@ class LocalContext:
 
     def el(self, coeffs) -> "GaloisRingElement":
         if isinstance(coeffs, GaloisRingElement):
-            if coeffs.ctx.key() != self.key():
+            if coeffs.ctx is not self and coeffs.ctx.key() != self.key():
                 raise DomainError("context mismatch")
             return coeffs
         if isinstance(coeffs, int):
@@ -432,23 +467,11 @@ class GaloisRingElement:
         return _val_below(self.coeffs, self.ctx.p, cap)
 
     def is_unit(self):
-        return self.valuation_below(1) is not None and self.valuation_below(1) == 0
+        return self.valuation_below(1) == 0
 
     def inverse(self):
-        """Newton-lifted inverse; the element must be a unit."""
-        ctx = self.ctx
-        if not self.is_unit():
-            raise DomainError("not a unit")
-        fq = get_context(ctx.p, ctx.r, 1)
-        red = GaloisRingElement(fq, self.coeffs)
-        v0 = red**(ctx.q - 2) if ctx.q > 2 else red
-        v = ctx.el(v0.coeffs)
-        for _ in range(ctx.N.bit_length() + 1):
-            v = v * (2 - self * v)
-        if (self * v).coeffs != ctx.one.coeffs:
-            raise AssertionError(f"Newton inverse of {self.coeffs} failed: "
-                                 f"product {(self * v).coeffs}")
-        return v
+        """The inverse of a unit (see `_o_inverse`); DomainError otherwise."""
+        return GaloisRingElement(self.ctx, _o_inverse(self.coeffs, self.ctx))
 
     def frobenius(self):
         return GaloisRingElement(self.ctx, self.ctx.sigma_coeffs(self.coeffs))
@@ -511,13 +534,16 @@ def scaled_val_ge(coeffs, shift, k, p, prec=None):
 
 def _primitive_exact(ctx, e, flat):
     """p^e * flat, exact coefficient tuples, as a primitive exact matrix."""
-    v = min(vp_int(c, ctx.p) for entry in flat for c in entry)
-    if v.is_infinite:
+    v = _vp_gcd([c for entry in flat for c in entry], ctx.p)
+    if v is None:
         raise DomainError("the zero matrix has no primitive representation")
-    pv = ctx.p**v.value
-    flat = tuple(tuple(c // pv for c in entry) for entry in flat)
-    m = tuple(ctx.el(entry) for entry in flat)
-    return LocalMatrix(ctx, e + v.value, m, prec=ctx.N, exact=flat)
+    if v:
+        pv = ctx.p**v
+        flat = tuple(tuple(c // pv for c in entry) for entry in flat)
+    else:
+        flat = tuple(flat)
+    m = tuple(GaloisRingElement(ctx, entry) for entry in flat)
+    return LocalMatrix(ctx, e + v, m, prec=ctx.N, exact=flat)
 
 
 class LocalMatrix:
@@ -590,14 +616,15 @@ class LocalMatrix:
                            min(self.prec, other.prec))
 
     def inverse(self):
-        det = self.det_gre()
-        dv = det.valuation_below(self.prec)
+        a, b, c, d = entries = self.entry_coeffs()
+        ctx, f = self.ctx, self.ctx.defining_poly
+        det = tuple(x % ctx.pN for x in _o_det(entries, f))
+        dv = _val_below(det, ctx.p, self.prec)
         if dv is None:
             raise PrecisionExhausted("determinant valuation not certified")
-        w = det.shift(-dv).inverse().coeffs
-        nw = tuple(-c for c in w)
-        a, b, c, d = self.entry_coeffs()
-        f = self.ctx.defining_poly
+        pdv = ctx.p**dv
+        w = _o_inverse(tuple(x // pdv for x in det), ctx)
+        nw = tuple(-x for x in w)
         adj = (_o_mul(d, w, f), _o_mul(b, nw, f), _o_mul(c, nw, f),
                _o_mul(a, w, f))
         return self._build(-self.e - dv, adj, self.prec - dv)
@@ -631,10 +658,10 @@ class LocalMatrix:
     def det_valuation(self) -> int:
         if self.exact_det is not None:
             sh, coeffs = self.exact_det
-            v = min(vp_int(c, self.ctx.p) for c in coeffs)
-            if v.is_infinite:
+            v = _vp_gcd(coeffs, self.ctx.p)
+            if v is None:
                 raise DomainError("matrix is not invertible")
-            return sh + v.value
+            return sh + v
         v = self.det_gre().valuation_below(self.prec)
         if v is None:
             raise PrecisionExhausted("determinant valuation not certified")
@@ -644,12 +671,12 @@ class LocalMatrix:
         """v_p(tr g) as an ExtendedNat (INF when the trace is exactly zero)."""
         if self.exact_tr is not None:
             sh, coeffs = self.exact_tr
-            v = min(vp_int(c, self.ctx.p) for c in coeffs)
-            if v.is_infinite:
+            v = _vp_gcd(coeffs, self.ctx.p)
+            if v is None:
                 return INF
-            if sh + v.value < 0:
+            if sh + v < 0:
                 raise DomainError("trace has negative valuation")
-            return ExtendedNat(sh + v.value)
+            return ExtendedNat(sh + v)
         v = self.trace_gre().valuation_below(self.prec)
         if v is None:
             raise PrecisionExhausted("trace valuation not certified")
@@ -772,8 +799,8 @@ def ell_of(g: LocalMatrix) -> ExtendedNat:
         one = (1,) + (0,) * (r - 1)
         D = _o_add(_o_sub(one, _o_scale_exact(ct, st, p)),
                    _o_scale_exact(cd, sd, p))
-        v = min(vp_int(c, p) for c in D)
-        return INF if v.is_infinite else v
+        v = _vp_gcd(D, p)
+        return INF if v is None else ExtendedNat(v)
     tr, det, K = _tr_det(g)
     v = (1 - tr + det).valuation_below(K)
     if v is None:

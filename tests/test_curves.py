@@ -46,6 +46,31 @@ def test_curve_binds_its_field_once(monkeypatch):
     assert level_m_count(E, 3) >= 0
 
 
+def _points_by_pair_walk(E):
+    """Every (x, y) with y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, by
+    the walk over all q^2 pairs that `points` replaced: the oracle."""
+    F = E.F
+    a1, a2, a3, a4, a6 = E.a
+    pts = [None]
+    for x in range(E.q):
+        rhs = int(F.add(F.mul(x, F.mul(x, x)),
+                        F.add(F.mul(a2, F.mul(x, x)), F.add(F.mul(a4, x), a6))))
+        for y in range(E.q):
+            lhs = int(F.add(F.mul(y, y),
+                            F.add(F.mul(a1, F.mul(x, y)), F.mul(a3, y))))
+            if lhs == rhs:
+                pts.append((x, y))
+    return pts
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13])
+def test_points_match_the_pair_walk(q):
+    for E in enumerate_curves(q):
+        pts = dataclasses.replace(E, _points=None).points()
+        assert pts == _points_by_pair_walk(E)
+        assert all(type(c) is int for P in pts[1:] for c in P)
+
+
 def test_weil_bound_q5():
     for E in enumerate_curves(5):
         assert -4 <= E.trace <= 4

@@ -829,6 +829,39 @@ def _from_integers_failing_once(monkeypatch, at_call):
     monkeypatch.setattr(LocalMatrix, "from_integers", classmethod(failing))
 
 
+def _build_then_reject_sample(ctx, n, count, seed):
+    """The sampler's loop before it skipped singular draws on the integer
+    determinant: it built every draw and caught the library's rejection."""
+    p = ctx.p
+    rnd = random.Random(seed)
+    out = branch_covering_sample(ctx, n, count=0)   # the anchors
+    while len(out) < count:
+        rows = [[rnd.randrange(p**(n + 2)) for _ in range(2)] for _ in range(2)]
+        try:
+            m = LocalMatrix.from_integers(ctx, rows, e=-rnd.randrange(n + 1))
+            m.det_valuation()
+        except (DomainError, PrecisionExhausted):
+            continue
+        h = _random_unimodular(ctx, rnd)
+        out.append(m.conjugate_by(h) if rnd.random() < 0.5 else m)
+    return out
+
+
+@pytest.mark.parametrize("p,r,N,n,count", [
+    (2, 1, 10, 2, 200), (2, 1, 12, 3, 200), (3, 1, 10, 2, 200),  # tower
+    (2, 1, 8, 1, 100)])                                          # centrality
+def test_sampler_skips_singular_draws_as_the_old_loop_rejected_them(
+        p, r, N, n, count):
+    ctx = get_context(p, r, N)
+    new = branch_covering_sample(ctx, n, count=count, seed=DEFAULT_SEED)
+    old = _build_then_reject_sample(ctx, n, count, DEFAULT_SEED)
+    assert len(new) == len(old) == count
+    for g, h in zip(new, old):
+        assert (g.e, g.entry_coeffs(), g.prec, g.exact, g.exact_tr,
+                g.exact_det) == (h.e, h.entry_coeffs(), h.prec, h.exact,
+                                 h.exact_tr, h.exact_det)
+
+
 def test_samplers_let_programming_errors_through(monkeypatch):
     # the samplers skip only the draws the library rejects (DomainError,
     # PrecisionExhausted); anything else is a bug and must surface

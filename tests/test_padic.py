@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from gl2lab.errors import DomainError, PrecisionExhausted
 from gl2lab.padic import (INF, ExtendedNat, GaloisRingElement, LocalMatrix,
-                          context_for_level, ell_min, ell_of, frobenius,
-                          get_context, k_of, norm_map, sigma_conjugate,
-                          smallest_irreducible, unit_eigenvalue, vp_int)
+                          _o_inverse, _o_mul, _vp_gcd, context_for_level,
+                          ell_min, ell_of, frobenius, get_context, k_of,
+                          norm_map, sigma_conjugate, smallest_irreducible,
+                          unit_eigenvalue, vp_int)
+from gl2lab.poly import mul
 
 
 def test_defining_polynomials_deterministic():
@@ -400,13 +402,28 @@ def _element_det(x):
     return a * d - b * c
 
 
+def _newton_inverse(x):
+    """The object-level inverse the tuple kernel replaced, the oracle: the
+    F_q inverse x^(q-2) in GR(p, r), lifted by N.bit_length() + 1 Newton
+    steps on ring elements."""
+    ctx = x.ctx
+    if not x.is_unit():
+        raise DomainError("not a unit")
+    red = GaloisRingElement(get_context(ctx.p, ctx.r, 1), x.coeffs)
+    v = ctx.el((red**(ctx.q - 2) if ctx.q > 2 else red).coeffs)
+    for _ in range(ctx.N.bit_length() + 1):
+        v = v * (2 - x * v)
+    assert (x * v).coeffs == ctx.one.coeffs
+    return v
+
+
 def _element_inverse(x):
     a, b, c, d = x.m
     det = _element_det(x)
     dv = det.valuation_below(x.prec)
     if dv is None:
         raise PrecisionExhausted("determinant valuation not certified")
-    uinv = det.shift(-dv).inverse()
+    uinv = _newton_inverse(det.shift(-dv))
     adj = (d * uinv, -b * uinv, -c * uinv, a * uinv)
     return _element_build(x.ctx, -x.e - dv, adj, x.prec - dv)
 
@@ -495,3 +512,115 @@ def test_non_invertible_rejected():
     g = LocalMatrix.from_integers(ctx, [[1, 1], [1, 1]])
     with pytest.raises(DomainError):
         g.det_valuation()
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: unit inverses, r = 1 products, exact valuations
+
+
+@pytest.mark.parametrize("p,r,N", [(2, 1, 6), (3, 1, 4), (5, 1, 3),
+                                   (2, 2, 4), (3, 2, 3), (2, 3, 3)])
+def test_unit_inverse_matches_the_object_newton_on_every_unit(p, r, N):
+    ctx = get_context(p, r, N)
+    units = 0
+    for x in ctx.all_elements():
+        if not x.is_unit():
+            with pytest.raises(DomainError, match="not a unit"):
+                x.inverse()
+            with pytest.raises(DomainError, match="not a unit"):
+                _o_inverse(x.coeffs, ctx)
+            continue
+        units += 1
+        v = _o_inverse(x.coeffs, ctx)
+        assert v == _newton_inverse(x).coeffs == x.inverse().coeffs
+        assert all(0 <= c < ctx.pN for c in v)
+    assert units == ctx.q**N - ctx.q**(N - 1)
+
+
+def test_a_non_unit_raises_before_any_inverse():
+    for ctx in (get_context(3, 1, 5), get_context(2, 2, 4)):
+        for x in (ctx.zero, ctx.el(ctx.p), ctx.el(ctx.pN - ctx.p)):
+            with pytest.raises(DomainError, match="not a unit"):
+                x.inverse()
+        g = LocalMatrix.from_integers(ctx, [[ctx.p, 1], [0, ctx.p]])
+        assert _outcome(LocalMatrix.inverse, g) == _outcome(_element_inverse, g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40),
+       st.sampled_from([2, 3, 5, 7, 1009]))
+def test_r1_product_is_the_polynomial_product(a, b, p):
+    f = get_context(p, 1, 1).defining_poly
+    assert f == (0, 1)
+    assert _o_mul((a,), (b,), f) == tuple(mul((a,), (b,))) == (a * b,)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30),
+                          st.builds(lambda u, k: u * 2**k * 3**k,
+                                    st.integers(-50, 50), st.integers(0, 40))),
+                max_size=8),
+       st.sampled_from([2, 3, 5, 7]))
+def test_gcd_valuation_is_the_least_valuation(coeffs, p):
+    least = min((vp_int(c, p) for c in coeffs), default=INF)
+    v = _vp_gcd(coeffs, p)
+    assert (INF if v is None else ExtendedNat(v)) == least
+
+
+def test_exact_valuations_of_vanishing_data():
+    ctx = get_context(3, 2, 6)
+    assert _vp_gcd([], 3) is None and _vp_gcd([0, 0, 0], 3) is None
+    assert _vp_gcd([0, -18, 27], 3) == 2 and _vp_gcd([-5], 5) == 1
+    zero_trace = LocalMatrix.from_integers(ctx, [[0, 1], [-3, 0]])
+    assert zero_trace.trace_valuation() is INF
+    assert zero_trace.det_valuation() == 1
+    g = LocalMatrix.from_integers(ctx, [[(9, -9), 0], [0, (-18, 9)]], e=-1)
+    assert g.e == 1 and g.exact[0] == (1, -1)   # content 9 = p^2 taken out
+    assert g.det_valuation() == 2 and g.trace_valuation() == 1
+
+
+def _recorded_inverses(monkeypatch, run):
+    """(g, g^-1) for every LocalMatrix.inverse and (g, h, h^-1 g h) for every
+    conjugate_by during run()."""
+    inverses, conjugates = [], []
+    real_inverse, real_conjugate = LocalMatrix.inverse, LocalMatrix.conjugate_by
+
+    def inverse(self):
+        out = real_inverse(self)
+        inverses.append((self, out))
+        return out
+
+    def conjugate_by(self, h):
+        out = real_conjugate(self, h)
+        conjugates.append((self, h, out))
+        return out
+
+    monkeypatch.setattr(LocalMatrix, "inverse", inverse)
+    monkeypatch.setattr(LocalMatrix, "conjugate_by", conjugate_by)
+    run()
+    monkeypatch.undo()
+    return inverses, conjugates
+
+
+def _e_coeffs_prec(g):
+    return g.e, tuple(x.coeffs for x in g.m), g.prec
+
+
+@pytest.mark.parametrize("campaign", ["tower", "tree-lemma"])
+def test_matrix_inverse_matches_the_object_path_on_report_samples(
+        monkeypatch, campaign):
+    from gl2lab.checks import tower_checks, tree_checks
+    run = {"tower": tower_checks, "tree-lemma": tree_checks}[campaign]
+    inverses, conjugates = _recorded_inverses(monkeypatch, run)
+    assert len(conjugates) > 100 and len(inverses) >= len(conjugates)
+    for g, out in inverses:
+        assert _e_coeffs_prec(out) == _e_coeffs_prec(_element_inverse(g))
+    for g, h, out in conjugates:
+        old = _element_matmul(_element_matmul(_element_inverse(h), g), h)
+        assert _e_coeffs_prec(out) == _e_coeffs_prec(old)
+        assert (out.exact_tr, out.exact_det) == (g.exact_tr, g.exact_det)
+    non_unit = [h for _, h, _ in conjugates if h.det_valuation() > 0]
+    if campaign == "tree-lemma":   # h with v(det h) = 1 or 2 is kept there
+        assert {h.det_valuation() for h in non_unit} == {1, 2}
+    else:
+        assert non_unit == []
