@@ -17,7 +17,7 @@ from typing import Any
 
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
-from .hecke import centrality_check, tower_identity_check
+from .hecke import _singular, centrality_check, tower_identity_check
 from .padic import (LocalMatrix, _o_det, factor_prime_power, get_context,
                     k_of)
 from .testfunc import GammaInvariants, c_closed
@@ -95,11 +95,10 @@ def _orbital_sample(ctx, n, per, seed):
         sample.append(LocalMatrix.from_integers(ctx, [[p, 0], [0, 2]]))  # ell 0
     while len(sample) < per:
         rows = [[rnd.randrange(p**(n + 2)) for _ in range(2)] for _ in range(2)]
-        try:
-            m = LocalMatrix.from_integers(ctx, rows)
-            if m.e != 0 or m.det_valuation() != 1 or not m.trace_val_ge(0):
-                continue
-        except (DomainError, PrecisionExhausted):
+        if _singular(rows):
+            continue
+        m = LocalMatrix.from_integers(ctx, rows)
+        if m.e != 0 or m.det_valuation() != 1 or not m.trace_val_ge(0):
             continue
         sample.append(m)
     return sample
@@ -169,18 +168,16 @@ def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
         bad_unique, bad_k, tested = [], [], 0
         while tested < probes:
             rows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
-            try:
-                g0 = LocalMatrix.from_integers(ctx, rows)
-                if g0.e != 0 or g0.det_valuation() != 1:
-                    continue
-            except (DomainError, PrecisionExhausted):
+            if _singular(rows):
+                continue
+            g0 = LocalMatrix.from_integers(ctx, rows)
+            if g0.e != 0 or g0.det_valuation() != 1:
                 continue
             hrows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
-            try:
-                h = LocalMatrix.from_integers(ctx, hrows)
-                if h.det_valuation() > 2:
-                    continue
-            except (DomainError, PrecisionExhausted):
+            if _singular(hrows):
+                continue
+            h = LocalMatrix.from_integers(ctx, hrows)
+            if h.det_valuation() > 2:
                 continue
             g = g0.conjugate_by(h)
             k = k_of(g)

@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--j", type=int, default=2)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--functions", type=int, default=3)
+    sp.add_argument("--functions", type=_positive_int, default=3)
 
     sp = add_parser("verify-tower", help="criterion 4 at one (q, n)")
     sp.add_argument("--q", type=int, required=True)

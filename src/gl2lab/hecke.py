@@ -20,9 +20,10 @@ from typing import Callable, List, Optional
 
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
-from .padic import (LocalContext, LocalMatrix, _o_add, _o_det, _o_matmul,
-                    ell_min_scaled, factor_prime_power, get_context,
-                    group_order_gl2, scaled_val_ge, vp_int)
+from .padic import (LocalContext, LocalMatrix, _o_add, _o_det, _o_inverse,
+                    _o_matmul, _o_mul, _o_sub, _val_below, ell_min_scaled,
+                    factor_prime_power, get_context, group_order_gl2,
+                    scaled_val_ge, vp_int)
 from .ratfunc import RationalFunctionT
 from .testfunc import branch_key, branch_value_t, phi_pn, phi_pnt
 
@@ -53,33 +54,35 @@ def canonical_coset_rep(g: LocalMatrix, n: int, head=None):
     are read; at n = 0 the last part is empty.  ``head`` is coset_key_head(g,
     n) when the caller has read it already.
     """
-    ctx = g.ctx
+    ctx, f = g.ctx, g.ctx.defining_poly
     p = ctx.p
     e, d = head or coset_key_head(g, n)
     depth = max(n + d, 1)
     top, bottom = g.m[:2], g.m[2:]
-    vals = [x.valuation_below(depth) for x in top]
+    vals = [_val_below(x, p, depth) for x in top]
     a = min((v for v in vals if v is not None), default=d)
     b = d - a
-    pa, pd, pn = p**a, p**d, p**n
-    c = ctx.zero
+    pa, pb, pd, pn = p**a, p**b, p**d, p**n
+    c = (0,) * ctx.r
     if b:
-        # column j with v(M1j) = a gives (p^a, c) = column j / (M1j / p^a)
+        # column j with v(M1j) = a gives (p^a, c) = column j / (M1j / p^a),
+        # c read in GR(p^b, r)
         j = vals.index(a)
-        ctx_b = get_context(p, ctx.r, b)
-        unit = ctx_b.el([x // pa for x in top[j].coeffs_mod(d)])
-        c = ctx.el((ctx_b.el(bottom[j].coeffs) * unit.inverse()).coeffs)
+        unit = tuple(x // pa for x in top[j])
+        c = tuple(x % pb for x in _o_mul(
+            bottom[j], _o_inverse(unit, get_context(p, ctx.r, b)), f))
     rows = ()
     if n:
-        rows = tuple(tuple(x // pa % pn for x in y.coeffs_mod(depth))
-                     for y in top)
+        # x // p^a and x // p^d mod p^n read no digit of M at or above
+        # depth >= n + d, so M is not reduced mod p^depth first
+        rows = tuple(tuple(x // pa % pn for x in y) for y in top)
         for y, z in zip(top, bottom):
-            num = (z.shift(a) - c * y).coeffs_mod(depth)
+            num = _o_sub(tuple(x * pa for x in z), _o_mul(c, y, f))
             if any(x % pd for x in num):
                 raise AssertionError(f"p^{a} * {z} - {c} * {y} is not "
                                      f"divisible by p^{d}")
             rows += (tuple(x // pd % pn for x in num),)
-    return (e, d, a, c.coeffs, rows)
+    return (e, d, a, c, rows)
 
 
 def in_congruence_subgroup(x: LocalMatrix, n: int) -> bool:
@@ -91,8 +94,9 @@ def in_congruence_subgroup(x: LocalMatrix, n: int) -> bool:
     if x.prec < n:
         raise PrecisionExhausted("membership test needs more digits")
     a, b, c, d = x.m
-    one = x.ctx.one
-    return all(y.valuation_below(n) is None for y in (a - one, b, c, d - one))
+    one, pn = (1,) + (0,) * (x.ctx.r - 1), x.ctx.p**n
+    return all(y % pn == 0 for z in (_o_sub(a, one), b, c, _o_sub(d, one))
+               for y in z)
 
 
 def same_coset(g1: LocalMatrix, g2: LocalMatrix, n: int) -> bool:
@@ -206,7 +210,7 @@ def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
         raise DomainError(f"tower averages need n >= 1, got {n}")
     ctx, p, q, e = g.ctx, g.ctx.p, g.ctx.q, g.e
     check_cap(q**4, "congruence subgroup enumeration")
-    a, b, c, d = g.exact or tuple(x.coeffs for x in g.m)
+    a, b, c, d = g.exact or g.m
     if g.exact is not None:
         # an exact product g u is exact again, with ctx.N digits
         v_det, tr_prec, prec = g.det_valuation(), None, ctx.N
@@ -216,14 +220,14 @@ def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
         v_det = LocalMatrix(ctx, e, g.m, prec=prec).det_valuation()
     pn = p**n
     tr_m = _o_add(a, d)
-    det = ctx.el(_o_det((a, b, c, d), ctx.defining_poly))
+    det = _o_det((a, b, c, d), ctx.defining_poly)
     keys = Counter()
     for y in itertools.product(range(p), repeat=ctx.r):
         tr = _o_add(tr_m, tuple(pn * x for x in y))
         keys[branch_key(
             n + 1, -e, v_det,
             lambda j: scaled_val_ge(tr, e, j, p, tr_prec),
-            lambda cap: ell_min_scaled(ctx.el(tr), det, e, prec, cap))] += q**3
+            lambda cap: ell_min_scaled(ctx, tr, det, e, prec, cap))] += q**3
     return keys
 
 
@@ -373,13 +377,18 @@ def branch_covering_sample(ctx: LocalContext, n: int, count: int = 200,
     while len(out) < count:
         rows = [[rnd.randrange(p**(n + 2)) for _ in range(2)] for _ in range(2)]
         e = -rnd.randrange(n + 1)
-        (a, b), (c, d) = rows
-        if a * d == b * c:  # singular, or the zero matrix
+        if _singular(rows):
             continue
         m = LocalMatrix.from_integers(ctx, rows, e=e)
         h = _random_unimodular(ctx, rnd)
         out.append(m.conjugate_by(h) if rnd.random() < 0.5 else m)
     return out
+
+
+def _singular(rows):
+    """[[a, b], [c, d]] with a d = b c: a singular integer matrix, or zero."""
+    (a, b), (c, d) = rows
+    return a * d == b * c
 
 
 def _random_unimodular(ctx, rnd):

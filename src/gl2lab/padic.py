@@ -4,9 +4,10 @@ The ring GR(p^N, r) = Z_{p^r} / p^N is represented by coefficient vectors
 of length r modulo p^N with respect to a fixed monic lift of the
 lexicographically smallest irreducible polynomial of degree r over F_p.
 A matrix over Q_{p^r} is stored as p^e * M with M primitive (M != 0 mod p),
-together with the number of certified p-adic digits of M.  Matrices built
-from integer data additionally carry their exact integer entries, which is
-what allows answers like "this valuation is infinite" to be certified.
+its entries coefficient tuples mod p^N, together with the number of
+certified p-adic digits of M.  Matrices built from integer data additionally
+carry their exact integer entries, which is what allows answers like "this
+valuation is infinite" to be certified.
 """
 
 from __future__ import annotations
@@ -476,16 +477,6 @@ class GaloisRingElement:
     def frobenius(self):
         return GaloisRingElement(self.ctx, self.ctx.sigma_coeffs(self.coeffs))
 
-    def shift(self, k: int):
-        """Multiply by p^k (k may be negative; stored digits must allow it)."""
-        p = self.ctx.p
-        if k >= 0:
-            return GaloisRingElement(self.ctx, tuple(c * p**k for c in self.coeffs))
-        pk = p**(-k)
-        if any(c % pk for c in self.coeffs):
-            raise PrecisionExhausted("element not divisible by requested power of p")
-        return GaloisRingElement(self.ctx, tuple(c // pk for c in self.coeffs))
-
     def coeffs_mod(self, j: int):
         pj = self.ctx.p**j
         return tuple(c % pj for c in self.coeffs)
@@ -542,12 +533,13 @@ def _primitive_exact(ctx, e, flat):
         flat = tuple(tuple(c // pv for c in entry) for entry in flat)
     else:
         flat = tuple(flat)
-    m = tuple(GaloisRingElement(ctx, entry) for entry in flat)
+    m = tuple(tuple(c % ctx.pN for c in entry) for entry in flat)
     return LocalMatrix(ctx, e + v, m, prec=ctx.N, exact=flat)
 
 
 class LocalMatrix:
-    """g = p^e * M with M a primitive 2x2 matrix over GR(p^N, r).
+    """g = p^e * M with M a primitive 2x2 matrix over GR(p^N, r), its entries
+    ``m`` coefficient tuples mod p^N, row-major.
 
     ``prec`` counts the certified digits of M.  ``exact`` (optional) holds
     untruncated integer coefficient vectors for the entries; ``exact_tr`` /
@@ -596,15 +588,10 @@ class LocalMatrix:
         if v is None:
             raise PrecisionExhausted("cannot certify the content of the matrix")
         pv = ctx.p**v
-        m = tuple(GaloisRingElement(ctx, tuple(c // pv for c in x))
-                  for x in entries)
+        m = tuple(tuple(c // pv for c in x) for x in entries)
         return LocalMatrix(ctx, e + v, m, prec=prec - v)
 
     # -- ring structure ---------------------------------------------------------
-
-    def entry_coeffs(self):
-        """The entries of M as coefficient tuples, row-major."""
-        return tuple(x.coeffs for x in self.m)
 
     def __matmul__(self, other):
         f = self.ctx.defining_poly
@@ -612,13 +599,13 @@ class LocalMatrix:
             return _primitive_exact(self.ctx, self.e + other.e,
                                     _o_matmul(self.exact, other.exact, f))
         return self._build(self.e + other.e,
-                           _o_matmul(self.entry_coeffs(), other.entry_coeffs(), f),
+                           _o_matmul(self.m, other.m, f),
                            min(self.prec, other.prec))
 
     def inverse(self):
-        a, b, c, d = entries = self.entry_coeffs()
+        a, b, c, d = self.m
         ctx, f = self.ctx, self.ctx.defining_poly
-        det = tuple(x % ctx.pN for x in _o_det(entries, f))
+        det = tuple(x % ctx.pN for x in _o_det(self.m, f))
         dv = _val_below(det, ctx.p, self.prec)
         if dv is None:
             raise PrecisionExhausted("determinant valuation not certified")
@@ -630,7 +617,7 @@ class LocalMatrix:
         return self._build(-self.e - dv, adj, self.prec - dv)
 
     def frobenius_matrix(self):
-        ent = tuple(x.frobenius() for x in self.m)
+        ent = tuple(self.ctx.sigma_coeffs(x) for x in self.m)
         exact = None
         if self.exact is not None:
             imgs = [self.ctx.sigma_exact(t) for t in self.exact]
@@ -648,13 +635,6 @@ class LocalMatrix:
 
     # -- invariants ---------------------------------------------------------------
 
-    def det_gre(self):
-        return GaloisRingElement(self.ctx, _o_det(self.entry_coeffs(),
-                                                  self.ctx.defining_poly))
-
-    def trace_gre(self):
-        return self.m[0] + self.m[3]
-
     def det_valuation(self) -> int:
         if self.exact_det is not None:
             sh, coeffs = self.exact_det
@@ -662,7 +642,8 @@ class LocalMatrix:
             if v is None:
                 raise DomainError("matrix is not invertible")
             return sh + v
-        v = self.det_gre().valuation_below(self.prec)
+        v = _val_below(_o_det(self.m, self.ctx.defining_poly), self.ctx.p,
+                       self.prec)
         if v is None:
             raise PrecisionExhausted("determinant valuation not certified")
         return 2 * self.e + v
@@ -677,7 +658,7 @@ class LocalMatrix:
             if sh + v < 0:
                 raise DomainError("trace has negative valuation")
             return ExtendedNat(sh + v)
-        v = self.trace_gre().valuation_below(self.prec)
+        v = _val_below(_o_add(self.m[0], self.m[3]), self.ctx.p, self.prec)
         if v is None:
             raise PrecisionExhausted("trace valuation not certified")
         if self.e + v < 0:
@@ -689,8 +670,8 @@ class LocalMatrix:
         if self.exact_tr is not None:
             sh, coeffs = self.exact_tr
             return scaled_val_ge(coeffs, sh, k, self.ctx.p)
-        return scaled_val_ge(self.trace_gre().coeffs, self.e, k, self.ctx.p,
-                             self.prec)
+        return scaled_val_ge(_o_add(self.m[0], self.m[3]), self.e, k,
+                             self.ctx.p, self.prec)
 
     # -- equality / encoding ----------------------------------------------------
 
@@ -699,8 +680,9 @@ class LocalMatrix:
             return NotImplemented
         if self.ctx.key()[:2] != other.ctx.key()[:2] or self.e != other.e:
             return False
-        k = min(self.prec, other.prec)
-        return all(x.coeffs_mod(k) == y.coeffs_mod(k) for x, y in zip(self.m, other.m))
+        pk = self.ctx.p**min(self.prec, other.prec)
+        return all(c % pk == d % pk for x, y in zip(self.m, other.m)
+                   for c, d in zip(x, y))
 
     def __repr__(self):
         return self.to_text()
@@ -708,8 +690,8 @@ class LocalMatrix:
     def to_text(self) -> str:
         def ent(x):
             if self.ctx.r == 1:
-                return str(x.coeffs[0])
-            return "[" + ",".join(str(c) for c in x.coeffs) + "]"
+                return str(x[0])
+            return "[" + ",".join(str(c) for c in x) + "]"
         a, b, c, d = self.m
         return f"p^{self.e} * [[{ent(a)},{ent(b)}],[{ent(c)},{ent(d)}]]"
 
@@ -732,28 +714,36 @@ def k_of(g: LocalMatrix) -> int:
     return -g.e
 
 
-def _scaled_gre(x: GaloisRingElement, shift: int, prec: int):
-    """(value, certified digits) of p^shift * x as an integral ring element."""
-    ctx = x.ctx
+def _o_scale(coeffs, shift, p, prec=None):
+    """p^shift * x for x in O given by integer coefficients: exact when prec
+    is None, else x is known mod p^prec and the value mod p^(prec + shift).
+    A negative shift must divide every coefficient."""
     if shift >= 0:
-        return x.shift(shift), min(ctx.N, prec + shift)
-    if prec < -shift:
+        return tuple(c * p**shift for c in coeffs)
+    if prec is not None and prec < -shift:
         raise PrecisionExhausted("shift consumes all certified digits")
-    if x.valuation_below(-shift) is not None:
+    ps = p**(-shift)
+    if any(c % ps for c in coeffs):
         raise DomainError("value is not integral at this scale")
-    return x.shift(shift), prec + shift
+    return tuple(c // ps for c in coeffs)
 
 
 def _tr_det(g: LocalMatrix):
-    """(tr g, det g, K): trace and determinant of g, both known mod p^K."""
-    return _scaled_tr_det(g.trace_gre(), g.det_gre(), g.e, g.prec)
+    """tr M and det M of g = p^e M, coefficient tuples known mod p^prec."""
+    return _o_add(g.m[0], g.m[3]), _o_det(g.m, g.ctx.defining_poly)
 
 
-def _scaled_tr_det(tr, det, e, prec):
-    """(p^e tr, p^2e det, K) for tr and det known mod p^prec."""
-    tr, ktr = _scaled_gre(tr, e, prec)
-    det, kdet = _scaled_gre(det, 2 * e, prec)
-    return tr, det, min(ktr, kdet)
+def _scaled_tr_det(ctx, tr, det, e, prec):
+    """(p^e tr, p^2e det, K) for tr and det known mod p^prec: both values
+    are known mod p^K, K = prec + min(e, 2e) capped at N."""
+    return (_o_scale(tr, e, ctx.p, prec), _o_scale(det, 2 * e, ctx.p, prec),
+            min(ctx.N, prec + min(e, 2 * e)))
+
+
+def _ell_value(tr, det):
+    """1 - tr + det over O, the value whose valuation is ell."""
+    d = _o_sub(det, tr)
+    return (d[0] + 1,) + d[1:]
 
 
 def _require_ell_domain(g: LocalMatrix):
@@ -767,42 +757,30 @@ def _require_ell_domain(g: LocalMatrix):
 def ell_min(g: LocalMatrix, cap: int):
     """min(ell(g), cap), certified; needs v_p(det g) >= 1 and v_p(tr g) = 0."""
     _require_ell_domain(g)
-    return ell_min_scaled(g.trace_gre(), g.det_gre(), g.e, g.prec, cap)
+    return ell_min_scaled(g.ctx, *_tr_det(g), g.e, g.prec, cap)
 
 
-def ell_min_scaled(tr, det, e, prec, cap):
-    """min(v(1 - p^e tr + p^2e det), cap) for tr and det known mod p^prec,
-    certified as ell_min certifies g = p^e M from tr M and det M."""
-    tr, det, K = _scaled_tr_det(tr, det, e, prec)
+def ell_min_scaled(ctx, tr, det, e, prec, cap):
+    """min(v(1 - p^e tr + p^2e det), cap) for tr and det coefficient tuples
+    known mod p^prec, certified as ell_min certifies g = p^e M from tr M and
+    det M."""
+    tr, det, K = _scaled_tr_det(ctx, tr, det, e, prec)
     if K < cap:
         raise PrecisionExhausted(f"need {cap} certified digits, have {K}")
-    v = (1 - tr + det).valuation_below(cap)
+    v = _val_below(_ell_value(tr, det), ctx.p, cap)
     return cap if v is None else v
-
-
-def _o_scale_exact(coeffs, shift, p):
-    """p^shift * (exact order element); exactness of the division is checked."""
-    if shift >= 0:
-        return tuple(c * p**shift for c in coeffs)
-    ps = p**(-shift)
-    if any(c % ps for c in coeffs):
-        raise DomainError("value is not integral at this scale")
-    return tuple(c // ps for c in coeffs)
 
 
 def ell_of(g: LocalMatrix) -> ExtendedNat:
     """v_p(1 - tr g + det g); INF needs exact input data to certify."""
     _require_ell_domain(g)
+    p = g.ctx.p
     if g.exact_tr is not None and g.exact_det is not None:
-        p, r = g.ctx.p, g.ctx.r
         (st, ct), (sd, cd) = g.exact_tr, g.exact_det
-        one = (1,) + (0,) * (r - 1)
-        D = _o_add(_o_sub(one, _o_scale_exact(ct, st, p)),
-                   _o_scale_exact(cd, sd, p))
-        v = _vp_gcd(D, p)
+        v = _vp_gcd(_ell_value(_o_scale(ct, st, p), _o_scale(cd, sd, p)), p)
         return INF if v is None else ExtendedNat(v)
-    tr, det, K = _tr_det(g)
-    v = (1 - tr + det).valuation_below(K)
+    tr, det, K = _scaled_tr_det(g.ctx, *_tr_det(g), g.e, g.prec)
+    v = _val_below(_ell_value(tr, det), p, K)
     if v is None:
         raise PrecisionExhausted("vanishes to working precision, not provably zero")
     return ExtendedNat(v)
@@ -842,10 +820,11 @@ def unit_eigenvalue(gamma: LocalMatrix, n: int) -> GaloisRingElement:
         raise DomainError("no unit eigenvalue: v_p(tr) >= 1")
     if gamma.det_valuation() < 1:
         raise DomainError("unit eigenvalue needs v_p(det) >= 1")
-    tr, det, K = _tr_det(gamma)
+    ctx = gamma.ctx
+    tr, det, K = _scaled_tr_det(ctx, *_tr_det(gamma), gamma.e, gamma.prec)
     if K < n:
         raise PrecisionExhausted("not enough digits for the requested level")
-    ctx = gamma.ctx
+    tr, det = ctx.el(tr), ctx.el(det)
     x = tr
     for _ in range(n.bit_length() + 2):
         x = x - (x * x - tr * x + det) * (2 * x - tr).inverse()

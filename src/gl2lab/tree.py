@@ -112,7 +112,7 @@ def stabilizes(gamma: LocalMatrix, v: TreeVertex) -> bool:
     adj = (d, tuple(-x for x in b), tuple(-x for x in c), a)
     # B = adj(H) * M * H where gamma = p^e M
     f = ctx.defining_poly
-    B = _o_matmul(_o_matmul(adj, gamma.entry_coeffs(), f), (a, b, c, d), f)
+    B = _o_matmul(_o_matmul(adj, gamma.m, f), (a, b, c, d), f)
     pneed = ctx.p**need
     return all(x % pneed == 0 for entry in B for x in entry)
 
@@ -192,7 +192,7 @@ def stabilized_line_count(gamma: LocalMatrix) -> int:
         raise DomainError("v_p(det) = 1 required")
     from .padic import get_context
     fq = get_context(ctx.p, ctx.r, 1)
-    a, b, c, d = (fq.el(x.coeffs_mod(1)) for x in gamma.m)
+    a, b, c, d = (fq.el(x) for x in gamma.m)
     count = 0
     for line in _proj_line(fq):
         x, y = line

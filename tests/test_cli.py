@@ -321,7 +321,7 @@ def test_failed_centrality_row_keeps_its_witness(capsys, monkeypatch):
     # constant shift would add vol q^d to both sides and cancel)
     def broken(ctx, n):
         def value(g):
-            lower_left = g.m[2].coeffs
+            lower_left = g.m[2]
             bump = g.e == 0 and all(c % ctx.p == 0 for c in lower_left)
             return Fraction(phi_pn(g, n)) + bump
         return hecke.CosetFunction(ctx, n, formula=value)
@@ -690,6 +690,15 @@ def test_report_all_bytes_are_pinned(capsys, monkeypatch, argv, digest):
      "c49a35bb551c7a0ac1066ffdd975dd7e74c572414824d544ab4923a5ee9bdecb"),
     (["verify-cr", "--p", "2", "--n", "2"],
      "909f6f5e0ea6e0b6b4524199636f5f9f8e738c2937ba6055a055dc30598b4bf6"),
+    # local campaigns at r = 2, which report-all runs at r = 1 only: the
+    # Newton inverse in the coset key, entries printed as coefficient lists
+    (["verify-central", "--q", "4", "--n", "1"],
+     "6e96f55c58c1ae1dd66efc3db00335d94ede60fc1ec4f2067e4320201f7a0df6"),
+    (["tree-fixed-set", "--p", "3", "--r", "2", "--gamma",
+      "[[[0,1],1],[3,0]]", "--depth", "2"],
+     "d398effec0d15ca761e004dea549c1197e79e8f837ae0201527ad13f7d5deacc"),
+    (["verify-tower", "--q", "4", "--n", "1", "--samples", "40"],
+     "1fefb4c14563393a0e4b0b07beed65decd761bcd2969499f0da3341279f0f146"),
 ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else "")
 def test_oneshot_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     import hashlib

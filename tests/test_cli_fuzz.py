@@ -89,6 +89,9 @@ MALFORMED = [
      "100000000"],
     ["tree-fixed-set", "--p", "2", "--verify", "--probes", "100000000"],
     ["verify-tower", "--q", "2", "--n", "1", "--samples", "0"],
+    # a verification that checks nothing
+    ["verify-bc-unit", "--functions", "0"],
+    ["verify-bc-unit", "--functions", "-3"],
 ]
 
 

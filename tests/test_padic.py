@@ -5,8 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gl2lab.errors import DomainError, PrecisionExhausted
+from gl2lab.hecke import canonical_coset_rep, coset_key_head
 from gl2lab.padic import (INF, ExtendedNat, GaloisRingElement, LocalMatrix,
-                          _o_inverse, _o_mul, _vp_gcd, context_for_level,
+                          _o_det, _o_inverse, _o_mul, _o_scale,
+                          _scaled_tr_det, _tr_det, _vp_gcd, context_for_level,
                           ell_min, ell_of, frobenius, get_context, k_of,
                           norm_map, sigma_conjugate, smallest_irreducible,
                           unit_eigenvalue, vp_int)
@@ -131,10 +133,11 @@ def test_norm_identity_and_scalar():
     g1 = LocalMatrix.from_integers(ctx1, [[2, 3], [1, 4]])
     assert norm_map(g1) == g1
     c = ctx.el((1, 2, 3))
-    scal = LocalMatrix(ctx, 0, (c, ctx.zero, ctx.zero, c))
+    scal = LocalMatrix(ctx, 0, (c.coeffs, ctx.zero.coeffs, ctx.zero.coeffs,
+                                c.coeffs))
     ring_norm = c * frobenius(c) * frobenius(frobenius(c))
     nm = norm_map(scal)
-    assert nm.m[0] == ring_norm and nm.m[3] == ring_norm
+    assert nm.m[0] == ring_norm.coeffs and nm.m[3] == ring_norm.coeffs
 
 
 def test_norm_charpoly_in_prime_field_exhaustive():
@@ -375,6 +378,23 @@ def test_exact_matmul_matches_truncated_product(p, r):
 # the coefficient-tuple kernel against the element path it replaced
 
 
+def _shift(x, k):
+    """p^k * x for a ring element x (k may be negative; the stored digits
+    must allow it): the element operation the oracles below shift by."""
+    p = x.ctx.p
+    if k >= 0:
+        return GaloisRingElement(x.ctx, tuple(c * p**k for c in x.coeffs))
+    pk = p**(-k)
+    if any(c % pk for c in x.coeffs):
+        raise PrecisionExhausted("element not divisible by requested power of p")
+    return GaloisRingElement(x.ctx, tuple(c // pk for c in x.coeffs))
+
+
+def _elements(g):
+    """The entries of g as ring elements, as the oracles read them."""
+    return tuple(g.ctx.el(x) for x in g.m)
+
+
 def _element_build(ctx, e, entries, prec):
     """The renormalization of truncated element entries that LocalMatrix
     products used before the tuple kernel: the oracle."""
@@ -385,20 +405,20 @@ def _element_build(ctx, e, entries, prec):
     if not vals:
         raise PrecisionExhausted("cannot certify the content of the matrix")
     v = min(vals)
-    return LocalMatrix(ctx, e + v, tuple(x.shift(-v) for x in entries),
+    return LocalMatrix(ctx, e + v, tuple(_shift(x, -v).coeffs for x in entries),
                        prec=prec - v)
 
 
 def _element_matmul(x, y):
-    a1, b1, c1, d1 = x.m
-    a2, b2, c2, d2 = y.m
+    a1, b1, c1, d1 = _elements(x)
+    a2, b2, c2, d2 = _elements(y)
     prod = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
             c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
     return _element_build(x.ctx, x.e + y.e, prod, min(x.prec, y.prec))
 
 
 def _element_det(x):
-    a, b, c, d = x.m
+    a, b, c, d = _elements(x)
     return a * d - b * c
 
 
@@ -418,14 +438,88 @@ def _newton_inverse(x):
 
 
 def _element_inverse(x):
-    a, b, c, d = x.m
+    a, b, c, d = _elements(x)
     det = _element_det(x)
     dv = det.valuation_below(x.prec)
     if dv is None:
         raise PrecisionExhausted("determinant valuation not certified")
-    uinv = _newton_inverse(det.shift(-dv))
+    uinv = _newton_inverse(_shift(det, -dv))
     adj = (d * uinv, -b * uinv, -c * uinv, a * uinv)
     return _element_build(x.ctx, -x.e - dv, adj, x.prec - dv)
+
+
+def _scaled_gre(x, shift, prec):
+    """(value, certified digits) of p^shift * x as an integral ring element:
+    the element path that ell_min and unit_eigenvalue scaled by, the oracle
+    of _o_scale with a precision."""
+    ctx = x.ctx
+    if shift >= 0:
+        return _shift(x, shift), min(ctx.N, prec + shift)
+    if prec < -shift:
+        raise PrecisionExhausted("shift consumes all certified digits")
+    if x.valuation_below(-shift) is not None:
+        raise DomainError("value is not integral at this scale")
+    return _shift(x, shift), prec + shift
+
+
+def _o_scale_exact(coeffs, shift, p):
+    """p^shift * (exact order element), the oracle of _o_scale without a
+    precision; exactness of the division is checked."""
+    if shift >= 0:
+        return tuple(c * p**shift for c in coeffs)
+    ps = p**(-shift)
+    if any(c % ps for c in coeffs):
+        raise DomainError("value is not integral at this scale")
+    return tuple(c // ps for c in coeffs)
+
+
+def _certified(tr, det, K, p):
+    """(tr, det, K) with tr and det reduced mod p^K, the digits they certify."""
+    return tuple(c % p**K for c in tr), tuple(c % p**K for c in det), K
+
+
+def _element_scaled_tr_det(g):
+    """(p^e tr, p^2e det, K) of g on the element path, the oracle of
+    _scaled_tr_det."""
+    a, b, c, d = _elements(g)
+    tr, ktr = _scaled_gre(a + d, g.e, g.prec)
+    det, kdet = _scaled_gre(_element_det(g), 2 * g.e, g.prec)
+    return _certified(tr.coeffs, det.coeffs, min(ktr, kdet), g.ctx.p)
+
+
+def _tuple_scaled_tr_det(g):
+    return _certified(*_scaled_tr_det(g.ctx, *_tr_det(g), g.e, g.prec),
+                      g.ctx.p)
+
+
+def _element_coset_rep(g, n):
+    """canonical_coset_rep as it ran on ring elements in two contexts: the
+    oracle of the key computed on coefficient tuples."""
+    ctx = g.ctx
+    p = ctx.p
+    e, d = coset_key_head(g, n)
+    depth = max(n + d, 1)
+    ents = _elements(g)
+    top, bottom = ents[:2], ents[2:]
+    vals = [x.valuation_below(depth) for x in top]
+    a = min((v for v in vals if v is not None), default=d)
+    b = d - a
+    pa, pd, pn = p**a, p**d, p**n
+    c = ctx.zero
+    if b:
+        j = vals.index(a)
+        ctx_b = get_context(p, ctx.r, b)
+        unit = ctx_b.el([x // pa for x in top[j].coeffs_mod(d)])
+        c = ctx.el((ctx_b.el(bottom[j].coeffs) * unit.inverse()).coeffs)
+    rows = ()
+    if n:
+        rows = tuple(tuple(x // pa % pn for x in y.coeffs_mod(depth))
+                     for y in top)
+        for y, z in zip(top, bottom):
+            num = (_shift(z, a) - c * y).coeffs_mod(depth)
+            assert not any(x % pd for x in num)
+            rows += (tuple(x // pd % pn for x in num),)
+    return (e, d, a, c.coeffs, rows)
 
 
 def _outcome(fn, *args):
@@ -434,7 +528,15 @@ def _outcome(fn, *args):
         out = fn(*args)
     except (DomainError, PrecisionExhausted) as exc:
         return type(exc).__name__, str(exc)
-    return out.e, out.prec, out.exact, tuple(x.coeffs for x in out.m)
+    return out.e, out.prec, out.exact, out.m
+
+
+def _value(fn, *args):
+    """fn(*args), or its error as (name, message)."""
+    try:
+        return fn(*args)
+    except (DomainError, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
 
 
 @st.composite
@@ -447,14 +549,13 @@ def kernel_operands(draw):
                       st.integers(0, ctx.pN - 1), st.integers(0, ctx.N))
 
     def operand():
-        m = tuple(ctx.el([draw(coeff) for _ in range(r)]) for _ in range(4))
+        m = tuple(tuple(draw(coeff) for _ in range(r)) for _ in range(4))
         return LocalMatrix(ctx, draw(st.integers(-2, 2)), m,
                            prec=draw(st.integers(1, ctx.N)))
     x, y = operand(), operand()
     if draw(st.booleans()):
-        rows = [[list(z.coeffs) for z in x.m[:2]],
-                [list(z.coeffs) for z in x.m[2:]]]
-        assume(any(c for z in x.m for c in z.coeffs))
+        rows = [[list(z) for z in x.m[:2]], [list(z) for z in x.m[2:]]]
+        assume(any(c for z in x.m for c in z))
         x = LocalMatrix.from_integers(ctx, rows, e=x.e)
     return x, y
 
@@ -465,9 +566,35 @@ def test_tuple_kernel_matches_the_element_path(case):
     x, y = case
     assert _outcome(x.__matmul__, y) == _outcome(_element_matmul, x, y)
     for g in (x, y):
-        assert g.det_gre().coeffs == _element_det(g).coeffs
+        det = tuple(c % g.ctx.pN for c in _o_det(g.m, g.ctx.defining_poly))
+        assert det == _element_det(g).coeffs
         assert (_outcome(LocalMatrix.inverse, g)
                 == _outcome(_element_inverse, g))
+        assert (_value(_tuple_scaled_tr_det, g)
+                == _value(_element_scaled_tr_det, g))
+        for n in (0, 1, 2):
+            assert (_value(canonical_coset_rep, g, n)
+                    == _value(_element_coset_rep, g, n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.data())
+def test_scale_matches_the_element_path(pr, data):
+    p, r = pr
+    ctx = get_context(p, r, 6)
+    coeff = st.builds(lambda u, k: u * p**k, st.integers(-10**6, 10**6),
+                      st.integers(0, 8))
+    coeffs = tuple(data.draw(coeff) for _ in range(r))
+    shift = data.draw(st.integers(-8, 8))
+    prec = data.draw(st.integers(1, ctx.N))
+    # exact: any integers, the same tuple or the same error
+    assert (_value(_o_scale, coeffs, shift, p)
+            == _value(_o_scale_exact, coeffs, shift, p))
+    # known mod p^prec: the same value mod p^N, or the same error
+    x = ctx.el(coeffs)
+    assert (_value(lambda: tuple(c % ctx.pN for c in
+                                 _o_scale(x.coeffs, shift, p, prec)))
+            == _value(lambda: _scaled_gre(x, shift, prec)[0].coeffs))
 
 
 def test_valuation_below_reads_only_the_digits_below_its_cap():
@@ -481,15 +608,29 @@ def test_valuation_below_reads_only_the_digits_below_its_cap():
 
 def test_tuple_kernel_raises_where_the_element_path_did():
     ctx = get_context(3, 2, 6)
-    three, zero = ctx.el(3), ctx.zero
+    three, zero, one = (3, 0), (0, 0), (1, 0)
     # entries divisible by p, one certified digit: no content, no det
     x = LocalMatrix(ctx, 0, (three, zero, zero, three), prec=1)
-    y = LocalMatrix(ctx, 0, (ctx.one, zero, zero, ctx.one), prec=4)
+    y = LocalMatrix(ctx, 0, (one, zero, zero, one), prec=4)
     for fn, oracle, args in ((LocalMatrix.__matmul__, _element_matmul, (x, y)),
                              (LocalMatrix.__matmul__, _element_matmul, (y, x)),
                              (LocalMatrix.inverse, _element_inverse, (x,))):
         got = _outcome(fn, *args)
         assert got[0] == "PrecisionExhausted" and got == _outcome(oracle, *args)
+    # the coset key of x cannot certify v(det), and p^-1 x, known to one
+    # digit, cannot give p^-2 det
+    for fn, oracle, args in (
+            (canonical_coset_rep, _element_coset_rep, (x, 1)),
+            (_tuple_scaled_tr_det, _element_scaled_tr_det,
+             (LocalMatrix(ctx, -1, x.m, prec=1),))):
+        got = _value(fn, *args)
+        assert got[0] == "PrecisionExhausted" and got == _value(oracle, *args)
+    # p^-1 * 1 is not integral, exact or mod p^2
+    half = LocalMatrix(ctx, -1, (one, zero, zero, one), prec=2)
+    got = _value(_tuple_scaled_tr_det, half)
+    assert got[0] == "DomainError" and got == _value(_element_scaled_tr_det, half)
+    assert (_value(_o_scale, one, -1, 3) == _value(_o_scale_exact, one, -1, 3)
+            == ("DomainError", "value is not integral at this scale"))
     # two certified digits hold the content p: the product keeps one
     x2 = LocalMatrix(ctx, 0, (three, zero, zero, three), prec=2)
     assert _outcome(LocalMatrix.__matmul__, x2, y) == (1, 1, None, (
@@ -603,7 +744,7 @@ def _recorded_inverses(monkeypatch, run):
 
 
 def _e_coeffs_prec(g):
-    return g.e, tuple(x.coeffs for x in g.m), g.prec
+    return g.e, g.m, g.prec
 
 
 @pytest.mark.parametrize("campaign", ["tower", "tree-lemma"])
@@ -624,3 +765,30 @@ def test_matrix_inverse_matches_the_object_path_on_report_samples(
         assert {h.det_valuation() for h in non_unit} == {1, 2}
     else:
         assert non_unit == []
+
+
+def _counting_element_constructions(monkeypatch):
+    """A list that grows by one coefficient tuple per GaloisRingElement built."""
+    built, real = [], GaloisRingElement.__init__
+
+    def counting(self, ctx, coeffs):
+        built.append(coeffs)
+        real(self, ctx, coeffs)
+    monkeypatch.setattr(GaloisRingElement, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("campaign", ["tower", "centrality"])
+def test_tower_and_centrality_build_no_ring_element(monkeypatch, campaign):
+    # LocalMatrix entries, traces, determinants and coset keys are
+    # coefficient tuples; report-all's tower and centrality runs need no
+    # element arithmetic at all
+    from gl2lab.checks import centrality_checks, tower_checks
+    run = {"tower": tower_checks, "centrality": centrality_checks}[campaign]
+    built = _counting_element_constructions(monkeypatch)
+    rows = run()
+    assert rows and all(row.passed for row in rows)
+    assert built == []
+    # the count sees the constructions a Hensel lift does make
+    g = LocalMatrix.from_integers(get_context(3, 1, 8), [[3, 0], [0, 2]])
+    assert unit_eigenvalue(g, 2) == g.ctx.el(2) and len(built) > 2

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from gl2lab.errors import DomainError
+from gl2lab import DEFAULT_SEED
+from gl2lab.checks import _orbital_sample, tree_checks
+from gl2lab.errors import DomainError, PrecisionExhausted
 from gl2lab.hecke import canonical_coset_rep
-from gl2lab.padic import LocalMatrix, get_context, k_of
+from gl2lab.padic import LocalMatrix, factor_prime_power, get_context, k_of
 from gl2lab.testfunc import GammaInvariants, c_closed
 from gl2lab.tree import (TreeVertex, base_vertex, enumerate_vertices,
                          fixed_set, orbital_ratio, shell,
@@ -199,3 +201,81 @@ def test_orbital_ratio_flags_and_degenerate_weight():
     ratio, ok = orbital_ratio(
         g, 2, phi_at=lambda dd: Fraction(1, q - 1) if dd == 0 else Fraction(0))
     assert ok and ratio == 1
+
+
+# ---------------------------------------------------------------------------
+# the samplers of the orbital and tree-lemma checks skip singular draws on
+# the integer determinant; the loops they replaced built every draw and
+# caught the library's rejection
+
+
+def _old_orbital_sample(ctx, n, per, seed):
+    p = ctx.p
+    rnd = random.Random(seed)
+    sample = _orbital_sample(ctx, n, 0, seed)   # the anchors
+    while len(sample) < per:
+        rows = [[rnd.randrange(p**(n + 2)) for _ in range(2)] for _ in range(2)]
+        try:
+            m = LocalMatrix.from_integers(ctx, rows)
+            if m.e != 0 or m.det_valuation() != 1 or not m.trace_val_ge(0):
+                continue
+        except (DomainError, PrecisionExhausted):
+            continue
+        sample.append(m)
+    return sample
+
+
+def _old_tree_probe_pairs(ctx, q, probes, seed):
+    """(g0, h) of every conjugate_by the old probe loop made."""
+    rnd = random.Random(seed + q)
+    pairs, tested = [], 0
+    while tested < probes:
+        rows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
+        try:
+            g0 = LocalMatrix.from_integers(ctx, rows)
+            if g0.e != 0 or g0.det_valuation() != 1:
+                continue
+        except (DomainError, PrecisionExhausted):
+            continue
+        hrows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
+        try:
+            h = LocalMatrix.from_integers(ctx, hrows)
+            if h.det_valuation() > 2:
+                continue
+        except (DomainError, PrecisionExhausted):
+            continue
+        pairs.append((g0, h))
+        if k_of(g0.conjugate_by(h)) <= 3:
+            tested += 1
+    return pairs
+
+
+def _exact(g):
+    return g.e, g.m, g.prec, g.exact
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_orbital_sample_is_the_old_loops(q, n):
+    ctx = get_context(q, 1, 2 * n + 6)
+    new = _orbital_sample(ctx, n, 50, DEFAULT_SEED)
+    old = _old_orbital_sample(ctx, n, 50, DEFAULT_SEED)
+    assert len(new) == 50 and list(map(_exact, new)) == list(map(_exact, old))
+
+
+def test_tree_probes_are_the_old_loops(monkeypatch):
+    pairs, real = [], LocalMatrix.conjugate_by
+
+    def conjugate_by(self, h):
+        pairs.append((self, h))
+        return real(self, h)
+    monkeypatch.setattr(LocalMatrix, "conjugate_by", conjugate_by)
+    tree_checks()
+    monkeypatch.undo()
+    old = []
+    for q in (2, 3):
+        p, r = factor_prime_power(q)
+        old += _old_tree_probe_pairs(get_context(p, r, 14), q, 100,
+                                     DEFAULT_SEED)
+    assert len(pairs) == len(old) >= 200
+    assert ([(_exact(g), _exact(h)) for g, h in pairs]
+            == [(_exact(g), _exact(h)) for g, h in old])
