@@ -179,7 +179,6 @@ def main(argv=None) -> int:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--r", type=int, help="override r (q must equal p^r)")
     sp.add_argument("--format", choices=["json", "csv"], default="csv")
 
     sp = add_parser("boundary", help="boundary semisimple trace")
@@ -380,8 +379,6 @@ def _run_command(args) -> int:
 
     if cmd == "census":
         p, r = factor_prime_power(args.q)
-        if args.r is not None and args.r != r:
-            raise DomainError(f"q = {args.q} forces r = {r}")
         check_level(p, args.m)
         from .curves import enumerate_curves, ss_lefschetz
         rep = ss_lefschetz(p, r, args.n, args.m)

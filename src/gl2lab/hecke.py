@@ -155,34 +155,36 @@ def double_coset_indicator(ctx: LocalContext, n: int,
                            w: LocalMatrix) -> CosetFunction:
     """Indicator of K w K, K = Gamma(p^n) with n >= 1, as a right-coset map.
 
-    With w = p^e * M, M primitive and d = v(det M), w (1 + p^(n+d) X) w^-1 =
-    1 + p^n M X (p^d M^-1) lies in K, so u * w over u in K / Gamma(p^(n+d))
-    meets every right coset.  K is normal in GL2(O), so there are exactly
-    [K : K cap w K w^-1] = q^d of them; another count raises DomainError.
+    Write w = p^e M, M primitive, d = v(det M).  u = 1 + p^n X in K has
+    u w K = w K iff X maps L = M O^2 into L.  L has a basis (a, p^d v) with a
+    a column of M, det(a, v) a unit, v = e1 if M's top row is 0 mod p, else
+    e2.  X_z = z v (v^T J), J = [[0, 1], [-1, 0]], kills v and sends a to a
+    unit times z v, in L only if p^d | z.  So the u_z w, u_z = 1 + p^n X_z,
+    z in O/p^d, lie in q^d distinct right cosets, all [K : K cap w K w^-1]
+    of them as K is normal in GL2(O).  Another key count raises DomainError.
     """
     if n < 1:
         raise DomainError(f"double-coset indicators need n >= 1, got {n}")
-    d = w.det_valuation() - 2 * w.e
+    p, d = ctx.p, w.det_valuation() - 2 * w.e
+    upper = all(x % p == 0 for y in w.m[:2] for x in y)  # v = e1
     reps = {}
-    for u in congruence_elements(ctx, n, d):
-        g = u @ w
-        reps.setdefault(canonical_coset_rep(g, n), g)
+    for x in itertools.product(range(0, p**(n + d), p**n), repeat=ctx.r):
+        rows = [[1, x], [0, 1]] if upper else [[1, 0], [x, 1]]
+        g = LocalMatrix.from_integers(ctx, rows) @ w
+        reps.setdefault(canonical_coset_rep(g, n), (g, Fraction(1)))
     if len(reps) != ctx.q**d:
         raise DomainError(f"Gamma(p^{n}) {w.to_text()} Gamma(p^{n}) gave "
                           f"{len(reps)} right cosets, not q^{d} = {ctx.q**d}")
-    return CosetFunction(ctx, n, {k: (rep, Fraction(1))
-                                  for k, rep in reps.items()})
+    return CosetFunction(ctx, n, reps)
 
 
 def congruence_elements(ctx: LocalContext, n: int, depth: int):
     """All of Gamma(p^n) modulo Gamma(p^(n+depth)), as exact matrices."""
-    p, r = ctx.p, ctx.r
-    pn_ = p**n
-    space = list(itertools.product(range(p**depth), repeat=r))
+    space = list(itertools.product(range(ctx.p**depth), repeat=ctx.r))
     check_cap(len(space)**4, "congruence subgroup enumeration")
-    one, zero = (1,) + (0,) * (r - 1), (0,) * r
+    one, zero = (1,) + (0,) * (ctx.r - 1), (0,) * ctx.r
     for x in itertools.product(space, repeat=4):
-        ents = [tuple(i + pn_ * c for i, c in zip(base, xi))
+        ents = [tuple(i + ctx.p**n * c for i, c in zip(base, xi))
                 for base, xi in zip((one, zero, zero, one), x)]
         yield LocalMatrix.from_integers(ctx, [ents[:2], ents[2:]])
 
@@ -209,7 +211,6 @@ def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
     if n < 1:
         raise DomainError(f"tower averages need n >= 1, got {n}")
     ctx, p, q, e = g.ctx, g.ctx.p, g.ctx.q, g.e
-    check_cap(q**4, "congruence subgroup enumeration")
     a, b, c, d = g.exact or g.m
     if g.exact is not None:
         # an exact product g u is exact again, with ctx.N digits
@@ -415,12 +416,13 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     The values are rational functions in t of degree up to 2(n + 1), and
     their exact sums cost about (n + 1)^2 per sample point, so that times
     the number of points (at least the 2n + 8 anchors of the sampler) is
-    capped before the sample is drawn.
+    capped before the sample is drawn, as is points times q trace residues.
     """
     p, r = factor_prime_power(q)
     points = len(sample) if sample is not None else max(count, 2 * n + 8)
     check_cap(points * (n + 1)**2, "tower average arithmetic",
               default=2_500_000)
+    check_cap(points * q, "tower trace residues")
     ctx = get_context(p, r, 2 * (n + 1) + 6)
     if sample is None:
         sample = branch_covering_sample(ctx, n + 1, count=count, seed=seed)

@@ -367,6 +367,19 @@ def test_verify_central_reaches_past_the_listed_support(capsys, monkeypatch,
             == Fraction(row["witness"]["phi_star_f"]) + 1)
 
 
+@pytest.mark.parametrize("q,n", [(25, 2), (49, 3)])
+def test_verify_central_lists_cosets_under_the_default_cap(capsys,
+                                                          monkeypatch, q, n):
+    # both were refused when each double coset was a saturation of
+    # q^(4d) congruence elements; its q^d cosets are now listed directly
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    code = main(["verify-central", "--q", str(q), "--n", str(n)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = json.loads(captured.out)["checks"]
+    assert code == 0 and rows and all(row["pass"] for row in rows)
+
+
 @pytest.mark.parametrize("n", [30, 60])
 def test_verify_central_at_a_deep_level_holds_no_residue_list(capsys,
                                                               monkeypatch, n):
@@ -430,6 +443,47 @@ def test_verify_tower_cap_sees_n(capsys, monkeypatch, argv, size):
     assert seen == [("tower average arithmetic", size, 2_500_000)]
     # (2, 100) at the default 200 samples and report-all's cases stay under
     assert (size <= 2_500_000) == ("1000" not in argv)
+
+
+@pytest.mark.parametrize("argv,size", [
+    # max(samples, 2n + 8 anchors) points, times q trace residues
+    (["--q", "25", "--n", "1"], 200 * 25),
+    (["--q", "997", "--n", "1"], 200 * 997),
+    (["--q", "2", "--n", "100", "--samples", "50"], 208 * 2),
+])
+def test_verify_tower_caps_its_trace_residues(capsys, monkeypatch, argv,
+                                              size):
+    from gl2lab import hecke
+    from gl2lab.errors import ResourceLimit
+
+    seen = []
+
+    def stop_at_residues(size, what, default=200_000):
+        seen.append((what, default))
+        if what == "tower trace residues":
+            seen.append(size)
+            raise ResourceLimit(what)
+
+    monkeypatch.setattr(hecke, "check_cap", stop_at_residues)
+    assert main(["verify-tower", *argv]) == 2
+    assert seen == [("tower average arithmetic", 2_500_000),
+                    ("tower trace residues", 200_000), size]
+
+
+def test_verify_tower_runs_past_q_21(capsys, monkeypatch):
+    # q = 25 was refused by a q^4 "congruence subgroup enumeration" cap
+    # that no loop of the histogram had
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    code, out = run(capsys, "verify-tower", "--q", "25", "--n", "1")
+    rep = json.loads(out)
+    assert code == 0 and rep["summary"] == {"failed": 0, "passed": 1,
+                                            "total": 1}
+    # 300 points times 997 residues is over the default cap, before sampling
+    assert main(["verify-tower", "--q", "997", "--n", "1",
+                 "--samples", "300"]) == 2
+    err = capsys.readouterr().err
+    assert "tower trace residues needs 299100" in err
+    assert "Traceback" not in err
 
 
 def _rows(out):
@@ -694,6 +748,9 @@ def test_report_all_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     # Newton inverse in the coset key, entries printed as coefficient lists
     (["verify-central", "--q", "4", "--n", "1"],
      "6e96f55c58c1ae1dd66efc3db00335d94ede60fc1ec4f2067e4320201f7a0df6"),
+    # double cosets listed as u_z w, digest taken from the saturation
+    (["verify-central", "--q", "9", "--n", "2"],
+     "4cb679f6e0ffd3cab1b937e85beea96f81ec581cb3d22317efc93f59fff10a0b"),
     (["tree-fixed-set", "--p", "3", "--r", "2", "--gamma",
       "[[[0,1],1],[3,0]]", "--depth", "2"],
      "d398effec0d15ca761e004dea549c1197e79e8f837ae0201527ad13f7d5deacc"),

@@ -92,6 +92,8 @@ MALFORMED = [
     # a verification that checks nothing
     ["verify-bc-unit", "--functions", "0"],
     ["verify-bc-unit", "--functions", "-3"],
+    # census takes r from q, so --r is no option of it
+    ["census", "--q", "4", "--m", "3", "--r", "2"],
 ]
 
 

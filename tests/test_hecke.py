@@ -397,40 +397,55 @@ def test_phi_support_at_level_two():
 
 
 def _double_coset_cases(ctx):
-    """The three centrality generators and non-diagonal w with d = 1 and 2."""
+    """The three centrality generators, non-diagonal w with d = 1 and 2, and
+    the inverse of each, exact for d = 0 and with e < 0 and N - d digits
+    otherwise."""
     p = ctx.p
     rows = [[[0, 1], [1, 0]], [[p, 0], [0, 1]], [[0, 1], [p, 0]],
-            [[1, 1], [p, 0]]]
-    if p == 2:  # depth d + 1 = 3 stays under the cap only at p = 2
-        rows.append([[p, 1], [0, p]])
-    return [LocalMatrix.from_integers(ctx, x) for x in rows]
+            [[1, 1], [p, 0]], [[p, 1], [0, p]]]
+    ws = [LocalMatrix.from_integers(ctx, x) for x in rows]
+    return ws + [w.inverse() for w in ws]
 
 
-@pytest.mark.parametrize("p,r,n", [(2, 1, 1), (3, 1, 1), (2, 1, 2)])
+@pytest.mark.parametrize("p,r,n", [(2, 1, 1), (3, 1, 1), (2, 1, 2),
+                                   (2, 2, 1)])
 def test_double_coset_indicator_matches_deeper_saturation(p, r, n):
+    # the listed u_z w against every u w, u in K / Gamma(p^(n+d+1)), or in
+    # K / Gamma(p^(n+d)) where the deeper one has more than 10,000 elements
     ctx = get_context(p, r, 2 * n + 8)
+    seen = set()
     for w in _double_coset_cases(ctx):
-        d = w.det_valuation()
-        deeper = {canonical_coset_rep(u @ w, n)
-                  for u in congruence_elements(ctx, n, d + 1)}
+        d = w.det_valuation() - 2 * w.e
+        depth = d + 1 if ctx.q**(4 * (d + 1)) <= 10_000 else d
+        if ctx.q**(4 * depth) > 10_000:
+            continue
+        saturation = {canonical_coset_rep(u @ w, n)
+                      for u in congruence_elements(ctx, n, depth)}
         f = double_coset_indicator(ctx, n, w)
-        assert set(f.support) == deeper and len(deeper) == ctx.q**d
+        assert set(f.support) == saturation and len(saturation) == ctx.q**d
         for key, (rep, val) in f.support.items():
             assert canonical_coset_rep(rep, n) == key and val == 1
+        seen.add((d, w.e < 0))
+    assert {(0, False), (1, False), (1, True)} <= seen
 
 
 @pytest.mark.parametrize("rows,keep", [
-    ([[0, 1], [1, 0]], slice(1, None)),   # drops the only element
-    ([[2, 0], [0, 1]], slice(0, 1)),      # keeps one of q^4
+    ([[2, 0], [0, 1]], slice(0, 4)),   # 2 cosets, equal but for H^-1 M
+    ([[4, 1], [0, 1]], slice(0, 3)),   # 4 cosets, equal but for c, H^-1 M
 ])
 def test_double_coset_indicator_raises_on_a_missed_coset(monkeypatch, rows,
                                                          keep):
+    # keys cut down to their `keep` parts make listed cosets share a key,
+    # so fewer than q^d distinct keys come out
     ctx = get_context(2, 1, 10)
-    real = hecke.congruence_elements
-    monkeypatch.setattr(hecke, "congruence_elements",
-                        lambda *args: list(real(*args))[keep])
+    w = LocalMatrix.from_integers(ctx, rows)
+    d = w.det_valuation()
+    assert len(double_coset_indicator(ctx, 1, w).support) == 2**d
+    real = hecke.canonical_coset_rep
+    monkeypatch.setattr(hecke, "canonical_coset_rep",
+                        lambda *args: real(*args)[keep])
     with pytest.raises(DomainError):
-        double_coset_indicator(ctx, 1, LocalMatrix.from_integers(ctx, rows))
+        double_coset_indicator(ctx, 1, w)
 
 
 def test_double_coset_indicator_needs_level_one():
@@ -805,15 +820,18 @@ def test_tower_histogram_raises_where_the_products_do(rows, e, n, prec):
 
 
 def test_tower_histogram_keeps_the_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**4 - 1))
-    ctx = get_context(3, 1, 12)
-    g = LocalMatrix.from_integers(ctx, [[3, 0], [0, 1]])
-    with pytest.raises(ResourceLimit):
-        tower_key_histogram(g, 1)
-    with pytest.raises(ResourceLimit):
-        tower_identity_check(3, 1, count=5)
-    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**4))
-    assert sum(tower_key_histogram(g, 1).values()) == 3**4
+    # what the histograms enumerate is q trace residues per point: at q = 5,
+    # n = 1 and 10 points (the 2n + 8 anchors), 50 residues against 40 for
+    # the arithmetic, so a cap of 49 stops the residues alone
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", "49")
+    with pytest.raises(ResourceLimit, match="tower trace residues needs 50"):
+        tower_identity_check(5, 1, count=5)
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", "50")
+    assert tower_identity_check(5, 1, count=5)[::2] == (True, 10)
+    # the histogram itself enumerates nothing of size q^4
+    g = LocalMatrix.from_integers(get_context(5, 1, 12), [[5, 0], [0, 1]])
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", "1")
+    assert sum(tower_key_histogram(g, 1).values()) == 5**4
 
 
 def _from_integers_failing_once(monkeypatch, at_call):
