@@ -102,18 +102,21 @@ def sigma_orbits(p: int, r: int, n: int) -> SigmaOrbitTable:
     matched = np.flatnonzero(norm_class >= 0)
     orbit_of_class = dict(zip(norm_class[matched].tolist(), matched.tolist()))
 
+    h, hs = G.comps, G.sigma(G.comps)
     records = []
     for cid, gamma in enumerate(small.class_reps):
         if cid not in orbit_of_class:
             continue  # its orbit went to another class: no bijection
         orb = orbit_of_class[cid]
-        delta = tuple(c[least[orb]] for c in G.comps)
-        # twisted centralizer: h with delta h^sigma = h delta
-        lhs = G.matmul(G._bcast(delta), G.sigma(G.comps))
-        rhs = G.matmul(G.comps, G._bcast(delta))
+        delta = tuple(int(c[least[orb]]) for c in h)
+        # twisted centralizer: h with delta h^sigma = h delta, compared at
+        # entry (0, 0) first and at the other three on its survivors
+        keep = np.flatnonzero(G.comb(delta[0], hs[0], delta[1], hs[2])
+                              == G.comb(delta[0], h[0], delta[2], h[1]))
+        lhs = G.mul_left(delta, tuple(x[keep] for x in hs))
+        rhs = G.mul_right(tuple(x[keep] for x in h), delta)
         tw = int(np.count_nonzero(
-            (lhs[0] == rhs[0]) & (lhs[1] == rhs[1])
-            & (lhs[2] == rhs[2]) & (lhs[3] == rhs[3])))
+            (lhs[1] == rhs[1]) & (lhs[2] == rhs[2]) & (lhs[3] == rhs[3])))
         stand = group_order_gl2(p, n) // small.class_sizes[cid]
         records.append(SigmaOrbitRecord(gamma, int(orbit_sizes[orb]), tw, cid, stand))
 

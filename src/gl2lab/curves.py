@@ -19,6 +19,7 @@ boundary term are all exact.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -26,8 +27,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import DomainError, check_cap
-from .finitegl2 import (FiniteGL2, e_gamma, fixed_surjections, ss_trace_closed,
-                        ss_trace_point)
+from .finitegl2 import (FiniteGL2, _unit_generators, e_gamma,
+                        fixed_surjections, ss_trace_closed, ss_trace_point)
 from .gl2group import MatGroup, RingTables
 from .padic import (LocalMatrix, _least_prime_factor, check_boundary_input,
                     check_level, factor_prime_power, get_context,
@@ -402,14 +403,12 @@ def level_m_count(E: WeierstrassCurve, m: int) -> int:
     tors = [P for P in E.points() if E.scalar_mul(m, P) is None]
     if len(tors) != m * m:
         return 0
+    # the multiples 0, P, ..., (m-1) P of each torsion point, listed once
+    multiples = [[E.scalar_mul(i, P) for i in range(m)] for P in tors]
     bases = 0
-    for P in tors:
-        for Q in tors:
-            span = set()
-            for i in range(m):
-                iP = E.scalar_mul(i, P)
-                for j in range(m):
-                    span.add(_pt_key(E.add_points(iP, E.scalar_mul(j, Q))))
+    for iP in multiples:
+        for jQ in multiples:
+            span = {_pt_key(E.add_points(x, y)) for x in iP for y in jQ}
             if len(span) == m * m:
                 bases += 1
     if bases % E.aut_order:
@@ -610,12 +609,14 @@ def boundary_orbit_report(p: int, r: int, n: int, m: int):
                      + N**2 * ((uc * a + ud * c) % N)
                      + N**3 * ((uc * b + ud * d) % N)]
 
-    # inertia: diag(k, 1) for k in (Z/p^n)^x lifted to be 1 mod m
-    inertia = [left_mul(_crt(k, p**n, 1, m), 0, 0, 1)
-               for k in range(1, p**n) if k % p]
+    # inertia: diag(k, 1) for the generators k of (Z/p^n)^x, lifted to be
+    # 1 mod m; the group they span has the product of their orders
+    units = _unit_generators(p, n)
+    inertia = [left_mul(_crt(k, p**n, 1, m), 0, 0, 1) for k, _ in units]
     packets, labels = MatGroup.orbit_labels(
         [left_mul(1, 1, 0, 1), left_mul(N - 1, 0, 0, N - 1)] + inertia)
-    sizes_ok = bool(np.all(np.bincount(labels) == 2 * N * len(inertia)))
+    phi = math.prod(order for _, order in units)
+    sizes_ok = bool(np.all(np.bincount(labels) == 2 * N * phi))
     # Frobenius through the tame quotient: x = p^r mod m, 1 mod p^n; it
     # normalizes the group above, so it maps packets onto packets
     x0 = _crt(1, p**n, pow(p, r, m), m)

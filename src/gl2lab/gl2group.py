@@ -73,6 +73,24 @@ class RingTables:
         self.one = encode(ctx.one.coeffs)
         self.zero = 0
 
+    def unit_generators(self):
+        """Codes of a generating set of the unit group: the units in code
+        order, each kept when it lies outside the subgroup spanned by the
+        units kept so far."""
+        span = np.zeros(self.Q, dtype=bool)
+        span[self.one] = True
+        gens = []
+        for u in np.flatnonzero(self.UNIT).tolist():
+            if span[u]:
+                continue
+            gens.append(u)
+            # the units commute: the new span is the union of the cosets
+            # span * u^k, each disjoint from the span until it returns to it
+            coset = np.flatnonzero(span)
+            while not span[coset := self.MUL[coset, u]].all():
+                span[coset] = True
+        return gens
+
 
 class MatGroup:
     """GL2 over the tables' ring, with all elements materialized."""
@@ -137,6 +155,26 @@ class MatGroup:
                 self.radd(self.rmul(xc, ya), self.rmul(xd, yc)),
                 self.radd(self.rmul(xc, yb), self.rmul(xd, yd)))
 
+    def mul_left(self, g, x):
+        """g x for one matrix g (four codes) and code arrays x; g's 0
+        coefficients add no term, its 1 coefficients take x's entry as is."""
+        ga, gb, gc, gd = (int(v) for v in g)
+        xa, xb, xc, xd = x
+        return (self.comb(ga, xa, gb, xc), self.comb(ga, xb, gb, xd),
+                self.comb(gc, xa, gd, xc), self.comb(gc, xb, gd, xd))
+
+    def mul_right(self, x, g):
+        """x g for code arrays x and one matrix g: (g^T x^T)^T."""
+        a, c, b, d = self.mul_left((g[0], g[2], g[1], g[3]),
+                                   (x[0], x[2], x[1], x[3]))
+        return a, b, c, d
+
+    def comb(self, c, u, d, v):
+        """c u + d v for constant codes c, d, not both 0, and code arrays u, v."""
+        terms = [w if k == self.t.one else self.rmul(k, w)
+                 for k, w in ((c, u), (d, v)) if k != self.t.zero]
+        return terms[0] if len(terms) == 1 else self.radd(*terms)
+
     def sigma(self, x):
         s = self.t.SIG
         return (s[x[0]], s[x[1]], s[x[2]], s[x[3]])
@@ -175,7 +213,8 @@ class MatGroup:
     # -- generators and orbits -------------------------------------------------------
 
     def generators(self):
-        """E12/E21 over additive module generators plus all diagonal units."""
+        """E12/E21 over additive module generators plus diag(u, 1) for u in
+        the tables' generating set of the unit group."""
         t = self.t
         gens = []
         for i in range(t.r):
@@ -183,20 +222,14 @@ class MatGroup:
             x = t.encode_coeffs(coeffs)
             gens.append(self.single([[1, t.decode_code(x)], [0, 1]]))
             gens.append(self.single([[1, 0], [t.decode_code(x), 1]]))
-        for u in range(t.Q):
-            if t.UNIT[u] and u != t.one:
-                gens.append(self.single([[t.decode_code(u), 0], [0, 1]]))
+        gens += [self.single([[t.decode_code(u), 0], [0, 1]])
+                 for u in t.unit_generators()]
         return gens
 
     def sigma_conj_perm(self, g):
         """Permutation i -> index of g^-1 x_i g^sigma."""
-        ginv = self.minv(g)
-        gs = self.sigma(g)
-        y = self.matmul(self.matmul(self._bcast(ginv), self.comps), self._bcast(gs))
-        return self.idx(y)
-
-    def _bcast(self, g):
-        return tuple(np.full(self.order, int(v), dtype=np.int64) for v in g)
+        return self.idx(self.mul_right(self.mul_left(self.minv(g), self.comps),
+                                       self.sigma(g)))
 
     @staticmethod
     def orbit_labels(perms):

@@ -374,6 +374,22 @@ def test_twisted_centralizer_pure_python_scan():
         assert count == o.tw_centralizer
 
 
+@pytest.mark.parametrize("p,r,n", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1)])
+def test_filtered_twisted_centralizers_match_four_entry_comparison(p, r, n):
+    _, G, labels, norm_class = orbit_label_data(p, r, n)
+    least = np.unique(labels, return_index=True)[1]
+    sig = G.sigma(G.comps)
+    tab = sigma_orbits(p, r, n)
+    assert len(tab.orbits) == len(least)
+    for o in tab.orbits:
+        orb = int(np.flatnonzero(norm_class == o.norm_class)[0])
+        delta = [np.full(G.order, c[least[orb]]) for c in G.comps]
+        lhs = G.matmul(delta, sig)
+        rhs = G.matmul(G.comps, delta)
+        full = np.count_nonzero(np.all(np.equal(lhs, rhs), axis=0))
+        assert o.tw_centralizer == full
+
+
 def test_ring_tables_consistency():
     t = RingTables(2, 2, 2)
     assert t.Q == 16

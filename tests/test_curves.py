@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from gl2lab.curves import (SmallField, WeierstrassCurve, _code, _crt, _digits,
-                           _discriminant, _index_among, _transform_all,
-                           _unit_generator, boundary_orbit_report,
-                           boundary_ss_trace, enumerate_curves,
-                           factor_prime_power, gl2_order_mod, isogeny_classes,
-                           level_m_count, level_m_count_closed, point_trace,
-                           ss_lefschetz)
+                           _discriminant, _index_among, _pt_key,
+                           _transform_all, _unit_generator,
+                           boundary_orbit_report, boundary_ss_trace,
+                           enumerate_curves, factor_prime_power, gl2_order_mod,
+                           isogeny_classes, level_m_count,
+                           level_m_count_closed, point_trace, ss_lefschetz)
 from gl2lab.errors import DomainError
 from gl2lab.gl2group import MatGroup
 
@@ -205,6 +205,30 @@ def test_closed_level_count_matches_span_enumeration(q):
               for E in enumerate_curves(q)]
     assert all(span == closed for span, closed in counts)
     assert sum(span for span, _ in counts) == 2 * (q - 3)
+
+
+def _level_m_count_by_scalar_mul(E, m):
+    """The span enumeration with every multiple recomputed by scalar_mul."""
+    tors = [P for P in E.points() if E.scalar_mul(m, P) is None]
+    if len(tors) != m * m:
+        return 0
+    bases = 0
+    for P in tors:
+        for Q in tors:
+            span = set()
+            for i in range(m):
+                iP = E.scalar_mul(i, P)
+                for j in range(m):
+                    span.add(_pt_key(E.add_points(iP, E.scalar_mul(j, Q))))
+            if len(span) == m * m:
+                bases += 1
+    return bases // E.aut_order
+
+
+@pytest.mark.parametrize("q", [4, 7, 13])
+def test_level_count_matches_scalar_mul_spans(q):
+    for E in enumerate_curves(q):
+        assert level_m_count(E, 3) == _level_m_count_by_scalar_mul(E, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -603,6 +627,13 @@ def _boundary_by_min_passes(p, r, n, m):
 def test_boundary_orbits_match_min_passes(p, r, n, m):
     expected = _boundary_by_min_passes(p, r, n, m)
     assert boundary_orbit_report(p, r, n, m) == expected
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_boundary_orbits_match_min_passes_for_non_cyclic_units(monkeypatch, r):
+    # (Z/8)^x = {+-1} x <5> is not cyclic: inertia has two generators
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(24**4))
+    assert boundary_orbit_report(2, r, 3, 3) == _boundary_by_min_passes(2, r, 3, 3)
 
 
 @pytest.mark.parametrize("p,r,n,m", [(4, 1, 1, 3), (6, 1, 1, 5), (2, 0, 1, 3),

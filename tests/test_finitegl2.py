@@ -322,6 +322,69 @@ def test_orbit_labels_match_bfs(p, r, n):
     assert (count, labels.tolist()) == _orbits_by_bfs(perms, G.order)
 
 
+def _bcast(G, g):
+    """One matrix g repeated over the whole group, for `MatGroup.matmul`."""
+    return tuple(np.full(G.order, int(v), dtype=np.int64) for v in g)
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 2, 1), (3, 2, 1), (2, 3, 1)])
+def test_one_matrix_products_match_matmul(p, r, n):
+    G = MatGroup(RingTables(p, r, n))
+    rng = np.random.default_rng(p * r * n)
+    picks = [tuple(x[i] for x in G.comps)
+             for i in rng.choice(G.order, 20, replace=False)]
+    # the generators have 0 and 1 coefficients, which the products skip
+    for g in picks + G.generators():
+        left, right = G.mul_left(g, G.comps), G.mul_right(G.comps, g)
+        assert all(map(np.array_equal, left, G.matmul(_bcast(G, g), G.comps)))
+        assert all(map(np.array_equal, right,
+                       G.matmul(G.comps, _bcast(G, g))))
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1)])
+def test_orbit_labels_from_unit_generators_match_every_unit(p, r, n):
+    G = MatGroup(RingTables(p, r, n))
+    t = G.t
+    every_unit = G.generators()[:2 * r] + [
+        G.single([[t.decode_code(u), 0], [0, 1]])
+        for u in range(t.Q) if t.UNIT[u] and u != t.one]
+    assert len(G.generators()) < len(every_unit)
+    # g^-1 x g^sigma by two products with whole-group constants
+    perms = [G.idx(G.matmul(G.matmul(_bcast(G, G.minv(g)), G.comps),
+                            _bcast(G, G.sigma(g))))
+             for g in every_unit]
+    count, labels = G.orbit_labels(perms)
+    fast_count, fast_labels = G.orbit_labels(
+        [G.sigma_conj_perm(g) for g in G.generators()])
+    assert fast_count == count
+    assert np.array_equal(fast_labels, labels)
+
+
+@pytest.mark.parametrize("p,r,n", [
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 1), (2, 2, 2),
+    (2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1),
+    (5, 1, 1), (5, 2, 1), (7, 1, 1), (11, 1, 1), (13, 1, 1), (17, 1, 1)])
+def test_unit_generators_span_exactly_the_units(p, r, n):
+    t = RingTables(p, r, n)
+    gens = t.unit_generators()
+    assert _unit_span(t, gens) == set(np.flatnonzero(t.UNIT).tolist())
+    # each generator lies outside the span of those before it
+    assert all(u not in _unit_span(t, gens[:k]) for k, u in enumerate(gens))
+
+
+def _unit_span(t, gens):
+    """The units that products of the codes `gens` reach from 1."""
+    span, stack = {t.one}, [t.one]
+    while stack:
+        x = stack.pop()
+        for u in gens:
+            y = int(t.MUL[x, u])
+            if y not in span:
+                span.add(y)
+                stack.append(y)
+    return span
+
+
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_orbit_labels_on_one_long_cycle(shuffled):
     # one long cycle: plain label propagation needs a pass per step
