@@ -1,13 +1,14 @@
 """Finite convolution in the level-n Hecke algebra of GL2 over Q_q.
 
-Functions bi-invariant under the principal congruence subgroup K = Gamma(p^n)
-with finite support are stored as maps from canonical right-coset keys to
-values.  The canonical key of g = p^e * M is the Hermite basis
+Right cosets of the principal congruence subgroup K = Gamma(p^n) are named
+by canonical keys.  The key of g = p^e * M is the Hermite basis
 H = [[p^a, 0], [c, p^b]] of the lattice M O^2 together with H^-1 M mod p^n,
-which determines the right coset exactly.  Convolution is the finite sum
-(f1 * f2)(g) = vol(K) * sum over supp(f1)/K of f1(h) f2(h^-1 g) with
-vol(GL2(Z_q)) = q - 1; a convolution by the indicator of a double coset
-needs only that double coset's right cosets (`convolve_double_coset`).
+which determines the right coset exactly.  A right-K-invariant function is
+a plain callable on matrices; a finitely supported one is given by a list
+of (coset representative, value) pairs.  Convolution is the finite sum
+(F * f)(g) = vol(K) * sum over the pairs (h, v) of v f(h^-1 g) with
+vol(GL2(Z_q)) = q - 1, and the indicator of a double coset KwK is the
+list of its q^d right-coset representatives (`double_coset_indicator`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import List
 
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
@@ -31,33 +32,22 @@ from .testfunc import branch_key, branch_value_t, phi_pn, phi_pnt
 # canonical right-coset keys
 
 
-def coset_key_head(g: LocalMatrix, n: int):
-    """(e, d) for g = p^e * M with d = v(det M), the first two parts of the
-    coset key of g, found without the Hermite basis.
-
-    Raises PrecisionExhausted unless M has the max(n + d, 1) certified digits
-    that the rest of the key reads.
-    """
-    d = g.det_valuation() - 2 * g.e
-    if g.prec < max(n + d, 1):
-        raise PrecisionExhausted("coset key needs more certified digits")
-    return g.e, d
-
-
-def canonical_coset_rep(g: LocalMatrix, n: int, head=None):
+def canonical_coset_rep(g: LocalMatrix, n: int):
     """Key identifying the right coset g * Gamma(p^n); equal keys iff equal cosets.
 
     Write g = p^e * M with M primitive and d = v(det M).  The lattice M O^2
     has exactly one basis H = [[p^a, 0], [c, p^b]] with a + b = d and c in
     O/p^b, and H^-1 M lies in GL2(O), so the coset is determined by
     (e, d, a, c, H^-1 M mod p^n).  Only the digits of M below max(n + d, 1)
-    are read; at n = 0 the last part is empty.  ``head`` is coset_key_head(g,
-    n) when the caller has read it already.
+    are read; at n = 0 the last part is empty.  Raises PrecisionExhausted
+    unless M has them.
     """
     ctx, f = g.ctx, g.ctx.defining_poly
     p = ctx.p
-    e, d = head or coset_key_head(g, n)
+    e, d = g.e, g.det_valuation() - 2 * g.e
     depth = max(n + d, 1)
+    if g.prec < depth:
+        raise PrecisionExhausted("coset key needs more certified digits")
     top, bottom = g.m[:2], g.m[2:]
     vals = [_val_below(x, p, depth) for x in top]
     a = min((v for v in vals if v is not None), default=d)
@@ -85,27 +75,8 @@ def canonical_coset_rep(g: LocalMatrix, n: int, head=None):
     return (e, d, a, c, rows)
 
 
-def in_congruence_subgroup(x: LocalMatrix, n: int) -> bool:
-    """x in Gamma(p^n): integral, congruent to 1 mod p^n."""
-    if x.e != 0:
-        return False
-    if n == 0:
-        return x.det_valuation() == 0
-    if x.prec < n:
-        raise PrecisionExhausted("membership test needs more digits")
-    a, b, c, d = x.m
-    one, pn = (1,) + (0,) * (x.ctx.r - 1), x.ctx.p**n
-    return all(y % pn == 0 for z in (_o_sub(a, one), b, c, _o_sub(d, one))
-               for y in z)
-
-
-def same_coset(g1: LocalMatrix, g2: LocalMatrix, n: int) -> bool:
-    """Membership oracle g1^-1 g2 in Gamma(p^n), the key's ground truth."""
-    return in_congruence_subgroup(g1.inverse() @ g2, n)
-
-
 # ---------------------------------------------------------------------------
-# coset functions
+# convolution
 
 
 def vol_congruence(ctx: LocalContext, n: int) -> Fraction:
@@ -113,47 +84,10 @@ def vol_congruence(ctx: LocalContext, n: int) -> Fraction:
     return Fraction(ctx.q - 1, group_order_gl2(ctx.q, n))
 
 
-class CosetFunction:
-    """Finitely supported right-Gamma(p^n)-coset function, or formula-backed."""
-
-    def __init__(self, ctx: LocalContext, n: int, support=None,
-                 formula: Optional[Callable] = None, zero=Fraction(0)):
-        self.ctx = ctx
-        self.n = n
-        self.support = support or {}
-        self.formula = formula
-        self.zero = zero
-        # a point whose (e, d) no support key has is off the support, so
-        # the rest of its key is never computed
-        self.heads = {key[:2] for key in self.support}
-
-    def __call__(self, g: LocalMatrix):
-        if self.formula is not None:
-            return self.formula(g)
-        head = coset_key_head(g, self.n)
-        if head not in self.heads:
-            return self.zero
-        hit = self.support.get(canonical_coset_rep(g, self.n, head))
-        return hit[1] if hit is not None else self.zero
-
-    def coset_reps(self):
-        return [rep for rep, _ in self.support.values()]
-
-    def items(self):
-        return [(rep, val) for rep, val in self.support.values()]
-
-
-def e_congruence(ctx: LocalContext, n: int) -> CosetFunction:
-    """The idempotent e_K, K = Gamma(p^n): indicator of K over vol(K)."""
-    ident = LocalMatrix.identity(ctx)
-    key = canonical_coset_rep(ident, n)
-    vol = vol_congruence(ctx, n)
-    return CosetFunction(ctx, n, {key: (ident, Fraction(1) / vol)})
-
-
 def double_coset_indicator(ctx: LocalContext, n: int,
-                           w: LocalMatrix) -> CosetFunction:
-    """Indicator of K w K, K = Gamma(p^n) with n >= 1, as a right-coset map.
+                           w: LocalMatrix) -> List[LocalMatrix]:
+    """Indicator of K w K, K = Gamma(p^n) with n >= 1, as the list of its
+    right-coset representatives.
 
     Write w = p^e M, M primitive, d = v(det M).  u = 1 + p^n X in K has
     u w K = w K iff X maps L = M O^2 into L.  L has a basis (a, p^d v) with a
@@ -171,26 +105,25 @@ def double_coset_indicator(ctx: LocalContext, n: int,
     for x in itertools.product(range(0, p**(n + d), p**n), repeat=ctx.r):
         rows = [[1, x], [0, 1]] if upper else [[1, 0], [x, 1]]
         g = LocalMatrix.from_integers(ctx, rows) @ w
-        reps.setdefault(canonical_coset_rep(g, n), (g, Fraction(1)))
+        reps.setdefault(canonical_coset_rep(g, n), g)
     if len(reps) != ctx.q**d:
         raise DomainError(f"Gamma(p^{n}) {w.to_text()} Gamma(p^{n}) gave "
                           f"{len(reps)} right cosets, not q^{d} = {ctx.q**d}")
-    return CosetFunction(ctx, n, reps)
+    return list(reps.values())
 
 
-def congruence_elements(ctx: LocalContext, n: int, depth: int):
-    """All of Gamma(p^n) modulo Gamma(p^(n+depth)), as exact matrices."""
-    space = list(itertools.product(range(ctx.p**depth), repeat=ctx.r))
-    check_cap(len(space)**4, "congruence subgroup enumeration")
-    one, zero = (1,) + (0,) * (ctx.r - 1), (0,) * ctx.r
-    for x in itertools.product(space, repeat=4):
-        ents = [tuple(i + ctx.p**n * c for i, c in zip(base, xi))
-                for base, xi in zip((one, zero, zero, one), x)]
-        yield LocalMatrix.from_integers(ctx, [ents[:2], ents[2:]])
+def convolve(ctx: LocalContext, n: int, cosets, f, at: List[LocalMatrix]):
+    """(F * f)(g) = vol(K) sum_(h, v) v f(h^-1 g) for each g in `at`, where
+    F is v on h K for each (h, v) in `cosets` and 0 elsewhere, K = Gamma(p^n),
+    and f is a callable on matrices.  Each h is inverted once for all of
+    `at`."""
+    vol = vol_congruence(ctx, n)
+    inverses = [(h.inverse(), v) for h, v in cosets]
+    return [vol * sum(v * f(hinv @ g) for hinv, v in inverses) for g in at]
 
 
 def tower_key_histogram(g: LocalMatrix, n: int) -> Counter:
-    """Counter(phi_branch(g @ u, n + 1) for u in congruence_elements(ctx, n, 1)),
+    """Counter(phi_branch(g @ u, n + 1)) over u in Gamma(p^n)/Gamma(p^(n+1)),
     without forming the products.
 
     Write g = p^e M with k = -e, and u = 1 + p^n X.  Then g u = p^e M u has
@@ -291,10 +224,11 @@ def phi_support_reps(ctx: LocalContext, n: int):
                     yield LocalMatrix.from_integers(ctx, [m[:2], m[2:]], e=-k)
 
 
-def phi_support(ctx: LocalContext, n: int) -> CosetFunction:
+def phi_support(ctx: LocalContext, n: int):
     """The level-n central function with its support listed coset by coset,
-    in the order of `phi_support_reps`.  Its candidates, q^2k (q + 1) bases H
-    per k < n times |GL2(O/p^n)| units, are capped first."""
+    as {coset key: (representative, value)} in the order of
+    `phi_support_reps`.  Its candidates, q^2k (q + 1) bases H per k < n
+    times |GL2(O/p^n)| units, are capped first."""
     q = ctx.q
     check_cap(sum(q**(2 * k) * (q + 1) for k in range(n))
               * group_order_gl2(q, n), "central function support enumeration")
@@ -304,56 +238,7 @@ def phi_support(ctx: LocalContext, n: int) -> CosetFunction:
         if key in support:
             raise AssertionError(f"{m.to_text()} repeats a coset")
         support[key] = (m, Fraction(phi_pn(m, n)))
-    return CosetFunction(ctx, n, support, formula=None)
-
-
-def phi_formula(ctx: LocalContext, n: int) -> CosetFunction:
-    return CosetFunction(ctx, n, formula=lambda g: Fraction(phi_pn(g, n)))
-
-
-def phi0_support(ctx: LocalContext) -> CosetFunction:
-    """Level-0 spherical function: the q+1 cosets of the double coset, value 1/(q-1)."""
-    q = ctx.q
-    support = {}
-    val = Fraction(1, q - 1)
-    for coeffs in itertools.product(range(ctx.p), repeat=ctx.r):
-        m = LocalMatrix.from_integers(ctx, [[ctx.p, coeffs], [0, 1]])
-        support[canonical_coset_rep(m, 0)] = (m, val)
-    m = LocalMatrix.from_integers(ctx, [[1, 0], [0, ctx.p]])
-    support[canonical_coset_rep(m, 0)] = (m, val)
-    return CosetFunction(ctx, 0, support)
-
-
-def convolve(f1: CosetFunction, f2: CosetFunction, at: List[LocalMatrix]):
-    """(f1 * f2)(g) for each g in `at`; f1 must carry an enumerated support.
-    Each coset of f1 is inverted once for the whole of `at`."""
-    if not f1.support:
-        raise DomainError("left factor needs an enumerated support")
-    vol = vol_congruence(f1.ctx, f1.n)
-    inverses = [(h.inverse(), val) for h, val in f1.items()]
-    out = []
-    for g in at:
-        acc = 0
-        for hinv, val in inverses:
-            v = f2(hinv @ g)
-            if v:
-                acc += v * val
-        out.append(acc * vol)
-    return out
-
-
-def convolve_double_coset(f: CosetFunction, w: LocalMatrix,
-                          at: List[LocalMatrix]):
-    """(f * 1_{KwK})(g) for each g in `at`, K = Gamma(p^n), f right-K-invariant.
-
-    h^-1 g lies in KwK exactly when h lies in g K w^-1 K, the disjoint union
-    of the q^d cosets g x_j K over the right-coset representatives x_j of
-    K w^-1 K, d = d(w).  So (f * 1_{KwK})(g) = vol(K) sum_j f(g x_j): q^d
-    values of f per point, and f's support need not be listed.
-    """
-    xs = double_coset_indicator(f.ctx, f.n, w.inverse()).coset_reps()
-    vol = vol_congruence(f.ctx, f.n)
-    return [vol * sum(f(g @ x) for x in xs) for g in at]
+    return support
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +329,15 @@ def centrality_check(q: int, n: int, generators=None, count: int = 100,
                      seed: int = DEFAULT_SEED):
     """phi * f_w = f_w * phi for f_w = 1_{KwK}, K = Gamma(p^n), sampled exactly.
 
-    Each side is q^d(w) values of phi per point: f_w * phi by `convolve` over
-    the right cosets h = u w of KwK, phi * f_w by `convolve_double_coset` over
-    those x = u w^-1 of K w^-1 K.  The sample is `branch_covering_sample`
-    and the first ten support cosets of phi (`phi_support_reps`) times each
-    generator; the support is never listed.  Points times 2 q^d(w) summed
-    over the generators is capped before anything is sampled.
+    Each side is q^d(w) values of phi per point.  f_w * phi is `convolve`
+    over the right cosets h = u w of KwK.  For phi * f_w, h^-1 g lies in KwK
+    exactly when h lies in g K w^-1 K, the disjoint union of the q^d cosets
+    g x K over the right cosets x = u w^-1 of K w^-1 K; phi is
+    right-K-invariant, so (phi * f_w)(g) = vol(K) sum_x phi(g x), and phi's
+    support is never listed.  The sample is `branch_covering_sample` and
+    the first ten support cosets of phi (`phi_support_reps`) times each
+    generator.  Points times 2 q^d(w) summed over the generators is capped
+    before anything is sampled.
 
     Precision.  Let N be the working precision, d(y) v(det) of the primitive
     part of y, dw the largest d(w) and dg the deepest point: the branch
@@ -490,11 +378,15 @@ def centrality_check(q: int, n: int, generators=None, count: int = 100,
     sample += [rep @ w for w in generators for rep in reps]
     if any(g.det_valuation() - 2 * g.e > dg for g in sample):
         raise PrecisionExhausted(f"a sample point is deeper than d = {dg}")
-    phi_fn = phi_formula(ctx, n)
+    vol = vol_congruence(ctx, n)
+    phi = lambda g: phi_pn(g, n)
     failures = []
     for w in generators:
-        right = convolve(double_coset_indicator(ctx, n, w), phi_fn, sample)
-        left = convolve_double_coset(phi_fn, w, sample)
+        right = convolve(ctx, n, [(h, 1) for h in
+                                  double_coset_indicator(ctx, n, w)],
+                         phi, sample)
+        xs = double_coset_indicator(ctx, n, w.inverse())
+        left = [vol * sum(phi(g @ x) for x in xs) for g in sample]
         failures += [(w, g, lv, rv) for g, lv, rv in zip(sample, left, right)
                      if lv != rv]
     return len(failures) == 0, failures, len(sample) * len(generators)

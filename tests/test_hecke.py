@@ -14,18 +14,18 @@ from hypothesis import strategies as st
 
 from gl2lab import DEFAULT_SEED, hecke
 from gl2lab.errors import DomainError, PrecisionExhausted, ResourceLimit
-from gl2lab.hecke import (CosetFunction, branch_covering_sample,
-                          canonical_coset_rep, centrality_check,
-                          congruence_elements, convolve, coset_key_head,
-                          convolve_double_coset, double_coset_indicator,
-                          e_congruence, in_congruence_subgroup, phi0_support,
-                          phi_formula, phi_support, same_coset,
-                          tower_identity_check, tower_key_histogram,
-                          vol_congruence, _random_unimodular, _units_mod)
+from gl2lab.hecke import (branch_covering_sample, canonical_coset_rep,
+                          centrality_check, convolve, double_coset_indicator,
+                          phi_support, tower_identity_check,
+                          tower_key_histogram, vol_congruence,
+                          _random_unimodular, _units_mod)
 from gl2lab.padic import (LocalMatrix, _o_add, _o_det, _o_mul, _o_sub,
                           factor_prime_power, get_context)
 from gl2lab.ratfunc import RationalFunctionT
 from gl2lab.testfunc import phi_branch, phi_pn, phi_pnt
+from hecke_oracles import (congruence_elements, convolve_supports,
+                           e_congruence, in_congruence_subgroup, lookup,
+                           phi0_support, same_coset, support_of)
 
 
 def test_coset_keys_vs_membership_examples():
@@ -166,7 +166,6 @@ def test_identity_law():
     ctx = get_context(2, 1, 10)
     n = 1
     eK = e_congruence(ctx, n)
-    phi = phi_formula(ctx, n)
     pts = [LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]]),
            LocalMatrix.from_integers(ctx, [[0, 1], [-2, 0]]),
            LocalMatrix.from_integers(ctx, [[2, 1], [2, 3]]),
@@ -180,7 +179,8 @@ def test_identity_law():
             pts.append(m)
         except Exception:
             continue
-    for g, v in zip(pts, convolve(eK, phi, pts)):
+    phi = lambda g: Fraction(phi_pn(g, n))
+    for g, v in zip(pts, convolve(ctx, n, eK.values(), phi, pts)):
         assert v == Fraction(phi_pn(g, n))
 
 
@@ -192,7 +192,7 @@ def test_unfolding_phi_star_eK_is_average():
     eK = e_congruence(ctx, n)
     pts = [LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]]),
            LocalMatrix.from_integers(ctx, [[2, 1], [2, 3]])]
-    vals = convolve(sup, eK, pts)
+    vals = convolve_supports(ctx, n, sup, eK, pts)
     for g, v in zip(pts, vals):
         us = list(congruence_elements(ctx, n, 1))
         avg = sum(Fraction(phi_pn(g @ u, n)) for u in us) / len(us)
@@ -203,15 +203,15 @@ def test_phi0_convolution_square():
     # independent coset-sum oracle for the composition values
     ctx = get_context(2, 1, 10)
     f0 = phi0_support(ctx)
-    assert len(f0.support) == 3           # q + 1 cosets
+    assert len(f0) == 3                   # q + 1 cosets
     g_pp = LocalMatrix.from_integers(ctx, [[4, 0], [0, 1]])
     g_scal = LocalMatrix.from_integers(ctx, [[2, 0], [0, 2]])
-    val_pp = convolve(f0, f0, [g_pp])[0]
-    val_scal = convolve(f0, f0, [g_scal])[0]
+    val_pp = convolve_supports(ctx, 0, f0, f0, [g_pp])[0]
+    val_scal = convolve_supports(ctx, 0, f0, f0, [g_scal])[0]
     # oracle: count coset representatives h with h^-1 g back in the support
     def oracle(g):
         cnt = 0
-        for h in f0.coset_reps():
+        for h, _ in f0.values():
             x = h.inverse() @ g
             if x.e == 0 and x.det_valuation() == 1:
                 cnt += 1
@@ -224,11 +224,10 @@ def test_phi0_convolution_square():
 def test_double_coset_indicator_stability():
     ctx = get_context(2, 1, 12)
     w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
-    f = double_coset_indicator(ctx, 1, w)
-    assert len(f.support) == 2
+    assert len(double_coset_indicator(ctx, 1, w)) == 2
     weyl = double_coset_indicator(
         ctx, 1, LocalMatrix.from_integers(ctx, [[0, 1], [1, 0]]))
-    assert len(weyl.support) == 1         # the Weyl element normalizes K
+    assert len(weyl) == 1                 # the Weyl element normalizes K
 
 
 def test_support_enumeration_stable_and_bounded():
@@ -236,12 +235,12 @@ def test_support_enumeration_stable_and_bounded():
         ctx = get_context(q, 1, 12)
         sup = phi_support(ctx, 1)
         # support is exactly the k=0 det-valuation-1 locus at level 1
-        for rep, val in sup.items():
+        for rep, val in sup.values():
             assert rep.e == 0 and rep.det_valuation() == 1
             assert val == Fraction(phi_pn(rep, 1))
         # count is stable when recomputed at higher precision
         ctx2 = get_context(q, 1, 16)
-        assert len(phi_support(ctx2, 1).support) == len(sup.support)
+        assert len(phi_support(ctx2, 1)) == len(sup)
 
 
 def test_tower_cancellation_at_k_equals_n():
@@ -303,28 +302,28 @@ def test_associativity_spot_check():
     w2 = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
     f1 = double_coset_indicator(ctx, n, w1)
     f2 = double_coset_indicator(ctx, n, w2)
-    phi = phi_formula(ctx, n)
+    phi = lambda g: Fraction(phi_pn(g, n))
     # materialize f1 * f2 on candidate support cosets
     candidates = {}
-    for h1, _ in f1.items():
-        for h2, _ in f2.items():
+    for h1 in f1:
+        for h2 in f2:
             g = h1 @ h2
             candidates.setdefault(canonical_coset_rep(g, n), g)
-    prod_vals = convolve(f1, f2, list(candidates.values()))
-    prod = CosetFunction(ctx, n, {k: (g, v) for (k, g), v in
-                                  zip(candidates.items(), prod_vals)
-                                  if v != 0})
+    prod_vals = convolve_supports(ctx, n, support_of(f1, n),
+                                  support_of(f2, n), list(candidates.values()))
+    prod = {k: (g, v) for (k, g), v in zip(candidates.items(), prod_vals)
+            if v != 0}
     pts = [LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]]),
            LocalMatrix.from_integers(ctx, [[0, 2], [1, 0]]),
            LocalMatrix.from_integers(ctx, [[2, 1], [2, 3]])]
-    lhs = convolve(prod, phi, pts)          # (f1 * f2) * phi
-    inner = lambda g: convolve(f2, phi, [g])[0]
+    lhs = convolve(ctx, n, prod.values(), phi, pts)   # (f1 * f2) * phi
+    inner = lambda g: convolve(ctx, n, [(h, 1) for h in f2], phi, [g])[0]
     rhs = []
     for g in pts:                            # f1 * (f2 * phi)
         vol = vol_congruence(ctx, n)
         acc = Fraction(0)
-        for h, val in f1.items():
-            acc += val * inner(h.inverse() @ g)
+        for h in f1:
+            acc += inner(h.inverse() @ g)
         rhs.append(acc * vol)
     assert lhs == rhs
 
@@ -351,7 +350,7 @@ def _phi_support_cube(ctx, n):
 @pytest.mark.parametrize("p,r,n", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
 def test_phi_support_matches_the_matrix_cube(p, r, n):
     ctx = get_context(p, r, 2 * n + 8)
-    sup = phi_support(ctx, n).support
+    sup = phi_support(ctx, n)
     assert {k: v for k, (_, v) in sup.items()} == _phi_support_cube(ctx, n)
     assert all(canonical_coset_rep(m, n) == k for k, (m, _) in sup.items())
 
@@ -381,7 +380,7 @@ def test_phi_support_at_level_two():
     # check the support conditions and the value at sampled points instead
     n = 2
     ctx = get_context(2, 1, 2 * n + 8)
-    sup = phi_support(ctx, n).support
+    sup = phi_support(ctx, n)
     for rep, val in sup.values():
         assert -rep.e < n and rep.det_valuation() == 1 and rep.trace_val_ge(0)
         assert val == Fraction(phi_pn(rep, n))
@@ -421,10 +420,10 @@ def test_double_coset_indicator_matches_deeper_saturation(p, r, n):
             continue
         saturation = {canonical_coset_rep(u @ w, n)
                       for u in congruence_elements(ctx, n, depth)}
-        f = double_coset_indicator(ctx, n, w)
-        assert set(f.support) == saturation and len(saturation) == ctx.q**d
-        for key, (rep, val) in f.support.items():
-            assert canonical_coset_rep(rep, n) == key and val == 1
+        keys = [canonical_coset_rep(h, n)
+                for h in double_coset_indicator(ctx, n, w)]
+        assert set(keys) == saturation
+        assert len(keys) == len(saturation) == ctx.q**d
         seen.add((d, w.e < 0))
     assert {(0, False), (1, False), (1, True)} <= seen
 
@@ -440,7 +439,7 @@ def test_double_coset_indicator_raises_on_a_missed_coset(monkeypatch, rows,
     ctx = get_context(2, 1, 10)
     w = LocalMatrix.from_integers(ctx, rows)
     d = w.det_valuation()
-    assert len(double_coset_indicator(ctx, 1, w).support) == 2**d
+    assert len(double_coset_indicator(ctx, 1, w)) == 2**d
     real = hecke.canonical_coset_rep
     monkeypatch.setattr(hecke, "canonical_coset_rep",
                         lambda *args: real(*args)[keep])
@@ -461,36 +460,6 @@ def test_centrality_at_q3():
     assert ok and not fails and total == 18
 
 
-def _record_calls(monkeypatch, name, *args, **kw):
-    """centrality_check(*args, **kw) with every call of hecke.<name> recorded
-    as (f, second argument, at, out)."""
-    calls = []
-    real = getattr(hecke, name)
-
-    def recording(f, x, at):
-        out = real(f, x, at)
-        calls.append((f, x, list(at), out))
-        return out
-
-    monkeypatch.setattr(hecke, name, recording)
-    result = centrality_check(*args, **kw)
-    monkeypatch.undo()
-    return result, calls
-
-
-def test_convolve_whole_sample_matches_per_point(monkeypatch):
-    # every point of the centrality sample, evaluated alone, on both sides
-    ctx = get_context(2, 1, 10)
-    w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
-    for name in ("convolve", "convolve_double_coset"):
-        (ok, _, total), calls = _record_calls(monkeypatch, name, 2, 1,
-                                              generators=[w])
-        assert ok and len(calls) == 1
-        f, x, at, out = calls[0]
-        assert len(at) == total
-        assert out == [getattr(hecke, name)(f, x, [g])[0] for g in at]
-
-
 def _centrality_oracle_sample(q, n, count, seed=DEFAULT_SEED):
     """The points of centrality_check(q, n, count=count) with the default
     generators, the support points taken from the listed support, in a
@@ -501,9 +470,66 @@ def _centrality_oracle_sample(q, n, count, seed=DEFAULT_SEED):
     gens = [LocalMatrix.from_integers(ctx, rows) for rows in
             ([[0, 1], [1, 0]], [[p, 0], [0, 1]], [[0, 1], [p, 0]])]
     phi_sup = phi_support(ctx, n)
+    reps = [rep for rep, _ in phi_sup.values()][:10]
     sample = branch_covering_sample(ctx, n, count=count, seed=seed)
-    sample += [rep @ w for w in gens for rep in phi_sup.coset_reps()[:10]]
+    sample += [rep @ w for w in gens for rep in reps]
     return phi_sup, gens, sample
+
+
+def _against_the_left_oracle(monkeypatch, q, n, count, bump=None):
+    """centrality_check(q, n, count=count) with hecke.convolve, its right
+    side, returning the support-backed phi * f_w instead: so the check
+    compares its inline left side with the oracle at every point.  The
+    oracle's value at point 7 is one more for generator number `bump`.
+    Returns the check's result and, per call, (at, oracle values)."""
+    phi_sup, gens, sample = _centrality_oracle_sample(q, n, count)
+    ctx = gens[0].ctx
+    calls = []
+
+    def oracle(ctx_, n_, cosets, f, at):
+        gen = gens[len(calls)]
+        f_w = support_of(double_coset_indicator(ctx, n, gen), n)
+        assert n_ == n and at == sample
+        assert support_of([h for h, _ in cosets], n).keys() == f_w.keys()
+        out = convolve_supports(ctx, n, phi_sup, f_w, sample)
+        if bump == len(calls):
+            out[7] += 1
+        calls.append((at, out))
+        return out
+
+    monkeypatch.setattr(hecke, "convolve", oracle)
+    result = centrality_check(q, n, count=count)
+    monkeypatch.undo()
+    return result, calls
+
+
+def test_convolve_whole_sample_matches_per_point(monkeypatch):
+    # every point of the centrality sample, evaluated alone: the right side
+    # by convolve, the inline left side by the support-backed oracle
+    ctx = get_context(2, 1, 10)
+    w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
+    real, calls = hecke.convolve, []
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(hecke, "convolve", recording)
+    ok, _, total = centrality_check(2, 1, generators=[w])
+    assert ok and len(calls) == 1
+    (ctx_, n, cosets, f, at), out = calls[0]
+    assert len(at) == total
+    assert out == [real(ctx_, n, cosets, f, [g])[0] for g in at]
+
+    def per_point(ctx_, n, cosets, f, at):
+        # 7n + 1 = 8 digits, as the checked context has at n = 1
+        sup, f_w = phi_support(ctx_, n), support_of(double_coset_indicator(
+            ctx_, n, LocalMatrix.from_integers(ctx_, [[2, 0], [0, 1]])), n)
+        return [convolve_supports(ctx_, n, sup, f_w, [g])[0] for g in at]
+
+    monkeypatch.setattr(hecke, "convolve", per_point)
+    assert centrality_check(2, 1, generators=[w]) == (True, [], total)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2)])
@@ -511,63 +537,39 @@ def test_shared_left_values_match_each_convolution_alone(monkeypatch, q, n):
     # the left side phi * f_w from the cosets of K w^-1 K, against the
     # support-backed convolution over the listed support of phi, at every
     # point of the sample, the support points times each generator included
-    (ok, _, total), calls = _record_calls(monkeypatch,
-                                          "convolve_double_coset", q, n,
-                                          count=3)
-    assert ok and len(calls) == 3
-    phi_sup, gens, sample = _centrality_oracle_sample(q, n, 3)
-    ctx = phi_sup.ctx
+    (ok, fails, total), calls = _against_the_left_oracle(monkeypatch, q, n, 3)
+    assert ok and not fails and len(calls) == 3
+    sample = _centrality_oracle_sample(q, n, 3)[2]
     assert len(sample) * 3 == total
-    nonzero = 0
-    for (f, w, at, out), gen in zip(calls, gens):
-        assert f.formula is not None and w == gen and at == sample
-        oracle = convolve(phi_sup, double_coset_indicator(ctx, n, gen),
-                          sample)
-        assert out == oracle
-        nonzero += sum(1 for v in out if v)
-    assert nonzero > 0
+    assert sum(1 for _, out in calls for v in out if v) > 0
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2)])
-def test_support_lookup_skips_only_points_off_its_heads(monkeypatch, q, n):
-    # every support-backed lookup of the oracle left side against the full key
-    filtered = CosetFunction.__call__
-    seen = {"lookups": 0, "skipped": 0, "wrong": []}
-
-    def both(self, g):
-        got = filtered(self, g)
-        if self.formula is None:
-            hit = self.support.get(canonical_coset_rep(g, self.n))
-            if got != (hit[1] if hit is not None else self.zero):
-                seen["wrong"].append(g.to_text())
-            seen["lookups"] += 1
-            seen["skipped"] += coset_key_head(g, self.n) not in self.heads
-        return got
-
-    phi_sup, gens, sample = _centrality_oracle_sample(q, n, 3)
-    ctx = phi_sup.ctx
-    f = double_coset_indicator(ctx, n, gens[1])
-    at = sample[:-20]  # the branch points and the support points times w_0
-    monkeypatch.setattr(CosetFunction, "__call__", both)
-    left = convolve(phi_sup, f, at)
-    monkeypatch.undo()
-    assert left == convolve_double_coset(phi_formula(ctx, n), gens[1], at)
-    assert seen["wrong"] == []
-    assert 0 < seen["skipped"] < seen["lookups"]
+def test_centrality_fails_at_the_one_point_where_the_oracle_is_off(
+        monkeypatch):
+    (ok, fails, total), calls = _against_the_left_oracle(monkeypatch, 2, 1, 3,
+                                                         bump=1)
+    assert not ok and len(fails) == 1 and len(calls) == 3
+    w, g, left, right = fails[0]
+    at, out = calls[1]
+    assert w == _centrality_oracle_sample(2, 1, 3)[1][1]
+    assert g is at[7] and right == out[7] == left + 1
 
 
 def test_off_support_lookup_still_needs_its_key_digits():
     ctx = get_context(2, 1, 10)
-    f = double_coset_indicator(ctx, 2, LocalMatrix.from_integers(
-        ctx, [[2, 0], [0, 1]]))
+    w = LocalMatrix.from_integers(ctx, [[2, 0], [0, 1]])
+    f = lookup(support_of(double_coset_indicator(ctx, 2, w), 2), 2)
     g = LocalMatrix.from_integers(ctx, [[4, 0], [0, 1]])
-    assert coset_key_head(g, 2) == (0, 2)
-    assert (0, 2) not in f.heads and f(g) == 0
+    assert canonical_coset_rep(g, 2)[:2] == (0, 2) and f(g) == 0
     # d = 2 is certified by 3 digits, the key at n = 2 needs n + d = 4
     short = LocalMatrix(ctx, g.e, g.m, prec=3)
     assert short.det_valuation() == 2
     with pytest.raises(PrecisionExhausted):
+        canonical_coset_rep(short, 2)
+    with pytest.raises(PrecisionExhausted):
         f(short)
+    enough = LocalMatrix(ctx, g.e, g.m, prec=4)
+    assert canonical_coset_rep(enough, 2) == canonical_coset_rep(g, 2)
 
 
 def test_centrality_at_level_two():

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gl2lab.errors import DomainError, PrecisionExhausted
-from gl2lab.hecke import canonical_coset_rep, coset_key_head
+from gl2lab.hecke import canonical_coset_rep
 from gl2lab.padic import (INF, ExtendedNat, GaloisRingElement, LocalMatrix,
                           _o_det, _o_inverse, _o_mul, _o_scale,
                           _scaled_tr_det, _tr_det, _vp_gcd, context_for_level,
@@ -497,8 +497,10 @@ def _element_coset_rep(g, n):
     oracle of the key computed on coefficient tuples."""
     ctx = g.ctx
     p = ctx.p
-    e, d = coset_key_head(g, n)
+    e, d = g.e, g.det_valuation() - 2 * g.e
     depth = max(n + d, 1)
+    if g.prec < depth:
+        raise PrecisionExhausted("coset key needs more certified digits")
     ents = _elements(g)
     top, bottom = ents[:2], ents[2:]
     vals = [x.valuation_below(depth) for x in top]
