@@ -9,7 +9,7 @@ same numbers drive the census of elliptic curves with level structure.
 
 from gl2lab.curves import (boundary_orbit_report, boundary_ss_trace,
                            enumerate_curves, level_m_count, ss_lefschetz)
-from gl2lab.finitegl2 import (FiniteGL2, drinfeld_module_character, e_gamma,
+from gl2lab.finitegl2 import (FiniteGL2, drinfeld_module_character,
                               induced_character, ss_trace_point,
                               steinberg_character)
 
@@ -24,12 +24,11 @@ st = steinberg_character(p, n)
 print(f"Steinberg degree: {st.degree()}, norm <St, St> = {st.inner(st)}")
 print()
 
-h = e_gamma(G)
 print("semisimple point traces at (p, r, n) = (3, 1, 1):")
-print("  supersingular:", ss_trace_point("supersingular", h, 3, 1, 1))
+print("  supersingular:", ss_trace_point("supersingular", 3, 1, 1))
 for a in (1, 2):
     print(f"  ordinary, eigenvalue residue {a}:",
-          ss_trace_point("ordinary", h, 3, 1, 1, a=a))
+          ss_trace_point("ordinary", 3, 1, 1, a=a))
 print()
 
 q, m = 7, 3

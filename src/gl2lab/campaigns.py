@@ -20,9 +20,8 @@ from .curves import (boundary_orbit_report, boundary_ss_trace,
                      enumerate_curves, level_m_count, ss_lefschetz)
 from .errors import check_cap
 from .finitegl2 import (ClassFunction, FiniteGL2, drinfeld_module_character,
-                        e_gamma, fixed_surjections, induced_character,
-                        ss_trace_closed, ss_trace_point,
-                        steinberg_character)
+                        fixed_surjections, induced_character, ss_trace_closed,
+                        ss_trace_point, steinberg_character)
 from .padic import ExtendedNat, factor_prime_power, get_context, vp_int
 from .testfunc import GammaInvariants, c_closed, c_r_char
 
@@ -114,12 +113,11 @@ def cross_identity_checks(ps=(2, 3), ns=(1, 2)):
     out = []
     for p in ps:
         for n in ns:
-            h = e_gamma(FiniteGL2(p, n))
             ctxn = get_context(p, 1, n + 2)
             fails = []  # (input, closed form, character sum) per failed comparison
 
             def compare(point, inv, vanishes=False):
-                closed, chars = c_closed(inv, n, p), c_r_char(inv, h, p, 1, n)
+                closed, chars = c_closed(inv, n, p), c_r_char(inv, p, 1, n)
                 if closed != chars or (vanishes and closed != 0):
                     fails.append((point, closed, chars))
 
@@ -158,16 +156,15 @@ def drinfeld_checks(pns=((2, 1), (3, 1), (2, 2), (3, 2))):
         out.append(Check("drinfeld-decomposition", {"p^n": p**n},
                          True, acc == dr))
         # dual-path ss traces across all unit eigenvalue residues
-        h = e_gamma(G)
         fails = []  # (point, character sum, second path) per failed comparison
         for a in range(1, p**n):
             if a % p == 0:
                 continue
-            char_path = ss_trace_point("ordinary", h, p, 1, n, a=a).as_rational()
+            char_path = ss_trace_point("ordinary", p, 1, n, a=a).as_rational()
             fixed_path = fixed_surjections(p, n, (1, 0, 0, 1), a=a)
             if char_path != fixed_path:
                 fails.append((f"a = {a}", char_path, fixed_path))
-        ss_char = ss_trace_point("supersingular", h, p, 1, n).as_rational()
+        ss_char = ss_trace_point("supersingular", p, 1, n).as_rational()
         if ss_char != ss_trace_closed(p, 1, n):
             fails.append(("supersingular", ss_char, ss_trace_closed(p, 1, n)))
         out.append(Check("ss-trace-dual-path", {"p": p, "n": n}, 0, len(fails),

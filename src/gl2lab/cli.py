@@ -309,10 +309,8 @@ def _run_command(args) -> int:
     if cmd == "ss-trace":
         check_prime_level(args.p, args.n)
         check_point_trace_input(args.p, args.r, args.kind, args.a)
-        from .finitegl2 import FiniteGL2, e_gamma, ss_trace_point
-        G = FiniteGL2(args.p, args.n)
-        val = ss_trace_point(args.kind, e_gamma(G), args.p, args.r, args.n,
-                             a=args.a)
+        from .finitegl2 import ss_trace_point
+        val = ss_trace_point(args.kind, args.p, args.r, args.n, a=args.a)
         _emit({"campaign": "ss-trace", "kind": args.kind,
                "p": args.p, "r": args.r, "n": args.n, "a": args.a,
                "value": repr(val)}, args.out)

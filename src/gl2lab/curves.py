@@ -27,8 +27,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import DomainError, check_cap
-from .finitegl2 import (FiniteGL2, _unit_generators, e_gamma,
-                        fixed_surjections, ss_trace_closed, ss_trace_point)
+from .finitegl2 import (_unit_generators, fixed_surjections, ss_trace_closed,
+                        ss_trace_point)
 from .gl2group import MatGroup, RingTables
 from .padic import (LocalMatrix, _least_prime_factor, check_boundary_input,
                     check_level, factor_prime_power, get_context,
@@ -510,14 +510,12 @@ def point_trace(p: int, r: int, n: int, ordinary: bool,
     """
     if n == 0:
         return 1
-    G = FiniteGL2(p, n)
-    h = e_gamma(G)
     if ordinary:
-        val = ss_trace_point("ordinary", h, p, r, n, a=unit_eigenvalue)
+        val = ss_trace_point("ordinary", p, r, n, a=unit_eigenvalue)
         direct = fixed_surjections(p, n, (1, 0, 0, 1), a=unit_eigenvalue)
         _check_point_trace(val, direct, p, r, n, "ordinary")
         return int(direct)
-    val = ss_trace_point("supersingular", h, p, r, n)
+    val = ss_trace_point("supersingular", p, r, n)
     direct = ss_trace_closed(p, r, n)
     _check_point_trace(val, direct, p, r, n, "supersingular")
     return direct

@@ -103,7 +103,6 @@ class FiniteGL2:
             raise AssertionError(f"classes of GL2(Z/{self.mod}) are not "
                                  "numbered by first element")
         self._group, self._labels = G, labels
-        self.class_of_el = labels[lex].tolist()
         self.class_reps = [self.elements[i] for i in first]
         self.class_sizes = np.bincount(labels).tolist()
         reps = tuple(np.array(x, dtype=np.int64) for x in zip(*self.class_reps))
@@ -179,11 +178,6 @@ class ClassFunction:
         return ClassFunction(self.group,
                              [a - b for a, b in zip(self.values, other.values)])
 
-    def __mul__(self, scalar):
-        return ClassFunction(self.group, [v * scalar for v in self.values])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.group is other.group
                 and self.values == other.values)
@@ -202,17 +196,6 @@ class ClassFunction:
 
 def trivial_character(G: FiniteGL2) -> ClassFunction:
     return ClassFunction(G, [1] * len(G.class_reps))
-
-
-def e_gamma(G: FiniteGL2) -> ClassFunction:
-    """Finite-level idempotent of the principal congruence subgroup.
-
-    Normalized so tr(e | pi) = dim pi for every level-n representation,
-    matching a point mass of total Haar mass 1 at the identity coset.
-    """
-    vals = [0] * len(G.class_reps)
-    vals[G.identity_class] = G.order
-    return ClassFunction(G, vals)
 
 
 def induced_character(G: FiniteGL2, chi: UnitCharacter) -> ClassFunction:
@@ -263,39 +246,32 @@ def drinfeld_module_character(p: int, n: int) -> ClassFunction:
     return ClassFunction(G, [fixed_surjections(p, n, c) for c in G.class_reps])
 
 
-def tr_rep(h: ClassFunction, char: ClassFunction) -> CyclotomicValue:
-    """tr(h | pi) = |G|^-1 sum h(g) chi_pi(g); e_gamma gives dim pi.
-
-    Only the classes where h is nonzero are summed."""
-    G = h.group
-    acc = CyclotomicValue.rational(G.char_order, 0)
-    for cid, size in enumerate(G.class_sizes):
-        if not h.values[cid].is_zero():
-            acc = acc + h.values[cid] * char.values[cid] * size
-    return acc / G.order
-
-
 def ss_trace_closed(p: int, r: int, n: int) -> int:
-    """The supersingular point trace against e_gamma in closed form:
+    """The supersingular point trace against e_Gamma(p^n) in closed form:
     1 - p^r (p^n + p^(n-1) - 1), as dim 1 = 1 and dim St = p^n + p^(n-1) - 1."""
     return 1 - p**r * (p**n + p**(n - 1) - 1)
 
 
-def ss_trace_point(kind: str, h: ClassFunction, p: int, r: int, n: int,
+def ss_trace_point(kind: str, p: int, r: int, n: int,
                    a: int = None) -> CyclotomicValue:
-    """Semisimple point trace against the class function h.
+    """Semisimple point trace against the idempotent e_Gamma(p^n).
 
-    ordinary:      sum_chi tr(h | Ind(1 x chi)) chi(a)^-1
-    supersingular: tr(h | 1) - p^r tr(h | St)
+    e_Gamma(p^n) is normalized so that tr(e | pi) = dim pi for every level-n
+    representation pi, matching a point mass of Haar mass 1 at the identity
+    coset.  So only the identity row of the Borel counts is read:
+
+    ordinary:      sum_chi deg Ind(1 x chi) chi(a)^-1
+    supersingular: 1 - p^r deg St = 1 - p^r (deg Ind(1) - 1)
     """
     check_point_trace_input(p, r, kind, a)
     G = FiniteGL2(p, n)
+    M, row = G.char_order, G.borel_counts[G.identity_class]
     if kind == "supersingular":
-        one = tr_rep(h, trivial_character(G))
-        st = tr_rep(h, steinberg_character(p, n))
-        return one - st * p**r
+        return CyclotomicValue.rational(M, 1 - p**r * (int(row.sum()) - 1))
     a_inv = pow(a, -1, G.mod)
-    acc = CyclotomicValue.rational(G.char_order, 0)
+    buckets = [0] * M
     for chi in G.characters():
-        acc = acc + tr_rep(h, induced_character(G, chi)) * chi(a_inv)
-    return acc
+        shift = chi.exponent(a_inv)
+        for t in G.unit_dlog:
+            buckets[(chi.exponent(t) + shift) % M] += int(row[t])
+    return CyclotomicValue(M, buckets)

@@ -6,7 +6,8 @@ four-branch function of the invariants (v_p det, v_p tr, k, ell), and
 phi_pnt its rational-function deformation, which specializes to phi_pn
 at t = q.  c_closed is the closed-form value of the orbital-integral
 ratio, and c_r_char the character-theoretic expression for the same
-constants at q = p.
+constants at q = p: the semisimple point traces against the idempotent
+e_Gamma(p^n) of the level-n characters of GL2(Z/p^n).
 """
 
 from __future__ import annotations
@@ -173,11 +174,12 @@ def c_closed(inv: GammaInvariants, n: int, q: int) -> int:
     return 0
 
 
-def c_r_char(inv: GammaInvariants, h, p: int, r: int, n: int) -> CyclotomicValue:
-    """Character-theoretic value: the two-branch sum over level-n characters.
+def c_r_char(inv: GammaInvariants, p: int, r: int, n: int) -> CyclotomicValue:
+    """Character-theoretic value: the two-branch sum over level-n characters,
+    traced against the idempotent e_Gamma(p^n) (see `ss_trace_point`).
 
-    h is a class function on GL2(Z/p^n).  Vanishes unless v_p(det) = r and
-    the trace is integral (integrality is part of the invariants record).
+    Vanishes unless v_p(det) = r and the trace is integral (integrality is
+    part of the invariants record).
     """
     from .finitegl2 import FiniteGL2, ss_trace_point
 
@@ -186,7 +188,7 @@ def c_r_char(inv: GammaInvariants, h, p: int, r: int, n: int) -> CyclotomicValue
     if inv.v_det != r:
         return zero
     if inv.v_tr >= 1:
-        return ss_trace_point("supersingular", h, p, r, n)
+        return ss_trace_point("supersingular", p, r, n)
     if inv.t2_residue is None:
         raise DomainError("ordinary branch needs the unit eigenvalue")
-    return ss_trace_point("ordinary", h, p, r, n, a=inv.t2_int())
+    return ss_trace_point("ordinary", p, r, n, a=inv.t2_int())

@@ -675,8 +675,8 @@ def test_failed_cross_identity_row_keeps_its_witness(capsys, monkeypatch):
                                  for row in json.loads(out)["checks"])
     real = campaigns.c_r_char
     # one more on the ordinary branch, at a = 1 and a = 2
-    monkeypatch.setattr(campaigns, "c_r_char", lambda inv, h, p, r, n: (
-        real(inv, h, p, r, n) + (inv.t2_residue is not None)))
+    monkeypatch.setattr(campaigns, "c_r_char", lambda inv, p, r, n: (
+        real(inv, p, r, n) + (inv.t2_residue is not None)))
     code, out = run(capsys, *argv)
     assert code == 1
     row = _rows(out)["c-closed-vs-characters"]
@@ -763,6 +763,19 @@ def test_oneshot_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_cr_reads_one_borel_row_past_the_default_cap(capsys,
+                                                            monkeypatch):
+    import hashlib
+
+    # p^(4n) = 531,441 codes: past the default cap, under this one; the
+    # digest is the output of the full class-table traces
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", "600000")
+    code, out = run(capsys, "verify-cr", "--p", "3", "--n", "3")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "2acebb7b7e8ecd7714d6fd235db97362cc5bbddfd26786918a347bf7e2610fd9")
 
 
 @pytest.mark.parametrize("argv", [

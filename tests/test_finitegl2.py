@@ -12,10 +12,10 @@ import pytest
 from gl2lab.cyclotomic import CyclotomicValue
 from gl2lab.errors import DomainError, ResourceLimit
 from gl2lab.finitegl2 import (ClassFunction, FiniteGL2, _unit_generators,
-                              drinfeld_module_character, e_gamma,
-                              fixed_surjections, induced_character,
-                              ss_trace_point, steinberg_character,
-                              surjections, tr_rep, trivial_character)
+                              drinfeld_module_character, fixed_surjections,
+                              induced_character, ss_trace_point,
+                              steinberg_character, surjections,
+                              trivial_character)
 from gl2lab.gl2group import MatGroup, RingTables
 
 
@@ -128,23 +128,30 @@ def test_fixed_surjections_unit_action():
 
 
 def test_ss_trace_point_values():
-    G = FiniteGL2(2, 1)
-    h = e_gamma(G)
-    assert ss_trace_point("supersingular", h, 2, 1, 1).as_rational() == -3
-    assert ss_trace_point("ordinary", h, 2, 1, 1, a=1).as_rational() == 3
-    G3 = FiniteGL2(3, 1)
-    assert ss_trace_point("ordinary", e_gamma(G3), 3, 1, 1, a=2).is_zero()
+    assert ss_trace_point("supersingular", 2, 1, 1).as_rational() == -3
+    assert ss_trace_point("ordinary", 2, 1, 1, a=1).as_rational() == 3
+    assert ss_trace_point("ordinary", 3, 1, 1, a=2).is_zero()
     # general r enters only through p^r in the supersingular branch
-    assert ss_trace_point("supersingular", h, 2, 2, 1).as_rational() == 1 - 4 * 2
+    assert ss_trace_point("supersingular", 2, 2, 1).as_rational() == 1 - 4 * 2
+
+
+def _trace_against_e_gamma(G, char):
+    """tr(e | pi) = |G|^-1 sum over all classes of e(g) chi_pi(g) |class|, for
+    the class function e that is |G| on the identity class and 0 elsewhere."""
+    e = [0] * len(G.class_reps)
+    e[G.identity_class] = G.order
+    acc = CyclotomicValue.rational(G.char_order, 0)
+    for cid, size in enumerate(G.class_sizes):
+        acc = acc + char.values[cid] * (e[cid] * size)
+    return acc / G.order
 
 
 def test_e_gamma_traces_are_dimensions():
     for (p, n) in ((2, 1), (3, 1), (2, 2)):
         G = FiniteGL2(p, n)
-        h = e_gamma(G)
-        assert tr_rep(h, trivial_character(G)).as_rational() == 1
+        assert _trace_against_e_gamma(G, trivial_character(G)).as_rational() == 1
         ind = induced_character(G, _trivial_chi(G))
-        assert tr_rep(h, ind).as_rational() == p**n + p**(n - 1)
+        assert _trace_against_e_gamma(G, ind).as_rational() == p**n + p**(n - 1)
 
 
 def test_dual_path_on_class_reps():
@@ -197,6 +204,23 @@ def test_induced_character_matches_conjugation(p, n):
         # the canonical vectors, hence every printed value, agree
         assert ([v.coeffs for v in induced_character(G, chi).values]
                 == [v.coeffs for v in expect]), chi
+
+
+@pytest.mark.parametrize("p,n", BOREL_CASES)
+def test_ss_trace_point_matches_the_class_function_sums(p, n):
+    G = FiniteGL2(p, n)
+    trivial, st = trivial_character(G), steinberg_character(p, n)
+    for r in (1, 2):
+        expect = (_trace_against_e_gamma(G, trivial)
+                  - _trace_against_e_gamma(G, st) * p**r)
+        assert ss_trace_point("supersingular", p, r, n).coeffs == expect.coeffs
+    degrees = [(chi, _trace_against_e_gamma(G, induced_character(G, chi)))
+               for chi in G.characters()]
+    zero = CyclotomicValue.rational(G.char_order, 0)
+    for a in G.unit_dlog:
+        a_inv = pow(a, -1, G.mod)
+        expect = sum((deg * chi(a_inv) for chi, deg in degrees), zero)
+        assert ss_trace_point("ordinary", p, 1, n, a=a).coeffs == expect.coeffs, a
 
 
 @pytest.mark.parametrize("p,n", BOREL_CASES)
@@ -276,14 +300,13 @@ def test_backbone_matches_tuple_search(p, n):
     G = FiniteGL2(p, n)
     elements, class_of, reps, sizes = _classes_by_tuple_search(p, n)
     assert G.elements == elements
-    assert G.class_of_el == class_of
+    labels = [G.class_of(x) for x in elements]
+    assert labels == class_of
     assert G.class_reps == reps
     assert G.class_sizes == sizes
     # plain ints, as they are written to JSON
     assert type(G.elements[0][0]) is int and type(G.class_reps[-1][3]) is int
-    assert all(type(x) is int for x in G.class_sizes + G.class_of_el[:10])
-    for x in elements[::7]:
-        assert G.class_of(x) == class_of[elements.index(x)]
+    assert all(type(x) is int for x in G.class_sizes + labels[:10])
 
 
 def test_class_of_rejects_singular_matrices():
@@ -441,8 +464,7 @@ def test_finite_gl2_respects_the_cap(monkeypatch):
 def test_point_trace_rejects_what_the_command_line_rejects(kind, r, a):
     from gl2lab.padic import check_point_trace_input
 
-    G = FiniteGL2(3, 1)
     with pytest.raises(DomainError):
         check_point_trace_input(3, r, kind, a)
     with pytest.raises(DomainError):
-        ss_trace_point(kind, e_gamma(G), 3, r, 1, a=a)
+        ss_trace_point(kind, 3, r, 1, a=a)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from gl2lab.errors import DomainError, PrecisionExhausted
-from gl2lab.finitegl2 import FiniteGL2, e_gamma
 from gl2lab.padic import (INF, ExtendedNat, LocalMatrix, context_for_level,
                           get_context)
 from gl2lab.testfunc import (GammaInvariants, c_closed, c_r_char, phi_branch,
@@ -139,15 +138,13 @@ def test_c_closed_values():
 
 
 def test_c_r_char_values():
-    G = FiniteGL2(2, 1)
-    h = e_gamma(G)
     inv = GammaInvariants(1, ExtendedNat(1), None, None, 1)
-    assert c_r_char(inv, h, 2, 1, 1).as_rational() == 1 - 2 * 2  # dim St = 2
+    assert c_r_char(inv, 2, 1, 1).as_rational() == 1 - 2 * 2  # dim St = 2
     ctx = context_for_level(2, 1, 1)
     inv = GammaInvariants(1, ExtendedNat(0), INF, ctx.el(1), 1)
-    assert c_r_char(inv, h, 2, 1, 1).as_rational() == 3  # (p^n+p^(n-1)) phi(p^n)
+    assert c_r_char(inv, 2, 1, 1).as_rational() == 3  # (p^n+p^(n-1)) phi(p^n)
     inv = GammaInvariants(2, ExtendedNat(0), INF, ctx.el(1), 1)
-    assert c_r_char(inv, h, 2, 1, 1).is_zero()  # v_det != r
+    assert c_r_char(inv, 2, 1, 1).is_zero()  # v_det != r
 
 
 def test_gamma_invariants_from_matrix():
