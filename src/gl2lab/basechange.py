@@ -236,11 +236,16 @@ def bc_unit_defect(f_values, k: int, p: int, r: int, j: int):
     sums = _fibre_sums(G, k, fv[cls], n_left)
 
     # right side: average f(v gamma) over v in Gamma(p^k) of GL2(Z/p^j), the
-    # same fibre sums, read at one element gamma of each class
-    Gs = small._group
+    # same fibre sums on the materialized GL2(Z/p^j), read at one element
+    # gamma of each class; its orbits are numbered as `small` numbers classes
+    _, Gs, _, small_labels = _group_and_labels(p, 1, j)
     n_right = int(np.count_nonzero(Gs.congruence_mask(k)))
-    first = np.unique(small._labels, return_index=True)[1]
-    rhs = _fibre_sums(Gs, k, fv[small._labels], n_right)[first][cls]
+    first = np.unique(small_labels, return_index=True)[1]
+    if [small.class_of([int(x[i]) for x in Gs.comps])
+            for i in first.tolist()] != list(range(len(small.class_reps))):
+        raise AssertionError(f"orbits of GL2(Z/{p}^{j}) are not numbered "
+                             "as its classes")
+    rhs = _fibre_sums(Gs, k, fv[small_labels], n_right)[first][cls]
     bad = np.flatnonzero(sums * n_right != rhs * n_left)
     if len(bad) == 0:
         return None

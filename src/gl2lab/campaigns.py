@@ -1,10 +1,11 @@
 """Verification campaigns: each returns a list of named exact checks.
 
 These back both the command-line driver and the acceptance test suite.
-The table batteries (norm bijection, exact sequence, base change, the
-character identities, the census) live here; the object-path batteries live
-in `checks`, which loads no numpy, and are re-exported, so importing this
-module binds every layer and `ALL_CAMPAIGNS` lists all ten.
+The numpy table batteries (norm bijection, exact sequence, base change, the
+census) live here.  The batteries that load no numpy live in `checks`: the
+object-path ones (tower, orbital, tree lemma, centrality) and the character
+identities of GL2(Z/p^n) (cross-identity, Drinfeld).  They are re-exported,
+so importing this module binds every layer and `ALL_CAMPAIGNS` lists all ten.
 Every comparison is exact; a failing check carries the two values.
 """
 
@@ -15,15 +16,13 @@ import random
 from .basechange import (bc_unit_defect, bc_unit_identity, sigma_orbits,
                          unit_group_defect, unit_group_exactness)
 from .checks import (DEFAULT_SEED, Check, _witness, centrality_checks,
-                     orbital_checks, tower_checks, tree_checks)
+                     cross_identity_checks, drinfeld_checks, orbital_checks,
+                     tower_checks, tree_checks)
 from .curves import (boundary_orbit_report, boundary_ss_trace,
                      enumerate_curves, level_m_count, ss_lefschetz)
 from .errors import check_cap
-from .finitegl2 import (ClassFunction, FiniteGL2, drinfeld_module_character,
-                        fixed_surjections, induced_character, ss_trace_closed,
-                        ss_trace_point, steinberg_character)
-from .padic import ExtendedNat, factor_prime_power, get_context, vp_int
-from .testfunc import GammaInvariants, c_closed, c_r_char
+from .finitegl2 import FiniteGL2
+from .padic import factor_prime_power
 
 __all__ = ["DEFAULT_SEED", "Check", "ALL_CAMPAIGNS", "norm_bijection_checks",
            "norm_table_checks", "exact_sequence_checks", "bc_unit_checks",
@@ -102,82 +101,6 @@ def bc_unit_checks(p=2, r=2, j=2, k=1, functions=3):
                          {"p": p, "r": r, "j": j, "k": k, "function": i},
                          True, ok, _witness(fails, ("delta", "left_average",
                                                     "right_average"))))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# 6. character cross-identity
-
-
-def cross_identity_checks(ps=(2, 3), ns=(1, 2)):
-    out = []
-    for p in ps:
-        for n in ns:
-            ctxn = get_context(p, 1, n + 2)
-            fails = []  # (input, closed form, character sum) per failed comparison
-
-            def compare(point, inv, vanishes=False):
-                closed, chars = c_closed(inv, n, p), c_r_char(inv, p, 1, n)
-                if closed != chars or (vanishes and closed != 0):
-                    fails.append((point, closed, chars))
-
-            compare("trace-divisible",
-                    GammaInvariants(1, ExtendedNat(1), None, None, n))
-            # the explicit identity (1+p)(1-p^n) = 1 - p (p^n + p^(n-1) - 1)
-            if (1 + p) * (1 - p**n) != ss_trace_closed(p, 1, n):
-                fails.append(("identity", (1 + p) * (1 - p**n),
-                              ss_trace_closed(p, 1, n)))
-            # ordinary branch, every unit eigenvalue residue (ell = v_p(a - 1))
-            for a in range(1, p**n):
-                if a % p != 0:
-                    compare(f"a = {a}", GammaInvariants(
-                        1, ExtendedNat(0), vp_int(a - 1, p), ctxn.el(a), n))
-            # off-support: v_det != 1, where both sides vanish
-            compare("off-support",
-                    GammaInvariants(2, ExtendedNat(1), None, None, n), True)
-            out.append(Check("c-closed-vs-characters", {"p": p, "n": n}, 0,
-                             len(fails), _witness(fails, ("input", "closed_form",
-                                                          "characters"))))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# 7. Drinfeld decomposition and dual-path traces
-
-
-def drinfeld_checks(pns=((2, 1), (3, 1), (2, 2), (3, 2))):
-    out = []
-    for (p, n) in pns:
-        G = FiniteGL2(p, n)
-        dr = drinfeld_module_character(p, n)
-        acc = ClassFunction(G, [0] * len(G.class_reps))
-        for chi in G.characters():
-            acc = acc + induced_character(G, chi)
-        out.append(Check("drinfeld-decomposition", {"p^n": p**n},
-                         True, acc == dr))
-        # dual-path ss traces across all unit eigenvalue residues
-        fails = []  # (point, character sum, second path) per failed comparison
-        for a in range(1, p**n):
-            if a % p == 0:
-                continue
-            char_path = ss_trace_point("ordinary", p, 1, n, a=a).as_rational()
-            fixed_path = fixed_surjections(p, n, (1, 0, 0, 1), a=a)
-            if char_path != fixed_path:
-                fails.append((f"a = {a}", char_path, fixed_path))
-        ss_char = ss_trace_point("supersingular", p, 1, n).as_rational()
-        if ss_char != ss_trace_closed(p, 1, n):
-            fails.append(("supersingular", ss_char, ss_trace_closed(p, 1, n)))
-        out.append(Check("ss-trace-dual-path", {"p": p, "n": n}, 0, len(fails),
-                         _witness(fails, ("point", "character_sum",
-                                          "second_path"))))
-        # dimension bookkeeping
-        triv = [c for c in G.characters() if c.is_trivial()][0]
-        ind = induced_character(G, triv)
-        st = steinberg_character(p, n)
-        out.append(Check("principal-series-degrees", {"p": p, "n": n},
-                         [p**n + p**(n - 1), p**n + p**(n - 1) - 1],
-                         [int(ind.degree().as_rational()),
-                          int(st.degree().as_rational())]))
     return out
 
 

@@ -1,10 +1,12 @@
-"""The object-path verification batteries, free of numpy.
+"""The verification batteries that load no numpy.
 
 Tower identity, orbital ratios, the tree lemma and Hecke centrality run on
-Galois-ring arithmetic alone (`padic`, `testfunc`, `tree`, `hecke`), so the
-commands that use only these batteries never load the table layers.
-`campaigns` re-exports them next to the table batteries.  Every comparison
-is exact; a failing check carries the two values.
+Galois-ring arithmetic alone (`padic`, `testfunc`, `tree`, `hecke`).  The
+character identities of GL2(Z/p^n) (cross-identity, Drinfeld) run on the
+pure-Python class table of `finitegl2`, which they import when they run, so
+the local-path commands never load it.  None of these loads the numpy table
+layers; `campaigns` re-exports them next to the table batteries.  Every
+comparison is exact; a failing check carries the two values.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Any
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
 from .hecke import _singular, centrality_check, tower_identity_check
-from .padic import (LocalMatrix, _o_det, factor_prime_power, get_context,
-                    k_of)
-from .testfunc import GammaInvariants, c_closed
+from .padic import (ExtendedNat, LocalMatrix, _o_det, factor_prime_power,
+                    get_context, k_of, vp_int)
+from .testfunc import GammaInvariants, c_closed, c_r_char
 from .tree import (enumerate_vertices, fixed_set, orbital_ratio,
                    stabilized_line_count, stabilizes)
 
@@ -146,6 +148,89 @@ def orbital_checks(cases=((2, 1), (2, 2), (3, 1), (3, 2)), per=50,
             reachable.append("ell-below-n")
         out.append(Check("orbital-branch-coverage", {"q": q, "n": n}, True,
                          all(branches[b] > 0 for b in reachable)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# 6. character cross-identity
+
+
+def cross_identity_checks(ps=(2, 3), ns=(1, 2)):
+    from .finitegl2 import ss_trace_closed
+
+    out = []
+    for p in ps:
+        for n in ns:
+            ctxn = get_context(p, 1, n + 2)
+            fails = []  # (input, closed form, character sum) per failed comparison
+
+            def compare(point, inv, vanishes=False):
+                closed, chars = c_closed(inv, n, p), c_r_char(inv, p, 1, n)
+                if closed != chars or (vanishes and closed != 0):
+                    fails.append((point, closed, chars))
+
+            compare("trace-divisible",
+                    GammaInvariants(1, ExtendedNat(1), None, None, n))
+            # the explicit identity (1+p)(1-p^n) = 1 - p (p^n + p^(n-1) - 1)
+            if (1 + p) * (1 - p**n) != ss_trace_closed(p, 1, n):
+                fails.append(("identity", (1 + p) * (1 - p**n),
+                              ss_trace_closed(p, 1, n)))
+            # ordinary branch, every unit eigenvalue residue (ell = v_p(a - 1))
+            for a in range(1, p**n):
+                if a % p != 0:
+                    compare(f"a = {a}", GammaInvariants(
+                        1, ExtendedNat(0), vp_int(a - 1, p), ctxn.el(a), n))
+            # off-support: v_det != 1, where both sides vanish
+            compare("off-support",
+                    GammaInvariants(2, ExtendedNat(1), None, None, n), True)
+            out.append(Check("c-closed-vs-characters", {"p": p, "n": n}, 0,
+                             len(fails), _witness(fails, ("input", "closed_form",
+                                                          "characters"))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# 7. Drinfeld decomposition and dual-path traces
+
+
+def drinfeld_checks(pns=((2, 1), (3, 1), (2, 2), (3, 2))):
+    from .finitegl2 import (ClassFunction, FiniteGL2,
+                            drinfeld_module_character, fixed_surjections,
+                            induced_character, ss_trace_closed,
+                            ss_trace_point, steinberg_character)
+
+    out = []
+    for (p, n) in pns:
+        G = FiniteGL2(p, n)
+        dr = drinfeld_module_character(p, n)
+        acc = ClassFunction(G, [0] * len(G.class_reps))
+        for chi in G.characters():
+            acc = acc + induced_character(G, chi)
+        out.append(Check("drinfeld-decomposition", {"p^n": p**n},
+                         True, acc == dr))
+        # dual-path ss traces across all unit eigenvalue residues
+        fails = []  # (point, character sum, second path) per failed comparison
+        for a in range(1, p**n):
+            if a % p == 0:
+                continue
+            char_path = ss_trace_point("ordinary", p, 1, n, a=a).as_rational()
+            fixed_path = fixed_surjections(p, n, (1, 0, 0, 1), a=a)
+            if char_path != fixed_path:
+                fails.append((f"a = {a}", char_path, fixed_path))
+        ss_char = ss_trace_point("supersingular", p, 1, n).as_rational()
+        if ss_char != ss_trace_closed(p, 1, n):
+            fails.append(("supersingular", ss_char, ss_trace_closed(p, 1, n)))
+        out.append(Check("ss-trace-dual-path", {"p": p, "n": n}, 0, len(fails),
+                         _witness(fails, ("point", "character_sum",
+                                          "second_path"))))
+        # dimension bookkeeping
+        triv = [c for c in G.characters() if c.is_trivial()][0]
+        ind = induced_character(G, triv)
+        st = steinberg_character(p, n)
+        out.append(Check("principal-series-degrees", {"p": p, "n": n},
+                         [p**n + p**(n - 1), p**n + p**(n - 1) - 1],
+                         [int(ind.degree().as_rational()),
+                          int(st.degree().as_rational())]))
     return out
 
 

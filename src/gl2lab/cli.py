@@ -11,7 +11,9 @@ congruence level k with the table layers' own rules (in `padic`) before
 they load them.  So the local-path commands (eval-phi, tree-orbital,
 tree-fixed-set, verify-tower, verify-central, verify-orbital) run without
 numpy, and so does a table command whose prime, level, prime power, point,
-boundary or unit-group input is malformed.
+boundary or unit-group input is malformed.  The character commands
+(char-table, ss-trace, verify-cr) load the pure-Python `finitegl2` and no
+numpy.
 """
 
 from __future__ import annotations
@@ -369,7 +371,7 @@ def _run_command(args) -> int:
 
     if cmd == "verify-cr":
         check_prime_level(args.p, args.n)
-        from .campaigns import cross_identity_checks, drinfeld_checks
+        from .checks import cross_identity_checks, drinfeld_checks
         checks = cross_identity_checks(ps=(args.p,), ns=(args.n,))
         checks += drinfeld_checks(pns=((args.p, args.n),))
         return _verdict("cross-identity", checks,

@@ -620,7 +620,8 @@ def boundary_orbit_report(p: int, r: int, n: int, m: int):
     x0 = _crt(1, p**n, pow(p, r, m), m)
     frob = left_mul(pow(x0, -1, N), 0, 0, 1)
     # a packet is fixed iff its elements keep their packet label
-    fixed_packets = len(np.unique(labels[labels[frob] == labels]))
+    fixed_packets = int(np.count_nonzero(
+        np.bincount(labels[labels[frob] == labels], minlength=packets)))
     return packets, fixed_packets, sizes_ok
 
 

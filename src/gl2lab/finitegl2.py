@@ -1,22 +1,46 @@
-"""Exact character theory of GL2(Z/p^n) on the `gl2group` code arrays (r = 1).
+"""Exact character theory of GL2(Z/p^n) (r = 1), in pure Python.
 
-Conjugacy classes from the shared orbit routine; one table of Borel fixed
-points, from the arrays' matrix products, behind every principal-series
-character; the Steinberg character, the permutation module on surjections
-(Z/p^n)^2 ->> Z/p^n with its commuting unit action, and the semisimple point
-traces built from them.  Values are exact elements of Q(zeta_phi(p^n)).
+Conjugacy classes come from a normal form, with no element enumerated.
+Write g = a0 + p^j B with j maximal and a0 in [0, p^j), B read mod
+p^(n-j).  Then B is not scalar mod p, so B is cyclic and conjugate to its
+companion matrix, and (p^j, a0, tr B, det B mod p^(n-j)) is a complete
+conjugacy invariant; j = n is the scalar a0.  This is the 2x2 case of the
+similarity classes over local rings (Avni-Onn-Prasad-Vaserstein, Comm.
+Algebra 2009).  The keys are listed in closed form: the p^n - p^(n-1)
+scalars, then for each j < n every a0 (a unit if j >= 1, 0 if j = 0) and
+every (t, delta) mod p^(n-j), delta a unit if j = 0.
+
+- Centralizer order.  h commutes with g iff h mod p^(n-j) commutes with B,
+  whose commutant in M2(Z/p^(n-j)) is the free rank-2 algebra Z/p^(n-j)[B];
+  its units are the lifts of the units of F_p[B mod p].  With the p^(4j)
+  elements of the kernel of reduction mod p^(n-j), |C(g)| =
+  p^(2(n-j) + 4j - 2) |F_p[B mod p]^x|, the last factor (p-1)^2, p^2 - 1 or
+  p(p-1) as x^2 - t x + delta has two roots mod p, none, or a double one.
+- Least representative.  The class is a0 + p^j [[u, v], [w, t - u]] over
+  u(t - u) - v w = delta mod p^(n-j) with the bracket not scalar mod p, and
+  the lexicographic order of (a, b, c, d) is the order of (u, v, w).  The
+  companion form [[0, 1], [-delta, t]] has u = 0, so the least u is 0.  Then
+  v = 0 needs delta = 0 and leaves w free up to the non-scalar condition
+  (w = 0 unless p | t, then w = 1); otherwise v = 1 and the linear
+  congruence w = -delta fixes w.
+
+The classes are numbered in the order of their representatives.  One table
+of Borel fixed points, from each representative's p^n + p^(n-1) line
+sections, is behind every principal-series character.  The Steinberg
+character, the permutation module on surjections (Z/p^n)^2 ->> Z/p^n with its
+commuting unit action, and the semisimple point traces (which need only the
+unit group (Z/p^n)^x) are built from them.  Values are exact elements of
+Q(zeta_phi(p^n)).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
-import numpy as np
-
 from .cyclotomic import CyclotomicValue
-from .errors import DomainError
-from .gl2group import _group_and_labels
+from .errors import DomainError, check_cap
 from .padic import (check_point_trace_input, check_prime_level,
                     group_order_gl2)
 
@@ -47,10 +71,40 @@ def _unit_generators(p, n):
     raise AssertionError("no primitive root found")
 
 
+class UnitGroup:
+    """(Z/p^n)^x with fixed generators, the discrete log of every unit
+    against them, and its characters."""
+
+    def __init__(self, p, n):
+        self.mod = p**n
+        self.char_order = phi = _totient_prime_power(p, n)
+        check_cap(phi, "unit group (Z/p^n)^x")
+        self.unit_gens = _unit_generators(p, n)
+        self.unit_dlog = {}
+        for exps in itertools.product(*(range(o) for _, o in self.unit_gens)):
+            u = math.prod(pow(g, a, self.mod)
+                          for (g, _), a in zip(self.unit_gens, exps))
+            self.unit_dlog[u % self.mod] = exps
+        if len(self.unit_dlog) != phi:
+            raise AssertionError(f"unit generators {self.unit_gens} span "
+                                 f"{len(self.unit_dlog)} of {phi} units mod {self.mod}")
+
+    def characters(self):
+        """All characters of (Z/p^n)^x, in the order of their exponents."""
+        return [UnitCharacter(self, exps) for exps in self.unit_dlog.values()]
+
+
+@functools.cache
+def unit_group(p: int, n: int) -> UnitGroup:
+    """(Z/p^n)^x, built once per (p, n)."""
+    check_prime_level(p, n)
+    return UnitGroup(p, n)
+
+
 class UnitCharacter:
     """Character of (Z/p^n)^x given by exponents against fixed generators."""
 
-    def __init__(self, group: "FiniteGL2", exponents):
+    def __init__(self, group: UnitGroup, exponents):
         self.group = group
         self.exponents = tuple(exponents)
 
@@ -72,7 +126,8 @@ class UnitCharacter:
 
 
 class FiniteGL2:
-    """The group GL2(Z/p^n) with its conjugacy classes and unit-group data."""
+    """The group GL2(Z/p^n): its conjugacy classes by normal form, their
+    Borel rows, and the unit-group data of its characters."""
 
     _cache = {}
 
@@ -87,73 +142,138 @@ class FiniteGL2:
     def _build(self, p, n):
         check_prime_level(p, n)
         self.p, self.n, self.mod = p, n, p**n
-        # over Z/p^n a ring code is the residue itself and sigma is trivial
-        _, G, _, labels = _group_and_labels(p, 1, n)
-        if G.order != group_order_gl2(p, n):
-            raise AssertionError(f"GL2(Z/{self.mod}) has {G.order} elements, "
-                                 f"expected {group_order_gl2(p, n)}")
-        # Elements in lexicographic (a, b, c, d) order.  The orbit routine
-        # numbers classes by their least code, which weighs d most; since
-        # conjugation by [[0, 1], [1, 0]] reverses (a, b, c, d), that is
-        # also the order of each class's first element here.
-        lex = np.lexsort(G.comps[::-1])
-        self.elements = list(zip(*(x[lex].tolist() for x in G.comps)))
-        first = np.unique(labels[lex], return_index=True)[1]
-        if np.any(np.diff(first) <= 0):
-            raise AssertionError(f"classes of GL2(Z/{self.mod}) are not "
-                                 "numbered by first element")
-        self._group, self._labels = G, labels
-        self.class_reps = [self.elements[i] for i in first]
-        self.class_sizes = np.bincount(labels).tolist()
-        reps = tuple(np.array(x, dtype=np.int64) for x in zip(*self.class_reps))
-        self._inverse_classes = labels[G.idx(G.minv(reps))].tolist()
-        self.borel_counts = _borel_counts(G, reps)
-        self.order = len(self.elements)
+        self.units = unit_group(p, n)
+        self.unit_gens = self.units.unit_gens
+        self.unit_dlog = self.units.unit_dlog
+        self.char_order = self.units.char_order
+        self.order = group_order_gl2(p, n)
+        check_cap(_class_count(p, n) * (p**n + p**(n - 1)),
+                  "GL2 class table (classes x Borel sections)")
+        table = sorted((_least_rep(p, n, key), key) for key in _class_keys(p, n))
+        self.class_reps = [rep for rep, _ in table]
+        self._class_ids = {key: cid for cid, (_, key) in enumerate(table)}
+        counts = _commutant_unit_counts(p)
+        self.class_sizes = [self.order // _centralizer_order(p, n, key, counts)
+                            for _, key in table]
+        if sum(self.class_sizes) != self.order:
+            raise AssertionError(f"class sizes of GL2(Z/{self.mod}) sum to "
+                                 f"{sum(self.class_sizes)}, not {self.order}")
+        self._inverse_classes = [self.class_of(_inverse(self.mod, rep))
+                                 for rep in self.class_reps]
+        self.borel_counts = [_borel_row(p, n, rep) for rep in self.class_reps]
         self.identity_class = self.class_of((1, 0, 0, 1))
 
-        # unit group bookkeeping for characters
-        self.unit_gens = _unit_generators(p, n)
-        self.char_order = phi = _totient_prime_power(p, n)
-        self.unit_dlog = {}
-        for exps in itertools.product(*(range(o) for _, o in self.unit_gens)):
-            u = math.prod(pow(g, a, self.mod)
-                          for (g, _), a in zip(self.unit_gens, exps))
-            self.unit_dlog[u % self.mod] = exps
-        if len(self.unit_dlog) != phi:
-            raise AssertionError(f"unit generators {self.unit_gens} span "
-                                 f"{len(self.unit_dlog)} of {phi} units mod {self.mod}")
+    @functools.cached_property
+    def elements(self):
+        """Every element, in lexicographic (a, b, c, d) order; listed when
+        first read, under the cap on the p^(4n) matrix codes."""
+        check_cap(self.mod**4, "GL2 matrix-code space")
+        return [m for m in itertools.product(range(self.mod), repeat=4)
+                if (m[0] * m[3] - m[1] * m[2]) % self.p]
 
     def class_of(self, x) -> int:
-        i = self._group.idx(tuple(v % self.mod for v in x))
-        if i < 0:
-            raise DomainError(f"{tuple(x)} is not invertible mod {self.mod}")
-        return int(self._labels[i])
+        return self._class_ids[_class_key(self.p, self.n, x)]
 
     def inverse_class(self, cid: int) -> int:
         return self._inverse_classes[cid]
 
     def characters(self):
         """All characters of (Z/p^n)^x, in the order of their exponents."""
-        return [UnitCharacter(self, exps) for exps in self.unit_dlog.values()]
+        return self.units.characters()
 
 
-def _borel_counts(G, reps):
-    """counts[c, t]: the sections x of the projective line with x^-1 c x in
-    the Borel B (upper triangular) and lower-right entry t, c over reps.
+def _class_count(p, n):
+    """The number of class keys: scalars, then (a0, t, delta) for each j < n."""
+    phi = _totient_prime_power
+    return (phi(p, n) * (1 + p**n)
+            + sum(phi(p, j) * p**(2 * (n - j)) for j in range(1, n)))
 
-    One section per line: (1, 0, y, 1) for y mod p^n and (p y, 1, 1, 0) for
-    y mod p^(n-1).  x^-1 c x lies in B exactly when c fixes the line x e1.
+
+def _class_keys(p, n):
+    """Every class key (p^j, a0, t, delta) in closed form; (p^n, a, 0, 0) is
+    the scalar a."""
+    mod = p**n
+    yield from ((mod, a, 0, 0) for a in range(mod) if a % p)
+    for j in range(n):
+        pj, m = p**j, p**(n - j)
+        for a0 in ([x for x in range(pj) if x % p] if j else [0]):
+            for t, delta in itertools.product(range(m), repeat=2):
+                if j or delta % p:
+                    yield pj, a0, t, delta
+
+
+def _class_key(p, n, x):
+    """The key (p^j, a0, tr B, det B mod p^(n-j)) of x = a0 + p^j B."""
+    mod = p**n
+    a, b, c, d = (v % mod for v in x)
+    if (a * d - b * c) % p == 0:
+        raise DomainError(f"{tuple(x)} is not invertible mod {mod}")
+    pj = math.gcd(b, c, (a - d) % mod, mod)
+    a0 = a % pj
+    if pj == mod:
+        return mod, a0, 0, 0
+    m = mod // pj
+    u, v, w, s = (a - a0) // pj, b // pj, c // pj, (d - a0) // pj
+    return pj, a0, (u + s) % m, (u * s - v * w) % m
+
+
+def _least_rep(p, n, key):
+    """The lexicographically least element of the class (module docstring)."""
+    pj, a0, t, delta = key
+    if pj == p**n:
+        return a0, 0, 0, a0
+    if delta:
+        v, w = 1, -delta % (p**n // pj)
+    else:
+        v, w = 0, (0 if t % p else 1)
+    return a0, pj * v, pj * w, a0 + pj * t
+
+
+def _commutant_unit_counts(p):
+    """|F_p[B]^x| for B of trace t and determinant delta mod p, keyed by
+    (t, delta): the roots of x^2 - t x + delta in F_p decide the algebra."""
+    units = {2: (p - 1)**2, 0: p * p - 1, 1: p * (p - 1)}
+    return {(t, delta): units[sum((x * x - t * x + delta) % p == 0
+                                  for x in range(p))]
+            for t in range(p) for delta in range(p)}
+
+
+def _centralizer_order(p, n, key, units):
+    """|C(g)| for the class key of g (module docstring); `units` is
+    `_commutant_unit_counts(p)`."""
+    pj, _, t, delta = key
+    m = p**n // pj
+    if m == 1:
+        return group_order_gl2(p, n)
+    return pj**4 * m**2 // p**2 * units[t % p, delta % p]
+
+
+def _inverse(mod, x):
+    """Inverse of an invertible matrix (a, b, c, d) over Z/mod."""
+    di = pow((x[0] * x[3] - x[1] * x[2]) % mod, -1, mod)
+    return ((x[3] * di) % mod, (-x[1] * di) % mod,
+            (-x[2] * di) % mod, (x[0] * di) % mod)
+
+
+def _borel_row(p, n, g):
+    """row[t]: the sections x of the projective line with x^-1 g x in the
+    Borel B (upper triangular) and lower-right entry t.
+
+    One section per line: (1, 0, y, 1) for y mod p^n and (s, 1, 1, 0) for s
+    in p Z/p^n.  x^-1 g x lies in B exactly when g fixes the line x e1; its
+    lower-left and lower-right entries are c + (d - a) y - b y^2 and d - b y
+    for the first kind, b + (a - d) s - c s^2 and a - c s for the second.
     """
-    mod, p = G.t.Q, G.t.p
-    y, w = np.arange(mod), np.arange(mod // p)
-    one, zero = np.ones_like, np.zeros_like
-    x = tuple(np.concatenate(halves)[None, :] for halves in
-              ((one(y), p * w), (zero(y), one(w)), (y, one(w)), (one(y), zero(w))))
-    z = G.matmul(G.minv(x), G.matmul(tuple(c[:, None] for c in reps), x))
-    cls, sec = np.nonzero(z[2] == 0)
-    counts = np.zeros((len(reps[0]), mod), dtype=np.int64)
-    np.add.at(counts, (cls, z[3][cls, sec]), 1)
-    return counts
+    mod = p**n
+    a, b, c, d = g
+    row = [0] * mod
+    for y in range(mod):
+        if (c + (d - a) * y - b * y * y) % mod == 0:
+            row[(d - b * y) % mod] += 1
+    for s in range(0, mod, p):
+        if (b + (a - d) * s - c * s * s) % mod == 0:
+            row[(a - c * s) % mod] += 1
+    return row
 
 
 class ClassFunction:
@@ -208,10 +328,15 @@ def induced_character(G: FiniteGL2, chi: UnitCharacter) -> ClassFunction:
     reduced vector, so the value is the same however it is summed.
     """
     M = G.char_order
-    sums = np.zeros((len(G.class_reps), M), dtype=np.int64)
-    for t in G.unit_dlog:
-        sums[:, chi.exponent(t)] += G.borel_counts[:, t]
-    return ClassFunction(G, [CyclotomicValue(M, row) for row in sums.tolist()])
+    check_cap(len(G.class_reps) * M, "induced character sums")
+    exponents = [(t, chi.exponent(t)) for t in G.unit_dlog]
+    values = []
+    for row in G.borel_counts:
+        sums = [0] * M
+        for t, e in exponents:
+            sums[e] += row[t]
+        values.append(CyclotomicValue(M, sums))
+    return ClassFunction(G, values)
 
 
 def steinberg_character(p: int, n: int) -> ClassFunction:
@@ -224,6 +349,7 @@ def steinberg_character(p: int, n: int) -> ClassFunction:
 def surjections(p: int, n: int):
     """Row vectors (u, v) mod p^n that generate Z/p^n."""
     mod = p**n
+    check_cap(mod * mod, "row vectors mod p^n")
     return [(u, v) for u in range(mod) for v in range(mod)
             if u % p != 0 or v % p != 0]
 
@@ -243,6 +369,7 @@ def fixed_surjections(p: int, n: int, g, a: int = 1) -> int:
 def drinfeld_module_character(p: int, n: int) -> ClassFunction:
     """Permutation character of GL2(Z/p^n) on surjections (Z/p^n)^2 ->> Z/p^n."""
     G = FiniteGL2(p, n)
+    check_cap(len(G.class_reps) * p**(2 * n), "Drinfeld module character")
     return ClassFunction(G, [fixed_surjections(p, n, c) for c in G.class_reps])
 
 
@@ -258,20 +385,23 @@ def ss_trace_point(kind: str, p: int, r: int, n: int,
 
     e_Gamma(p^n) is normalized so that tr(e | pi) = dim pi for every level-n
     representation pi, matching a point mass of Haar mass 1 at the identity
-    coset.  So only the identity row of the Borel counts is read:
+    coset.  So only the identity's Borel row is read, from its sections,
+    with the unit group and no class table:
 
     ordinary:      sum_chi deg Ind(1 x chi) chi(a)^-1
     supersingular: 1 - p^r deg St = 1 - p^r (deg Ind(1) - 1)
     """
     check_point_trace_input(p, r, kind, a)
-    G = FiniteGL2(p, n)
-    M, row = G.char_order, G.borel_counts[G.identity_class]
+    units = unit_group(p, n)
+    check_cap(p**n + p**(n - 1), "Borel sections")
+    M, row = units.char_order, _borel_row(p, n, (1, 0, 0, 1))
     if kind == "supersingular":
-        return CyclotomicValue.rational(M, 1 - p**r * (int(row.sum()) - 1))
-    a_inv = pow(a, -1, G.mod)
+        return CyclotomicValue.rational(M, 1 - p**r * (sum(row) - 1))
+    a_inv = pow(a, -1, units.mod)
+    fixed = [(t, count) for t, count in enumerate(row) if count]
     buckets = [0] * M
-    for chi in G.characters():
+    for chi in units.characters():
         shift = chi.exponent(a_inv)
-        for t in G.unit_dlog:
-            buckets[(chi.exponent(t) + shift) % M] += int(row[t])
+        for t, count in fixed:
+            buckets[(chi.exponent(t) + shift) % M] += count
     return CyclotomicValue(M, buckets)

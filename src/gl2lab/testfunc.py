@@ -18,8 +18,9 @@ from typing import Optional
 
 from .cyclotomic import CyclotomicValue
 from .errors import DomainError, PrecisionExhausted
-from .padic import (ExtendedNat, GaloisRingElement, LocalMatrix, ell_min,
-                    ell_of, k_of, unit_eigenvalue)
+from .padic import (ExtendedNat, GaloisRingElement, LocalMatrix,
+                    check_prime_level, ell_min, ell_of, k_of,
+                    unit_eigenvalue)
 from .ratfunc import RationalFunctionT
 
 OFF_SUPPORT = "off-support"
@@ -181,12 +182,11 @@ def c_r_char(inv: GammaInvariants, p: int, r: int, n: int) -> CyclotomicValue:
     Vanishes unless v_p(det) = r and the trace is integral (integrality is
     part of the invariants record).
     """
-    from .finitegl2 import FiniteGL2, ss_trace_point
-
-    G = FiniteGL2(p, n)
-    zero = CyclotomicValue.rational(G.char_order, 0)
+    check_prime_level(p, n)
     if inv.v_det != r:
-        return zero
+        return CyclotomicValue.rational(p**(n - 1) * (p - 1), 0)
+    from .finitegl2 import ss_trace_point
+
     if inv.v_tr >= 1:
         return ss_trace_point("supersingular", p, r, n)
     if inv.t2_residue is None:

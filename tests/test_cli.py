@@ -136,7 +136,7 @@ def test_group_cap_comes_before_the_ring_tables(capsys, monkeypatch, argv):
     monkeypatch.setenv("GL2LAB_MAX_ELEMS", "1000")
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "GL2 matrix-code space needs" in err and "Traceback" not in err
+    assert "unit group (Z/p^n)^x needs" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [
@@ -667,15 +667,15 @@ def test_report_all_and_oneshot_counts_lie_under_the_sample_caps(monkeypatch):
 
 
 def test_failed_cross_identity_row_keeps_its_witness(capsys, monkeypatch):
-    from gl2lab import campaigns
+    from gl2lab import checks
 
     argv = ["verify-cr", "--p", "3", "--n", "1"]
     code, out = run(capsys, *argv)
     assert code == 0 and not any("witness" in row
                                  for row in json.loads(out)["checks"])
-    real = campaigns.c_r_char
+    real = checks.c_r_char
     # one more on the ordinary branch, at a = 1 and a = 2
-    monkeypatch.setattr(campaigns, "c_r_char", lambda inv, p, r, n: (
+    monkeypatch.setattr(checks, "c_r_char", lambda inv, p, r, n: (
         real(inv, p, r, n) + (inv.t2_residue is not None)))
     code, out = run(capsys, *argv)
     assert code == 1
@@ -689,11 +689,12 @@ def test_failed_cross_identity_row_keeps_its_witness(capsys, monkeypatch):
 
 
 def test_failed_dual_path_row_keeps_its_witness(capsys, monkeypatch):
-    from gl2lab import campaigns
+    from gl2lab import finitegl2
 
     argv = ["verify-cr", "--p", "3", "--n", "1"]
-    real = campaigns.fixed_surjections
-    monkeypatch.setattr(campaigns, "fixed_surjections", lambda p, n, g, a=1: (
+    real = finitegl2.fixed_surjections
+    # the battery imports fixed_surjections from finitegl2 when it runs
+    monkeypatch.setattr(finitegl2, "fixed_surjections", lambda p, n, g, a=1: (
         real(p, n, g, a=a) + (a == 2)))
     code, out = run(capsys, *argv)
     assert code == 1
@@ -776,6 +777,37 @@ def test_verify_cr_reads_one_borel_row_past_the_default_cap(capsys,
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "2acebb7b7e8ecd7714d6fd235db97362cc5bbddfd26786918a347bf7e2610fd9")
+
+
+# digests taken from the materialized-group class table, with the cap raised
+# past the p^(4n) codes it listed
+@pytest.mark.parametrize("p,n,digest", [
+    (5, 2, "303a8c67f620ff586a49df52e61781ff21d9cea06b3cb136c0606c61387d3591"),
+    (3, 3, "937df11a036291fc7093858f5959c7cd9f1baeca8a475d69c0471e4c1ee9feb7"),
+    (2, 5, "ccb36469cdf2d785af5503f8cc1d61aa39f3f45932a52606750b657685113cd2"),
+])
+def test_char_table_runs_past_the_code_space_cap(capsys, monkeypatch, p, n,
+                                                 digest):
+    import hashlib
+
+    from gl2lab.padic import group_order_gl2
+
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    code, out = run(capsys, "char-table", "--p", str(p), "--n", str(n))
+    assert code == 0 and p**(4 * n) > 200_000
+    table = json.loads(out)
+    assert (sum(c["size"] for c in table["classes"]) == table["group_order"]
+            == group_order_gl2(p, n))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_census_point_traces_need_no_class_table(capsys, monkeypatch):
+    # 13^8 codes of GL2(Z/169); the point traces read the unit group only
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    code, out = run(capsys, "census", "--q", "13", "--m", "3", "--n", "2")
+    assert code == 0
+    rep = json.loads(out.strip().split("\n")[-1])
+    assert rep["n"] == 2 and rep["per_class"]
 
 
 @pytest.mark.parametrize("argv", [

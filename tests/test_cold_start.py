@@ -1,4 +1,5 @@
-"""The local-path commands and malformed table input load no table layer.
+"""The local-path commands and malformed table input load no table layer,
+and the character commands load no numpy.
 
 Each command runs in a fresh interpreter, as from the console script, and
 reports which of the numpy-backed modules it left loaded.  No bytecode is
@@ -88,6 +89,22 @@ def test_malformed_point_or_level_exits_before_numpy(argv):
 def test_a_table_command_still_loads_its_layer():
     rep = _run(["char-table", "--p", "2", "--n", "1"])
     assert rep["code"] == 0 and "gl2lab.finitegl2" in rep["loaded"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["char-table", "--p", "2", "--n", "2"],
+    ["ss-trace", "--p", "3", "--n", "2", "--kind", "supersingular"],
+    ["verify-cr", "--p", "3", "--n", "1"],
+], ids=" ".join)
+def test_character_command_loads_no_numpy(argv):
+    # the class table of GL2(Z/p^n) is a normal form in pure Python
+    assert _run(argv) == {"code": 0, "loaded": ["gl2lab.finitegl2"]}
+
+
+def test_boundary_enumeration_leaves_numpy_ma_unloaded():
+    argv = ["boundary", "--p", "7", "--n", "1", "--m", "3", "--enumerate"]
+    rep = _fresh(RUN.format(argv=argv, modules=("numpy", "numpy.ma")))
+    assert rep == {"code": 0, "loaded": ["numpy"]}
 
 
 TRACED = """

@@ -16,7 +16,8 @@ from gl2lab.finitegl2 import (ClassFunction, FiniteGL2, _unit_generators,
                               induced_character, ss_trace_point,
                               steinberg_character, surjections,
                               trivial_character)
-from gl2lab.gl2group import MatGroup, RingTables
+from gl2lab.gl2group import MatGroup, RingTables, _group_and_labels
+from gl2lab.padic import group_order_gl2
 
 
 def _mul(mod, x, y):
@@ -185,12 +186,12 @@ BOREL_CASES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1), (7, 1)]
 @pytest.mark.parametrize("p,n", BOREL_CASES)
 def test_borel_counts_match_conjugation(p, n):
     G = FiniteGL2(p, n)
-    expect = np.zeros((len(G.class_reps), G.mod), dtype=np.int64)
+    expect = [[0] * G.mod for _ in G.class_reps]
     for cid, c in enumerate(G.class_reps):
         for t in _fixed_line_entries(G, c):
-            expect[cid, t] += 1
-    assert np.array_equal(G.borel_counts, expect)
-    assert (G.borel_counts.sum(axis=1)[G.identity_class]
+            expect[cid][t] += 1
+    assert G.borel_counts == expect
+    assert (sum(G.borel_counts[G.identity_class])
             == p**n + p**(n - 1))
 
 
@@ -260,6 +261,57 @@ def test_character_exponent_is_reduced_and_multiplicative(p, n):
             assert 0 <= e < M and chi(u) == CyclotomicValue.zeta(M, e)
             for v in units[:5]:
                 assert chi.exponent(u * v) == (e + chi.exponent(v)) % M
+
+
+# ---------------------------------------------------------------------------
+# the normal-form class table against the materialized group's orbits
+
+
+def _borel_counts_by_matmul(G, reps):
+    """counts[c, t] over the classes' reps, from products of code arrays:
+    the sections (1, 0, y, 1) and (p y, 1, 1, 0) whose conjugate x^-1 c x is
+    upper triangular, bucketed by its lower-right entry t."""
+    mod, p = G.t.Q, G.t.p
+    y, w = np.arange(mod), np.arange(mod // p)
+    one, zero = np.ones_like, np.zeros_like
+    x = tuple(np.concatenate(halves)[None, :] for halves in
+              ((one(y), p * w), (zero(y), one(w)), (y, one(w)), (one(y), zero(w))))
+    z = G.matmul(G.minv(x), G.matmul(tuple(c[:, None] for c in reps), x))
+    cls, sec = np.nonzero(z[2] == 0)
+    counts = np.zeros((len(reps[0]), mod), dtype=np.int64)
+    np.add.at(counts, (cls, z[3][cls, sec]), 1)
+    return counts
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (3, 2), (2, 3), (2, 4)])
+def test_normal_form_table_matches_the_orbit_labels(p, n):
+    G = FiniteGL2(p, n)
+    _, M, count, labels = _group_and_labels(p, 1, n)
+    # each orbit's lexicographically least element, in label order
+    lex = np.lexsort(M.comps[::-1])
+    first = lex[np.unique(labels[lex], return_index=True)[1]]
+    reps = [tuple(int(x[i]) for x in M.comps) for i in first]
+    assert G.class_reps == reps and len(reps) == count
+    assert G.class_sizes == np.bincount(labels).tolist()
+    elements = zip(*(x.tolist() for x in M.comps))
+    assert [G.class_of(x) for x in elements] == labels.tolist()
+    codes = tuple(x[first] for x in M.comps)
+    assert ([G.inverse_class(c) for c in range(count)]
+            == labels[M.idx(M.minv(codes))].tolist())
+    assert G.borel_counts == _borel_counts_by_matmul(M, codes).tolist()
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (2, 5), (7, 2)])
+def test_class_table_past_the_code_space_cap(monkeypatch, p, n):
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    G = FiniteGL2(p, n)
+    assert p**(4 * n) > 200_000
+    assert sum(G.class_sizes) == G.order == group_order_gl2(p, n)
+    assert sum(G.borel_counts[G.identity_class]) == p**n + p**(n - 1)
+    assert "elements" not in vars(G)     # nothing listed the group
+    with pytest.raises(ResourceLimit):
+        G.elements
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +499,13 @@ def test_finite_commands_do_not_import_scipy():
 
 
 def test_finite_gl2_respects_the_cap(monkeypatch):
-    # the group is built on MatGroup's (p^n)^4 code space, which is capped
+    # the class table reads p^n + p^(n-1) Borel sections for each of its
+    # classes, 78 x 12 at (3, 2), and that product is capped
     monkeypatch.setattr(FiniteGL2, "_cache", {})
-    monkeypatch.setattr(MatGroup, "_cache", {})
-    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**8 - 1))
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(78 * 12 - 1))
     with pytest.raises(ResourceLimit):
         FiniteGL2(3, 2)
-    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(3**8))
+    monkeypatch.setenv("GL2LAB_MAX_ELEMS", str(78 * 12))
     assert FiniteGL2(3, 2).order == 3888
 
 

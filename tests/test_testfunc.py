@@ -169,3 +169,18 @@ def test_branch_labels():
     for rows, e, expect in cases:
         g = LocalMatrix.from_integers(ctx, rows, e=e)
         assert phi_branch(g, 2)[0] == expect
+
+
+def test_c_r_char_off_its_support_builds_nothing(monkeypatch):
+    # v_p(det) = 2 against r = 1: zero, before any group is built, even
+    # where GL2(Z/27) has 3^12 codes, past the default cap
+    from gl2lab import finitegl2
+
+    def no_trace(*args, **kwargs):
+        pytest.fail("c_r_char traced a point off its support")
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    monkeypatch.setattr(finitegl2, "ss_trace_point", no_trace)
+    inv = GammaInvariants(2, ExtendedNat(1), None, None, 3)
+    assert c_r_char(inv, 3, 1, 3) == 0
+    with pytest.raises(DomainError):
+        c_r_char(inv, 4, 1, 3)
