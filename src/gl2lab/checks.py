@@ -146,8 +146,10 @@ def orbital_checks(cases=((2, 1), (2, 2), (3, 1), (3, 2)), per=50,
         reachable = ["trace-divisible", "ell-at-least-n"]
         if q != 2 or n >= 2:
             reachable.append("ell-below-n")
+        unreached = [b for b in reachable if not branches[b]]
         out.append(Check("orbital-branch-coverage", {"q": q, "n": n}, True,
-                         all(branches[b] > 0 for b in reachable)))
+                         not unreached,
+                         {"unreached": unreached, "branches": branches}))
     return out
 
 
@@ -194,20 +196,22 @@ def cross_identity_checks(ps=(2, 3), ns=(1, 2)):
 
 
 def drinfeld_checks(pns=((2, 1), (3, 1), (2, 2), (3, 2))):
-    from .finitegl2 import (ClassFunction, FiniteGL2,
-                            drinfeld_module_character, fixed_surjections,
-                            induced_character, ss_trace_closed,
-                            ss_trace_point, steinberg_character)
+    from .finitegl2 import (FiniteGL2, fixed_surjections, induced_character,
+                            ss_trace_closed, ss_trace_point,
+                            steinberg_character)
 
     out = []
     for (p, n) in pns:
         G = FiniteGL2(p, n)
-        dr = drinfeld_module_character(p, n)
-        acc = ClassFunction(G, [0] * len(G.class_reps))
-        for chi in G.characters():
-            acc = acc + induced_character(G, chi)
+        # sum_chi Ind(1 x chi)(c) = phi(p^n) borel_counts[c][1], by
+        # orthogonality on (Z/p^n)^x: one integer comparison per class
+        counts = ((rep, fixed_surjections(p, n, rep), G.char_order * borel[1])
+                  for rep, borel in zip(G.class_reps, G.borel_counts))
+        fails = [c for c in counts if c[1] != c[2]]
         out.append(Check("drinfeld-decomposition", {"p^n": p**n},
-                         True, acc == dr))
+                         True, not fails,
+                         _witness(fails, ("representative", "surjections",
+                                          "phi_borel"))))
         # dual-path ss traces across all unit eigenvalue residues
         fails = []  # (point, character sum, second path) per failed comparison
         for a in range(1, p**n):

@@ -507,6 +507,29 @@ def test_failed_orbital_row_keeps_its_witness(capsys, monkeypatch):
     assert int(wit["closed_form"]) == int(wit["ratio"]) + 1
 
 
+def test_failed_branch_coverage_row_names_the_unreached_branch(capsys,
+                                                               monkeypatch):
+    from gl2lab import checks
+
+    argv = ["verify-orbital", "--q", "3", "--n", "1", "--samples", "10"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and "witness" not in _rows(out)["orbital-branch-coverage"]
+    real = checks._orbital_sample
+    # the sample without its trace-divisible points
+    monkeypatch.setattr(checks, "_orbital_sample", lambda ctx, n, per, seed: [
+        g for g in real(ctx, n, per, seed) if not g.trace_val_ge(1)])
+    code, out = run(capsys, *argv)
+    assert code == 1
+    rows = _rows(out)
+    row = rows["orbital-branch-coverage"]
+    assert not row["pass"] and row["actual"] is False
+    branches = rows["orbital-ratio-closed-form"]["inputs"]["branches"]
+    assert branches["trace-divisible"] == 0
+    assert row["witness"] == {"unreached": ["trace-divisible"],
+                              "branches": branches}
+    assert rows["orbital-ratio-closed-form"]["pass"]
+
+
 TREE_ARGV = ["tree-fixed-set", "--p", "2", "--verify", "--probes", "5"]
 
 
@@ -707,6 +730,30 @@ def test_failed_dual_path_row_keeps_its_witness(capsys, monkeypatch):
     assert "witness" not in rows["c-closed-vs-characters"]
 
 
+def test_failed_drinfeld_row_names_its_class(capsys, monkeypatch):
+    from gl2lab import finitegl2
+
+    argv = ["verify-cr", "--p", "3", "--n", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and "witness" not in _rows(out)["drinfeld-decomposition"]
+    G = finitegl2.FiniteGL2(3, 1)
+    bad = G.class_reps[-1]
+    induced = G.char_order * G.borel_counts[len(G.class_reps) - 1][1]
+    real = finitegl2.fixed_surjections
+    # the battery imports fixed_surjections from finitegl2 when it runs
+    monkeypatch.setattr(finitegl2, "fixed_surjections", lambda p, n, g, a=1: (
+        real(p, n, g, a=a) + (tuple(g) == bad)))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    rows = _rows(out)
+    row = rows["drinfeld-decomposition"]
+    assert not row["pass"] and row["actual"] is False
+    assert row["witness"] == {"representative": str(bad),
+                              "surjections": str(induced + 1),
+                              "phi_borel": str(induced)}
+    assert rows["ss-trace-dual-path"]["pass"]
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["report-all"],
      "11ec09e0f1cd27522ede9542b5c7047a353d9f2ca62c8b30ab037afda438abda"),
@@ -777,6 +824,23 @@ def test_verify_cr_reads_one_borel_row_past_the_default_cap(capsys,
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "2acebb7b7e8ecd7714d6fd235db97362cc5bbddfd26786918a347bf7e2610fd9")
+
+
+# digests taken with GL2LAB_MAX_ELEMS=2000000 from the Drinfeld character
+# that looped over the p^(2n) row vectors for every class
+@pytest.mark.parametrize("p,n,digest", [
+    (5, 2, "cbb2cec62b30da3b1b0b2af847e5dfeeb31977ad4367047f32ef315a731f2205"),
+    (3, 3, "2acebb7b7e8ecd7714d6fd235db97362cc5bbddfd26786918a347bf7e2610fd9"),
+    (2, 5, "ccc0b8060bf6c3a960b945b4a12ac1bae34a7e292ae300e4809b0125ac883979"),
+])
+def test_verify_cr_runs_under_the_default_cap(capsys, monkeypatch, p, n,
+                                              digest):
+    import hashlib
+
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    code, out = run(capsys, "verify-cr", "--p", str(p), "--n", str(n))
+    assert code == 0 and p**(4 * n) > 200_000
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # digests taken from the materialized-group class table, with the cap raised

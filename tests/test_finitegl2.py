@@ -11,11 +11,10 @@ import pytest
 
 from gl2lab.cyclotomic import CyclotomicValue
 from gl2lab.errors import DomainError, ResourceLimit
-from gl2lab.finitegl2 import (ClassFunction, FiniteGL2, _unit_generators,
+from gl2lab.finitegl2 import (FiniteGL2, _unit_generators,
                               drinfeld_module_character, fixed_surjections,
                               induced_character, ss_trace_point,
-                              steinberg_character, surjections,
-                              trivial_character)
+                              steinberg_character, trivial_character)
 from gl2lab.gl2group import MatGroup, RingTables, _group_and_labels
 from gl2lab.padic import group_order_gl2
 
@@ -97,24 +96,95 @@ def test_character_orthogonality_facts():
     assert triv.inner(ind_nt).is_zero()
 
 
+def _cyclotomic_sum(G):
+    """sum_chi Ind(1 x chi) over the characters chi of (Z/p^n)^x, class by
+    class, as a list of values."""
+    inds = [induced_character(G, chi) for chi in G.characters()]
+    zero = CyclotomicValue.rational(G.char_order, 0)
+    return [sum((ind.values[cid] for ind in inds), zero)
+            for cid in range(len(G.class_reps))]
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
 def test_drinfeld_decomposition(p, n):
     # (2, 3) exercises the non-cyclic unit group, indexed by <-1, 5>
     G = FiniteGL2(p, n)
     dr = drinfeld_module_character(p, n)
     assert dr.degree().as_rational() == p**(2 * n) - p**(2 * n - 2)
-    acc = ClassFunction(G, [0] * len(G.class_reps))
-    for chi in G.characters():
-        acc = acc + induced_character(G, chi)
-    assert acc == dr
+    acc = _cyclotomic_sum(G)
+    assert acc == dr.values
+
+
+def _surjections(p, n):
+    """Row vectors (u, v) mod p^n that generate Z/p^n."""
+    mod = p**n
+    return [(u, v) for u in range(mod) for v in range(mod)
+            if u % p != 0 or v % p != 0]
+
+
+def _fixed_surjections_by_loop(p, n, g, a=1):
+    """#{s : a^-1 (s g) = s}, by a loop over the p^(2n) row vectors."""
+    mod = p**n
+    count = 0
+    for (u, v) in _surjections(p, n):
+        su = (u * g[0] + v * g[2]) % mod
+        sv = (u * g[1] + v * g[3]) % mod
+        if su == (a * u) % mod and sv == (a * v) % mod:
+            count += 1
+    return count
 
 
 def test_surjection_counts():
-    assert len(surjections(2, 1)) == 3
-    assert len(surjections(2, 2)) == 12
+    assert len(_surjections(2, 1)) == 3
+    assert len(_surjections(2, 2)) == 12
     G = FiniteGL2(2, 1)
     dr = drinfeld_module_character(2, 1)
-    assert dr == induced_character(G, _trivial_chi(G))  # single character
+    # single character
+    assert dr.values == induced_character(G, _trivial_chi(G)).values
+
+
+ORACLE_CASES = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("p,n", ORACLE_CASES)
+def test_fixed_surjections_match_the_loop(p, n):
+    G = FiniteGL2(p, n)
+    for rep in G.class_reps:
+        for a in G.unit_dlog:
+            assert (fixed_surjections(p, n, rep, a=a)
+                    == _fixed_surjections_by_loop(p, n, rep, a=a)), (rep, a)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1)])
+def test_fixed_surjections_read_the_integer_matrix(p, n):
+    # unreduced and negative entries, a zero matrix g - a, and g - a with a
+    # zero determinant or with elementary divisors past p^n
+    mod = p**n
+    for g, a in (((1 + mod, 0, 0, 1 - mod), 1), ((1, 0, 0, 1), 1 + mod),
+                 ((-1, p, 0, -1), -1), ((1, mod * p, 0, 1), 1),
+                 ((1, 1, 0, 1), 1 - mod), ((2 + mod, -mod, mod, 2), 2)):
+        reduced = tuple(x % mod for x in g)
+        assert (fixed_surjections(p, n, g, a=a)
+                == _fixed_surjections_by_loop(p, n, reduced, a=a % mod)), (g, a)
+
+
+def test_fixed_surjections_need_a_prime_and_a_positive_level():
+    # the elementary divisors are read over Z_(p): p prime, and n >= 1 for
+    # the kernel mod p^(n-1)
+    for p, n in ((2, 0), (4, 1), (6, 2), (1, 1)):
+        with pytest.raises(DomainError):
+            fixed_surjections(p, n, (1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("p,n", ORACLE_CASES)
+def test_drinfeld_identity_on_integers_matches_the_cyclotomic_sum(p, n):
+    # sum_chi Ind(1 x chi)(c) = phi(p^n) borel_counts[c][1] by orthogonality
+    G = FiniteGL2(p, n)
+    acc = _cyclotomic_sum(G)
+    for cid, rep in enumerate(G.class_reps):
+        induced = G.char_order * G.borel_counts[cid][1]
+        assert acc[cid] == CyclotomicValue.rational(G.char_order, induced)
+        assert fixed_surjections(p, n, rep) == induced, rep
 
 
 def test_fixed_surjections_unit_action():
@@ -161,7 +231,7 @@ def test_dual_path_on_class_reps():
         G = FiniteGL2(p, n)
         dr = drinfeld_module_character(p, n)
         for cid, rep in enumerate(G.class_reps):
-            direct = fixed_surjections(p, n, rep)
+            direct = _fixed_surjections_by_loop(p, n, rep)
             assert dr.values[cid].as_rational() == direct
 
 

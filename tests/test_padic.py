@@ -10,8 +10,8 @@ from gl2lab.padic import (INF, ExtendedNat, GaloisRingElement, LocalMatrix,
                           _o_det, _o_inverse, _o_mul, _o_scale,
                           _scaled_tr_det, _tr_det, _vp_gcd, context_for_level,
                           ell_min, ell_of, frobenius, get_context, k_of,
-                          norm_map, sigma_conjugate, smallest_irreducible,
-                          unit_eigenvalue, vp_int)
+                          norm_map, scaled_val_ge, sigma_conjugate,
+                          smallest_irreducible, unit_eigenvalue, vp_int)
 from gl2lab.poly import mul
 
 
@@ -637,6 +637,20 @@ def test_tuple_kernel_raises_where_the_element_path_did():
     x2 = LocalMatrix(ctx, 0, (three, zero, zero, three), prec=2)
     assert _outcome(LocalMatrix.__matmul__, x2, y) == (1, 1, None, (
         (1, 0), (0, 0), (0, 0), (1, 0)))
+
+
+def test_trace_predicate_past_its_digits_raises():
+    # v(tr) >= k needs k - shift digits; two certified ones cannot give three
+    with pytest.raises(PrecisionExhausted):
+        scaled_val_ge((0,), 0, 3, 2, prec=2)
+    assert scaled_val_ge((0,), 0, 2, 2, prec=2)
+    assert scaled_val_ge((0,), 1, 3, 2, prec=2)
+    # tr = 1 + 63 = 0 mod 2^6, but only mod 2^2 is certified
+    ctx = get_context(2, 1, 6)
+    g = LocalMatrix(ctx, 0, ((1,), (0,), (0,), (63,)), prec=2)
+    assert g.trace_val_ge(2)
+    with pytest.raises(PrecisionExhausted):
+        g.trace_val_ge(3)
 
 
 def test_textual_encodings_roundtrip():
