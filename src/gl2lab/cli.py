@@ -285,25 +285,23 @@ def _run_command(args) -> int:
 
     if cmd == "char-table":
         check_prime_level(args.p, args.n)
-        from .finitegl2 import (FiniteGL2, induced_character,
-                                steinberg_character)
+        from .finitegl2 import FiniteGL2
         G = FiniteGL2(args.p, args.n)
-        st = steinberg_character(args.p, args.n)
+        # St(c) = Ind(1)(c) - 1 counts the lines c fixes, less one; every
+        # Ind(1 x chi) has the degree of Ind(1), the lines the identity fixes
+        lines = sum(G.borel_counts[G.identity_class])
         table = {
             "campaign": "char-table",
             "p": args.p, "n": args.n,
             "group_order": G.order,
             "classes": [
                 {"rep": list(rep), "size": size,
-                 "steinberg": repr(st.values[cid])}
-                for cid, (rep, size) in
-                enumerate(zip(G.class_reps, G.class_sizes))
+                 "steinberg": str(sum(row) - 1)}
+                for rep, size, row in
+                zip(G.class_reps, G.class_sizes, G.borel_counts)
             ],
-            "characters": [
-                {"chi": repr(chi),
-                 "degree": repr(induced_character(G, chi).degree())}
-                for chi in G.characters()
-            ],
+            "characters": [{"chi": repr(chi), "degree": str(lines)}
+                           for chi in G.characters()],
         }
         _emit(table, args.out)
         return 0
@@ -315,7 +313,7 @@ def _run_command(args) -> int:
         val = ss_trace_point(args.kind, args.p, args.r, args.n, a=args.a)
         _emit({"campaign": "ss-trace", "kind": args.kind,
                "p": args.p, "r": args.r, "n": args.n, "a": args.a,
-               "value": repr(val)}, args.out)
+               "value": str(val)}, args.out)
         return 0
 
     if cmd == "verify-norm":

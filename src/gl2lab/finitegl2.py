@@ -29,9 +29,15 @@ of Borel fixed points, from each representative's p^n + p^(n-1) line
 sections, is behind every principal-series character, the Steinberg
 character and the semisimple point traces (which need only the unit group
 (Z/p^n)^x).  The fixed surjections (Z/p^n)^2 ->> Z/p^n come from the
-elementary divisors of g - a; summed over the unit characters chi,
-Ind(1 x chi)(c) = phi(p^n) borel_counts[c][1] by orthogonality.  Values are
-exact elements of Q(zeta_phi(p^n)).
+elementary divisors of g - a.
+
+Ind(1 x chi)(c) = sum_t borel_counts[c][t] chi(t), so by orthogonality on
+(Z/p^n)^x, sum_chi Ind(1 x chi)(c) chi(a)^-1 = phi(p^n) borel_counts[c][a].
+Every such sum the lab takes, the point traces and the Drinfeld
+decomposition, is therefore an integer read off a Borel row, and so are
+the degrees and St(c) = sum_t borel_counts[c][t] - 1.  The class functions
+below, with values in Q(zeta_phi(p^n)), are the reference those integers
+are tested against.
 """
 
 from __future__ import annotations
@@ -372,29 +378,24 @@ def ss_trace_closed(p: int, r: int, n: int) -> int:
     return 1 - p**r * (p**n + p**(n - 1) - 1)
 
 
-def ss_trace_point(kind: str, p: int, r: int, n: int,
-                   a: int = None) -> CyclotomicValue:
-    """Semisimple point trace against the idempotent e_Gamma(p^n).
+def ss_trace_point(kind: str, p: int, r: int, n: int, a: int = None) -> int:
+    """Semisimple point trace against the idempotent e_Gamma(p^n), an integer.
 
     e_Gamma(p^n) is normalized so that tr(e | pi) = dim pi for every level-n
     representation pi, matching a point mass of Haar mass 1 at the identity
     coset.  So only the identity's Borel row is read, from its sections,
     with the unit group and no class table:
 
-    ordinary:      sum_chi deg Ind(1 x chi) chi(a)^-1
+    ordinary:      sum_chi deg Ind(1 x chi) chi(a)^-1 = phi(p^n) row[a]
     supersingular: 1 - p^r deg St = 1 - p^r (deg Ind(1) - 1)
+
+    The ordinary sum is sum_t row[t] sum_chi chi(t a^-1), and by orthogonality
+    on (Z/p^n)^x only t = a survives, phi(p^n) times.
     """
     check_point_trace_input(p, r, kind, a)
     units = unit_group(p, n)
     check_cap(p**n + p**(n - 1), "Borel sections")
-    M, row = units.char_order, _borel_row(p, n, (1, 0, 0, 1))
+    row = _borel_row(p, n, (1, 0, 0, 1))
     if kind == "supersingular":
-        return CyclotomicValue.rational(M, 1 - p**r * (sum(row) - 1))
-    a_inv = pow(a, -1, units.mod)
-    fixed = [(t, count) for t, count in enumerate(row) if count]
-    buckets = [0] * M
-    for chi in units.characters():
-        shift = chi.exponent(a_inv)
-        for t, count in fixed:
-            buckets[(chi.exponent(t) + shift) % M] += count
-    return CyclotomicValue(M, buckets)
+        return 1 - p**r * (sum(row) - 1)
+    return units.char_order * row[a % units.mod]

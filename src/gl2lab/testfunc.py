@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cyclotomic import CyclotomicValue
 from .errors import DomainError, PrecisionExhausted
 from .padic import (ExtendedNat, GaloisRingElement, LocalMatrix,
                     check_prime_level, ell_min, ell_of, k_of,
@@ -175,16 +174,18 @@ def c_closed(inv: GammaInvariants, n: int, q: int) -> int:
     return 0
 
 
-def c_r_char(inv: GammaInvariants, p: int, r: int, n: int) -> CyclotomicValue:
+def c_r_char(inv: GammaInvariants, p: int, r: int, n: int) -> int:
     """Character-theoretic value: the two-branch sum over level-n characters,
-    traced against the idempotent e_Gamma(p^n) (see `ss_trace_point`).
+    traced against the idempotent e_Gamma(p^n) (see `ss_trace_point`).  By
+    orthogonality on (Z/p^n)^x the sum is an integer read off the identity's
+    Borel row.
 
     Vanishes unless v_p(det) = r and the trace is integral (integrality is
     part of the invariants record).
     """
     check_prime_level(p, n)
     if inv.v_det != r:
-        return CyclotomicValue.rational(p**(n - 1) * (p - 1), 0)
+        return 0
     from .finitegl2 import ss_trace_point
 
     if inv.v_tr >= 1:

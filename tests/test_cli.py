@@ -843,6 +843,49 @@ def test_verify_cr_runs_under_the_default_cap(capsys, monkeypatch, p, n,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# digests taken from the cyclotomic class functions, before the character
+# values were read off the Borel rows as integers
+@pytest.mark.parametrize("argv,digest", [
+    (["char-table", "--p", "7", "--n", "2"],
+     "f20403505f79f6ff11d81d91ccad6b9d2f96d957aadd3a8c7a4da5dead177b22"),
+    (["verify-cr", "--p", "7", "--n", "2"],
+     "88b2580be5b4b1ee4398ce8b5c46e22468a29216a0df8640ad98021ea22f162f"),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_integer_character_values_print_the_cyclotomic_bytes(capsys,
+                                                             monkeypatch,
+                                                             argv, digest):
+    import hashlib
+
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_commands_and_campaigns_need_no_cyclotomic_arithmetic(capsys,
+                                                              monkeypatch):
+    from gl2lab import campaigns
+    from gl2lab.cyclotomic import CyclotomicValue
+
+    def tripwire(self, M, coeffs):
+        raise RuntimeError("cyclotomic arithmetic on a command path")
+
+    monkeypatch.setattr(CyclotomicValue, "__init__", tripwire)
+    with pytest.raises(RuntimeError):
+        CyclotomicValue.rational(6, 1)
+    for argv in (["char-table", "--p", "3", "--n", "2"],
+                 ["ss-trace", "--p", "3", "--r", "2", "--n", "2",
+                  "--kind", "ordinary", "--a", "4"],
+                 ["ss-trace", "--p", "3", "--r", "2", "--n", "2",
+                  "--kind", "supersingular"],
+                 ["verify-cr", "--p", "3", "--n", "2"]):
+        code, _ = run(capsys, *argv)
+        assert code == 0, argv
+    for battery in (campaigns.cross_identity_checks,
+                    campaigns.drinfeld_checks, campaigns.census_checks):
+        assert all(c.passed for c in battery()), battery.__name__
+
+
 # digests taken from the materialized-group class table, with the cap raised
 # past the p^(4n) codes it listed
 @pytest.mark.parametrize("p,n,digest", [

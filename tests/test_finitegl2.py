@@ -1,6 +1,7 @@
 """Character theory of GL2(Z/p^n)."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -187,6 +188,27 @@ def test_drinfeld_identity_on_integers_matches_the_cyclotomic_sum(p, n):
         assert fixed_surjections(p, n, rep) == induced, rep
 
 
+@pytest.mark.parametrize("p,n", ORACLE_CASES)
+def test_char_table_values_match_the_class_functions(capsys, p, n):
+    # the table prints integers read off the Borel rows; the cyclotomic class
+    # functions are the reference, each value rational and printed as is
+    from gl2lab.cli import main
+
+    assert main(["char-table", "--p", str(p), "--n", str(n)]) == 0
+    table = json.loads(capsys.readouterr().out)
+    G = FiniteGL2(p, n)
+    assert [c["rep"] for c in table["classes"]] == [list(c) for c in G.class_reps]
+    for row, value in zip(table["classes"], steinberg_character(p, n).values):
+        assert row["steinberg"] == repr(value), row
+        assert int(row["steinberg"]) == value.as_rational()
+    assert ([c["chi"] for c in table["characters"]]
+            == [repr(chi) for chi in G.characters()])
+    for row, chi in zip(table["characters"], G.characters()):
+        degree = induced_character(G, chi).degree()
+        assert row["degree"] == repr(degree), chi
+        assert int(row["degree"]) == degree.as_rational()
+
+
 def test_fixed_surjections_unit_action():
     # total fixed count is p^2n - p^(2n-2) iff a = 1 mod p^n, else 0
     for (p, n) in ((2, 1), (2, 2), (3, 1), (3, 2)):
@@ -198,12 +220,18 @@ def test_fixed_surjections_unit_action():
             assert fixed_surjections(p, n, ident, a=a) == expect
 
 
+def _int_trace(kind, p, r, n, a=None):
+    value = ss_trace_point(kind, p, r, n, a=a)
+    assert type(value) is int
+    return value
+
+
 def test_ss_trace_point_values():
-    assert ss_trace_point("supersingular", 2, 1, 1).as_rational() == -3
-    assert ss_trace_point("ordinary", 2, 1, 1, a=1).as_rational() == 3
-    assert ss_trace_point("ordinary", 3, 1, 1, a=2).is_zero()
+    assert _int_trace("supersingular", 2, 1, 1) == -3
+    assert _int_trace("ordinary", 2, 1, 1, a=1) == 3
+    assert _int_trace("ordinary", 3, 1, 1, a=2) == 0
     # general r enters only through p^r in the supersingular branch
-    assert ss_trace_point("supersingular", 2, 2, 1).as_rational() == 1 - 4 * 2
+    assert _int_trace("supersingular", 2, 2, 1) == 1 - 4 * 2
 
 
 def _trace_against_e_gamma(G, char):
@@ -279,19 +307,21 @@ def test_induced_character_matches_conjugation(p, n):
 
 @pytest.mark.parametrize("p,n", BOREL_CASES)
 def test_ss_trace_point_matches_the_class_function_sums(p, n):
+    # the cyclotomic sums are the reference: each must be rational, and then
+    # equal the integer read off the identity's Borel row
     G = FiniteGL2(p, n)
     trivial, st = trivial_character(G), steinberg_character(p, n)
     for r in (1, 2):
         expect = (_trace_against_e_gamma(G, trivial)
                   - _trace_against_e_gamma(G, st) * p**r)
-        assert ss_trace_point("supersingular", p, r, n).coeffs == expect.coeffs
+        assert expect.as_rational() == _int_trace("supersingular", p, r, n)
     degrees = [(chi, _trace_against_e_gamma(G, induced_character(G, chi)))
                for chi in G.characters()]
     zero = CyclotomicValue.rational(G.char_order, 0)
     for a in G.unit_dlog:
         a_inv = pow(a, -1, G.mod)
         expect = sum((deg * chi(a_inv) for chi, deg in degrees), zero)
-        assert ss_trace_point("ordinary", p, 1, n, a=a).coeffs == expect.coeffs, a
+        assert expect.as_rational() == _int_trace("ordinary", p, 1, n, a=a), a
 
 
 @pytest.mark.parametrize("p,n", BOREL_CASES)
