@@ -284,27 +284,26 @@ def _normal_forms(F):
 
     Each is (shape, generators, group order): the shape gives a1..a6 as a
     fixed code, _ANY or _UNIT; the substitutions (u, r, s, t) that keep the
-    shape form the residual group, generated by the scalings (u0, 0, 0, 0),
-    u0 over the generators of F_q^x that `RingTables.unit_generators` finds
-    (none at q = 2), and translations over an F_p-basis of F_q.  The
+    shape form the residual group, generated by (u0, 0, 0, 0), u0 a
+    generator of F_q^x, and translations over an F_p-basis of F_q.  The
     families split the curves by characteristic and by j = 0 or not, so no
     class lies in two of them.
     """
     q, p, r = F.q, F.p, F.r
-    u = [(u0, 0, 0, 0) for u0 in RingTables(p, r, 1).unit_generators()]
+    u = (_unit_generator(F), 0, 0, 0)
     basis = [p**i for i in range(r)]    # the codes of 1, x, .., x^(r-1)
     if p >= 5:
-        return [((0, 0, 0, _ANY, _ANY), u, q - 1)]
+        return [((0, 0, 0, _ANY, _ANY), [u], q - 1)]
     if p == 3:
-        return [((0, _UNIT, 0, 0, _ANY), u, q - 1),
-                ((0, 0, 0, _UNIT, _ANY), u + [(1, b, 0, 0) for b in basis],
+        return [((0, _UNIT, 0, 0, _ANY), [u], q - 1),
+                ((0, 0, 0, _UNIT, _ANY), [u] + [(1, b, 0, 0) for b in basis],
                  (q - 1) * q)]
     # no t-translations are needed: (1, s^2, s, 0) (1, s'^2, s', 0)
     # (1, (s + s')^2, s + s', 0)^-1 = (1, 0, 0, s s'^2), and s' = 1 gives
     # every t
     return [((1, _ANY, 0, 0, _ANY), [(1, 0, b, 0) for b in basis], q),
             ((0, 0, _UNIT, _ANY, _ANY),
-             u + [(1, int(F.MUL[b, b]), b, 0) for b in basis],
+             [u] + [(1, int(F.MUL[b, b]), b, 0) for b in basis],
              (q - 1) * q * q)]
 
 
@@ -365,6 +364,16 @@ def _code(q, a1, a2, a3, a4, a6):
     """Index of a coefficient tuple, a1 least; int64, as q^5 passes 2^31."""
     a6 = np.asarray(a6, dtype=np.int64)
     return a1 + q * (a2 + q * (a3 + q * (a4 + q * a6)))
+
+
+def _unit_generator(F):
+    """The least generator of the cyclic group F_q^x."""
+    for u in range(1, F.q):
+        x, order = u, 1
+        while x != F.one:
+            x, order = int(F.MUL[x, u]), order + 1
+        if order == F.q - 1:
+            return u
 
 
 def _digits(base, count, dtype):

@@ -827,11 +827,13 @@ def test_verify_cr_reads_one_borel_row_past_the_default_cap(capsys,
 
 
 # digests taken with GL2LAB_MAX_ELEMS=2000000 from the Drinfeld character
-# that looped over the p^(2n) row vectors for every class
+# that looped over the p^(2n) row vectors for every class; (7, 2) from the
+# cyclotomic class functions, before the values were read off the Borel rows
 @pytest.mark.parametrize("p,n,digest", [
     (5, 2, "cbb2cec62b30da3b1b0b2af847e5dfeeb31977ad4367047f32ef315a731f2205"),
     (3, 3, "2acebb7b7e8ecd7714d6fd235db97362cc5bbddfd26786918a347bf7e2610fd9"),
     (2, 5, "ccc0b8060bf6c3a960b945b4a12ac1bae34a7e292ae300e4809b0125ac883979"),
+    (7, 2, "88b2580be5b4b1ee4398ce8b5c46e22468a29216a0df8640ad98021ea22f162f"),
 ])
 def test_verify_cr_runs_under_the_default_cap(capsys, monkeypatch, p, n,
                                               digest):
@@ -840,25 +842,6 @@ def test_verify_cr_runs_under_the_default_cap(capsys, monkeypatch, p, n,
     monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
     code, out = run(capsys, "verify-cr", "--p", str(p), "--n", str(n))
     assert code == 0 and p**(4 * n) > 200_000
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# digests taken from the cyclotomic class functions, before the character
-# values were read off the Borel rows as integers
-@pytest.mark.parametrize("argv,digest", [
-    (["char-table", "--p", "7", "--n", "2"],
-     "f20403505f79f6ff11d81d91ccad6b9d2f96d957aadd3a8c7a4da5dead177b22"),
-    (["verify-cr", "--p", "7", "--n", "2"],
-     "88b2580be5b4b1ee4398ce8b5c46e22468a29216a0df8640ad98021ea22f162f"),
-], ids=lambda v: v[0] if isinstance(v, list) else "")
-def test_integer_character_values_print_the_cyclotomic_bytes(capsys,
-                                                             monkeypatch,
-                                                             argv, digest):
-    import hashlib
-
-    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
-    code, out = run(capsys, *argv)
-    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -887,11 +870,13 @@ def test_commands_and_campaigns_need_no_cyclotomic_arithmetic(capsys,
 
 
 # digests taken from the materialized-group class table, with the cap raised
-# past the p^(4n) codes it listed
+# past the p^(4n) codes it listed; (7, 2) from the cyclotomic class functions,
+# before the values were read off the Borel rows
 @pytest.mark.parametrize("p,n,digest", [
     (5, 2, "303a8c67f620ff586a49df52e61781ff21d9cea06b3cb136c0606c61387d3591"),
     (3, 3, "937df11a036291fc7093858f5959c7cd9f1baeca8a475d69c0471e4c1ee9feb7"),
     (2, 5, "ccb36469cdf2d785af5503f8cc1d61aa39f3f45932a52606750b657685113cd2"),
+    (7, 2, "f20403505f79f6ff11d81d91ccad6b9d2f96d957aadd3a8c7a4da5dead177b22"),
 ])
 def test_char_table_runs_past_the_code_space_cap(capsys, monkeypatch, p, n,
                                                  digest):
