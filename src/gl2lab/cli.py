@@ -13,7 +13,8 @@ tree-fixed-set, verify-tower, verify-central, verify-orbital) run without
 numpy, and so does a table command whose prime, level, prime power, point,
 boundary or unit-group input is malformed.  The character commands
 (char-table, ss-trace, verify-cr) load the pure-Python `finitegl2` and no
-numpy.
+numpy, and the census and the boundary formula load `curves` on top of it;
+only `boundary --enumerate` among these loads numpy.
 """
 
 from __future__ import annotations

@@ -5,38 +5,48 @@ normal forms (Silverman, Appendix A, Prop. A.1.1): y^2 = x^3 + a4 x + a6
 for p >= 5, and two families each for p = 3 and p = 2, split by j = 0.
 Each family is closed under its residual group of substitutions
 (u, r, s, t): x -> u^2 x' + r, y -> u^3 y' + s u^2 x' + t, whose
-generators permute the family's nonsingular tuples; the orbit routine of
-`gl2group` (the one behind conjugacy classes and sigma-orbits) splits those
-tuples into isomorphism classes, and each orbit's size gives |Aut|.  A
-class is represented by the least code among its normal-form tuples.  The
+generators permute the family's nonsingular tuples; a walk from each tuple
+not yet reached splits those tuples into their orbits, the isomorphism
+classes, and each orbit's size gives |Aut|.  A class is represented by the
+least code among its normal-form tuples.  The field arithmetic is on
+lists: a coefficient is a code, or a list with one code per tuple of a
+family, so one pass over a list carries a formula through the family.  The
 families hold at most q^3 tuples, the cap's measure (default q <= 125);
 the census is computed once per q and cached.  Point counts, automorphism
 orders, level structure counts (by span enumeration and in closed form),
 Honda-Tate style isogeny-class tables, per-point semisimple traces and the
-boundary term are all exact.
+boundary term are all exact.  Only the boundary enumeration, over all
+matrix codes mod N, loads numpy and the orbit routine of `gl2group`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .errors import DomainError, check_cap
 from .finitegl2 import (_unit_generators, fixed_surjections, ss_trace_closed,
                         ss_trace_point)
-from .gl2group import MatGroup, RingTables
 from .padic import (LocalMatrix, _least_prime_factor, check_boundary_input,
                     check_level, factor_prime_power, get_context,
                     group_order_gl2, unit_eigenvalue)
+from .ringtables import RingTableLists
 
 
 class SmallField:
-    """F_q with dense numpy operation tables; elements are 0..q-1."""
+    """F_q with its operation tables as lists; elements are the codes 0..q-1.
+
+    `add`, `mul`, `sub` and `neg` take codes or lists of codes: a list entry
+    by entry, a code against every entry.  A sum adds its codes first and
+    then passes once over each list; a product with the code 0 is 0, and
+    with 1 the other factor, so neither passes over a list.  ROOTS[b][c]
+    lists the y with y^2 + b y = c, ascending.
+    """
 
     _cache = {}
 
@@ -49,25 +59,52 @@ class SmallField:
 
     def _build(self, q):
         p, r = factor_prime_power(q)
-        t = RingTables(p, r, 1)
+        t = RingTableLists(p, r, 1)
         self.q, self.p, self.r = q, p, r
         self.ADD, self.MUL, self.NEG, self.INV = t.ADD, t.MUL, t.NEG, t.INV
-        self.one = int(t.one)
+        self.one = t.one
+        self.ROOTS = [[[] for _ in range(q)] for _ in range(q)]
+        for b, roots in enumerate(self.ROOTS):
+            for y in range(q):
+                roots[self.ADD[self.MUL[y][y]][self.MUL[b][y]]].append(y)
 
-    def add(self, a, b):
-        return self.ADD[a, b]
+    def add(self, *xs):
+        ADD = self.ADD
+        code, lists = 0, []
+        for x in xs:
+            if type(x) is list:
+                lists.append(x)
+            else:
+                code = ADD[code][x]
+        if not lists:
+            return code
+        out = lists[0]
+        for y in lists[1:]:
+            out = [ADD[a][b] for a, b in zip(out, y)]
+        return out if code == 0 else list(map(ADD[code].__getitem__, out))
 
-    def mul(self, a, b):
-        return self.MUL[a, b]
+    def mul(self, x, y):
+        if type(x) is list:
+            x, y = y, x
+        if type(x) is list:
+            MUL = self.MUL
+            return [MUL[a][b] for a, b in zip(x, y)]
+        if type(y) is not list:
+            return self.MUL[x][y]
+        if x == 0:
+            return 0
+        return y if x == 1 else list(map(self.MUL[x].__getitem__, y))
 
-    def sub(self, a, b):
-        return self.ADD[a, self.NEG[b]]
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
 
-    def neg(self, a):
-        return self.NEG[a]
+    def neg(self, x):
+        if type(x) is list:
+            return list(map(self.NEG.__getitem__, x))
+        return self.NEG[x]
 
-    def inv(self, a):
-        return self.INV[a]
+    def inv(self, x):
+        return self.INV[x]
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +125,18 @@ class WeierstrassCurve:
             raise DomainError("singular Weierstrass equation")
 
     def points(self):
-        """All affine points plus None for the point at infinity."""
+        """All affine points, x then y ascending, after None for the point
+        at infinity."""
         if self._points is not None:
             return self._points
         F = self.F
         a1, a2, a3, a4, a6 = self.a
-        t = np.arange(self.q)
-        t2 = F.mul(t, t)
-        rhs = F.add(F.mul(t, t2), F.add(F.mul(a2, t2), F.add(F.mul(a4, t), a6)))
-        # row x: y -> y^2 + b y with b = a1 x + a3, one table for all (x, y)
-        b = F.add(F.mul(a1, t), a3)
-        lhs = F.add(t2[None, :], F.mul(b[:, None], t[None, :]))
-        xs, ys = np.nonzero(lhs == rhs[:, None])  # x, then y, ascending
-        pts = [None] + list(zip(xs.tolist(), ys.tolist()))
+        pts = [None]
+        for x in range(self.q):
+            xx = F.mul(x, x)
+            rhs = F.add(F.mul(x, xx), F.mul(a2, xx), F.mul(a4, x), a6)
+            # y^2 + b y = rhs with b = a1 x + a3
+            pts += [(x, y) for y in F.ROOTS[F.add(F.mul(a1, x), a3)][rhs]]
         self._points = pts
         return pts
 
@@ -128,20 +164,20 @@ class WeierstrassCurve:
         a1, a2, a3, a4, a6 = self.a
         if p == 2:
             return a1
-        b2 = int(F.add(F.mul(a1, a1), _nmul(F, 4, a2)))
+        b2 = F.add(F.mul(a1, a1), _nmul(F, 4, a2))
         if p == 3:
             return b2
-        b4 = int(F.add(_nmul(F, 2, a4), F.mul(a1, a3)))
-        b6 = int(F.add(F.mul(a3, a3), _nmul(F, 4, a6)))
+        b4 = F.add(_nmul(F, 2, a4), F.mul(a1, a3))
+        b6 = F.add(F.mul(a3, a3), _nmul(F, 4, a6))
         half, quarter = F.inv(_nmul(F, 2, F.one)), F.inv(_nmul(F, 4, F.one))
-        f = [int(F.mul(b6, quarter)), int(F.mul(b4, half)),
-             int(F.mul(b2, quarter)), F.one]      # ascending powers of x
+        f = [F.mul(b6, quarter), F.mul(b4, half), F.mul(b2, quarter),
+             F.one]      # ascending powers of x
         power = [F.one]
         for _ in range((p - 1) // 2):
             prod = [0] * (len(power) + 3)
             for i, x in enumerate(power):
                 for j, y in enumerate(f):
-                    prod[i + j] = int(F.add(prod[i + j], F.mul(x, y)))
+                    prod[i + j] = F.add(prod[i + j], F.mul(x, y))
             power = prod
         return power[p - 1]
 
@@ -153,7 +189,7 @@ class WeierstrassCurve:
         F = self.F
         a1, _, a3, _, _ = self.a
         x, y = P
-        return (x, int(F.neg(F.add(y, F.add(F.mul(a1, x), a3)))))
+        return (x, F.neg(F.add(y, F.mul(a1, x), a3)))
 
     def add_points(self, P, Q):
         if P is None:
@@ -167,24 +203,19 @@ class WeierstrassCurve:
         if x1 == x2 and Q == self.neg_point(P):
             return None
         if P == Q:
-            den = int(F.add(_nmul(F, 2, y1), F.add(F.mul(a1, x1), a3)))
-            lam = int(F.mul(F.add(_nmul(F, 3, F.mul(x1, x1)),
-                                  F.add(_nmul(F, 2, F.mul(a2, x1)),
-                                        F.add(a4, F.neg(F.mul(a1, y1))))),
-                            F.inv(den)))
-            nu = int(F.mul(F.add(F.neg(F.mul(x1, F.mul(x1, x1))),
-                                 F.add(F.mul(a4, x1),
-                                       F.add(_nmul(F, 2, a6),
-                                             F.neg(F.mul(a3, y1))))),
-                           F.inv(den)))
+            den = F.inv(F.add(_nmul(F, 2, y1), F.mul(a1, x1), a3))
+            lam = F.mul(F.add(_nmul(F, 3, F.mul(x1, x1)),
+                              _nmul(F, 2, F.mul(a2, x1)), a4,
+                              F.neg(F.mul(a1, y1))), den)
+            nu = F.mul(F.add(F.neg(F.mul(x1, F.mul(x1, x1))), F.mul(a4, x1),
+                             _nmul(F, 2, a6), F.neg(F.mul(a3, y1))), den)
         else:
             den = F.inv(F.sub(x2, x1))
-            lam = int(F.mul(F.sub(y2, y1), den))
-            nu = int(F.mul(F.sub(F.mul(y1, x2), F.mul(y2, x1)), den))
-        x3 = int(F.add(F.mul(lam, lam),
-                 F.add(F.mul(a1, lam),
-                       F.sub(F.sub(F.neg(a2), x1), x2))))
-        y3 = int(F.neg(F.add(F.mul(F.add(lam, a1), x3), F.add(nu, a3))))
+            lam = F.mul(F.sub(y2, y1), den)
+            nu = F.mul(F.sub(F.mul(y1, x2), F.mul(y2, x1)), den)
+        x3 = F.add(F.mul(lam, lam), F.mul(a1, lam), F.neg(a2), F.neg(x1),
+                   F.neg(x2))
+        y3 = F.neg(F.add(F.mul(F.add(lam, a1), x3), nu, a3))
         return (x3, y3)
 
     def scalar_mul(self, k, P):
@@ -198,68 +229,53 @@ class WeierstrassCurve:
 
 
 def _nmul(F, n, x):
-    """n * x for a small non-negative integer n: the code of n is n mod p.
-
-    x is a field code or an array of codes.
-    """
-    return F.MUL[n % F.p, x]
+    """n * x for a small non-negative integer n: the code of n is n mod p."""
+    return F.mul(n % F.p, x)
 
 
 def _discriminant(F, a1, a2, a3, a4, a6):
-    """Discriminant of the Weierstrass tuple, by table lookups.
-
-    The coefficients are field codes or arrays of codes (then elementwise).
-    """
-    ADD, MUL, NEG = F.ADD, F.MUL, F.NEG
-    b2 = ADD[MUL[a1, a1], _nmul(F, 4, a2)]
-    b4 = ADD[_nmul(F, 2, a4), MUL[a1, a3]]
-    b6 = ADD[MUL[a3, a3], _nmul(F, 4, a6)]
-    b8 = ADD[MUL[MUL[a1, a1], a6],
-             ADD[_nmul(F, 4, MUL[a2, a6]),
-                 ADD[NEG[MUL[a1, MUL[a3, a4]]],
-                     ADD[MUL[a2, MUL[a3, a3]], NEG[MUL[a4, a4]]]]]]
-    return ADD[NEG[MUL[MUL[b2, b2], b8]],
-               ADD[NEG[_nmul(F, 8, MUL[b4, MUL[b4, b4]])],
-                   ADD[NEG[_nmul(F, 27, MUL[b6, b6])],
-                       _nmul(F, 9, MUL[b2, MUL[b4, b6]])]]]
+    """Discriminant of the Weierstrass tuple; the coefficients are codes or
+    lists of codes.  Products take their factors that are codes first."""
+    add, mul, neg = F.add, F.mul, F.neg
+    b2 = add(mul(a1, a1), _nmul(F, 4, a2))
+    b4 = add(_nmul(F, 2, a4), mul(a1, a3))
+    b6 = add(mul(a3, a3), _nmul(F, 4, a6))
+    b8 = add(mul(mul(a1, a1), a6), _nmul(F, 4, mul(a2, a6)),
+             neg(mul(mul(a1, a3), a4)), mul(mul(a2, a3), a3),
+             neg(mul(a4, a4)))
+    return add(neg(mul(mul(b2, b2), b8)),
+               neg(_nmul(F, 8, mul(b4, mul(b4, b4)))),
+               neg(_nmul(F, 27, mul(b6, b6))),
+               _nmul(F, 9, mul(mul(b2, b4), b6)))
 
 
 # ---------------------------------------------------------------------------
 # the census
 
 
-def _transform_all(q, a, subs):
-    """Images of curves under substitutions; returns coefficient arrays.
+def _transform(F, a, g):
+    """The coefficients of the curve a after the substitution g = (u, r, s, t).
 
-    `a` holds five codes or arrays of codes and `subs` is an array of
-    (u, r, s, t) rows; the two broadcast against each other.
+    `a` holds five codes or lists of codes and `g` four codes; each image
+    coefficient sums the terms in g alone first, then one term per a_i.
     """
-    F = SmallField(q)
-    add, mul, NEG, INV = F.add, F.mul, F.NEG, F.INV
-    a1, a2, a3, a4, a6 = (np.asarray(x) for x in a)
-    u, rr, s, t = subs[:, 0], subs[:, 1], subs[:, 2], subs[:, 3]
-    u2 = mul(u, u)
-    u3 = mul(u2, u)
-    u4 = mul(u2, u2)
-    u6 = mul(u3, u3)
-    na1 = mul(add(a1, _nmul(F, 2, s)), INV[u])
-    na2 = mul(add(a2, add(NEG[mul(s, a1)],
-                          add(_nmul(F, 3, rr), NEG[mul(s, s)]))),
-              INV[u2])
-    na3 = mul(add(a3, add(mul(rr, a1), _nmul(F, 2, t))), INV[u3])
-    na4 = mul(add(a4, add(NEG[mul(s, a3)],
-              add(_nmul(F, 2, mul(rr, a2)),
-                  add(NEG[mul(add(t, mul(rr, s)), a1)],
-                      add(_nmul(F, 3, mul(rr, rr)),
-                          NEG[_nmul(F, 2, mul(s, t))]))))),
-              INV[u4])
-    na6 = mul(add(a6, add(mul(rr, a4),
-              add(mul(mul(rr, rr), a2),
-                  add(mul(rr, mul(rr, rr)),
-                      add(NEG[mul(t, a3)],
-                          add(NEG[mul(t, t)], NEG[mul(rr, mul(t, a1))])))))),
-              INV[u6])
-    return na1, na2, na3, na4, na6
+    add, mul, neg = F.add, F.mul, F.neg
+    a1, a2, a3, a4, a6 = a
+    u, r, s, t = g
+    iu = F.inv(u)
+    iu2 = mul(iu, iu)
+    iu3 = mul(iu2, iu)
+    return (mul(add(a1, _nmul(F, 2, s)), iu),
+            mul(add(a2, mul(neg(s), a1), _nmul(F, 3, r), neg(mul(s, s))), iu2),
+            mul(add(a3, mul(r, a1), _nmul(F, 2, t)), iu3),
+            mul(add(a4, mul(neg(s), a3), mul(_nmul(F, 2, r), a2),
+                    mul(neg(add(t, mul(r, s))), a1), _nmul(F, 3, mul(r, r)),
+                    neg(_nmul(F, 2, mul(s, t)))),
+                mul(iu2, iu2)),
+            mul(add(a6, mul(r, a4), mul(mul(r, r), a2), mul(neg(t), a3),
+                    mul(neg(mul(r, t)), a1), mul(r, mul(r, r)),
+                    neg(mul(t, t))),
+                mul(iu3, iu3)))
 
 
 def enumerate_curves(q: int) -> List[WeierstrassCurve]:
@@ -303,18 +319,77 @@ def _normal_forms(F):
     # every t
     return [((1, _ANY, 0, 0, _ANY), [(1, 0, b, 0) for b in basis], q),
             ((0, 0, _UNIT, _ANY, _ANY),
-             [u] + [(1, int(F.MUL[b, b]), b, 0) for b in basis],
+             [u] + [(1, F.mul(b, b), b, 0) for b in basis],
              (q - 1) * q * q)]
 
 
 def _family(F, shape):
-    """The nonsingular tuples of one shape, as five arrays in code order."""
-    values = [np.arange(F.q) if x == _ANY else np.arange(1, F.q) if x == _UNIT
-              else np.array([x]) for x in shape]
-    # a6 varies slowest and weighs most in a code, so the grid is sorted
-    a = [x.ravel() for x in np.meshgrid(*values[::-1], indexing="ij")[::-1]]
-    nonsingular = _discriminant(F, *a) != 0
-    return [x[nonsingular] for x in a]
+    """The nonsingular tuples of one shape in code order, and their index.
+
+    The tuples are the shape's fixed codes and a list for each coefficient
+    that varies.  The index is a table of nested lists over every code of
+    the varying coefficients, the last one outermost: its entry is the
+    tuple's position, or -1 where the tuple is singular or a unit is 0.
+    """
+    q = F.q
+    free = [i for i, x in enumerate(shape) if x in (_ANY, _UNIT)]
+    # the grid in code order: a6 varies slowest, a1 fastest
+    a, size = list(shape), 1
+    for i in free:
+        a[i] = ([x for x in range(q) for _ in range(size)]
+                * (q**(len(free) - 1) // size))
+        size *= q
+    keep = _discriminant(F, *a)
+    for i in free:
+        if shape[i] == _UNIT:     # zero where the unit coefficient is 0
+            keep = list(map(operator.mul, keep, a[i]))
+    position = itertools.count()
+    table = [next(position) if k else -1 for k in keep]
+    for _ in free[1:]:
+        table = [table[j:j + q] for j in range(0, len(table), q)]
+    return ([list(itertools.compress(x, keep)) if type(x) is list else x
+             for x in a], table)
+
+
+def _index_of(table, shape, a, size):
+    """The positions of the `size` tuples `a` in a family's index `table`,
+    with -1 for each tuple outside the family."""
+    rows = [table] * size
+    for i in reversed(range(5)):
+        x = a[i]
+        if shape[i] not in (_ANY, _UNIT):
+            # a fixed coefficient: any other value puts the tuple outside
+            if (x != shape[i] if type(x) is not list
+                    else x.count(shape[i]) < size):
+                return [-1] * size
+        elif type(x) is list:
+            rows = list(map(operator.getitem, rows, x))
+        else:
+            rows = list(map(operator.itemgetter(x), rows))
+    return rows
+
+
+def _orbits(perms, size):
+    """(least index, size) of each orbit of the group that the index
+    permutations `perms` generate, in order of the least index.
+
+    A walk from each index not yet reached, through every permutation,
+    meets the whole orbit: the perms are of finite order, so their inverses
+    are among their powers.
+    """
+    reached = bytearray(size)
+    for i in range(size):
+        if reached[i]:
+            continue
+        reached[i] = 1
+        orbit = [i]
+        for j in orbit:
+            for perm in perms:
+                k = perm[j]
+                if not reached[k]:
+                    reached[k] = 1
+                    orbit.append(k)
+        yield i, len(orbit)
 
 
 @functools.cache
@@ -329,23 +404,18 @@ def _census(q):
     F = SmallField(q)
     curves = []
     for shape, gens, group_order in _normal_forms(F):
-        a = _family(F, shape)
-        codes = _code(q, *a)
+        a, table = _family(F, shape)
+        size = next(len(x) for x in a if type(x) is list)
         perms = []
         for g in gens:
-            image = _code(q, *_transform_all(q, a, np.array([g])))
-            perm = np.minimum(np.searchsorted(codes, image), len(codes) - 1)
+            perm = _index_of(table, shape, _transform(F, a, g), size)
             # one-to-one onto the family: every image in it, none hit twice
-            if (np.any(codes[perm] != image)
-                    or np.bincount(perm, minlength=len(codes)).max() > 1):
+            if -1 in perm or len(set(perm)) < size:
                 raise AssertionError(f"substitution {g} over F_{q} does not "
                                      f"permute the normal forms {shape}")
             perms.append(perm)
-        _, labels = MatGroup.orbit_labels(perms)
-        # orbits are numbered by their least index, which is their least code
-        first = np.unique(labels, return_index=True)[1]
-        for i, orbit in zip(first.tolist(), np.bincount(labels).tolist()):
-            rep = tuple(int(x[i]) for x in a)
+        for i, orbit in _orbits(perms, size):
+            rep = tuple(x[i] if type(x) is list else x for x in a)
             if group_order % orbit:
                 raise AssertionError(f"orbit of {rep} over F_{q} has {orbit} "
                                      f"tuples, not a divisor of {group_order}")
@@ -360,33 +430,14 @@ def _census(q):
     return tuple(curves)
 
 
-def _code(q, a1, a2, a3, a4, a6):
-    """Index of a coefficient tuple, a1 least; int64, as q^5 passes 2^31."""
-    a6 = np.asarray(a6, dtype=np.int64)
-    return a1 + q * (a2 + q * (a3 + q * (a4 + q * a6)))
-
-
 def _unit_generator(F):
     """The least generator of the cyclic group F_q^x."""
     for u in range(1, F.q):
         x, order = u, 1
         while x != F.one:
-            x, order = int(F.MUL[x, u]), order + 1
+            x, order = F.mul(x, u), order + 1
         if order == F.q - 1:
             return u
-
-
-def _digits(base, count, dtype):
-    """The `count` base-`base` digits of 0..base^count - 1, least first."""
-    digit = np.arange(base, dtype=dtype)
-    return [np.broadcast_to(digit[:, None],
-                            (base**(count - 1 - i), base, base**i)).ravel()
-            for i in range(count)]
-
-
-def _index_among(mask):
-    """Index of each True entry among the True entries; -1 at the others."""
-    return np.where(mask, np.cumsum(mask, dtype=np.int32) - 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +455,7 @@ def level_m_count(E: WeierstrassCurve, m: int) -> int:
     bases = 0
     for iP in multiples:
         for jQ in multiples:
-            span = {_pt_key(E.add_points(x, y)) for x in iP for y in jQ}
+            span = {E.add_points(x, y) for x in iP for y in jQ}
             if len(span) == m * m:
                 bases += 1
     if bases % E.aut_order:
@@ -430,10 +481,6 @@ def level_m_count_closed(E: WeierstrassCurve, m: int) -> int:
         raise AssertionError(f"|Aut| = {E.aut_order} of {E.a} over F_{E.q} "
                              f"does not divide the {bases} bases of E[{m}]")
     return bases // E.aut_order
-
-
-def _pt_key(P):
-    return P if P is None else (int(P[0]), int(P[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +639,10 @@ def boundary_orbit_report(p: int, r: int, n: int, m: int):
     check_boundary_input(p, r, n, m)
     N = p**n * m
     check_cap(N**4, "boundary group enumeration")
+    import numpy as np
+
+    from .gl2group import MatGroup, _digits, _index_among
+
     a, b, c, d = _digits(N, 4, np.int32)
     unit = np.gcd((a * d - b * c) % N, N) == 1
     a, b, c, d = a[unit], b[unit], c[unit], d[unit]

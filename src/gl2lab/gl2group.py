@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import check_cap
-from .padic import get_context
+from .ringtables import RingTableLists
 
 
 class RingTables:
-    """Operation tables for GR(p^n, r); element code = sum c_i (p^n)^i."""
+    """The operation tables of `ringtables.RingTableLists` as int32 arrays."""
 
     _cache = {}
 
@@ -28,50 +28,17 @@ class RingTables:
         return cls._cache[key]
 
     def _build(self, p, r, n):
-        self.p, self.r, self.n = p, r, n
-        ctx = get_context(p, r, n)
-        self.ctx = ctx
-        pn = p**n
-        Q = pn**r
-        check_cap(Q**2, "ring operation tables")
-        self.Q = Q
-        base = [pn**i for i in range(r)]
-
-        def encode(coeffs):
-            return sum(c * b for c, b in zip(coeffs, base))
-
-        def decode(code):
-            return tuple((code // b) % pn for b in base)
-
-        self.encode_coeffs = encode
-        self.decode_code = decode
-        els = [ctx.el(decode(c)) for c in range(Q)]
-        self.ADD = np.zeros((Q, Q), dtype=np.int32)
-        self.MUL = np.zeros((Q, Q), dtype=np.int32)
-        for i in range(Q):
-            xi = els[i]
-            for j in range(Q):
-                self.ADD[i, j] = encode((xi + els[j]).coeffs_mod(n))
-                self.MUL[i, j] = encode((xi * els[j]).coeffs_mod(n))
+        lists = RingTableLists(p, r, n)
+        self.p, self.r, self.n, self.Q = p, r, n, lists.Q
+        self.encode_coeffs, self.decode_code = lists.encode, lists.decode
+        for name in ("ADD", "MUL", "NEG", "SIG", "VAL", "INV"):
+            setattr(self, name, np.array(getattr(lists, name), dtype=np.int32))
         # flat views of the tables: one gather by x * Q + y costs less
         # than the two-index gather ADD[x, y]
         self.ADD_FLAT = self.ADD.ravel()
         self.MUL_FLAT = self.MUL.ravel()
-        self.NEG = np.array([encode((-els[i]).coeffs_mod(n)) for i in range(Q)],
-                            dtype=np.int32)
-        self.SIG = np.array([encode(els[i].frobenius().coeffs_mod(n))
-                             for i in range(Q)], dtype=np.int32)
-        self.VAL = np.array([n if v is None else v
-                             for v in (x.valuation_below(n) for x in els)],
-                            dtype=np.int32)
         self.UNIT = self.VAL == 0
-        inv = np.zeros(Q, dtype=np.int32)
-        for i in range(Q):
-            if self.UNIT[i]:
-                inv[i] = encode(els[i].inverse().coeffs_mod(n))
-        self.INV = inv
-        self.one = encode(ctx.one.coeffs)
-        self.zero = 0
+        self.one, self.zero = lists.one, lists.zero
 
     def unit_generators(self):
         """Codes of a generating set of the unit group: the units in code
@@ -273,6 +240,19 @@ class MatGroup:
         dm = self.rsub(d, np.full(self.order, t.one, dtype=np.int64))
         v = t.VAL
         return (v[am] >= k) & (v[b] >= k) & (v[c] >= k) & (v[dm] >= k)
+
+
+def _digits(base, count, dtype):
+    """The `count` base-`base` digits of 0..base^count - 1, least first."""
+    digit = np.arange(base, dtype=dtype)
+    return [np.broadcast_to(digit[:, None],
+                            (base**(count - 1 - i), base, base**i)).ravel()
+            for i in range(count)]
+
+
+def _index_among(mask):
+    """Index of each True entry among the True entries; -1 at the others."""
+    return np.where(mask, np.cumsum(mask, dtype=np.int32) - 1, -1)
 
 
 def _group_and_labels(p, r, n):

@@ -126,13 +126,14 @@ def test_census_beyond_sixteen(capsys, q):
 ])
 def test_group_cap_comes_before_the_ring_tables(capsys, monkeypatch, argv):
     from gl2lab.curves import enumerate_curves
-    from gl2lab.gl2group import RingTables
+    from gl2lab.ringtables import RingTableLists
 
     enumerate_curves(7)          # the field tables of F_7, built at full size
 
+    # the one table builder, behind both the census's field and RingTables
     def no_tables(self, p, r, n):
         pytest.fail(f"ring tables of GR({p}^{n}, {r}) built before the cap")
-    monkeypatch.setattr(RingTables, "_build", no_tables)
+    monkeypatch.setattr(RingTableLists, "__init__", no_tables)
     monkeypatch.setenv("GL2LAB_MAX_ELEMS", "1000")
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """The local-path commands and malformed table input load no table layer,
-and the character commands load no numpy.
+and the character commands, the census and the boundary formula load no
+numpy.
 
 Each command runs in a fresh interpreter, as from the console script, and
 reports which of the numpy-backed modules it left loaded.  No bytecode is
@@ -15,8 +16,8 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
-TABLE_MODULES = ("numpy", "gl2lab.gl2group", "gl2lab.finitegl2",
-                 "gl2lab.basechange", "gl2lab.curves")
+TABLE_MODULES = ("numpy", "gl2lab.gl2group", "gl2lab.ringtables",
+                 "gl2lab.finitegl2", "gl2lab.basechange", "gl2lab.curves")
 
 RUN = """
 import contextlib, io, json, sys
@@ -99,6 +100,18 @@ def test_a_table_command_still_loads_its_layer():
 def test_character_command_loads_no_numpy(argv):
     # the class table of GL2(Z/p^n) is a normal form in pure Python
     assert _run(argv) == {"code": 0, "loaded": ["gl2lab.finitegl2"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--q", "4", "--m", "3"],
+    ["census", "--q", "7", "--m", "3", "--n", "1"],
+    ["boundary", "--p", "7", "--n", "1", "--m", "3"],
+], ids=" ".join)
+def test_census_and_boundary_formula_load_no_numpy(argv):
+    # the census runs on list tables; only --enumerate builds arrays
+    assert _run(argv) == {"code": 0,
+                          "loaded": ["gl2lab.ringtables", "gl2lab.finitegl2",
+                                     "gl2lab.curves"]}
 
 
 def test_boundary_enumeration_leaves_numpy_ma_unloaded():

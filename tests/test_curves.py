@@ -4,21 +4,23 @@ import dataclasses
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from gl2lab.curves import (SmallField, WeierstrassCurve, _code, _crt, _digits,
-                           _discriminant, _index_among, _pt_key,
-                           _transform_all, _unit_generator,
-                           boundary_orbit_report, boundary_ss_trace,
-                           enumerate_curves, factor_prime_power, gl2_order_mod,
-                           isogeny_classes, level_m_count,
-                           level_m_count_closed, point_trace, ss_lefschetz)
+from gl2lab.curves import (SmallField, WeierstrassCurve, _crt, _discriminant,
+                           _transform, _unit_generator, boundary_orbit_report,
+                           boundary_ss_trace, enumerate_curves,
+                           factor_prime_power, gl2_order_mod, isogeny_classes,
+                           level_m_count, level_m_count_closed, point_trace,
+                           ss_lefschetz)
 from gl2lab.errors import DomainError
-from gl2lab.gl2group import MatGroup
+from gl2lab.gl2group import MatGroup, _digits, _index_among
+from curves_oracles import (array_census, code, discriminant, field_arrays,
+                            transform_all)
 
 
 def test_small_field_tables():
@@ -116,18 +118,19 @@ def _per_tuple_sweep(q):
             WeierstrassCurve(q, a)
         except DomainError:
             continue
-        orbit = np.unique(_code(q, *_transform_all(q, a, subs)))
+        orbit = np.unique(code(q, *transform_all(q, a, subs)))
         seen[orbit] = True
         out.append((_tuple_of(q, int(orbit[0])), group_order // len(orbit)))
     return sorted(out)
 
 
 def _nonsingular_mask(q):
-    """Vectorized nonsingularity of every Weierstrass tuple over F_q.
+    """Vectorized nonsingularity of every Weierstrass tuple over F_q, by
+    the array discriminant.
 
     Index c stands for (a1, a2, a3, a4, a6) = base-q digits of c, least first.
     """
-    return _discriminant(SmallField(q), *_digits(q, 5, np.uint8)) != 0
+    return discriminant(field_arrays(q), *_digits(q, 5, np.uint8)) != 0
 
 
 def _q5_orbit_census(q):
@@ -144,7 +147,7 @@ def _q5_orbit_census(q):
     digits = [x[mask] for x in _digits(q, 5, np.uint8)]
     gens = ((_unit_generator(SmallField(q)), 0, 0, 0), (1, 1, 0, 0),
             (1, 0, 1, 0), (1, 0, 0, 1))
-    perms = [index[_code(q, *_transform_all(q, digits, np.array([g])))]
+    perms = [index[code(q, *transform_all(q, digits, np.array([g])))]
              for g in gens]
     for perm in perms:
         assert perm.min() >= 0 and np.bincount(perm).max() == 1
@@ -165,7 +168,7 @@ def _oracle(q):
 
 def _full_orbit_class(q, a):
     """(least tuple, |Aut|) of the full substitution orbit of a tuple."""
-    orbit = np.unique(_code(q, *_transform_all(q, a, _substitution_arrays(q))))
+    orbit = np.unique(code(q, *transform_all(q, a, _substitution_arrays(q))))
     return _tuple_of(q, int(orbit[0])), (q - 1) * q**3 // len(orbit)
 
 
@@ -180,6 +183,25 @@ def test_census_matches_per_tuple_sweep(q):
     classes = [_full_orbit_class(q, E.a) for E in curves]
     assert [aut for _, aut in classes] == [E.aut_order for E in curves]
     assert sorted(classes) == _oracle(q)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_list_transform_matches_the_array_transform(q):
+    # substitutions the census never uses as generators, on lists of tuples
+    rnd = random.Random(q)
+    a = [[rnd.randrange(q) for _ in range(64)] for _ in range(5)]
+    subs = _substitution_arrays(q)
+    for g in subs[rnd.sample(range(len(subs)), 40)]:
+        ours = _transform(SmallField(q), a, tuple(g.tolist()))
+        assert list(ours) == [x.tolist() for x in transform_all(q, a, g[None])]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23,
+                               25, 27, 29, 31, 32, 37, 41, 43, 47, 49])
+def test_census_matches_the_array_census(q):
+    # class for class: least tuple, |Aut| and #E(F_q)
+    ours = [(E.a, E.aut_order, E.count()) for E in enumerate_curves(q)]
+    assert ours == array_census(q)
 
 
 def _invariants(E, level_count):
@@ -219,7 +241,7 @@ def _level_m_count_by_scalar_mul(E, m):
             for i in range(m):
                 iP = E.scalar_mul(i, P)
                 for j in range(m):
-                    span.add(_pt_key(E.add_points(iP, E.scalar_mul(j, Q))))
+                    span.add(E.add_points(iP, E.scalar_mul(j, Q)))
             if len(span) == m * m:
                 bases += 1
     return bases // E.aut_order
@@ -234,6 +256,10 @@ def test_level_count_matches_scalar_mul_spans(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_nonsingular_mask_matches_curve_construction(q):
     mask = _nonsingular_mask(q)
+    # the list discriminant of the census, over all q^5 tuples at once
+    lists = [d.tolist() for d in _digits(q, 5, np.int64)]
+    assert [d != 0 for d in _discriminant(SmallField(q), *lists)] == \
+        mask.tolist()
     for c in range(q**5):
         a = _tuple_of(q, c)
         try:
@@ -250,8 +276,8 @@ def test_nonsingular_mask_matches_singular_points(q):
     # (x, y) over F_q solves the equation and both partial derivatives.  A
     # Weierstrass cubic is smooth at infinity and irreducible, so a singular
     # point is unique, hence Galois-fixed and F_q-rational.
-    F = SmallField(q)
-    add, mul, neg = F.ADD, F.MUL, F.NEG
+    T = field_arrays(q)
+    add, mul, neg = T.ADD, T.MUL, T.NEG
     codes = np.arange(q**5)
     a1, a2, a3, a4, a6 = ((codes // q**i) % q for i in range(5))
 
@@ -463,7 +489,7 @@ def _key(P):
 def _apply_subst(F, a, u, rr, s, t):
     """Coefficients of the substituted equation (the census formulas)."""
     subs = np.array([[u, rr, s, t]], dtype=np.int64)
-    na = _transform_all(F.q, a, subs)
+    na = transform_all(F.q, a, subs)
     return tuple(int(x[0]) for x in na)
 
 

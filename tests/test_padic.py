@@ -13,6 +13,7 @@ from gl2lab.padic import (INF, ExtendedNat, GaloisRingElement, LocalMatrix,
                           norm_map, scaled_val_ge, sigma_conjugate,
                           smallest_irreducible, unit_eigenvalue, vp_int)
 from gl2lab.poly import mul
+from gl2lab.ringtables import RingTableLists
 
 
 def test_defining_polynomials_deterministic():
@@ -30,6 +31,29 @@ def test_extended_nat_order():
     assert max(ExtendedNat(4), INF) is INF
     assert vp_int(0, 2) is not None and vp_int(0, 2).is_infinite
     assert vp_int(24, 2) == 3
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1),
+                                   (5, 2, 1), (2, 2, 2), (3, 1, 2), (2, 1, 3),
+                                   (2, 2, 3)])
+def test_ring_table_lists_match_the_element_arithmetic(p, r, n):
+    # the tables are built from rows and the products with the basis; the
+    # ring elements' own arithmetic is the reference, entry by entry
+    t = RingTableLists(p, r, n)
+    ctx = get_context(p, r, n)
+    els = [ctx.el(t.decode(c)) for c in range(t.Q)]
+
+    def code(x):
+        return t.encode(x.coeffs_mod(n))
+
+    assert [code(x) for x in els] == list(range(t.Q)) and t.one == code(ctx.one)
+    for i, x in enumerate(els):
+        assert t.ADD[i] == [code(x + y) for y in els]
+        assert t.MUL[i] == [code(x * y) for y in els]
+        assert t.NEG[i] == code(-x) and t.SIG[i] == code(x.frobenius())
+        v = x.valuation_below(n)
+        assert t.VAL[i] == (n if v is None else v)
+        assert t.INV[i] == (code(x.inverse()) if v == 0 else 0)
 
 
 # ---------------------------------------------------------------------------
