@@ -43,16 +43,37 @@ def norm_bijection_checks(cases=((2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1))):
 
 
 def norm_table_checks(tab):
-    """The four norm-bijection checks of one sigma-orbit table."""
+    """The four norm-bijection checks of one sigma-orbit table.  A failed
+    boolean row names its first failing class or orbit with both values."""
     inputs = {"p": tab.p, "r": tab.r, "n": tab.n}
+    bad_tw = [(o.rep, o.tw_centralizer, o.norm_centralizer)
+              for o in tab.orbits if o.tw_centralizer != o.norm_centralizer]
+    bad_size = [(o.rep, o.size * o.tw_centralizer, tab.group_order)
+                for o in tab.orbits
+                if o.size * o.tw_centralizer != tab.group_order]
     return [
         Check("sigma-orbit-count", inputs, tab.class_count, tab.orbit_count),
-        Check("norm-bijection", inputs, True, tab.bijection),
-        Check("centralizer-orders", inputs, True, tab.all_centralizers_match()),
-        Check("orbit-stabilizer", inputs, True,
-              all(o.size * o.tw_centralizer == tab.group_order
-                  for o in tab.orbits)),
+        Check("norm-bijection", inputs, True, tab.bijection,
+              None if tab.bijection else _unmatched(tab)),
+        Check("centralizer-orders", inputs, True, not bad_tw,
+              _witness(bad_tw, ("class", "tw_centralizer",
+                                "norm_centralizer"))),
+        Check("orbit-stabilizer", inputs, True, not bad_size,
+              _witness(bad_size, ("class", "size_times_tw_centralizer",
+                                  "group_order"))),
     ]
+
+
+def _unmatched(tab):
+    """The first class whose norm preimage's orbit went to another class,
+    else the first orbit that no class claims, with the class and orbit
+    counts."""
+    claimed = {o.norm_class for o in tab.orbits}
+    cid = next((c for c in range(tab.class_count) if c not in claimed), None)
+    where = ({"orbit": str(tab.unclaimed)} if cid is None else
+             {"class": str(FiniteGL2(tab.p, tab.n).class_reps[cid])})
+    return {**where, "classes": str(tab.class_count),
+            "orbits": str(tab.orbit_count)}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .padic import (LocalContext, LocalMatrix, _o_add, _o_det, _o_inverse,
                     _o_matmul, _o_mul, _o_sub, _val_below, ell_min_scaled,
                     factor_prime_power, get_context, group_order_gl2,
                     scaled_val_ge, vp_int)
-from .ratfunc import RationalFunctionT
 from .testfunc import branch_key, branch_value_t, phi_pn, phi_pnt
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,9 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     function on the same sample.  Exact rational-function equality.  The
     level-(n+1) value at g u depends only on the branch key of g u, so the
     average over u is a sum over at most q keys (`tower_key_histogram`),
-    each weighted by its count, of one value per key.
+    each key's value weighted by its count over q^4.  Each (key, count)
+    pair's weighted value is built once per call, in a dict the call drops
+    when it returns, and read for every sample point that reaches it.
 
     The values are rational functions in t of degree up to 2(n + 1), and
     their exact sums cost about (n + 1)^2 per sample point, so that times
@@ -311,11 +312,13 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     ctx = get_context(p, r, 2 * (n + 1) + 6)
     if sample is None:
         sample = branch_covering_sample(ctx, n + 1, count=count, seed=seed)
-    failures = []
+    failures, values = [], {}
     for g in sample:
         keys = tower_key_histogram(g, n)
-        avg = sum((branch_value_t(q, n + 1, *key) * Fraction(c, q**4)
-                   for key, c in keys.items()), RationalFunctionT.zero(q))
+        for key, c in keys.items() - values.keys():
+            values[key, c] = branch_value_t(q, n + 1, *key) * Fraction(c, q**4)
+        first, *rest = (values[kc] for kc in keys.items())
+        avg = sum(rest, first)
         lhs = phi_pnt(g, n)
         if not (avg == lhs):
             failures.append((g, lhs, avg))

@@ -7,7 +7,10 @@ A matrix over Q_{p^r} is stored as p^e * M with M primitive (M != 0 mod p),
 its entries coefficient tuples mod p^N, together with the number of
 certified p-adic digits of M.  Matrices built from integer data additionally
 carry their exact integer entries, which is what allows answers like "this
-valuation is infinite" to be certified.
+valuation is infinite" to be certified.  At r = 1, O = Z and every entry is
+a one-entry tuple: the kernel functions (`_o_mul`, `_o_add`, `_o_matmul`,
+`_o_det`, `_primitive_exact`, `LocalMatrix._build`) then compute on plain
+ints, with no loop over coefficients.  All of report-local runs at r = 1.
 """
 
 from __future__ import annotations
@@ -80,8 +83,10 @@ def vp_int(x: int, p: int) -> ExtendedNat:
 
 def _vp_gcd(coeffs, p):
     """min v_p over the integers coeffs, as v_p of their gcd; None if all vanish."""
-    g = math.gcd(*coeffs)
-    return None if g == 0 else vp_int(g, p).value
+    g, v = math.gcd(*coeffs), 0
+    while g and g % p == 0:
+        g, v = g // p, v + 1
+    return v if g else None
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +220,22 @@ def _o_mul(a, b, f):
 
 
 def _o_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return ((a[0] + b[0],) if len(a) == 1
+            else tuple(x + y for x, y in zip(a, b)))
 
 
 def _o_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return ((a[0] - b[0],) if len(a) == 1
+            else tuple(x - y for x, y in zip(a, b)))
 
 
 def _o_matmul(x, y, f):
     """The 2x2 product of row-major matrices of coefficient tuples over O."""
+    if len(f) == 2:  # O = Z: one expression of integer products
+        (a,), (b,), (c,), (d,) = x
+        (s,), (t,), (u,), (w,) = y
+        return ((a * s + b * u,), (a * t + b * w,),
+                (c * s + d * u,), (c * t + d * w,))
     return (_o_add(_o_mul(x[0], y[0], f), _o_mul(x[1], y[2], f)),
             _o_add(_o_mul(x[0], y[1], f), _o_mul(x[1], y[3], f)),
             _o_add(_o_mul(x[2], y[0], f), _o_mul(x[3], y[2], f)),
@@ -232,6 +244,9 @@ def _o_matmul(x, y, f):
 
 def _o_det(x, f):
     """ad - bc of a row-major matrix of coefficient tuples over O."""
+    if len(f) == 2:  # O = Z
+        (a,), (b,), (c,), (d,) = x
+        return (a * d - b * c,)
     return _o_sub(_o_mul(x[0], x[3], f), _o_mul(x[1], x[2], f))
 
 
@@ -528,12 +543,13 @@ def _primitive_exact(ctx, e, flat):
     v = _vp_gcd([c for entry in flat for c in entry], ctx.p)
     if v is None:
         raise DomainError("the zero matrix has no primitive representation")
-    if v:
-        pv = ctx.p**v
-        flat = tuple(tuple(c // pv for c in entry) for entry in flat)
+    pv = ctx.p**v
+    if ctx.r == 1:  # O = Z: one-entry tuples of ints
+        flat = tuple([(x // pv,) for (x,) in flat])
+        m = [(x % ctx.pN,) for (x,) in flat]
     else:
-        flat = tuple(flat)
-    m = tuple(tuple(c % ctx.pN for c in entry) for entry in flat)
+        flat = tuple(tuple(c // pv for c in x) for x in flat) if v else tuple(flat)
+        m = tuple(tuple(c % ctx.pN for c in entry) for entry in flat)
     return LocalMatrix(ctx, e + v, m, prec=ctx.N, exact=flat)
 
 
@@ -583,12 +599,14 @@ class LocalMatrix:
         if prec <= 0:
             raise PrecisionExhausted("no certified digits remain")
         pN = ctx.pN
-        entries = tuple(tuple(c % pN for c in x) for x in entries)
+        entries = ([(x % pN,) for (x,) in entries] if ctx.r == 1  # O = Z
+                   else tuple(tuple(c % pN for c in x) for x in entries))
         v = _val_below(itertools.chain(*entries), ctx.p, prec)
         if v is None:
             raise PrecisionExhausted("cannot certify the content of the matrix")
         pv = ctx.p**v
-        m = tuple(tuple(c // pv for c in x) for x in entries)
+        m = ([(x // pv,) for (x,) in entries] if ctx.r == 1
+             else tuple(tuple(c // pv for c in x) for x in entries))
         return LocalMatrix(ctx, e + v, m, prec=prec - v)
 
     # -- ring structure ---------------------------------------------------------

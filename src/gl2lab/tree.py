@@ -19,8 +19,7 @@ from typing import Callable, List, Optional
 
 from .errors import (DomainError, NotStabilizable, PrecisionExhausted,
                      check_cap)
-from .padic import (LocalContext, LocalMatrix, _as_ocoeffs, _o_matmul,
-                    ell_min, k_of)
+from .padic import LocalContext, LocalMatrix, _o_matmul, ell_min, k_of
 from .testfunc import branch_value
 
 
@@ -49,11 +48,13 @@ class TreeVertex:
         return f"v({self.d},{self.kind},{self.c})"
 
     def basis_rows(self, ctx: LocalContext):
-        """Row-major basis matrix H whose columns span the lattice."""
-        pd = ctx.p**self.d
+        """Row-major basis matrix H whose columns span the lattice, its
+        entries coefficient tuples over O."""
+        pad = (0,) * (ctx.r - 1)
+        one, zero, pd = (1,) + pad, (0,) + pad, (ctx.p**self.d,) + pad
         if self.kind == "A":
-            return [[1, 0], [list(self.c), pd]]
-        return [[list(self.c), pd], [1, 0]]
+            return [[one, zero], [self.c, pd]]
+        return [[self.c, pd], [one, zero]]
 
     def parent(self, ctx: LocalContext) -> "TreeVertex":
         """The neighbor one step closer to the base vertex."""
@@ -107,8 +108,7 @@ def stabilizes(gamma: LocalMatrix, v: TreeVertex) -> bool:
         return True
     if need > gamma.prec:
         raise PrecisionExhausted("stabilization test deeper than certified digits")
-    a, b, c, d = (_as_ocoeffs(x, ctx.r) for row in v.basis_rows(ctx)
-                  for x in row)
+    (a, b), (c, d) = v.basis_rows(ctx)
     adj = (d, tuple(-x for x in b), tuple(-x for x in c), a)
     # B = adj(H) * M * H where gamma = p^e M
     f = ctx.defining_poly

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, schemas, determinism."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -547,8 +548,6 @@ def test_passing_tree_rows_carry_no_witness(capsys):
 ])
 def test_failed_tree_probe_row_keeps_its_witness(capsys, monkeypatch, field,
                                                  value, name, keys):
-    import dataclasses
-
     from gl2lab import checks
 
     real = checks.fixed_set
@@ -753,6 +752,77 @@ def test_failed_drinfeld_row_names_its_class(capsys, monkeypatch):
                               "surjections": str(induced + 1),
                               "phi_borel": str(induced)}
     assert rows["ss-trace-dual-path"]["pass"]
+
+
+NORM_ARGV = ["verify-norm", "--p", "2", "--r", "2", "--n", "1"]
+
+
+def test_failed_norm_bijection_row_names_its_class(capsys, monkeypatch):
+    from gl2lab import basechange
+    from gl2lab.finitegl2 import FiniteGL2
+
+    code, out = run(capsys, *NORM_ARGV)
+    assert code == 0 and not any("witness" in row
+                                 for row in _rows(out).values())
+    # every class sent to one delta: the first class claims its orbit and
+    # the second class is the first whose orbit went to another class
+    monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(basechange, "_norm_preimage_in_commutant",
+                        lambda G, gamma: 0)
+    code, out = run(capsys, *NORM_ARGV)
+    assert code == 1
+    rows = _rows(out)
+    tab = json.loads(out)["table"]
+    row = rows["norm-bijection"]
+    assert not row["pass"] and row["actual"] is False
+    assert row["witness"] == {"class": str(FiniteGL2(2, 1).class_reps[1]),
+                              "classes": str(tab["class_count"]),
+                              "orbits": str(tab["orbit_count"])}
+
+
+def test_unclaimed_orbit_is_the_bijection_witness(monkeypatch):
+    from gl2lab import basechange, campaigns
+
+    real = basechange.sigma_orbits(2, 2, 1)
+    # a table where every class has its own orbit but one orbit is left
+    tab = dataclasses.replace(real, orbit_count=real.orbit_count + 1,
+                              bijection=False, unclaimed=(0, 1, 2, 3))
+    row = campaigns.norm_table_checks(tab)[1].to_dict()
+    assert row["name"] == "norm-bijection" and not row["pass"]
+    assert row["witness"] == {"orbit": "(0, 1, 2, 3)",
+                              "classes": str(real.class_count),
+                              "orbits": str(real.orbit_count + 1)}
+
+
+def test_failed_centralizer_rows_name_their_class(capsys, monkeypatch):
+    # one twisted centralizer one too large fails both centralizer rows
+    # with that class as the witness; it is a failed check with exit 1,
+    # not an exception in sigma_orbits
+    from gl2lab import basechange
+    from gl2lab.finitegl2 import FiniteGL2
+    from gl2lab.padic import group_order_gl2
+
+    G = FiniteGL2(2, 1)
+    bad = len(G.class_reps) - 1
+    real = basechange.SigmaOrbitRecord
+    monkeypatch.setattr(basechange, "SigmaOrbitRecord",
+                        lambda rep, size, tw, cid, stand: real(
+                            rep, size, tw + (cid == bad), cid, stand))
+    code, out = run(capsys, *NORM_ARGV)
+    assert code == 1
+    rows = _rows(out)
+    orbit = next(o for o in json.loads(out)["table"]["orbits"]
+                 if o["norm_class"] == bad)
+    stand = group_order_gl2(2, 1) // G.class_sizes[bad]
+    assert orbit["tw_centralizer"] == stand + 1
+    assert rows["centralizer-orders"]["witness"] == {
+        "class": str(G.class_reps[bad]), "tw_centralizer": str(stand + 1),
+        "norm_centralizer": str(stand)}
+    assert rows["orbit-stabilizer"]["witness"] == {
+        "class": str(G.class_reps[bad]),
+        "size_times_tw_centralizer": str(orbit["size"] * (stand + 1)),
+        "group_order": str(group_order_gl2(4, 1))}
+    assert rows["norm-bijection"]["pass"]
 
 
 @pytest.mark.parametrize("argv,digest", [

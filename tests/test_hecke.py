@@ -289,8 +289,9 @@ def test_tower_key_histogram_matches_the_sum_over_u(monkeypatch, q):
         assert avg == sum(vals[1:], vals[0]) * Fraction(1, len(us))
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
 def test_tower_identity_sampled(q, n):
+    # (3, 2) and (2, 3) reach two ell values at one (branch, k, count)
     ok, fails, cnt = tower_identity_check(q, n, count=60)
     assert ok and cnt >= 60
 

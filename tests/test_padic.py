@@ -12,7 +12,7 @@ from gl2lab.padic import (INF, ExtendedNat, GaloisRingElement, LocalMatrix,
                           ell_min, ell_of, frobenius, get_context, k_of,
                           norm_map, scaled_val_ge, sigma_conjugate,
                           smallest_irreducible, unit_eigenvalue, vp_int)
-from gl2lab.poly import mul
+from gl2lab.poly import divide, mul
 from gl2lab.ringtables import RingTableLists
 
 
@@ -568,32 +568,93 @@ def _value(fn, *args):
 @st.composite
 def kernel_operands(draw):
     """Two matrices over GR(p^6, r), truncated to prec >= 1 with entries
-    often deep in p, the first sometimes exact."""
+    often deep in p, each sometimes exact.  An exact operand is built, as
+    the samplers build theirs, from signed integer entries, some of them
+    unreduced (>= p^N); its truncated entries are those mod p^N."""
     p, r = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
     ctx = get_context(p, r, 6)
     coeff = st.builds(lambda u, k: u * p**k % ctx.pN,
                       st.integers(0, ctx.pN - 1), st.integers(0, ctx.N))
+    lift = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**20, 10**20))
 
     def operand():
         m = tuple(tuple(draw(coeff) for _ in range(r)) for _ in range(4))
         return LocalMatrix(ctx, draw(st.integers(-2, 2)), m,
                            prec=draw(st.integers(1, ctx.N)))
+
+    def exact(x):
+        rows = [[[c + ctx.pN * draw(lift) for c in z] for z in x.m[i:i + 2]]
+                for i in (0, 2)]
+        assume(any(c for row in rows for z in row for c in z))
+        return LocalMatrix.from_integers(ctx, rows, e=x.e)
     x, y = operand(), operand()
     if draw(st.booleans()):
-        rows = [[list(z) for z in x.m[:2]], [list(z) for z in x.m[2:]]]
-        assume(any(c for z in x.m for c in z))
-        x = LocalMatrix.from_integers(ctx, rows, e=x.e)
+        x = exact(x)
+        if draw(st.booleans()):
+            y = exact(y)
     return x, y
+
+
+def _poly_matmul(x, y, f):
+    """The 2x2 product over O = Z[x]/(f) by polynomial multiplication and
+    division, the oracle of the exact products of the kernel."""
+    def times(a, b):
+        prod = mul(a, b) + [0] * (len(f) - 1)
+        return tuple(divide(prod, f)[1])
+
+    def plus(a, b):
+        return tuple(u + v for u, v in zip(a, b))
+    return tuple(plus(times(x[i], y[j]), times(x[i + 1], y[j + 2]))
+                 for i in (0, 2) for j in (0, 1))
+
+
+def _exact_product_matches(x, y):
+    """x @ y of exact factors is their exact product made primitive; the
+    element product of their truncated entries agrees with it on every
+    digit it certifies, and certifies none where the content reaches p^N."""
+    ctx, p = x.ctx, x.ctx.p
+    product = _poly_matmul(x.exact, y.exact, ctx.defining_poly)
+    old = _outcome(_element_matmul, x, y)
+    if not any(c for z in product for c in z):
+        assert _outcome(x.__matmul__, y)[0] == "DomainError"
+        assert old[0] == "PrecisionExhausted"
+        return
+    got = x @ y
+    v = got.e - x.e - y.e
+    assert got.prec == ctx.N and got.m == tuple(
+        tuple(c % ctx.pN for c in z) for z in got.exact)
+    assert product == tuple(tuple(c * p**v for c in z) for z in got.exact)
+    assert any(c % p for z in got.exact for c in z)
+    if v >= ctx.N:
+        assert old[0] == "PrecisionExhausted"
+        return
+    e, prec, _, m = old
+    pk = p**prec
+    assert got.e == e and all(c % pk == d % pk for z, w in zip(got.m, m)
+                              for c, d in zip(z, w))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(kernel_operands())
 def test_tuple_kernel_matches_the_element_path(case):
     x, y = case
-    assert _outcome(x.__matmul__, y) == _outcome(_element_matmul, x, y)
+    if y.exact is not None:
+        _exact_product_matches(x, y)
+    else:
+        assert _outcome(x.__matmul__, y) == _outcome(_element_matmul, x, y)
     for g in (x, y):
         det = tuple(c % g.ctx.pN for c in _o_det(g.m, g.ctx.defining_poly))
         assert det == _element_det(g).coeffs
+        if g.exact is not None:
+            # the exact trace and determinant reduce to the element ones,
+            # and v(det) is the element determinant's where it is certified
+            a, _, _, d = _elements(g)
+            assert g.exact_tr[0] == g.e and g.exact_det[0] == 2 * g.e
+            assert tuple(c % g.ctx.pN for c in g.exact_tr[1]) == (a + d).coeffs
+            assert tuple(c % g.ctx.pN for c in g.exact_det[1]) == det
+            dv = _element_det(g).valuation_below(g.ctx.N)
+            if dv is not None:
+                assert g.det_valuation() == 2 * g.e + dv
         assert (_outcome(LocalMatrix.inverse, g)
                 == _outcome(_element_inverse, g))
         assert (_value(_tuple_scaled_tr_det, g)
@@ -734,6 +795,10 @@ def test_r1_product_is_the_polynomial_product(a, b, p):
     f = get_context(p, 1, 1).defining_poly
     assert f == (0, 1)
     assert _o_mul((a,), (b,), f) == tuple(mul((a,), (b,))) == (a * b,)
+    # v_p of signed products and of the gcd, counted on the gcd
+    assert _vp_gcd((a * b,), p) == vp_int(a * b, p).value
+    assert _vp_gcd((a * p**7, b), p) == min(vp_int(a * p**7, p),
+                                           vp_int(b, p)).value
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

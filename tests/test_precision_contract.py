@@ -1,0 +1,148 @@
+"""The precision contract as a property of every local function.
+
+A matrix known to N digits must give the answer of the exact matrix or
+raise PrecisionExhausted: never a guess.  The inputs are exact integer
+matrices at (p, r) = (2, 1), (3, 1) and (2, 2), and their conjugates by
+matrices with v(det h) = 0, 1 or 2, which keep an exact trace and
+determinant but not exact entries.  Each is truncated to N = 1..11 digits
+with no exact shadow, either in its own context GR(p^N, r) or in a deep one
+with arbitrary digits above the N certified ones.  The reference is the
+exact matrix, or the conjugate computed in the deep context.
+"""
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gl2lab.errors import DomainError, PrecisionExhausted
+from gl2lab.hecke import canonical_coset_rep
+from gl2lab.padic import (ExtendedNat, LocalMatrix, ell_min, ell_of,
+                          get_context, k_of, unit_eigenvalue)
+from gl2lab.testfunc import GammaInvariants, phi_branch, phi_pn
+from gl2lab.tree import (enumerate_vertices, orbital_ratio,
+                         stabilized_line_count, stabilizes)
+
+CASES = [(2, 1), (3, 1), (2, 2)]
+DEEP = 40       # digits of the reference context
+DIGITS = range(1, 12)
+LEVELS = (1, 2)
+
+
+def _invariants(g, n):
+    """GammaInvariants.from_matrix at the resolution it documents: ell
+    capped at the level, v(tr) capped at 1 (past its certified digits it
+    reports the level, as only v(tr) >= 1 is consulted), and the unit
+    eigenvalue mod p^n."""
+    inv = GammaInvariants.from_matrix(g, n)
+
+    def capped(x, cap):
+        return None if x is None else min(x, ExtendedNat(cap)).value
+    t2 = None if inv.t2_residue is None else inv.t2_residue.coeffs_mod(n)
+    return inv.v_det, capped(inv.v_tr, 1), capped(inv.ell, n), t2
+
+
+def _probes(ctx):
+    """(name, function of one matrix) for every public local function."""
+    out = [("det_valuation", LocalMatrix.det_valuation),
+           ("trace_valuation", LocalMatrix.trace_valuation),
+           ("k_of", k_of), ("ell_of", ell_of),
+           ("stabilized_line_count", stabilized_line_count)]
+    for n in LEVELS:
+        out += [("ell_min", lambda g, n=n: ell_min(g, n)),
+                ("unit_eigenvalue",
+                 lambda g, n=n: unit_eigenvalue(g, n).coeffs_mod(n)),
+                ("phi_branch", lambda g, n=n: phi_branch(g, n)),
+                ("phi_pn", lambda g, n=n: phi_pn(g, n)),
+                ("GammaInvariants.from_matrix",
+                 lambda g, n=n: _invariants(g, n)),
+                ("canonical_coset_rep",
+                 lambda g, n=n: canonical_coset_rep(g, n)),
+                ("orbital_ratio", lambda g, n=n: orbital_ratio(g, n))]
+    out += [("stabilizes", lambda g, v=v: stabilizes(g, v))
+            for v in enumerate_vertices(ctx, 2)]
+    return out
+
+
+def _outcome(fn, g):
+    """("value", fn(g)), or the name of the error it raised."""
+    try:
+        return "value", fn(g)
+    except (DomainError, PrecisionExhausted) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def references(draw):
+    """(p, r, an exact or deep reference matrix, a truncation draw)."""
+    p, r = draw(st.sampled_from(CASES))
+    ctx = get_context(p, r, DEEP)
+    bound = p**5
+
+    def entry():
+        return [draw(st.integers(-bound, bound)) for _ in range(r)]
+
+    def matrix(e=0):
+        """p^e M for the first nonsingular M among M0, M0 + 1, M0 + 2: the
+        determinant of M0 + x is a nonzero polynomial of degree 2 in x."""
+        a, b, c, d = (entry() for _ in range(4))
+        for x in range(3):
+            rows = [[[a[0] + x] + a[1:], b], [c, [d[0] + x] + d[1:]]]
+            try:
+                g = LocalMatrix.from_integers(ctx, rows, e=e)
+                g.det_valuation()
+                return g
+            except DomainError:
+                continue        # zero or singular
+        raise AssertionError("three singular translates of one matrix")
+
+    gamma = matrix(draw(st.integers(-1, 1)))
+    if draw(st.booleans()):     # v(det) >= 1, often exactly 1
+        gamma = gamma @ LocalMatrix.from_integers(ctx, [[p, 0], [0, 1]])
+    if draw(st.booleans()):
+        h = matrix() @ LocalMatrix.from_integers(
+            ctx, [[p**draw(st.integers(0, 2)), 0], [0, 1]])
+        gamma = gamma.conjugate_by(h)
+    junk = draw(st.lists(st.integers(0, 10**12), min_size=4 * r,
+                         max_size=4 * r))
+    return p, r, gamma, junk
+
+
+def _truncations(ref, junk):
+    """Copies of ref with N = 1..11 certified digits and no exact data: in
+    GR(p^N, r), and in the deep context with junk digits above the N."""
+    ctx, p, r = ref.ctx, ref.ctx.p, ref.ctx.r
+    for N in DIGITS:
+        pN, prec = p**N, min(N, ref.prec)
+        low = tuple(tuple(c % pN for c in x) for x in ref.m)
+        yield N, LocalMatrix(get_context(p, r, N), ref.e, low, prec=prec)
+        high = tuple(tuple((c + pN * junk[r * i + j]) % ctx.pN
+                           for j, c in enumerate(x))
+                     for i, x in enumerate(low))
+        yield N, LocalMatrix(ctx, ref.e, high, prec=prec)
+
+
+def test_local_functions_answer_exactly_or_raise():
+    answered = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(references())
+    def probe(case):
+        p, r, ref, junk = case
+        probes = _probes(ref.ctx)
+        want = [_outcome(fn, ref) for _, fn in probes]
+        for N, g in _truncations(ref, junk):
+            for (name, fn), expected in zip(probes, want):
+                if expected == "PrecisionExhausted":
+                    continue    # the deep reference cannot certify it
+                got = _outcome(fn, g)
+                assert got in (expected, "PrecisionExhausted"), (
+                    name, N, ref.to_text(), g.prec, got, expected)
+                if got[0] == "value":
+                    answered[name, (p, r)] += 1
+    probe()
+    # the test cannot pass by always raising: every function gives a value
+    # on some truncation at every (p, r)
+    names = {name for name, _ in _probes(get_context(2, 1, DEEP))}
+    assert set(answered) == {(name, pr) for name in names for pr in CASES}
