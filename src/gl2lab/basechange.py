@@ -6,7 +6,8 @@ norm map; twisted centralizers are counted element by element and
 compared with the ordinary ones, which orbit-stabilizer gives from the
 class sizes of GL2(Z/p^n).  The exact sequence of unit groups behind
 that bijection and the finite shadow of the base-change identity for
-congruence-subgroup idempotents are verified exhaustively.
+congruence-subgroup idempotents are verified exhaustively, the exact
+sequence on commutant units alone, without listing the group.
 
 Sign convention recorded for downstream (out-of-scope) comparisons of
 orbital integrals: matching carries the sign +, except when the norm is
@@ -215,7 +216,8 @@ def bc_unit_identity(f_values, k: int, p: int, r: int, j: int) -> bool:
 def bc_unit_defect(f_values, k: int, p: int, r: int, j: int):
     """The first delta where `bc_unit_identity` fails, as its four entry
     codes and the left and right averages; None where the identity holds.
-    An orbit that no class claims has no f-value, so no left average.
+    An orbit that no class claims, in either orbit table, has no f-value:
+    its least element is the witness, with no averages.
 
     Gamma(p^k) is the kernel of reduction mod p^k, so u -> u delta maps it
     bijectively onto the fibre of delta under that reduction.  The left
@@ -223,37 +225,38 @@ def bc_unit_defect(f_values, k: int, p: int, r: int, j: int):
     exact integer arithmetic; they equal the sums over u term by term.
     """
     check_unit_group_input(p, r, j, k)
-    tables, G, labels, norm_class = orbit_label_data(p, r, j)
-    small = FiniteGL2(p, j)
     fv = np.asarray([int(v) for v in f_values], dtype=np.int64)
-    if len(fv) != len(small.class_reps):
+    if len(fv) != len(FiniteGL2(p, j).class_reps):
         raise DomainError("one value per conjugacy class required")
+    _, G, labels, norm_class = orbit_label_data(p, r, j)
+    _, Gs, small_labels, small_class = orbit_label_data(p, 1, j)
     cls = norm_class[labels]
-    if np.any(cls < 0):
-        i = int(np.flatnonzero(cls < 0)[0])
-        return [int(x[i]) for x in G.comps], None, None
+    for H, of_el in ((Gs, small_class[small_labels]), (G, cls)):
+        if (of_el < 0).any():     # argmax finds the first of them
+            return [int(x[np.argmax(of_el < 0)]) for x in H.comps], None, None
 
     # left side: average f(N(u delta)) = f-value of the orbit of (u delta)
     n_left = int(np.count_nonzero(G.congruence_mask(k)))
     sums = _fibre_sums(G, k, fv[cls], n_left)
-
-    # right side: average f(v gamma) over v in Gamma(p^k) of GL2(Z/p^j), the
-    # same fibre sums on the materialized GL2(Z/p^j), read at one element
-    # gamma of each class; its orbits are numbered as `small` numbers classes
-    _, Gs, _, small_labels = _group_and_labels(p, 1, j)
-    n_right = int(np.count_nonzero(Gs.congruence_mask(k)))
-    first = np.unique(small_labels, return_index=True)[1]
-    if [small.class_of([int(x[i]) for x in Gs.comps])
-            for i in first.tolist()] != list(range(len(small.class_reps))):
-        raise AssertionError(f"orbits of GL2(Z/{p}^{j}) are not numbered "
-                             "as its classes")
-    rhs = _fibre_sums(Gs, k, fv[small_labels], n_right)[first][cls]
-    bad = np.flatnonzero(sums * n_right != rhs * n_left)
+    rhs, n_right = _right_sums(fv, k, p, j)
+    bad = np.flatnonzero(sums * n_right != rhs[cls] * n_left)
     if len(bad) == 0:
         return None
     i = int(bad[0])
     return ([int(x[i]) for x in G.comps], Fraction(int(sums[i]), n_left),
-            Fraction(int(rhs[i]), n_right))
+            Fraction(int(rhs[cls[i]]), n_right))
+
+
+def _right_sums(fv, k: int, p: int, j: int):
+    """(sums, |Gamma(p^k)|): per class of GL2(Z/p^j), the sum of f(v gamma)
+    over v in Gamma(p^k) at its representative gamma, by fibre sums on the
+    r = 1 orbit table, whose norm_class numbers its orbits as classes."""
+    _, Gs, small_labels, small_class = orbit_label_data(p, 1, j)
+    n_right = int(np.count_nonzero(Gs.congruence_mask(k)))
+    sums = _fibre_sums(Gs, k, fv[small_class[small_labels]], n_right)
+    # at r = 1 a residue is its own code
+    reps = Gs.idx(tuple(np.array(FiniteGL2(p, j).class_reps).T))
+    return sums[reps], n_right
 
 
 def _fibre_sums(G: MatGroup, k: int, per_el: np.ndarray, fibre_size: int):

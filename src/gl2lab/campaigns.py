@@ -82,16 +82,18 @@ def _unmatched(tab):
 
 def exact_sequence_checks(cases=((2, 2, 1), (2, 2, 2), (3, 2, 1)),
                           samples=20, seed=DEFAULT_SEED):
-    # samples gammas, or the two anchors
+    # samples gammas, or the two anchors, each on Q^2 commutant pairs
     check_cap(max(samples, 2), "unit-group exactness sample", default=20_000)
+    check_cap(max(samples, 2) * max([p**(2 * n * r) for p, r, n in cases]
+                                    + [1]),
+              "unit-group exactness commutant pairs", default=20_000 * 20**2)
     rnd = random.Random(seed)
     out = []
     for (p, r, n) in cases:
         G = FiniteGL2(p, n)
         gammas = [(1, 0, 0, 1), (2 % p**n or 1, 0, 0, 2 % p**n or 1)]
         while len(gammas) < samples:
-            g = G.elements[rnd.randrange(len(G.elements))]
-            gammas.append(g)
+            gammas.append(G.elements[rnd.randrange(len(G.elements))])
         bad = [g for g in gammas if not unit_group_exactness(g, p, r, n)]
         fails = [(bad[0], *unit_group_defect(bad[0], p, r, n))] if bad else []
         out.append(Check("unit-group-exact-sequence",
@@ -107,13 +109,10 @@ def exact_sequence_checks(cases=((2, 2, 1), (2, 2, 2), (3, 2, 1)),
 
 
 def bc_unit_checks(p=2, r=2, j=2, k=1, functions=3):
-    small = FiniteGL2(p, j)
-    nclasses = len(small.class_reps)
-    fs = [[1] * nclasses]  # constant function
-    for cid in range(min(functions - 1, nclasses)):
-        ind = [0] * nclasses
-        ind[cid] = 1
-        fs.append(ind)
+    nclasses = len(FiniteGL2(p, j).class_reps)
+    # the constant function, then class indicators
+    fs = [[1] * nclasses] + [[int(c == cid) for c in range(nclasses)]
+                             for cid in range(min(functions - 1, nclasses))]
     out = []
     for i, f in enumerate(fs[:functions]):
         ok = bc_unit_identity(f, k, p, r, j)

@@ -63,6 +63,7 @@ class SmallField:
         self.q, self.p, self.r = q, p, r
         self.ADD, self.MUL, self.NEG, self.INV = t.ADD, t.MUL, t.NEG, t.INV
         self.one = t.one
+        self.unit_generators = t.unit_generators
         self.ROOTS = [[[] for _ in range(q)] for _ in range(q)]
         for b, roots in enumerate(self.ROOTS):
             for y in range(q):
@@ -300,26 +301,28 @@ def _normal_forms(F):
 
     Each is (shape, generators, group order): the shape gives a1..a6 as a
     fixed code, _ANY or _UNIT; the substitutions (u, r, s, t) that keep the
-    shape form the residual group, generated by (u0, 0, 0, 0), u0 a
-    generator of F_q^x, and translations over an F_p-basis of F_q.  The
+    shape form the residual group, generated by (u0, 0, 0, 0), u0 the
+    least generator of F_q^x (`SmallField.unit_generators`, empty at q = 2),
+    and translations over an F_p-basis of F_q.  The
     families split the curves by characteristic and by j = 0 or not, so no
     class lies in two of them.
     """
     q, p, r = F.q, F.p, F.r
-    u = (_unit_generator(F), 0, 0, 0)
+    units = [(u0, 0, 0, 0) for u0 in F.unit_generators()]
     basis = [p**i for i in range(r)]    # the codes of 1, x, .., x^(r-1)
     if p >= 5:
-        return [((0, 0, 0, _ANY, _ANY), [u], q - 1)]
+        return [((0, 0, 0, _ANY, _ANY), units, q - 1)]
     if p == 3:
-        return [((0, _UNIT, 0, 0, _ANY), [u], q - 1),
-                ((0, 0, 0, _UNIT, _ANY), [u] + [(1, b, 0, 0) for b in basis],
+        return [((0, _UNIT, 0, 0, _ANY), units, q - 1),
+                ((0, 0, 0, _UNIT, _ANY),
+                 units + [(1, b, 0, 0) for b in basis],
                  (q - 1) * q)]
     # no t-translations are needed: (1, s^2, s, 0) (1, s'^2, s', 0)
     # (1, (s + s')^2, s + s', 0)^-1 = (1, 0, 0, s s'^2), and s' = 1 gives
     # every t
     return [((1, _ANY, 0, 0, _ANY), [(1, 0, b, 0) for b in basis], q),
             ((0, 0, _UNIT, _ANY, _ANY),
-             [u] + [(1, F.mul(b, b), b, 0) for b in basis],
+             units + [(1, F.mul(b, b), b, 0) for b in basis],
              (q - 1) * q * q)]
 
 
@@ -428,16 +431,6 @@ def _census(q):
             curves.append(WeierstrassCurve(q, rep, aut_order=aut))
     curves.sort(key=lambda E: E.a)
     return tuple(curves)
-
-
-def _unit_generator(F):
-    """The least generator of the cyclic group F_q^x."""
-    for u in range(1, F.q):
-        x, order = u, 1
-        while x != F.one:
-            x, order = F.mul(x, u), order + 1
-        if order == F.q - 1:
-            return u
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,10 @@ def _totient_prime_power(p, n):
 
 
 def _unit_generators(p, n):
-    """Generators (with orders) of (Z/p^n)^x; product of orders is the group order."""
+    """Generators (with orders) of (Z/p^n)^x; product of orders is the group order.
+
+    Not the search `RingTableLists.unit_generators` (3 and 5 at p = 2): the
+    characters are indexed on this basis; another would reorder char-table."""
     mod = p**n
     phi = _totient_prime_power(p, n)
     if phi == 1:

@@ -8,6 +8,8 @@ coset-averaging computations, which touch every group element.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import check_cap
@@ -28,39 +30,23 @@ class RingTables:
         return cls._cache[key]
 
     def _build(self, p, r, n):
-        lists = RingTableLists(p, r, n)
+        self.lists = lists = RingTableLists(p, r, n)
         self.p, self.r, self.n, self.Q = p, r, n, lists.Q
-        self.encode_coeffs, self.decode_code = lists.encode, lists.decode
         for name in ("ADD", "MUL", "NEG", "SIG", "VAL", "INV"):
             setattr(self, name, np.array(getattr(lists, name), dtype=np.int32))
         # flat views of the tables: one gather by x * Q + y costs less
         # than the two-index gather ADD[x, y]
-        self.ADD_FLAT = self.ADD.ravel()
-        self.MUL_FLAT = self.MUL.ravel()
+        self.ADD_FLAT, self.MUL_FLAT = self.ADD.ravel(), self.MUL.ravel()
         self.UNIT = self.VAL == 0
         self.one, self.zero = lists.one, lists.zero
 
-    def unit_generators(self):
-        """Codes of a generating set of the unit group: the units in code
-        order, each kept when it lies outside the subgroup spanned by the
-        units kept so far."""
-        span = np.zeros(self.Q, dtype=bool)
-        span[self.one] = True
-        gens = []
-        for u in np.flatnonzero(self.UNIT).tolist():
-            if span[u]:
-                continue
-            gens.append(u)
-            # the units commute: the new span is the union of the cosets
-            # span * u^k, each disjoint from the span until it returns to it
-            coset = np.flatnonzero(span)
-            while not span[coset := self.MUL[coset, u]].all():
-                span[coset] = True
-        return gens
-
 
 class MatGroup:
-    """GL2 over the tables' ring, with all elements materialized."""
+    """GL2 over the tables' ring.  Building it keeps only the tables: the
+    elements are listed, by a scan of all Q^4 matrix codes under the "GL2
+    matrix-code space" cap, when `el_codes`, `order`, `idx_of_code` or
+    `comps` is first read.  So arithmetic on a few matrices, such as the
+    commutant units of the exact sequence, runs wherever the tables fit."""
 
     _cache = {}
 
@@ -68,24 +54,30 @@ class MatGroup:
         key = (tables.p, tables.r, tables.n)
         if key not in cls._cache:
             obj = super().__new__(cls)
-            obj._build(tables)
+            obj.t = tables
             cls._cache[key] = obj
         return cls._cache[key]
 
-    def _build(self, t: RingTables):
-        self.t = t
-        Q = t.Q
+    @cached_property
+    def el_codes(self):
+        Q = self.t.Q
         check_cap(Q**4, "GL2 matrix-code space")
         codes = np.arange(Q**4, dtype=np.int64)
-        a, b, c, d = self.decode(codes)
-        det = self.rsub(self.rmul(a, d), self.rmul(b, c))
-        unit = t.UNIT[det]
-        self.el_codes = codes[unit]
-        self.order = len(self.el_codes)
-        idx = np.full(Q**4, -1, dtype=np.int64)
+        return codes[self.t.UNIT[self.det(self.decode(codes))]]
+
+    @cached_property
+    def order(self):
+        return len(self.el_codes)
+
+    @cached_property
+    def idx_of_code(self):
+        idx = np.full(self.t.Q**4, -1, dtype=np.int64)
         idx[self.el_codes] = np.arange(self.order)
-        self.idx_of_code = idx
-        self.comps = self.decode(self.el_codes)
+        return idx
+
+    @cached_property
+    def comps(self):
+        return self.decode(self.el_codes)
 
     # -- ring ops on arrays -----------------------------------------------------
 
@@ -105,14 +97,11 @@ class MatGroup:
     # -- matrix ops ----------------------------------------------------------------
 
     def decode(self, codes):
-        Q = self.t.Q
-        return (codes % Q, (codes // Q) % Q, (codes // Q**2) % Q, (codes // Q**3) % Q)
+        return tuple((codes // self.t.Q**i) % self.t.Q for i in range(4))
 
-    def encode(self, a, b, c, d):
-        Q = self.t.Q
-        return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64) * Q
-                + np.asarray(c, dtype=np.int64) * Q**2
-                + np.asarray(d, dtype=np.int64) * Q**3)
+    def encode(self, *entries):
+        return sum(np.asarray(x, dtype=np.int64) * self.t.Q**i
+                   for i, x in enumerate(entries))
 
     def matmul(self, x, y):
         xa, xb, xc, xd = x
@@ -143,8 +132,7 @@ class MatGroup:
         return terms[0] if len(terms) == 1 else self.radd(*terms)
 
     def sigma(self, x):
-        s = self.t.SIG
-        return (s[x[0]], s[x[1]], s[x[2]], s[x[3]])
+        return tuple(self.t.SIG[c] for c in x)
 
     def det(self, x):
         return self.rsub(self.rmul(x[0], x[3]), self.rmul(x[1], x[2]))
@@ -168,30 +156,19 @@ class MatGroup:
     def single(self, rows):
         """Encode one matrix given as [[a, b], [c, d]] of coefficient entries."""
         t = self.t
-        flat = []
-        for row in rows:
-            for e in row:
-                if isinstance(e, int):
-                    flat.append(t.encode_coeffs((e % t.p**t.n,) + (0,) * (t.r - 1)))
-                else:
-                    flat.append(t.encode_coeffs(tuple(c % t.p**t.n for c in e)))
-        return tuple(np.int64(f) for f in flat)
+        return tuple(np.int64(t.lists.encode([c % t.p**t.n for c in (
+            [e] if isinstance(e, int) else e)])) for row in rows for e in row)
 
     # -- generators and orbits -------------------------------------------------------
 
     def generators(self):
-        """E12/E21 over additive module generators plus diag(u, 1) for u in
-        the tables' generating set of the unit group."""
-        t = self.t
-        gens = []
-        for i in range(t.r):
-            coeffs = tuple(1 if j == i else 0 for j in range(t.r))
-            x = t.encode_coeffs(coeffs)
-            gens.append(self.single([[1, t.decode_code(x)], [0, 1]]))
-            gens.append(self.single([[1, 0], [t.decode_code(x), 1]]))
-        gens += [self.single([[t.decode_code(u), 0], [0, 1]])
-                 for u in t.unit_generators()]
-        return gens
+        """E12/E21 over the codes b of 1, x, .., x^(r-1), an additive basis,
+        plus diag(u, 1) for u in `RingTableLists.unit_generators`."""
+        one, zero, lists = self.t.one, self.t.zero, self.t.lists
+        gens = [g for b in lists.base
+                for g in ((one, b, zero, one), (one, zero, b, one))]
+        gens += [(u, zero, zero, one) for u in lists.unit_generators()]
+        return [tuple(map(np.int64, g)) for g in gens]
 
     def sigma_conj_perm(self, g):
         """Permutation i -> index of g^-1 x_i g^sigma."""
@@ -234,12 +211,10 @@ class MatGroup:
 
     def congruence_mask(self, k):
         """Elements congruent to the identity mod p^k."""
-        t = self.t
         a, b, c, d = self.comps
-        am = self.rsub(a, np.full(self.order, t.one, dtype=np.int64))
-        dm = self.rsub(d, np.full(self.order, t.one, dtype=np.int64))
-        v = t.VAL
-        return (v[am] >= k) & (v[b] >= k) & (v[c] >= k) & (v[dm] >= k)
+        v, one = self.t.VAL, self.t.one
+        return ((v[self.rsub(a, one)] >= k) & (v[b] >= k) & (v[c] >= k)
+                & (v[self.rsub(d, one)] >= k))
 
 
 def _digits(base, count, dtype):

@@ -1,8 +1,9 @@
 """Operation tables of the Galois rings GR(p^n, r), as plain lists.
 
-The one builder of the tables: `gl2group.RingTables` holds them as numpy
-arrays, and `curves.SmallField` uses them as they are at n = 1.  Only the
-table layers load this module.
+The one builder of the tables and the one unit-generator search:
+`gl2group.RingTables` holds the tables as numpy arrays, and
+`curves.SmallField` uses them as they are at n = 1.  Only the table layers
+load this module.
 """
 
 from __future__ import annotations
@@ -63,3 +64,27 @@ class RingTableLists:
 
     def decode(self, code):
         return tuple((code // b) % self.pn for b in self.base)
+
+    def unit_generators(self):
+        """Codes of an irredundant generating set of the unit group: the
+        units by decreasing order, ties by code, each kept outside the span
+        so far; then each one that the others span is dropped.  A cyclic
+        group gets its least generator, the trivial F_2^x none."""
+        units = [u for u in range(self.Q) if self.VAL[u] == 0]
+        gens, span = [], {self.one}
+        for u in sorted(units, key=lambda u: (-len(self._span([u])), u)):
+            if u not in span:
+                gens.append(u)
+                span = self._span(gens)
+        for u in list(gens):
+            if u in self._span([g for g in gens if g != u]):
+                gens.remove(u)
+        return gens
+
+    def _span(self, gens):
+        """The units that products of the codes `gens` reach from one."""
+        span, new = {self.one}, [self.one]
+        while new:
+            new = {self.MUL[x][u] for x in new for u in gens} - span
+            span |= new
+        return span

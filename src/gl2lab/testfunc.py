@@ -121,7 +121,8 @@ class GammaInvariants:
     ``ell`` saturates at ``level``: branch predicates only ever compare
     ell against thresholds <= level, and a reported value of exactly
     ``level`` means ">= level" unless ``ell_exact`` is set (in which case
-    it is the certified exact value, INF included).
+    it is the certified exact value, INF included).  Without ``v_tr_exact``,
+    ``v_tr`` is the certified lower bound e + prec >= 1, not the value.
     """
 
     v_det: int
@@ -130,6 +131,7 @@ class GammaInvariants:
     t2_residue: Optional[GaloisRingElement]
     level: int
     ell_exact: bool = False
+    v_tr_exact: bool = True
 
     @classmethod
     def from_matrix(cls, g: LocalMatrix, n: int) -> "GammaInvariants":
@@ -138,10 +140,10 @@ class GammaInvariants:
             raise DomainError("invariants need an integral trace")
         if g.trace_val_ge(1):
             try:
-                v_tr = g.trace_valuation()
+                return cls(v_det, g.trace_valuation(), None, None, n)
             except PrecisionExhausted:
-                v_tr = ExtendedNat(n)  # saturated; only ">= 1" is consulted
-            return cls(v_det, v_tr, None, None, n)
+                return cls(v_det, ExtendedNat(g.e + g.prec), None, None, n,
+                           v_tr_exact=False)
         if v_det < 1:   # ell and the unit eigenvalue live on v_det >= 1 only
             return cls(v_det, ExtendedNat(0), None, None, n)
         ell_exact = True

@@ -14,8 +14,11 @@ from gl2lab.basechange import (_commutant_units, _fibre_sums,
                                orbit_label_data, sigma_orbits,
                                unit_group_exactness)
 from gl2lab.cli import main
+from gl2lab.errors import ResourceLimit
 from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup, RingTables
+from gl2lab.ringtables import RingTableLists
+from group_oracles import code_order_unit_generators, per_call_right_sums
 
 
 def _mul(mod, x, y):
@@ -402,3 +405,111 @@ def test_ring_tables_consistency():
         assert t.SIG[t.SIG[a]] == a        # sigma^2 = id for r = 2
     G = MatGroup(t)
     assert G.order == 46080               # |GL2(GR(4, 2))|
+
+
+# ---------------------------------------------------------------------------
+# the group is listed only where a check reads it
+
+
+def test_mat_group_lists_its_elements_only_when_read(monkeypatch):
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    G = MatGroup(RingTables(5, 2, 1))        # 25^4 = 390,625 matrix codes
+    # the commutant arithmetic of the exact sequence needs no listing
+    assert basechange.unit_group_defect((0, 1, 1, 1), 5, 2, 1) is None
+    for name in ("comps", "el_codes", "order", "idx_of_code"):
+        with pytest.raises(ResourceLimit, match="GL2 matrix-code space"):
+            getattr(G, name)
+
+
+@pytest.mark.parametrize("p,r,n", [(5, 2, 1), (3, 3, 1), (2, 3, 2),
+                                   (3, 2, 2), (7, 2, 1)])
+def test_exact_sequence_runs_past_the_code_space_cap(capsys, monkeypatch,
+                                                     p, r, n):
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    assert p**(4 * n * r) > 200_000
+    assert main(["verify-exact-seq", "--p", str(p), "--r", str(r),
+                 "--n", str(n)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["summary"] == {"failed": 0, "passed": 1, "total": 1}
+
+
+def test_exact_sequence_work_is_capped_before_it_starts(capsys, monkeypatch):
+    from gl2lab import campaigns
+
+    def no_work(*args):
+        pytest.fail("exact-sequence work started before the cap")
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    monkeypatch.setattr(RingTableLists, "__init__", no_work)
+    monkeypatch.setattr(campaigns, "FiniteGL2", no_work)
+    # 20,000 samples on 81^2 commutant pairs each
+    assert main(["verify-exact-seq", "--p", "3", "--r", "2", "--n", "2",
+                 "--samples", "20000"]) == 2
+    err = capsys.readouterr().err
+    assert "unit-group exactness commutant pairs needs 131220000" in err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the right side of the bc-unit identity from the cached r = 1 table
+
+
+@pytest.mark.parametrize("p,r,j,k", [(2, 2, 2, 1), (3, 2, 1, 0), (2, 2, 1, 0),
+                                     (2, 3, 1, 0), (2, 1, 3, 1), (2, 2, 2, 2),
+                                     (2, 2, 2, 0)])
+def test_bc_right_sums_match_the_per_call_orbit_table(p, r, j, k):
+    classes = range(len(FiniteGL2(p, j).class_reps))
+    fs = [[1] * len(classes)]
+    fs += [[int(c == cid) for c in classes] for cid in classes]
+    fs.append([c * c % 5 - 2 for c in classes])
+    for f in fs:
+        fv = np.asarray(f, dtype=np.int64)
+        sums, n_right = basechange._right_sums(fv, k, p, j)
+        want, want_n = per_call_right_sums(fv, k, p, j)
+        assert n_right == want_n and np.array_equal(sums, want)
+        assert basechange.bc_unit_defect(f, k, p, r, j) is None
+
+
+def test_unnumbered_small_orbit_is_a_failed_row(monkeypatch):
+    from gl2lab import campaigns
+
+    real = basechange.orbit_label_data
+
+    # the r = 1 table with its last orbit left without a class
+    def last_orbit_unnumbered(p, r, j):
+        tables, G, labels, norm_class = real(p, r, j)
+        if r == 1:
+            norm_class = np.where(norm_class == norm_class.max(), -1,
+                                  norm_class)
+        return tables, G, labels, norm_class
+    monkeypatch.setattr(basechange, "orbit_label_data", last_orbit_unnumbered)
+    rows = [c.to_dict() for c in campaigns.bc_unit_checks(p=2, r=2, j=1, k=0)]
+    assert rows and not any(row["pass"] for row in rows)
+    _, Gs, labels, norm_class = real(2, 1, 1)
+    least = int(np.flatnonzero(labels == len(norm_class) - 1)[0])
+    for row in rows:
+        assert row["witness"] == {
+            "delta": str([int(x[least]) for x in Gs.comps]),
+            "left_average": "None", "right_average": "None"}
+
+
+# ---------------------------------------------------------------------------
+# the orbits do not depend on which unit generators the group takes
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1)])
+def test_sigma_orbits_with_the_code_order_unit_generators(monkeypatch, p, r, n):
+    new = sigma_orbits(p, r, n).to_dict()
+    monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(RingTableLists, "unit_generators",
+                        code_order_unit_generators)
+    G = MatGroup(RingTables(p, r, n))
+    assert len(G.generators()) == 2 * r + len(
+        code_order_unit_generators(G.t.lists))
+    assert sigma_orbits(p, r, n).to_dict() == new
+
+
+@pytest.mark.parametrize("p,r,n,count", [(3, 2, 1, 5), (2, 2, 2, 6)])
+def test_group_generators_take_an_irredundant_unit_set(p, r, n, count):
+    t = RingTables(p, r, n)
+    assert len(MatGroup(t).generators()) == count
+    assert len(code_order_unit_generators(t.lists)) + 2 * r == 7

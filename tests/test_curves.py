@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gl2lab.curves import (SmallField, WeierstrassCurve, _crt, _discriminant,
-                           _transform, _unit_generator, boundary_orbit_report,
+                           _transform, boundary_orbit_report,
                            boundary_ss_trace, enumerate_curves,
                            factor_prime_power, gl2_order_mod, isogeny_classes,
                            level_m_count, level_m_count_closed, point_trace,
@@ -21,6 +21,7 @@ from gl2lab.errors import DomainError
 from gl2lab.gl2group import MatGroup, _digits, _index_among
 from curves_oracles import (array_census, code, discriminant, field_arrays,
                             transform_all)
+from group_oracles import least_unit_generator
 
 
 def test_small_field_tables():
@@ -33,6 +34,21 @@ def test_small_field_tables():
         assert F.mul(x, F.inv(x)) == F.one
     F7 = SmallField(7)
     assert F7.add(3, 5) == 1 and F7.mul(3, 5) == 1
+
+
+def test_every_small_field_takes_its_least_unit_generator():
+    fields = 0
+    for q in range(2, 126):
+        try:
+            factor_prime_power(q)
+        except DomainError:
+            continue
+        F = SmallField(q)
+        # F_2^x is trivial: the search keeps no generator there
+        want = [] if q == 2 else [least_unit_generator(F)]
+        assert F.unit_generators() == want, q
+        fields += 1
+    assert fields == 42     # 30 primes and 12 higher prime powers
 
 
 def test_curve_binds_its_field_once(monkeypatch):
@@ -145,7 +161,7 @@ def _q5_orbit_census(q):
     mask = _nonsingular_mask(q)
     index = _index_among(mask)
     digits = [x[mask] for x in _digits(q, 5, np.uint8)]
-    gens = ((_unit_generator(SmallField(q)), 0, 0, 0), (1, 1, 0, 0),
+    gens = ((least_unit_generator(SmallField(q)), 0, 0, 0), (1, 1, 0, 0),
             (1, 0, 1, 0), (1, 0, 0, 1))
     perms = [index[code(q, *transform_all(q, digits, np.array([g])))]
              for g in gens]

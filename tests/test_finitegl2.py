@@ -521,7 +521,7 @@ def test_orbit_labels_from_unit_generators_match_every_unit(p, r, n):
     G = MatGroup(RingTables(p, r, n))
     t = G.t
     every_unit = G.generators()[:2 * r] + [
-        G.single([[t.decode_code(u), 0], [0, 1]])
+        G.single([[t.lists.decode(u), 0], [0, 1]])
         for u in range(t.Q) if t.UNIT[u] and u != t.one]
     assert len(G.generators()) < len(every_unit)
     # g^-1 x g^sigma by two products with whole-group constants
@@ -541,10 +541,11 @@ def test_orbit_labels_from_unit_generators_match_every_unit(p, r, n):
     (5, 1, 1), (5, 2, 1), (7, 1, 1), (11, 1, 1), (13, 1, 1), (17, 1, 1)])
 def test_unit_generators_span_exactly_the_units(p, r, n):
     t = RingTables(p, r, n)
-    gens = t.unit_generators()
+    gens = t.lists.unit_generators()
     assert _unit_span(t, gens) == set(np.flatnonzero(t.UNIT).tolist())
-    # each generator lies outside the span of those before it
-    assert all(u not in _unit_span(t, gens[:k]) for k, u in enumerate(gens))
+    # none lies in the span of the others
+    assert all(u not in _unit_span(t, gens[:k] + gens[k + 1:])
+               for k, u in enumerate(gens))
 
 
 def _unit_span(t, gens):

@@ -29,17 +29,37 @@ DIGITS = range(1, 12)
 LEVELS = (1, 2)
 
 
+class TraceValuation:
+    """v(tr) as GammaInvariants reports it: exact, or, where the certified
+    digits run out, a lower bound.  An exact value matches only the same
+    exact value; a bound matches an exact value that it does not exceed,
+    and it must be at least 1 there."""
+
+    bounds = 0      # the lower bounds reported since the count was reset
+
+    def __init__(self, value, exact):
+        self.value, self.exact = value, exact
+        if not exact:
+            TraceValuation.bounds += 1
+
+    def __eq__(self, other):
+        if self.exact == other.exact:
+            return self.value == other.value
+        bound, value = (other, self) if self.exact else (self, other)
+        return 1 <= bound.value <= value.value
+
+    def __repr__(self):
+        return f"{self.value}{'' if self.exact else ' (lower bound)'}"
+
+
 def _invariants(g, n):
     """GammaInvariants.from_matrix at the resolution it documents: ell
-    capped at the level, v(tr) capped at 1 (past its certified digits it
-    reports the level, as only v(tr) >= 1 is consulted), and the unit
+    capped at the level, v(tr) as a `TraceValuation`, and the unit
     eigenvalue mod p^n."""
     inv = GammaInvariants.from_matrix(g, n)
-
-    def capped(x, cap):
-        return None if x is None else min(x, ExtendedNat(cap)).value
+    ell = None if inv.ell is None else min(inv.ell, ExtendedNat(n)).value
     t2 = None if inv.t2_residue is None else inv.t2_residue.coeffs_mod(n)
-    return inv.v_det, capped(inv.v_tr, 1), capped(inv.ell, n), t2
+    return inv.v_det, TraceValuation(inv.v_tr, inv.v_tr_exact), ell, t2
 
 
 def _probes(ctx):
@@ -124,6 +144,7 @@ def _truncations(ref, junk):
 
 def test_local_functions_answer_exactly_or_raise():
     answered = Counter()
+    TraceValuation.bounds = 0
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
@@ -146,3 +167,5 @@ def test_local_functions_answer_exactly_or_raise():
     # on some truncation at every (p, r)
     names = {name for name, _ in _probes(get_context(2, 1, DEEP))}
     assert set(answered) == {(name, pr) for name in names for pr in CASES}
+    # and the invariants' v(tr) is compared as a lower bound somewhere
+    assert TraceValuation.bounds > 0
