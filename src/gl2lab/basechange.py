@@ -1,13 +1,13 @@
-"""Finite-level norm map and sigma-conjugacy verification.
+"""Finite-level base change on the numpy group tables.
 
-sigma-conjugacy classes of GL2(GR(p^n, r)) are computed by orbit closure
-and matched bijectively with conjugacy classes of GL2(Z/p^n) through the
-norm map; twisted centralizers are counted element by element and
-compared with the ordinary ones, which orbit-stabilizer gives from the
-class sizes of GL2(Z/p^n).  The exact sequence of unit groups behind
-that bijection and the finite shadow of the base-change identity for
-congruence-subgroup idempotents are verified exhaustively, the exact
-sequence on commutant units alone, without listing the group.
+The sigma-conjugacy orbit of every element of GL2(GR(p^n, r)), by orbit
+closure, matched with the conjugacy classes of GL2(Z/p^n) through the
+norm, is what the base-change unit identity for congruence-subgroup
+idempotents reads; that identity is verified exhaustively on it.  The
+exact sequence of unit groups behind the norm bijection is verified on
+commutant units alone, without listing the group.  The norm bijection
+itself is the numpy-free certificate of `normcert`; `sigma_orbits` is
+imported from there.
 
 Sign convention recorded for downstream (out-of-scope) comparisons of
 orbital integrals: matching carries the sign +, except when the norm is
@@ -17,55 +17,19 @@ element, where it is -.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BrokenIdentity, DomainError
 from .finitegl2 import FiniteGL2
 from .gl2group import MatGroup, RingTables, _group_and_labels
-from .padic import check_unit_group_input, group_order_gl2
+# perfbench's tracer times the certificate under this module's name
+from .normcert import sigma_orbits  # noqa: F401
+from .padic import check_unit_group_input
 
-
-@dataclass
-class SigmaOrbitRecord:
-    rep: tuple            # matrix over GL2(Z/p^n) whose chosen preimage lies here
-    size: int
-    tw_centralizer: int
-    norm_class: int
-    norm_centralizer: int
-
-
-@dataclass
-class SigmaOrbitTable:
-    p: int
-    r: int
-    n: int
-    group_order: int
-    class_count: int
-    orbit_count: int
-    orbits: List[SigmaOrbitRecord]
-    bijection: bool
-    # the least element (entry codes) of the first orbit no class claims
-    unclaimed: tuple = None
-
-    def all_centralizers_match(self):
-        return all(o.tw_centralizer == o.norm_centralizer for o in self.orbits)
-
-    def to_dict(self):
-        return {
-            "p": self.p, "r": self.r, "n": self.n,
-            "group_order": self.group_order,
-            "class_count": self.class_count,
-            "orbit_count": self.orbit_count,
-            "bijection": self.bijection,
-            "orbits": [{"rep": list(o.rep), "size": o.size,
-                        "tw_centralizer": o.tw_centralizer,
-                        "norm_class": o.norm_class}
-                       for o in self.orbits],
-        }
+__all__ = ["sigma_orbits", "orbit_label_data", "unit_group_exactness",
+           "unit_group_defect", "bc_unit_identity", "bc_unit_defect"]
 
 
 def _commutant_units(G: MatGroup, gm, scalars):
@@ -89,48 +53,6 @@ def _norm_preimage_in_commutant(G: MatGroup, gamma) -> int:
     if len(hit) == 0:
         raise DomainError(f"no norm preimage in the commutant of {gamma}")
     return int(G.idx(units)[hit[0]])
-
-
-def sigma_orbits(p: int, r: int, n: int) -> SigmaOrbitTable:
-    """Orbit table of delta ~ h^-1 delta h^sigma with per-orbit centralizers.
-
-    The twisted centralizer is counted at each orbit's least element; the
-    ordinary one is |GL2(Z/p^n)| over the size of the matched class.  The
-    orbit-stabilizer identity is not asserted here: `norm_table_checks`
-    reports it as a row, with the failing orbit as its witness.
-    """
-    _, G, labels, norm_class = orbit_label_data(p, r, n)
-    small = FiniteGL2(p, n)
-    count = len(norm_class)
-    orbit_sizes = np.bincount(labels, minlength=count)
-    least = np.unique(labels, return_index=True)[1]
-    matched = np.flatnonzero(norm_class >= 0)
-    orbit_of_class = dict(zip(norm_class[matched].tolist(), matched.tolist()))
-
-    h, hs = G.comps, G.sigma(G.comps)
-    records = []
-    for cid, gamma in enumerate(small.class_reps):
-        if cid not in orbit_of_class:
-            continue  # its orbit went to another class: no bijection
-        orb = orbit_of_class[cid]
-        delta = tuple(int(c[least[orb]]) for c in h)
-        # twisted centralizer: h with delta h^sigma = h delta, compared at
-        # entry (0, 0) first and at the other three on its survivors
-        keep = np.flatnonzero(G.comb(delta[0], hs[0], delta[1], hs[2])
-                              == G.comb(delta[0], h[0], delta[2], h[1]))
-        lhs = G.mul_left(delta, tuple(x[keep] for x in hs))
-        rhs = G.mul_right(tuple(x[keep] for x in h), delta)
-        tw = int(np.count_nonzero(
-            (lhs[1] == rhs[1]) & (lhs[2] == rhs[2]) & (lhs[3] == rhs[3])))
-        stand = group_order_gl2(p, n) // small.class_sizes[cid]
-        records.append(SigmaOrbitRecord(gamma, int(orbit_sizes[orb]), tw, cid, stand))
-
-    bijection = (count == len(small.class_reps) == len(matched))
-    unclaimed = np.flatnonzero(norm_class < 0)
-    first = (tuple(int(c[least[unclaimed[0]]]) for c in h)
-             if len(unclaimed) else None)
-    return SigmaOrbitTable(p, r, n, G.order, len(small.class_reps), count,
-                           records, bijection, first)
 
 
 _ORBIT_CACHE = {}
@@ -275,7 +197,7 @@ def _fibre_sums(G: MatGroup, k: int, per_el: np.ndarray, fibre_size: int):
     _, fibre, sizes = np.unique(a + base * (b + base * (c + base * d)),
                                 return_inverse=True, return_counts=True)
     if np.any(sizes != fibre_size):
-        raise AssertionError(f"a fibre of reduction mod {pk} does not have "
+        raise BrokenIdentity(f"a fibre of reduction mod {pk} does not have "
                              f"|Gamma(p^k)| = {fibre_size} elements")
     totals = np.zeros(len(sizes), dtype=np.int64)
     np.add.at(totals, fibre, per_el)

@@ -1,11 +1,12 @@
 """Verification campaigns: each returns a list of named exact checks.
 
 These back both the command-line driver and the acceptance test suite.
-The numpy table batteries (norm bijection, exact sequence, base change, the
-census) live here.  The batteries that load no numpy live in `checks`: the
+The batteries on the numpy group tables (exact sequence, base change) and
+the census live here.  The batteries that load no numpy live elsewhere and
+are re-exported: the norm bijection, by certificate, in `normcert`; the
 object-path ones (tower, orbital, tree lemma, centrality) and the character
-identities of GL2(Z/p^n) (cross-identity, Drinfeld).  They are re-exported,
-so importing this module binds every layer and `ALL_CAMPAIGNS` lists all ten.
+identities of GL2(Z/p^n) (cross-identity, Drinfeld) in `checks`.  So
+importing this module binds every layer, and `ALL_CAMPAIGNS` lists all ten.
 Every comparison is exact; a failing check carries the two values.
 """
 
@@ -13,15 +14,17 @@ from __future__ import annotations
 
 import random
 
-from .basechange import (bc_unit_defect, bc_unit_identity, sigma_orbits,
+from .basechange import (bc_unit_defect, bc_unit_identity,
                          unit_group_defect, unit_group_exactness)
 from .checks import (DEFAULT_SEED, Check, _witness, centrality_checks,
                      cross_identity_checks, drinfeld_checks, orbital_checks,
                      tower_checks, tree_checks)
-from .curves import (boundary_orbit_report, boundary_ss_trace,
-                     enumerate_curves, level_m_count, ss_lefschetz)
+from .curves import (boundary_orbit_report, boundary_packet_fault,
+                     boundary_ss_trace, enumerate_curves, level_m_count,
+                     ss_lefschetz)
 from .errors import check_cap
 from .finitegl2 import FiniteGL2
+from .normcert import norm_bijection_checks, norm_table_checks
 from .padic import factor_prime_power
 
 __all__ = ["DEFAULT_SEED", "Check", "ALL_CAMPAIGNS", "norm_bijection_checks",
@@ -29,51 +32,6 @@ __all__ = ["DEFAULT_SEED", "Check", "ALL_CAMPAIGNS", "norm_bijection_checks",
            "tower_checks", "orbital_checks", "cross_identity_checks",
            "drinfeld_checks", "tree_checks", "centrality_checks",
            "census_checks"]
-
-
-# ---------------------------------------------------------------------------
-# 1. norm bijection
-
-
-def norm_bijection_checks(cases=((2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1))):
-    out = []
-    for (p, r, n) in cases:
-        out.extend(norm_table_checks(sigma_orbits(p, r, n)))
-    return out
-
-
-def norm_table_checks(tab):
-    """The four norm-bijection checks of one sigma-orbit table.  A failed
-    boolean row names its first failing class or orbit with both values."""
-    inputs = {"p": tab.p, "r": tab.r, "n": tab.n}
-    bad_tw = [(o.rep, o.tw_centralizer, o.norm_centralizer)
-              for o in tab.orbits if o.tw_centralizer != o.norm_centralizer]
-    bad_size = [(o.rep, o.size * o.tw_centralizer, tab.group_order)
-                for o in tab.orbits
-                if o.size * o.tw_centralizer != tab.group_order]
-    return [
-        Check("sigma-orbit-count", inputs, tab.class_count, tab.orbit_count),
-        Check("norm-bijection", inputs, True, tab.bijection,
-              None if tab.bijection else _unmatched(tab)),
-        Check("centralizer-orders", inputs, True, not bad_tw,
-              _witness(bad_tw, ("class", "tw_centralizer",
-                                "norm_centralizer"))),
-        Check("orbit-stabilizer", inputs, True, not bad_size,
-              _witness(bad_size, ("class", "size_times_tw_centralizer",
-                                  "group_order"))),
-    ]
-
-
-def _unmatched(tab):
-    """The first class whose norm preimage's orbit went to another class,
-    else the first orbit that no class claims, with the class and orbit
-    counts."""
-    claimed = {o.norm_class for o in tab.orbits}
-    cid = next((c for c in range(tab.class_count) if c not in claimed), None)
-    where = ({"orbit": str(tab.unclaimed)} if cid is None else
-             {"class": str(FiniteGL2(tab.p, tab.n).class_reps[cid])})
-    return {**where, "classes": str(tab.class_count),
-            "orbits": str(tab.orbit_count)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +119,15 @@ def census_checks(qs=(4, 7, 13), m=3,
     for (p, r, n, mm) in boundary_cases:
         formula = boundary_ss_trace(p, r, n, mm)
         packets, fixed, sizes_ok = boundary_orbit_report(p, r, n, mm)
+        # a failed row names its first packet of the wrong size or that
+        # Frobenius moves; the listing runs again only then
+        sound = packets == fixed and sizes_ok
         out.append(Check("boundary-formula-vs-enumeration",
                          {"p": p, "r": r, "n": n, "m": mm},
                          [int(formula), True, True],
-                         [packets, packets == fixed, sizes_ok]))
+                         [packets, packets == fixed, sizes_ok],
+                         None if sound else
+                         boundary_packet_fault(p, r, n, mm)))
     out.append(Check("boundary-384", {"p": 7, "r": 1, "n": 1, "m": 3},
                      384, int(boundary_ss_trace(7, 1, 1, 3))))
     out.append(Check("boundary-vanishes", {"p": 2, "r": 1, "n": 1, "m": 3},

@@ -13,56 +13,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any
 
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
 from .hecke import _singular, centrality_check, tower_identity_check
 from .padic import (ExtendedNat, LocalMatrix, _o_det, factor_prime_power,
                     get_context, k_of, vp_int)
+from .rows import Check, _witness
 from .testfunc import GammaInvariants, c_closed, c_r_char
 from .tree import (enumerate_vertices, fixed_set, orbital_ratio,
                    stabilized_line_count, stabilizes)
-
-
-@dataclass
-class Check:
-    name: str
-    inputs: dict
-    expected: Any
-    actual: Any
-    witness: dict = None  # the first failing input and its two values
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
-
-    def to_dict(self):
-        row = {"name": self.name, "inputs": self.inputs,
-               "expected": _render(self.expected),
-               "actual": _render(self.actual),
-               "pass": self.passed}
-        if not self.passed and self.witness is not None:
-            row["witness"] = self.witness
-        return row
-
-
-def _render(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (list, tuple)):
-        return [_render(x) for x in v]
-    return v
-
-
-def _witness(fails, names):
-    """The first failure as text: matrices by to_text(), values by str()."""
-    if not fails:
-        return None
-    return {k: v.to_text() if isinstance(v, LocalMatrix) else str(v)
-            for k, v in zip(names, fails[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every campaign prints a machine-readable report (JSON, or CSV for the
 census) and exits 0 on all-pass, 1 on any failed verification, 2 on a
-usage error.  Reports are byte-deterministic for a fixed configuration
+usage error.  An identity that a computation rests on and that does not
+hold (`BrokenIdentity`) is a failed verification too: one line on stderr
+and exit 1.  Reports are byte-deterministic for a fixed configuration
 and seed; wall-clock timings go to stderr only.
 
 Each command imports the layers it uses when it runs, and the table
@@ -13,8 +15,9 @@ tree-fixed-set, verify-tower, verify-central, verify-orbital) run without
 numpy, and so does a table command whose prime, level, prime power, point,
 boundary or unit-group input is malformed.  The character commands
 (char-table, ss-trace, verify-cr) load the pure-Python `finitegl2` and no
-numpy, and the census and the boundary formula load `curves` on top of it;
-only `boundary --enumerate` among these loads numpy.
+numpy; the census and `boundary`, `--enumerate` included, load `curves` on
+top of it, and `verify-norm` the certificate of `normcert`.  Only
+`verify-exact-seq`, `verify-bc-unit` and `report-all` load numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 import time
 
 from . import DEFAULT_SEED
-from .errors import DomainError, GL2LabError
+from .errors import BrokenIdentity, DomainError, GL2LabError
 from .padic import (LocalMatrix, check_boundary_input, check_level,
                     check_point_trace_input, check_prime_level,
                     check_unit_group_input, factor_prime_power,
@@ -201,6 +204,9 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args)
+    except BrokenIdentity as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 1
     except (GL2LabError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -319,8 +325,7 @@ def _run_command(args) -> int:
 
     if cmd == "verify-norm":
         check_unit_group_input(args.p, args.r, args.n)
-        from .basechange import sigma_orbits
-        from .campaigns import norm_table_checks
+        from .normcert import norm_table_checks, sigma_orbits
         tab = sigma_orbits(args.p, args.r, args.n)
         return _verdict("norm-bijection", norm_table_checks(tab),
                         {"p": args.p, "r": args.r, "n": args.n}, args.out,

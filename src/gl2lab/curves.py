@@ -15,8 +15,8 @@ families hold at most q^3 tuples, the cap's measure (default q <= 125);
 the census is computed once per q and cached.  Point counts, automorphism
 orders, level structure counts (by span enumeration and in closed form),
 Honda-Tate style isogeny-class tables, per-point semisimple traces and the
-boundary term are all exact.  Only the boundary enumeration, over all
-matrix codes mod N, loads numpy and the orbit routine of `gl2group`.
+boundary term are all exact.  The boundary packets are listed through
+CRT, one scan of GL2(Z/p^n) and one of GL2(Z/m), with no numpy.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .errors import DomainError, check_cap
-from .finitegl2 import (_unit_generators, fixed_surjections, ss_trace_closed,
-                        ss_trace_point)
+from .errors import BrokenIdentity, DomainError, check_cap
+from .finitegl2 import fixed_surjections, ss_trace_closed, ss_trace_point
 from .padic import (LocalMatrix, _least_prime_factor, check_boundary_input,
                     check_level, factor_prime_power, get_context,
                     group_order_gl2, unit_eigenvalue)
@@ -452,7 +451,9 @@ def level_m_count(E: WeierstrassCurve, m: int) -> int:
             if len(span) == m * m:
                 bases += 1
     if bases % E.aut_order:
-        raise AssertionError("automorphisms do not act freely on bases")
+        raise BrokenIdentity(f"|Aut| = {E.aut_order} of {E.a} over F_{E.q} "
+                             f"does not act freely on the {bases} bases of "
+                             f"E[{m}]")
     return bases // E.aut_order
 
 
@@ -471,7 +472,7 @@ def level_m_count_closed(E: WeierstrassCurve, m: int) -> int:
         return 0
     bases = gl2_order_mod(m)
     if bases % E.aut_order:
-        raise AssertionError(f"|Aut| = {E.aut_order} of {E.a} over F_{E.q} "
+        raise BrokenIdentity(f"|Aut| = {E.aut_order} of {E.a} over F_{E.q} "
                              f"does not divide the {bases} bases of E[{m}]")
     return bases // E.aut_order
 
@@ -616,53 +617,95 @@ def boundary_ss_trace(p: int, r: int, n: int, m: int) -> Fraction:
     packet = p**(n - 1) * (p - 1)
     val = Fraction(cosets, packet)
     if val.denominator != 1:
-        raise AssertionError(f"boundary packet count {val} is not an integer")
+        raise BrokenIdentity(f"boundary packet count {val} is not an integer")
     return val
 
 
-def boundary_orbit_report(p: int, r: int, n: int, m: int):
-    """Independent enumeration of boundary packets.
+def boundary_packets(p: int, r: int, n: int, m: int):
+    """The boundary packets by an orbit listing through CRT: one
+    (representative, size, Frobenius-fixed) per packet.
 
-    Returns (packets, fixed_packets, sizes_ok): the orbits of GL2(Z/p^n m)
-    under left multiplication by +-1, the unipotent [[1, 1], [0, 1]] and
-    inertia, the count of orbits fixed by the Frobenius action through its
-    tame quotient, and whether every orbit is p^(n-1) (p-1) cosets of
-    {+-unipotent}.
+    The packets are the orbits of GL2(Z/N), N = p^n m, under left
+    multiplication by H = <+-1, the unipotent [[1, 1], [0, 1]], inertia
+    diag(k, 1)>, k over the generators of (Z/p^n)^x lifted to 1 mod m.  By
+    CRT, GL2(Z/N) = GL2(Z/p^n) x GL2(Z/m): the unipotent generates the
+    unipotents at both factors, and with inertia H = +-(P x U), P the
+    mirabolic [[u, b], [0, 1]] at p^n and U the unipotent at m.  So the
+    packets are the +-orbits on pairs (P-orbit, U-orbit).  P x = the
+    matrices with x's bottom row, and U y = {[[1, b], [0, 1]] y}, keyed by
+    its least element; each factor's orbits, with their element counts, come
+    from one scan of that factor.  A packet's size is the sum over its pairs
+    of the two counts: 2 N phi(p^n) where every count is right and -1 moves
+    every pair.  Frobenius through the tame quotient is diag(x^-1, 1) for
+    x = 1 mod p^n and p^r mod m: the identity at p^n and diag(p^-r, 1) at m.
+    It normalizes H, so it maps the packet of (A, B) to that of (A, F B).
+    The representative of a packet is the CRT lift of its first pair's
+    least elements.
     """
     check_boundary_input(p, r, n, m)
-    N = p**n * m
-    check_cap(N**4, "boundary group enumeration")
-    import numpy as np
+    pn = p**n
+    check_cap(pn**4 + m**4, "boundary group enumeration")
 
-    from .gl2group import MatGroup, _digits, _index_among
+    def u_orbit(y):
+        return min(((y[0] + b * y[2]) % m, (y[1] + b * y[3]) % m, y[2], y[3])
+                   for b in range(m))
+    mirabolic = _left_orbits(pn, lambda x: x[2:])
+    unipotent = _left_orbits(m, u_orbit)
+    f = pow(p, -r, m)
+    out, seen = [], set()
+    for A, (a_rep, _) in mirabolic.items():
+        minus_a = tuple(-x % pn for x in A)
+        for B, (b_rep, _) in unipotent.items():
+            if (A, B) in seen:
+                continue
+            pairs = {(A, B), (minus_a, u_orbit([-x % m for x in b_rep]))}
+            seen |= pairs
+            size = sum(mirabolic[a][1] * unipotent[b][1] for a, b in pairs)
+            frob = (A, u_orbit((f * b_rep[0] % m, f * b_rep[1] % m,
+                                b_rep[2], b_rep[3])))
+            out.append((tuple(_crt(x, pn, y, m) for x, y in zip(a_rep, b_rep)),
+                        size, frob in pairs))
+    return out
 
-    a, b, c, d = _digits(N, 4, np.int32)
-    unit = np.gcd((a * d - b * c) % N, N) == 1
-    a, b, c, d = a[unit], b[unit], c[unit], d[unit]
-    index = _index_among(unit)
 
-    def left_mul(ua, ub, uc, ud):
-        """Index permutation of x -> u x."""
-        return index[(ua * a + ub * c) % N + N * ((ua * b + ub * d) % N)
-                     + N**2 * ((uc * a + ud * c) % N)
-                     + N**3 * ((uc * b + ud * d) % N)]
+def _left_orbits(mod, key):
+    """{key: [least element, count]} over GL2(Z/mod), its elements scanned
+    in lexicographic order; key(x) names the orbit of x."""
+    orbits = {}
+    for x in itertools.product(range(mod), repeat=4):
+        if math.gcd(x[0] * x[3] - x[1] * x[2], mod) == 1:
+            entry = orbits.setdefault(key(x), [x, 0])
+            entry[1] += 1
+    return orbits
 
-    # inertia: diag(k, 1) for the generators k of (Z/p^n)^x, lifted to be
-    # 1 mod m; the group they span has the product of their orders
-    units = _unit_generators(p, n)
-    inertia = [left_mul(_crt(k, p**n, 1, m), 0, 0, 1) for k, _ in units]
-    packets, labels = MatGroup.orbit_labels(
-        [left_mul(1, 1, 0, 1), left_mul(N - 1, 0, 0, N - 1)] + inertia)
-    phi = math.prod(order for _, order in units)
-    sizes_ok = bool(np.all(np.bincount(labels) == 2 * N * phi))
-    # Frobenius through the tame quotient: x = p^r mod m, 1 mod p^n; it
-    # normalizes the group above, so it maps packets onto packets
-    x0 = _crt(1, p**n, pow(p, r, m), m)
-    frob = left_mul(pow(x0, -1, N), 0, 0, 1)
-    # a packet is fixed iff its elements keep their packet label
-    fixed_packets = int(np.count_nonzero(
-        np.bincount(labels[labels[frob] == labels], minlength=packets)))
-    return packets, fixed_packets, sizes_ok
+
+def boundary_orbit_report(p: int, r: int, n: int, m: int):
+    """(packets, fixed_packets, sizes_ok) of `boundary_packets`: the number
+    of packets, of those Frobenius fixes, and whether every packet is
+    p^(n-1) (p-1) cosets of {+-unipotent}, 2 N phi(p^n) elements."""
+    packets = boundary_packets(p, r, n, m)
+    size = _packet_size(p, n, m)
+    return (len(packets), sum(fixed for _, _, fixed in packets),
+            all(s == size for _, s, _ in packets))
+
+
+def boundary_packet_fault(p: int, r: int, n: int, m: int):
+    """The first packet of the wrong size, else the first one Frobenius
+    moves, as a witness: its representative mod p^n m, its size against
+    2 N phi(p^n), and whether Frobenius fixes it.  None if there is none."""
+    size = _packet_size(p, n, m)
+    packets = boundary_packets(p, r, n, m)
+    bad = (next((x for x in packets if x[1] != size), None)
+           or next((x for x in packets if not x[2]), None))
+    return None if bad is None else {
+        "packet": str(bad[0]), "size": str(bad[1]),
+        "expected_size": str(size), "frobenius_fixed": str(bad[2])}
+
+
+def _packet_size(p, n, m):
+    """2 N phi(p^n), N = p^n m: the elements of p^(n-1) (p-1) cosets of
+    {+-unipotent}."""
+    return 2 * p**n * m * p**(n - 1) * (p - 1)
 
 
 def _crt(r1, m1, r2, m2):

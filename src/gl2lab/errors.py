@@ -26,6 +26,14 @@ class NotStabilizable(GL2LabError):
     """No lattice vertex within the searched depth is stabilized."""
 
 
+class BrokenIdentity(GL2LabError):
+    """An identity that a computation rests on does not hold.
+
+    It is a failed verification, not a usage error: the command line
+    reports it in one line on stderr and exits 1.
+    """
+
+
 import os
 
 

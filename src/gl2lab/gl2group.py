@@ -2,8 +2,9 @@
 
 Ring elements are encoded as integers 0..Q-1 (Q = p^(nr)) with numpy
 lookup tables for the ring operations; matrices are quadruples of codes.
-This is the workhorse behind exhaustive sigma-conjugacy, centralizer and
-coset-averaging computations, which touch every group element.
+This is the workhorse behind the sigma-conjugacy orbits and the coset
+averages of the base-change identity, which touch every group element.
+The norm bijection itself needs no listing (see `normcert`).
 """
 
 from __future__ import annotations
@@ -215,19 +216,6 @@ class MatGroup:
         v, one = self.t.VAL, self.t.one
         return ((v[self.rsub(a, one)] >= k) & (v[b] >= k) & (v[c] >= k)
                 & (v[self.rsub(d, one)] >= k))
-
-
-def _digits(base, count, dtype):
-    """The `count` base-`base` digits of 0..base^count - 1, least first."""
-    digit = np.arange(base, dtype=dtype)
-    return [np.broadcast_to(digit[:, None],
-                            (base**(count - 1 - i), base, base**i)).ravel()
-            for i in range(count)]
-
-
-def _index_among(mask):
-    """Index of each True entry among the True entries; -1 at the others."""
-    return np.where(mask, np.cumsum(mask, dtype=np.int32) - 1, -1)
 
 
 def _group_and_labels(p, r, n):

@@ -7,13 +7,68 @@ broadcast against them, the images looked up by their codes with
 `searchsorted`, and the orbits from `MatGroup.orbit_labels`.  Point counts
 come from a table of y^2 + b y over all (x, y), not from the census's
 table of roots.  It is the reference the list census is tested against.
+
+`boundary_by_element_loop` is the boundary packet enumeration that the CRT
+listing of `curves.boundary_packets` replaced: every element of GL2(Z/N)
+as an array index, the packets from `MatGroup.orbit_labels` on the index
+permutations of left multiplication.
 """
+
+import math
 
 import numpy as np
 
-from gl2lab.curves import _ANY, _UNIT, SmallField, _normal_forms
+from gl2lab.curves import _ANY, _UNIT, SmallField, _crt, _normal_forms
+from gl2lab.finitegl2 import _unit_generators
 from gl2lab.gl2group import MatGroup, RingTables
 from gl2lab.padic import factor_prime_power
+
+
+def _digits(base, count, dtype):
+    """The `count` base-`base` digits of 0..base^count - 1, least first."""
+    digit = np.arange(base, dtype=dtype)
+    return [np.broadcast_to(digit[:, None],
+                            (base**(count - 1 - i), base, base**i)).ravel()
+            for i in range(count)]
+
+
+def _index_among(mask):
+    """Index of each True entry among the True entries; -1 at the others."""
+    return np.where(mask, np.cumsum(mask, dtype=np.int32) - 1, -1)
+
+
+def boundary_by_element_loop(p, r, n, m):
+    """(packets, fixed_packets, sizes_ok) as `curves.boundary_orbit_report`
+    gives them, from the orbits of every element of GL2(Z/p^n m) under left
+    multiplication by +-1, the unipotent [[1, 1], [0, 1]] and inertia."""
+    N = p**n * m
+    a, b, c, d = _digits(N, 4, np.int32)
+    unit = np.gcd((a * d - b * c) % N, N) == 1
+    a, b, c, d = a[unit], b[unit], c[unit], d[unit]
+    index = _index_among(unit)
+
+    def left_mul(ua, ub, uc, ud):
+        """Index permutation of x -> u x."""
+        return index[(ua * a + ub * c) % N + N * ((ua * b + ub * d) % N)
+                     + N**2 * ((uc * a + ud * c) % N)
+                     + N**3 * ((uc * b + ud * d) % N)]
+
+    # inertia: diag(k, 1) for the generators k of (Z/p^n)^x, lifted to be
+    # 1 mod m; the group they span has the product of their orders
+    units = _unit_generators(p, n)
+    inertia = [left_mul(_crt(k, p**n, 1, m), 0, 0, 1) for k, _ in units]
+    packets, labels = MatGroup.orbit_labels(
+        [left_mul(1, 1, 0, 1), left_mul(N - 1, 0, 0, N - 1)] + inertia)
+    phi = math.prod(order for _, order in units)
+    sizes_ok = bool(np.all(np.bincount(labels) == 2 * N * phi))
+    # Frobenius through the tame quotient: x = p^r mod m, 1 mod p^n; it
+    # normalizes the group above, so it maps packets onto packets
+    x0 = _crt(1, p**n, pow(p, r, m), m)
+    frob = left_mul(pow(x0, -1, N), 0, 0, 1)
+    # a packet is fixed iff its elements keep their packet label
+    fixed_packets = int(np.count_nonzero(
+        np.bincount(labels[labels[frob] == labels], minlength=packets)))
+    return packets, fixed_packets, sizes_ok
 
 
 def field_arrays(q):

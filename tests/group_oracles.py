@@ -8,13 +8,19 @@
   as `bc_unit_defect` computed it on every call: the conjugacy orbits of
   GL2(Z/p^j) built afresh, with their numbering checked against the classes
   of `FiniteGL2`.
+- `materialized_sigma_orbits` is the sigma-class table that the norm
+  certificate of `normcert` replaced: every element of GL2(GR(p^n, r))
+  listed, its sigma-orbit found by orbit closure, and each twisted
+  centralizer counted element by element.
 """
 
 import numpy as np
 
-from gl2lab.basechange import _fibre_sums
+from gl2lab.basechange import _fibre_sums, orbit_label_data
 from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import _group_and_labels
+from gl2lab.normcert import SigmaOrbitRecord, SigmaOrbitTable
+from gl2lab.padic import group_order_gl2
 
 
 def code_order_unit_generators(t):
@@ -59,3 +65,47 @@ def per_call_right_sums(fv, k, p, j):
                              "as its classes")
     fv = np.asarray(fv, dtype=np.int64)
     return _fibre_sums(Gs, k, fv[small_labels], n_right)[first], n_right
+
+
+def materialized_sigma_orbits(p, r, n):
+    """Orbit table of delta ~ h^-1 delta h^sigma with per-orbit centralizers,
+    over the listed group.
+
+    The twisted centralizer is counted at each orbit's least element; the
+    ordinary one is |GL2(Z/p^n)| over the size of the matched class.  A class
+    whose preimage's orbit went to another class has no record, and the
+    least element of the first orbit no class claims is `unclaimed`.
+    """
+    _, G, labels, norm_class = orbit_label_data(p, r, n)
+    small = FiniteGL2(p, n)
+    count = len(norm_class)
+    orbit_sizes = np.bincount(labels, minlength=count)
+    least = np.unique(labels, return_index=True)[1]
+    matched = np.flatnonzero(norm_class >= 0)
+    orbit_of_class = dict(zip(norm_class[matched].tolist(), matched.tolist()))
+
+    h, hs = G.comps, G.sigma(G.comps)
+    records = []
+    for cid, gamma in enumerate(small.class_reps):
+        if cid not in orbit_of_class:
+            continue  # its orbit went to another class: no bijection
+        orb = orbit_of_class[cid]
+        delta = tuple(int(c[least[orb]]) for c in h)
+        # twisted centralizer: h with delta h^sigma = h delta, compared at
+        # entry (0, 0) first and at the other three on its survivors
+        keep = np.flatnonzero(G.comb(delta[0], hs[0], delta[1], hs[2])
+                              == G.comb(delta[0], h[0], delta[2], h[1]))
+        lhs = G.mul_left(delta, tuple(x[keep] for x in hs))
+        rhs = G.mul_right(tuple(x[keep] for x in h), delta)
+        tw = int(np.count_nonzero(
+            (lhs[1] == rhs[1]) & (lhs[2] == rhs[2]) & (lhs[3] == rhs[3])))
+        stand = group_order_gl2(p, n) // small.class_sizes[cid]
+        records.append(SigmaOrbitRecord(gamma, int(orbit_sizes[orb]), tw, cid,
+                                        stand))
+
+    bijection = (count == len(small.class_reps) == len(matched))
+    unclaimed = np.flatnonzero(norm_class < 0)
+    first = (tuple(int(c[least[unclaimed[0]]]) for c in h)
+             if len(unclaimed) else None)
+    return SigmaOrbitTable(p, r, n, G.order, len(small.class_reps), count,
+                           records, bijection, first)

@@ -8,17 +8,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gl2lab import basechange
+from gl2lab import basechange, normcert
 from gl2lab.basechange import (_commutant_units, _fibre_sums,
                                _norm_preimage_in_commutant, bc_unit_identity,
                                orbit_label_data, sigma_orbits,
                                unit_group_exactness)
 from gl2lab.cli import main
-from gl2lab.errors import ResourceLimit
+from gl2lab.errors import BrokenIdentity, ResourceLimit
 from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup, RingTables
 from gl2lab.ringtables import RingTableLists
-from group_oracles import code_order_unit_generators, per_call_right_sums
+from group_oracles import (code_order_unit_generators,
+                           materialized_sigma_orbits, per_call_right_sums)
 
 
 def _mul(mod, x, y):
@@ -117,14 +118,21 @@ def test_commutant_search_matches_python_loop(p, r, n):
 
 
 def test_bad_matching_raises(monkeypatch, capsys):
-    # every class sent to one delta: the matching is not a bijection, and
-    # that is a failed check with exit 1, not an exception
+    # every class sent to one delta in the orbit table, and a norm preimage
+    # for the first class alone in the certificate: neither matching is a
+    # bijection, and that is a failed check with exit 1, not an exception
     from gl2lab import campaigns
     monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
     monkeypatch.setattr(basechange, "_norm_preimage_in_commutant",
                         lambda G, gamma: 0)
     tables, G, labels, norm_class = orbit_label_data(2, 2, 1)
     assert np.count_nonzero(norm_class >= 0) == 1
+    oracle = materialized_sigma_orbits(3, 2, 1)
+    assert not oracle.bijection and len(oracle.orbits) == 1
+    assert not campaigns.norm_table_checks(oracle)[1].passed
+    real, first = normcert.norm_preimage, FiniteGL2(3, 1).class_reps[0]
+    monkeypatch.setattr(normcert, "norm_preimage", lambda ring, gamma: (
+        real(ring, gamma) if gamma == first else None))
     tab = sigma_orbits(3, 2, 1)
     assert not tab.bijection and len(tab.orbits) == 1
     rows = {c.name: c for c in campaigns.norm_bijection_checks(cases=((3, 2, 1),))}
@@ -248,7 +256,7 @@ def test_bc_unit_fibre_sums_match_u_loop(p, r, j, k):
     fibre_size = int(np.count_nonzero(G.congruence_mask(k)))
     fibre = np.stack([_fibre_sums(G, k, v, fibre_size) for v in values])
     assert np.array_equal(fibre, _u_loop_sums(G, k, values))
-    with pytest.raises(AssertionError, match="fibre of reduction"):
+    with pytest.raises(BrokenIdentity, match="fibre of reduction"):
         _fibre_sums(G, k, values[0], fibre_size + 1)
 
 
@@ -498,14 +506,16 @@ def test_unnumbered_small_orbit_is_a_failed_row(monkeypatch):
 
 @pytest.mark.parametrize("p,r,n", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1)])
 def test_sigma_orbits_with_the_code_order_unit_generators(monkeypatch, p, r, n):
-    new = sigma_orbits(p, r, n).to_dict()
+    # the orbit closure of the oracle table, under both generator sets
+    new = materialized_sigma_orbits(p, r, n).to_dict()
+    assert sigma_orbits(p, r, n).to_dict() == new
     monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
     monkeypatch.setattr(RingTableLists, "unit_generators",
                         code_order_unit_generators)
     G = MatGroup(RingTables(p, r, n))
     assert len(G.generators()) == 2 * r + len(
         code_order_unit_generators(G.t.lists))
-    assert sigma_orbits(p, r, n).to_dict() == new
+    assert materialized_sigma_orbits(p, r, n).to_dict() == new
 
 
 @pytest.mark.parametrize("p,r,n,count", [(3, 2, 1, 5), (2, 2, 2, 6)])

@@ -248,17 +248,16 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_verify_norm_builds_its_table_once(capsys, monkeypatch):
-    from gl2lab import basechange, campaigns
+    from gl2lab import campaigns, normcert
 
     calls = []
-    real = basechange.sigma_orbits
+    real = normcert.sigma_orbits
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(basechange, "sigma_orbits", counted)
-    monkeypatch.setattr(campaigns, "sigma_orbits", counted)
+    monkeypatch.setattr(normcert, "sigma_orbits", counted)
     code, out = run(capsys, "verify-norm", "--p", "3", "--r", "2", "--n", "1")
     assert code == 0
     assert calls == [(3, 2, 1)]
@@ -758,24 +757,25 @@ NORM_ARGV = ["verify-norm", "--p", "2", "--r", "2", "--n", "1"]
 
 
 def test_failed_norm_bijection_row_names_its_class(capsys, monkeypatch):
-    from gl2lab import basechange
+    from gl2lab import normcert
     from gl2lab.finitegl2 import FiniteGL2
 
     code, out = run(capsys, *NORM_ARGV)
     assert code == 0 and not any("witness" in row
                                  for row in _rows(out).values())
-    # every class sent to one delta: the first class claims its orbit and
-    # the second class is the first whose orbit went to another class
-    monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
-    monkeypatch.setattr(basechange, "_norm_preimage_in_commutant",
-                        lambda G, gamma: 0)
+    # a norm preimage for the first class alone: the second class is the
+    # first without one
+    reps = FiniteGL2(2, 1).class_reps
+    real = normcert.norm_preimage
+    monkeypatch.setattr(normcert, "norm_preimage", lambda ring, gamma: (
+        real(ring, gamma) if gamma == reps[0] else None))
     code, out = run(capsys, *NORM_ARGV)
     assert code == 1
     rows = _rows(out)
     tab = json.loads(out)["table"]
     row = rows["norm-bijection"]
     assert not row["pass"] and row["actual"] is False
-    assert row["witness"] == {"class": str(FiniteGL2(2, 1).class_reps[1]),
+    assert row["witness"] == {"class": str(reps[1]),
                               "classes": str(tab["class_count"]),
                               "orbits": str(tab["orbit_count"])}
 
@@ -795,19 +795,23 @@ def test_unclaimed_orbit_is_the_bijection_witness(monkeypatch):
 
 
 def test_failed_centralizer_rows_name_their_class(capsys, monkeypatch):
-    # one twisted centralizer one too large fails both centralizer rows
-    # with that class as the witness; it is a failed check with exit 1,
-    # not an exception in sigma_orbits
-    from gl2lab import basechange
+    # one twisted centralizer one too large fails the centralizer rows and
+    # the twisted class equation, and with it the bijection, each with that
+    # class as the witness; it is a failed check with exit 1, not an
+    # exception in sigma_orbits
+    from gl2lab import normcert
     from gl2lab.finitegl2 import FiniteGL2
     from gl2lab.padic import group_order_gl2
+    from gl2lab.ringtables import RingTableLists
 
     G = FiniteGL2(2, 1)
     bad = len(G.class_reps) - 1
-    real = basechange.SigmaOrbitRecord
-    monkeypatch.setattr(basechange, "SigmaOrbitRecord",
-                        lambda rep, size, tw, cid, stand: real(
-                            rep, size, tw + (cid == bad), cid, stand))
+    real = normcert.twisted_centralizer_order
+    bad_delta = normcert.norm_preimage(RingTableLists(2, 2, 1),
+                                       G.class_reps[bad])
+    monkeypatch.setattr(normcert, "twisted_centralizer_order",
+                        lambda ring, delta: real(ring, delta)
+                        + (delta == bad_delta))
     code, out = run(capsys, *NORM_ARGV)
     assert code == 1
     rows = _rows(out)
@@ -818,11 +822,15 @@ def test_failed_centralizer_rows_name_their_class(capsys, monkeypatch):
     assert rows["centralizer-orders"]["witness"] == {
         "class": str(G.class_reps[bad]), "tw_centralizer": str(stand + 1),
         "norm_centralizer": str(stand)}
+    order = group_order_gl2(4, 1)
+    total = sum(Fraction(order, o["tw_centralizer"])
+                for o in json.loads(out)["table"]["orbits"])
+    assert total != order
     assert rows["orbit-stabilizer"]["witness"] == {
-        "class": str(G.class_reps[bad]),
-        "size_times_tw_centralizer": str(orbit["size"] * (stand + 1)),
-        "group_order": str(group_order_gl2(4, 1))}
-    assert rows["norm-bijection"]["pass"]
+        "class": str(G.class_reps[bad]), "class_equation_sum": str(total),
+        "group_order": str(order)}
+    assert rows["norm-bijection"]["witness"]["class"] == str(G.class_reps[bad])
+    assert rows["sigma-orbit-count"]["pass"]
 
 
 @pytest.mark.parametrize("argv,digest", [

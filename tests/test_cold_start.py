@@ -1,6 +1,6 @@
 """The local-path commands and malformed table input load no table layer,
-and the character commands, the census and the boundary formula load no
-numpy.
+and the character commands, the census, the boundary term (its packet
+enumeration included) and the norm certificate load no numpy.
 
 Each command runs in a fresh interpreter, as from the console script, and
 reports which of the numpy-backed modules it left loaded.  No bytecode is
@@ -106,9 +106,10 @@ def test_character_command_loads_no_numpy(argv):
     ["census", "--q", "4", "--m", "3"],
     ["census", "--q", "7", "--m", "3", "--n", "1"],
     ["boundary", "--p", "7", "--n", "1", "--m", "3"],
+    ["boundary", "--p", "7", "--n", "1", "--m", "3", "--enumerate"],
 ], ids=" ".join)
 def test_census_and_boundary_formula_load_no_numpy(argv):
-    # the census runs on list tables; only --enumerate builds arrays
+    # the census runs on list tables, and the packets are listed through CRT
     assert _run(argv) == {"code": 0,
                           "loaded": ["gl2lab.ringtables", "gl2lab.finitegl2",
                                      "gl2lab.curves"]}
@@ -117,7 +118,17 @@ def test_census_and_boundary_formula_load_no_numpy(argv):
 def test_boundary_enumeration_leaves_numpy_ma_unloaded():
     argv = ["boundary", "--p", "7", "--n", "1", "--m", "3", "--enumerate"]
     rep = _fresh(RUN.format(argv=argv, modules=("numpy", "numpy.ma")))
-    assert rep == {"code": 0, "loaded": ["numpy"]}
+    assert rep == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-norm", "--p", "2", "--r", "2", "--n", "1"],
+    ["verify-norm", "--p", "5", "--r", "2", "--n", "1"],
+], ids=" ".join)
+def test_norm_certificate_loads_no_numpy(argv):
+    # the certificate runs on list tables and the normal-form class table
+    assert _run(argv) == {"code": 0,
+                          "loaded": ["gl2lab.ringtables", "gl2lab.finitegl2"]}
 
 
 TRACED = """

@@ -18,9 +18,10 @@ from gl2lab.curves import (SmallField, WeierstrassCurve, _crt, _discriminant,
                            level_m_count, level_m_count_closed, point_trace,
                            ss_lefschetz)
 from gl2lab.errors import DomainError
-from gl2lab.gl2group import MatGroup, _digits, _index_among
-from curves_oracles import (array_census, code, discriminant, field_arrays,
-                            transform_all)
+from gl2lab.gl2group import MatGroup
+from curves_oracles import (_digits, _index_among, array_census,
+                            boundary_by_element_loop, code, discriminant,
+                            field_arrays, transform_all)
 from group_oracles import least_unit_generator
 
 
@@ -695,3 +696,117 @@ def test_boundary_oracle_agreement():
     # Frobenius must move every packet when p^r != 1 mod m
     packets, fixed, sizes_ok = boundary_orbit_report(2, 1, 1, 3)
     assert fixed == 0 and sizes_ok
+
+
+# ---------------------------------------------------------------------------
+# the boundary packets by CRT, against the element loop
+
+
+@pytest.mark.parametrize("p,r,n,m", [(7, 1, 1, 3), (5, 2, 1, 3), (2, 1, 1, 3),
+                                     (2, 1, 2, 3)])
+def test_boundary_listing_matches_the_element_loop(p, r, n, m):
+    assert boundary_orbit_report(p, r, n, m) == boundary_by_element_loop(
+        p, r, n, m)
+
+
+@pytest.mark.parametrize("p,m,packets,fixed", [(11, 5, 5760, 5760),
+                                               (13, 5, 8064, 0)])
+def test_boundary_enumeration_runs_past_the_element_cap(capsys, monkeypatch,
+                                                        p, m, packets, fixed):
+    import json
+
+    from gl2lab.cli import main
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    assert (p * m)**4 > 200_000
+    assert main(["boundary", "--p", str(p), "--n", "1", "--m", str(m),
+                 "--enumerate"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["packets"], rep["fixed_packets"], rep["packet_sizes_ok"],
+            rep["match"]) == (packets, fixed, True, True)
+    # the packet count is the formula's |GL2(Z/N)| / (2 N phi(p))
+    assert packets == gl2_order_mod(p * m) // (2 * p * m * (p - 1))
+
+
+def test_boundary_listing_is_capped_before_it_starts(capsys, monkeypatch):
+    from gl2lab import curves
+    from gl2lab.cli import main
+
+    def no_listing(*args):
+        pytest.fail("boundary listing started before the cap")
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    monkeypatch.setattr(curves, "_left_orbits", no_listing)
+    # 23^4 + 5^4 = 280,466 elements over the two factors
+    assert main(["boundary", "--p", "23", "--n", "1", "--m", "5",
+                 "--enumerate"]) == 2
+    err = capsys.readouterr().err
+    assert "boundary group enumeration needs 280466 elements" in err
+
+
+# a packet of the wrong size, or one that Frobenius moves, in the listing
+# the row reads; the row names the first such packet
+BOUNDARY_FAULTS = """
+from gl2lab import campaigns, curves
+real = curves.boundary_packets
+
+def wrong_size(*args):
+    packets = real(*args)
+    return packets[:3] + [(packets[3][0], packets[3][1] - 1, True)] + packets[4:]
+
+def moved(*args):
+    packets = real(*args)
+    return packets[:5] + [(packets[5][0], packets[5][1], False)] + packets[6:]
+
+def boundary_rows():
+    out = []
+    for fault in (wrong_size, moved, real):
+        curves.boundary_packets = fault
+        try:
+            rows = campaigns.census_checks(qs=(),
+                                           boundary_cases=((7, 1, 1, 3),))
+        finally:
+            curves.boundary_packets = real
+        out += [c.to_dict() for c in rows
+                if c.name == "boundary-formula-vs-enumeration"]
+    return out
+"""
+
+
+def _check_boundary_rows(rows):
+    from gl2lab.curves import boundary_packets
+    packets, size = boundary_packets(7, 1, 1, 3), 2 * 21 * 6
+    wrong_size, moved, sound = rows
+    assert not wrong_size["pass"] and wrong_size["actual"] == [384, True, False]
+    assert wrong_size["witness"] == {"packet": str(packets[3][0]),
+                                     "size": str(size - 1),
+                                     "expected_size": str(size),
+                                     "frobenius_fixed": "True"}
+    assert not moved["pass"] and moved["actual"] == [384, False, True]
+    assert moved["witness"] == {"packet": str(packets[5][0]),
+                                "size": str(size), "expected_size": str(size),
+                                "frobenius_fixed": "False"}
+    assert sound["pass"] and "witness" not in sound
+
+
+def test_boundary_row_names_its_faulty_packet():
+    ns = {}
+    exec(BOUNDARY_FAULTS, ns)
+    _check_boundary_rows(ns["boundary_rows"]())
+
+
+def test_boundary_row_names_its_faulty_packet_under_python_O():
+    import json
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = "\n".join([
+        "import json, sys",
+        "if __debug__:",
+        "    sys.exit('not running under python -O')",
+        BOUNDARY_FAULTS,
+        "print(json.dumps(boundary_rows()))"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(here, os.pardir, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _check_boundary_rows(json.loads(proc.stdout))

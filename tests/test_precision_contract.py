@@ -12,7 +12,7 @@ exact matrix, or the conjugate computed in the deep context.
 
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gl2lab.errors import DomainError, PrecisionExhausted
@@ -146,6 +146,9 @@ def test_local_functions_answer_exactly_or_raise():
     answered = Counter()
     TraceValuation.bounds = 0
 
+    # a fixed seed, not one derived from the source of `probe`, so an edit
+    # to its body draws the same 150 examples
+    @seed(20259)
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
     @given(references())

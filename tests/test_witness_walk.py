@@ -1,6 +1,7 @@
 """Every boolean row of report-all names a witness when it fails.
 
-The walk runs report-all and takes every row whose value is a boolean.  For
+The walk runs report-all and takes every row whose value is a boolean, or a
+list that holds one (`boundary-formula-vs-enumeration`).  For
 each such row it applies that row's own patch from FORCED, reruns the row's
 campaign, and requires the row to fail with a non-empty witness.  A boolean
 row with no entry in FORCED fails the walk, so a new boolean check must
@@ -16,10 +17,13 @@ import sys
 import tempfile
 from unittest import mock
 
-from gl2lab import basechange, campaigns, checks, finitegl2
+from gl2lab import basechange, campaigns, checks, curves, finitegl2, normcert
 from gl2lab.cli import main
 
-_record = basechange.SigmaOrbitRecord
+_norm_preimage = normcert.norm_preimage
+_twisted_centralizer_order = normcert.twisted_centralizer_order
+_classes = normcert._classes
+_boundary_packets = curves.boundary_packets
 _commutant_units = basechange._commutant_units
 _orbit_label_data = basechange.orbit_label_data
 _orbital_sample = checks._orbital_sample
@@ -38,20 +42,26 @@ def _classes_shifted(p, r, j):
     return tables, G, labels, norm_class
 
 
+def _last_packet_moved(p, r, n, m):
+    packets = _boundary_packets(p, r, n, m)
+    return packets[:-1] + [(*packets[-1][:2], False)]
+
+
 # boolean row -> (its campaign, the patches (owner, attribute, value) that
-# make it fail)
+# make it fail): the three norm rows by the certificate's own faults, a
+# class without a norm preimage, a wrong twisted centralizer order and a
+# class dropped from the class table
 FORCED = {
     "norm-bijection": ("norm-bijection", [
-        (basechange, "_ORBIT_CACHE", {}),
-        (basechange, "_norm_preimage_in_commutant", lambda G, gamma: 0)]),
+        (normcert, "norm_preimage", lambda ring, gamma: None if tuple(
+            gamma) == (1, 0, 0, 1) else _norm_preimage(ring, gamma))]),
     "centralizer-orders": ("norm-bijection", [
-        (basechange, "SigmaOrbitRecord",
-         lambda rep, size, tw, cid, stand: _record(rep, size, tw, cid,
-                                                   stand + 1))]),
+        (normcert, "twisted_centralizer_order",
+         lambda ring, delta: _twisted_centralizer_order(ring, delta) + 1)]),
     "orbit-stabilizer": ("norm-bijection", [
-        (basechange, "SigmaOrbitRecord",
-         lambda rep, size, tw, cid, stand: _record(rep, size + 1, tw, cid,
-                                                   stand))]),
+        (normcert, "_classes", lambda p, n: _classes(p, n)[:-1])]),
+    "boundary-formula-vs-enumeration": ("census", [
+        (curves, "boundary_packets", _last_packet_moved)]),
     "unit-group-exact-sequence": ("exact-sequence", [
         (basechange, "_commutant_units", _one_small_unit_short)]),
     "bc-unit-identity": ("bc-unit", [
@@ -76,7 +86,10 @@ def walk():
             return ["report-all does not pass"]
         with open(path) as fh:
             rows = json.load(fh)["checks"]
-    boolean = {row["name"] for row in rows if isinstance(row["actual"], bool)}
+    boolean = {row["name"] for row in rows
+               if any(isinstance(x, bool) for x in (
+                   row["actual"] if isinstance(row["actual"], list)
+                   else [row["actual"]]))}
     problems = [f"{name}: boolean row with no forced failure"
                 for name in sorted(boolean - set(FORCED))]
     problems += [f"{name}: forced, but report-all has no such boolean row"
