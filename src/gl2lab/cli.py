@@ -7,17 +7,28 @@ hold (`BrokenIdentity`) is a failed verification too: one line on stderr
 and exit 1.  Reports are byte-deterministic for a fixed configuration
 and seed; wall-clock timings go to stderr only.
 
-Each command imports the layers it uses when it runs, and the table
-commands check p, n, q, r, the point kind and residue, the level m and the
-congruence level k with the table layers' own rules (in `padic`) before
-they load them.  So the local-path commands (eval-phi, tree-orbital,
-tree-fixed-set, verify-tower, verify-central, verify-orbital) run without
-numpy, and so does a table command whose prime, level, prime power, point,
-boundary or unit-group input is malformed.  The character commands
-(char-table, ss-trace, verify-cr) load the pure-Python `finitegl2` and no
-numpy; the census and `boundary`, `--enumerate` included, load `curves` on
-top of it, and `verify-norm` the certificate of `normcert`.  Only
-`verify-exact-seq`, `verify-bc-unit` and `report-all` load numpy.
+Each command imports the layers it uses when it runs, after it has checked
+its input with the rules of `padic`, which the CLI loads anyway: p, r, q,
+n and the matrix (`get_context`, `_parse_matrix`, `factor_prime_power`)
+for the local-path commands, and p, n, q, r, the point kind and residue,
+the level m and the congruence level k for the table commands.  So
+malformed input exits 2 before any layer below loads.  The layers each
+command loads:
+
+- eval-phi: `testfunc` (with `ratfunc`); tree-orbital and tree-fixed-set:
+  `tree` on top of it;
+- verify-tower, verify-central, verify-orbital and tree-fixed-set
+  `--verify`: the batteries of `checks`, with `hecke` and `tree`;
+- char-table and ss-trace: the pure-Python `finitegl2`; verify-cr:
+  `checks` on top of it;
+- census and `boundary` (`--enumerate` included): `curves`, with
+  `finitegl2` and the list tables of `ringtables`;
+- verify-norm: the certificate of `normcert`, on the same two;
+- verify-exact-seq, verify-bc-unit and report-all: the numpy tables of
+  `gl2group` and `basechange`, the only commands that load numpy.
+
+Only the three numpy commands load `inspect`; the report records are plain
+classes and NamedTuples, which need none of it.
 """
 
 from __future__ import annotations
@@ -228,11 +239,11 @@ def _run_command(args) -> int:
         raise DomainError(f"{cmd} needs n >= 1")
 
     if cmd == "eval-phi":
+        ctx = get_context(args.p, args.r, 2 * args.n + 6)
+        g = _parse_matrix(ctx, args.matrix, e=args.e)
         from fractions import Fraction
 
         from .testfunc import phi_branch, phi_pn, phi_p0, phi_pnt
-        ctx = get_context(args.p, args.r, 2 * args.n + 6)
-        g = _parse_matrix(ctx, args.matrix, e=args.e)
         branch, k, ell = phi_branch(g, args.n)
         report = {
             "campaign": "eval-phi",
@@ -248,9 +259,9 @@ def _run_command(args) -> int:
         return 0
 
     if cmd == "tree-orbital":
-        from .tree import orbital_ratio, orbital_shell_tally
         ctx = get_context(args.p, args.r, 2 * args.n + 6)
         g = _parse_matrix(ctx, args.gamma, e=args.e)
+        from .tree import orbital_ratio, orbital_shell_tally
         ratio, supported = orbital_ratio(g, args.n)
         report = {
             "campaign": "tree-orbital",
@@ -274,9 +285,9 @@ def _run_command(args) -> int:
                             args.out, seed=args.seed)
         if not args.gamma:
             raise DomainError("--gamma is required without --verify")
-        from .tree import fixed_set
         ctx = get_context(args.p, args.r, 2 * args.depth + 8)
         g = _parse_matrix(ctx, args.gamma, e=args.e)
+        from .tree import fixed_set
         rep = fixed_set(g, args.depth)
         report = {
             "campaign": "tree-fixed-set",
@@ -351,6 +362,7 @@ def _run_command(args) -> int:
                         args.out)
 
     if cmd == "verify-tower":
+        factor_prime_power(args.q)
         from .checks import tower_checks
         checks = tower_checks(cases=((args.q, args.n),), samples=args.samples,
                               seed=args.seed)
@@ -359,6 +371,7 @@ def _run_command(args) -> int:
                         args.out, seed=args.seed)
 
     if cmd == "verify-central":
+        factor_prime_power(args.q)
         from .checks import centrality_checks
         checks = centrality_checks(q=args.q, n=args.n, samples=args.samples,
                                    seed=args.seed)
@@ -366,6 +379,7 @@ def _run_command(args) -> int:
                         {"q": args.q, "n": args.n}, args.out, seed=args.seed)
 
     if cmd == "verify-orbital":
+        get_context(args.q, 1, 2 * args.n + 6)  # the context the checks use
         from .checks import orbital_checks
         checks = orbital_checks(cases=((args.q, args.n),), per=args.samples,
                                 seed=args.seed)

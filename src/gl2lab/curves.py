@@ -25,9 +25,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .errors import BrokenIdentity, DomainError, check_cap
 from .finitegl2 import fixed_surjections, ss_trace_closed, ss_trace_point
@@ -111,17 +110,15 @@ class SmallField:
 # Weierstrass curves and their points
 
 
-@dataclass
 class WeierstrassCurve:
-    q: int
-    a: tuple  # (a1, a2, a3, a4, a6) field codes
-    aut_order: int = 1
-    _points: Optional[list] = field(default=None, repr=False)
-    F: SmallField = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.F = SmallField(self.q)
-        if _discriminant(self.F, *self.a) == 0:
+    def __init__(self, q: int, a: tuple, aut_order: int = 1,
+                 _points: Optional[list] = None):
+        self.q = q
+        self.a = a  # (a1, a2, a3, a4, a6) field codes
+        self.aut_order = aut_order
+        self._points = _points
+        self.F = SmallField(q)
+        if _discriminant(self.F, *a) == 0:
             raise DomainError("singular Weierstrass equation")
 
     def points(self):
@@ -148,7 +145,7 @@ class WeierstrassCurve:
         """a_E = q + 1 - #E(F_q); satisfies the Weil bound."""
         a = self.q + 1 - self.count()
         if a * a > 4 * self.q:
-            raise AssertionError(f"trace {a} violates the Weil bound at q = {self.q}")
+            raise BrokenIdentity(f"trace {a} violates the Weil bound at q = {self.q}")
         return a
 
     def hasse_invariant(self) -> int:
@@ -413,19 +410,19 @@ def _census(q):
             perm = _index_of(table, shape, _transform(F, a, g), size)
             # one-to-one onto the family: every image in it, none hit twice
             if -1 in perm or len(set(perm)) < size:
-                raise AssertionError(f"substitution {g} over F_{q} does not "
+                raise BrokenIdentity(f"substitution {g} over F_{q} does not "
                                      f"permute the normal forms {shape}")
             perms.append(perm)
         for i, orbit in _orbits(perms, size):
             rep = tuple(x[i] if type(x) is list else x for x in a)
             if group_order % orbit:
-                raise AssertionError(f"orbit of {rep} over F_{q} has {orbit} "
+                raise BrokenIdentity(f"orbit of {rep} over F_{q} has {orbit} "
                                      f"tuples, not a divisor of {group_order}")
             # the stabilizer is Aut(E): it holds -1 and divides 24 (Silverman
             # III.10.1), which a closed but too small orbit would break
             aut = group_order // orbit
             if aut % 2 or 24 % aut:
-                raise AssertionError(f"orbit of {rep} over F_{q} gives |Aut| "
+                raise BrokenIdentity(f"orbit of {rep} over F_{q} gives |Aut| "
                                      f"= {aut}, not an even divisor of 24")
             curves.append(WeierstrassCurve(q, rep, aut_order=aut))
     curves.sort(key=lambda E: E.a)
@@ -481,8 +478,7 @@ def level_m_count_closed(E: WeierstrassCurve, m: int) -> int:
 # isogeny classes and the Lefschetz sum
 
 
-@dataclass
-class IsogenyClassRecord:
+class IsogenyClassRecord(NamedTuple):
     trace: int
     curves: List[WeierstrassCurve]
     ordinary: bool
@@ -510,8 +506,7 @@ def isogeny_classes(q: int, n: int = 1) -> List[IsogenyClassRecord]:
     return out
 
 
-@dataclass
-class LefschetzReport:
+class LefschetzReport(NamedTuple):
     q: int
     p: int
     r: int
@@ -560,7 +555,7 @@ def point_trace(p: int, r: int, n: int, ordinary: bool,
 
 def _check_point_trace(val, direct, p, r, n, kind):
     if val != direct:
-        raise AssertionError(f"{kind} point trace at (p, r, n) = ({p}, {r}, {n}): "
+        raise BrokenIdentity(f"{kind} point trace at (p, r, n) = ({p}, {r}, {n}): "
                              f"character sum {val} != {direct}")
 
 

@@ -41,9 +41,8 @@ as the oracle of this one.  This module loads no numpy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, NamedTuple
 
 from .errors import check_cap
 from .finitegl2 import FiniteGL2, _class_count, _class_keys, _least_rep
@@ -52,8 +51,7 @@ from .ringtables import RingTableLists
 from .rows import Check, _witness
 
 
-@dataclass
-class SigmaOrbitRecord:
+class SigmaOrbitRecord(NamedTuple):
     rep: tuple            # the class of GL2(Z/p^n) whose norm preimage lies here
     size: int
     tw_centralizer: int
@@ -61,8 +59,7 @@ class SigmaOrbitRecord:
     norm_centralizer: int
 
 
-@dataclass
-class SigmaOrbitTable:
+class SigmaOrbitTable(NamedTuple):
     p: int
     r: int
     n: int

@@ -8,15 +8,13 @@ batteries of `checks`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .padic import LocalMatrix
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     inputs: dict
     expected: Any

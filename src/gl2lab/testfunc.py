@@ -12,9 +12,8 @@ e_Gamma(p^n) of the level-n characters of GL2(Z/p^n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, PrecisionExhausted
 from .padic import (ExtendedNat, GaloisRingElement, LocalMatrix,
@@ -114,8 +113,7 @@ def branch_value_t(q: int, n: int, branch: str, k: int,
 # invariants record
 
 
-@dataclass
-class GammaInvariants:
+class GammaInvariants(NamedTuple):
     """Conjugation invariants of a determinant-valuation-r element.
 
     ``ell`` saturates at ``level``: branch predicates only ever compare

@@ -13,9 +13,8 @@ shells following the vertex-counting lemma (weights q/(q+1) resp.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from .errors import (DomainError, NotStabilizable, PrecisionExhausted,
                      check_cap)
@@ -117,8 +116,7 @@ def stabilizes(gamma: LocalMatrix, v: TreeVertex) -> bool:
     return all(x % pneed == 0 for entry in B for x in entry)
 
 
-@dataclass
-class FixedSetReport:
+class FixedSetReport(NamedTuple):
     """Stabilized vertices of a matrix within a search depth."""
 
     gamma: LocalMatrix

@@ -1,11 +1,12 @@
 """A broken internal identity is a failed verification: `BrokenIdentity`,
 one line on stderr and exit 1, never an AssertionError or a traceback.
 
-Each of the four sites that check such an identity is forced to fail by a
+Each of the six sites that check such an identity is forced to fail by a
 patch, in process and under python -O, where no assert could stand in for
-the check.  Three of them are reached by a command; `level_m_count` only by
+the check.  Five of them are reached by a command; `level_m_count` only by
 the census campaign, after `level_m_count_closed` has read the same curves,
-so it is called directly.
+so it is called directly.  The census of `_census` is cached per q, so its
+site patches in a fresh cache.
 """
 
 import json
@@ -14,7 +15,7 @@ import subprocess
 import sys
 
 SITES = """
-import contextlib, io
+import contextlib, functools, io
 from unittest import mock
 
 import numpy as np
@@ -50,6 +51,13 @@ SITES = {
     "_fibre_sums": ([(MatGroup, "congruence_mask", one_more)],
                     ["verify-bc-unit", "--p", "2", "--r", "2", "--j", "1",
                      "--k", "1"]),
+    "_check_point_trace": ([(curves, "ss_trace_point", lambda *a, **k: 12345)],
+                           ["census", "--q", "7", "--m", "3", "--n", "1"]),
+    # the generators claimed to join every normal form into one orbit
+    "_census": ([(curves, "_census",
+                  functools.cache(curves._census.__wrapped__)),
+                 (curves, "_orbits", lambda perms, size: [(0, size)])],
+                ["census", "--q", "7", "--m", "3"]),
 }
 
 
@@ -80,6 +88,9 @@ MESSAGES = {
     "level_m_count_closed": "does not divide the 49 bases of E[3]",
     "boundary_ss_trace": "boundary packet count 2305/6 is not an integer",
     "_fibre_sums": "a fibre of reduction mod 2 does not have",
+    "_check_point_trace": "point trace at (p, r, n) = (7, 1, 1): "
+                          "character sum 12345 != ",
+    "_census": "over F_7 has 42 tuples, not a divisor of 6",
 }
 
 

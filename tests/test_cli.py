@@ -1,6 +1,5 @@
 """Command-line driver: exit codes, schemas, determinism."""
 
-import dataclasses
 import inspect
 import json
 import os
@@ -550,8 +549,8 @@ def test_failed_tree_probe_row_keeps_its_witness(capsys, monkeypatch, field,
     from gl2lab import checks
 
     real = checks.fixed_set
-    monkeypatch.setattr(checks, "fixed_set", lambda g, depth: dataclasses.replace(
-        real(g, depth), **{field: value}))
+    monkeypatch.setattr(checks, "fixed_set", lambda g, depth: real(
+        g, depth)._replace(**{field: value}))
     code, out = run(capsys, *TREE_ARGV)
     assert code == 1
     rows = _rows(out)
@@ -785,8 +784,8 @@ def test_unclaimed_orbit_is_the_bijection_witness(monkeypatch):
 
     real = basechange.sigma_orbits(2, 2, 1)
     # a table where every class has its own orbit but one orbit is left
-    tab = dataclasses.replace(real, orbit_count=real.orbit_count + 1,
-                              bijection=False, unclaimed=(0, 1, 2, 3))
+    tab = real._replace(orbit_count=real.orbit_count + 1, bijection=False,
+                        unclaimed=(0, 1, 2, 3))
     row = campaigns.norm_table_checks(tab)[1].to_dict()
     assert row["name"] == "norm-bijection" and not row["pass"]
     assert row["witness"] == {"orbit": "(0, 1, 2, 3)",

@@ -1,6 +1,8 @@
 """The local-path commands and malformed table input load no table layer,
 and the character commands, the census, the boundary term (its packet
-enumeration included) and the norm certificate load no numpy.
+enumeration included) and the norm certificate load no numpy.  Malformed
+local-path input is rejected before the local layers load, and no command
+here loads `dataclasses` or the `inspect` stack behind it.
 
 Each command runs in a fresh interpreter, as from the console script, and
 reports which of the numpy-backed modules it left loaded.  No bytecode is
@@ -19,13 +21,24 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 TABLE_MODULES = ("numpy", "gl2lab.gl2group", "gl2lab.ringtables",
                  "gl2lab.finitegl2", "gl2lab.basechange", "gl2lab.curves")
 
+# the stdlib no command of the mix needs: dataclasses and what it imports
+INTROSPECTION = ("dataclasses", "inspect")
+
+# one command or more in one interpreter; sys.modules only grows, so a
+# module that one command loads shows at that command and every one after
 RUN = """
 import contextlib, io, json, sys
 from gl2lab.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main({argv!r})
-print(json.dumps({{"code": code,
-                   "loaded": [m for m in {modules!r} if m in sys.modules]}}))
+out = []
+for argv in {argvs!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.append({{"code": code, "stderr": err.getvalue().splitlines(),
+                "loaded": [m for m in {modules!r} if m in sys.modules],
+                "stdlib": [m for m in {stdlib!r} if m in sys.modules]}})
+print(json.dumps(out))
 """
 
 
@@ -40,8 +53,18 @@ def _fresh(code):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _run(argv):
-    return _fresh(RUN.format(argv=argv, modules=TABLE_MODULES))
+def _run_all(argvs, modules):
+    reps = _fresh(RUN.format(argvs=argvs, modules=modules,
+                             stdlib=INTROSPECTION))
+    for argv, rep in zip(argvs, reps, strict=True):
+        assert rep.pop("stdlib") == [], (argv, rep)
+    return reps
+
+
+def _run(argv, modules=TABLE_MODULES):
+    rep, = _run_all([argv], modules)
+    del rep["stderr"]
+    return rep
 
 
 @pytest.mark.parametrize("argv", [
@@ -57,6 +80,42 @@ def _run(argv):
 ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
 def test_local_path_command_loads_no_table_layer(argv):
     assert _run(argv) == {"code": 0, "loaded": []}
+
+
+LOCAL_LAYERS = ("gl2lab.testfunc", "gl2lab.tree", "gl2lab.checks",
+                "gl2lab.hecke")
+
+# (argv, the error line), every one checked against the parameters and the
+# matrix by padic's rules before a local layer loads
+MALFORMED_LOCAL = [
+    (["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0]]"],
+     "matrix must be [[a, b], [c, d]] with entries integers; got [[2,0]]"),
+    (["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0],[0,1.5]]"],
+     "matrix must be [[a, b], [c, d]] with entries integers; "
+     "got [[2,0],[0,1.5]]"),
+    (["eval-phi", "--p", "3", "--n", "2", "--matrix", "[[2,0],"],
+     "Expecting value: line 1 column 8 (char 7)"),
+    (["eval-phi", "--p", "4", "--n", "1", "--matrix", "[[2,0],[0,1]]"],
+     "p = 4 is not prime"),
+    (["tree-orbital", "--p", "2", "--n", "0", "--gamma", "[[0,1],[-2,0]]"],
+     "tree-orbital needs n >= 1"),
+    (["tree-fixed-set", "--p", "2", "--gamma", "[[2,1],[0]]"],
+     "matrix must be [[a, b], [c, d]] with entries integers; "
+     "got [[2,1],[0]]"),
+    (["verify-orbital", "--q", "4", "--n", "1"], "p = 4 is not prime"),
+    (["verify-tower", "--q", "6", "--n", "1"], "q must be a prime power"),
+    (["verify-central", "--q", "1", "--n", "1"], "q must be >= 2"),
+]
+
+
+def test_malformed_local_input_exits_before_the_local_layers():
+    # one interpreter for all nine
+    argvs = [argv for argv, _ in MALFORMED_LOCAL]
+    reps = _run_all(argvs, LOCAL_LAYERS)
+    for (argv, message), rep in zip(MALFORMED_LOCAL, reps):
+        assert rep["code"] == 2 and rep["loaded"] == [], (argv, rep)
+        # the command's timing line, then the one line of the error
+        assert rep["stderr"][1:] == [f"error: {message}"], (argv, rep)
 
 
 @pytest.mark.parametrize("argv", [
@@ -117,8 +176,8 @@ def test_census_and_boundary_formula_load_no_numpy(argv):
 
 def test_boundary_enumeration_leaves_numpy_ma_unloaded():
     argv = ["boundary", "--p", "7", "--n", "1", "--m", "3", "--enumerate"]
-    rep = _fresh(RUN.format(argv=argv, modules=("numpy", "numpy.ma")))
-    assert rep == {"code": 0, "loaded": []}
+    assert _run(argv, modules=("numpy", "numpy.ma")) == {"code": 0,
+                                                         "loaded": []}
 
 
 @pytest.mark.parametrize("argv", [
