@@ -1,13 +1,31 @@
-"""Finite-level base change on the numpy group tables.
+"""Finite-level base change: the unit identity and the exact sequence.
 
-The sigma-conjugacy orbit of every element of GL2(GR(p^n, r)), by orbit
-closure, matched with the conjugacy classes of GL2(Z/p^n) through the
-norm, is what the base-change unit identity for congruence-subgroup
-idempotents reads; that identity is verified exhaustively on it.  The
-exact sequence of unit groups behind the norm bijection is verified on
-commutant units alone, without listing the group.  The norm bijection
-itself is the numpy-free certificate of `normcert`; `sigma_orbits` is
-imported from there.
+Let O_r = GR(p^j, r) with Frobenius sigma, G_r = GL2(O_r) and N(x) =
+x sigma(x) ... sigma^(r-1)(x).  The base-change unit identity: for a class
+function f of GL2(Z/p^j) and delta in G_r, the average of f(N(u delta))
+over u in Gamma(p^k) (the kernel of reduction mod p^k) equals the average
+of f(v gamma) over v in Gamma(p^k) of GL2(Z/p^j), gamma in the class of
+N(delta).  It is checked at the norm preimages delta_gamma of `normcert`:
+
+- *sigma-invariance.*  Gamma(p^k) is normal and N(h^-1 x sigma(h)) =
+  h^-1 N(x) h, so u -> h^-1 u h carries the left sum at delta term by term
+  to the one at h^-1 delta sigma(h), and the right side reads only the
+  class of N(delta): both sides are constant on sigma-classes.  The
+  certificate's twisted class equation proves that the sigma-classes of
+  the delta_gamma are all of G_r; where it fails, the row names a class.
+- *fibres.*  u -> u delta maps Gamma(p^k) onto the fibre of delta mod p^k,
+  so the left sum depends only on that fibre.  It is a tally of the
+  classes of the N(x) over each distinct fibre (at k = 0 the one fibre
+  G_r), read off the normal-form key of `finitegl2` with the ring tables;
+  every function of a call is read off the same tallies.
+- *cost.*  At most min(classes x |Gamma(p^k)|, |G_r|) norms, capped before
+  any work: 7 fibres of 256 at (p, r, j, k) = (2, 2, 2, 1), against the
+  46,080 elements of G_r.
+
+The right side is a fibre sum on the numpy orbit table of GL2(Z/p^j),
+`orbit_label_data(p, 1, j)`, cached.  The exact sequence of unit groups
+behind the norm bijection runs on the commutant pairs of
+`normcert.commutant_ops`, without listing the group.
 
 Sign convention recorded for downstream (out-of-scope) comparisons of
 orbital integrals: matching carries the sign +, except when the norm is
@@ -21,38 +39,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BrokenIdentity, DomainError
-from .finitegl2 import FiniteGL2
-from .gl2group import MatGroup, RingTables, _group_and_labels
+from .errors import BrokenIdentity, DomainError, check_cap
+from .finitegl2 import FiniteGL2, _class_count
+from .gl2group import MatGroup, _group_and_labels
+from .normcert import (_first_bad_class, certificate, commutant_ops,
+                       norm_preimage)
 # perfbench's tracer times the certificate under this module's name
 from .normcert import sigma_orbits  # noqa: F401
-from .padic import check_unit_group_input
+from .padic import check_unit_group_input, group_order_gl2
+from .ringtables import RingTableLists
 
 __all__ = ["sigma_orbits", "orbit_label_data", "unit_group_exactness",
-           "unit_group_defect", "bc_unit_identity", "bc_unit_defect"]
-
-
-def _commutant_units(G: MatGroup, gm, scalars):
-    """The units a*1 + b*gm for a, b in `scalars`, in (a, b) order, a outer.
-
-    gm is one matrix as codes; returns a 4-tuple of code arrays.
-    """
-    s = np.asarray(scalars, dtype=np.int64)
-    a, b = np.repeat(s, len(s)), np.tile(s, len(s))
-    ident = G.single([[1, 0], [0, 1]])
-    m = tuple(G.radd(G.rmul(a, i), G.rmul(b, g)) for i, g in zip(ident, gm))
-    unit = G.t.UNIT[G.det(m)]
-    return tuple(x[unit] for x in m)
-
-
-def _norm_preimage_in_commutant(G: MatGroup, gamma) -> int:
-    """Index in G of the first delta in (GR[gamma])^x with N(delta) = gamma."""
-    gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
-    units = _commutant_units(G, gm, range(G.t.Q))
-    hit = np.flatnonzero(G.encode(*G.norm(units)) == G.encode(*gm))
-    if len(hit) == 0:
-        raise DomainError(f"no norm preimage in the commutant of {gamma}")
-    return int(G.idx(units)[hit[0]])
+           "unit_group_defect", "bc_unit_identity", "bc_unit_defect",
+           "bc_unit_defects"]
 
 
 _ORBIT_CACHE = {}
@@ -62,19 +61,21 @@ def orbit_label_data(p, r, n):
     """(tables, G, labels, norm_class): the sigma-conjugacy orbit of every
     element and, per orbit, the conjugacy class of GL2(Z/p^n) matched with it.
 
-    Each class is matched with the orbit of its first norm preimage in the
-    commutant.  An orbit that no class claims, or whose class claimed an
-    orbit already taken, keeps norm_class -1; the callers report that as a
-    failed bijection.  Cached per (p, r, n).
+    Each class is matched with the orbit of its norm preimage
+    (`normcert.norm_preimage`).  An orbit that no class claims, or whose
+    class claimed an orbit already taken, keeps norm_class -1; the callers
+    report that as a failed bijection.  Cached per (p, r, n).
     """
     check_unit_group_input(p, r, n)
     if (p, r, n) in _ORBIT_CACHE:
         return _ORBIT_CACHE[(p, r, n)]
     tables, G, count, labels = _group_and_labels(p, r, n)
-    small = FiniteGL2(p, n)
     norm_class = np.full(count, -1, dtype=np.int64)
-    for cid, gamma in enumerate(small.class_reps):
-        orb = labels[_norm_preimage_in_commutant(G, gamma)]
+    for cid, gamma in enumerate(FiniteGL2(p, n).class_reps):
+        delta = norm_preimage(tables.lists, gamma)
+        if delta is None:
+            raise DomainError(f"no norm preimage in the commutant of {gamma}")
+        orb = labels[G.idx(delta)]
         if norm_class[orb] < 0:
             norm_class[orb] = cid
     _ORBIT_CACHE[(p, r, n)] = (tables, G, labels, norm_class)
@@ -95,28 +96,43 @@ def unit_group_exactness(gamma, p: int, r: int, n: int) -> bool:
     return unit_group_defect(gamma, p, r, n) is None
 
 
+def _commutant_units(ring, gamma, scalars):
+    """The pairs (a, b), a outer and b inner over `scalars`, for which
+    a + b gamma is a unit."""
+    det, VAL = commutant_ops(ring, gamma)[3], ring.VAL
+    return [(a, b) for a in scalars for b in scalars if VAL[det(a, b)] == 0]
+
+
 def unit_group_defect(gamma, p: int, r: int, n: int):
     """The first spot where the sequence of `unit_group_exactness` is not
     exact at gamma, with the sizes of the two sets compared there; None if
-    it is exact."""
+    it is exact.  The sets hold the units' four entry codes, so a scalar
+    gamma, whose pairs repeat matrices, compares matrices."""
     check_unit_group_input(p, r, n)
-    G = MatGroup(RingTables(p, r, n))
-    gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
-    big = _commutant_units(G, gm, range(G.t.Q))
-    small = set(G.encode(*_commutant_units(G, gm, range(p**n))).tolist())
-    one = int(G.encode(*G.single([[1, 0], [0, 1]])))
-    key = G.encode(*big)
-    d1 = G.encode(*G.matmul(big, G.minv(G.sigma(big))))
-    d2 = G.encode(*G.norm(big))
+    ring = RingTableLists(p, r, n)
+    SIG = ring.SIG
+    matrix, mul, norm, _, inverse = commutant_ops(ring, gamma)
+    big = _commutant_units(ring, gamma, range(ring.Q))
+    small = {matrix(a, b) for a, b in _commutant_units(ring, gamma,
+                                                       range(p**n))}
+    one = (1, 0, 0, 1)
+    key = [matrix(a, b) for a, b in big]
+    # d1(x) = x sigma(x)^-1 and d2 = the norm
+    im1 = [matrix(*mul(a, b, *inverse(SIG[a], SIG[b]))) for a, b in big]
+    im2 = [matrix(*norm(a, b)) for a, b in big]
     spots = (
-        # the sigma-fixed points of the big unit group are the small one
+        # the sigma-fixed points of the big unit group are the small one;
+        # sigma acts on the entries, as gamma is over Z/p^n
         ("sigma-fixed units = small units",
-         set(key[G.encode(*G.sigma(big)) == key].tolist()), small),
-        ("image d1 = kernel d2", set(d1.tolist()), set(key[d2 == one].tolist())),
+         {m for m in key if (SIG[m[0]], SIG[m[1]], SIG[m[2]], SIG[m[3]]) == m},
+         small),
+        ("image d1 = kernel d2", set(im1),
+         {m for m, y in zip(key, im2) if y == one}),
         # exactness at the last spot: the norm surjects onto the small units
-        ("image d2 = small units", set(d2.tolist()), small),
+        ("image d2 = small units", set(im2), small),
         # kernel of d1 is the image of the small units
-        ("kernel d1 = small units", set(key[d1 == one].tolist()), small))
+        ("kernel d1 = small units",
+         {m for m, y in zip(key, im1) if y == one}, small))
     return next(((spot, len(a), len(b)) for spot, a, b in spots if a != b),
                 None)
 
@@ -127,46 +143,126 @@ def unit_group_defect(gamma, p: int, r: int, n: int):
 
 def bc_unit_identity(f_values, k: int, p: int, r: int, j: int) -> bool:
     """Averages of f(N(u delta)) over u in Gamma(p^k) at modulus p^j equal
-    averages of f(v N(delta)) over v in the p-adic-side Gamma(p^k).
+    averages of f(v N(delta)) over v in the p-adic-side Gamma(p^k), at
+    every delta (module docstring).
 
-    f_values: one integer per conjugacy class of GL2(Z/p^j); every delta is
-    checked.
+    f_values: one integer per conjugacy class of GL2(Z/p^j).
     """
     return bc_unit_defect(f_values, k, p, r, j) is None
 
 
 def bc_unit_defect(f_values, k: int, p: int, r: int, j: int):
-    """The first delta where `bc_unit_identity` fails, as its four entry
-    codes and the left and right averages; None where the identity holds.
-    An orbit that no class claims, in either orbit table, has no f-value:
-    its least element is the witness, with no averages.
+    """The witness of `bc_unit_defects` for the one function f_values."""
+    return bc_unit_defects([f_values], k, p, r, j)[0]
 
-    Gamma(p^k) is the kernel of reduction mod p^k, so u -> u delta maps it
-    bijectively onto the fibre of delta under that reduction.  The left
-    sums are therefore fibre sums of f(N(.)), taken once for all delta in
-    exact integer arithmetic; they equal the sums over u term by term.
-    """
+
+def bc_unit_defects(functions, k: int, p: int, r: int, j: int):
+    """Per class function, None where `bc_unit_identity` holds, else its
+    witness: the entry codes of the first delta_gamma whose averages
+    differ, with both averages; where the twisted class equation fails, the
+    first class the certificate cannot account for; and where an orbit of
+    the r = 1 table has no class, its least element, with no averages."""
     check_unit_group_input(p, r, j, k)
-    fv = np.asarray([int(v) for v in f_values], dtype=np.int64)
-    if len(fv) != len(FiniteGL2(p, j).class_reps):
+    order = group_order_gl2(p**r, j)
+    n_left = order if k == 0 else p**(4 * r * (j - k))
+    check_cap(min(_class_count(p, j) * n_left, order), "bc-unit norms",
+              default=2_000_000)
+    small = FiniteGL2(p, j)
+    fs = [[int(v) for v in f] for f in functions]
+    if any(len(f) != len(small.class_reps) for f in fs):
         raise DomainError("one value per conjugacy class required")
-    _, G, labels, norm_class = orbit_label_data(p, r, j)
     _, Gs, small_labels, small_class = orbit_label_data(p, 1, j)
-    cls = norm_class[labels]
-    for H, of_el in ((Gs, small_class[small_labels]), (G, cls)):
-        if (of_el < 0).any():     # argmax finds the first of them
-            return [int(x[np.argmax(of_el < 0)]) for x in H.comps], None, None
+    unclaimed = small_class[small_labels] < 0
+    if unclaimed.any():     # argmax finds the first element of such an orbit
+        i = int(np.argmax(unclaimed))
+        return [{"delta": [int(x[i]) for x in Gs.comps], "left_average": None,
+                 "right_average": None}] * len(fs)
+    rights = [_right_sums(np.asarray(f, dtype=np.int64), k, p, j) for f in fs]
+    tab, deltas = certificate(p, r, j)
+    if not tab.bijection:
+        total = sum(Fraction(order, o.tw_centralizer) for o in tab.orbits)
+        return [{"class": _first_bad_class(tab), "class_equation_sum": total,
+                 "group_order": order}] * len(fs)
+    ring = RingTableLists(p, r, j)
+    read = _norm_class_reader(ring, small)
+    tallies, out = {}, [None] * len(fs)
+    for o, delta in zip(tab.orbits, deltas):
+        fibre = tuple(ring.encode(c % p**k for c in ring.decode(x))
+                      for x in delta)
+        if fibre not in tallies:
+            tallies[fibre] = _fibre_tally(ring, delta, k, read,
+                                          len(small.class_reps), n_left)
+        for i, (f, (rhs, n_right)) in enumerate(zip(fs, rights)):
+            left = sum(c * v for c, v in zip(tallies[fibre], f))
+            right = int(rhs[o.norm_class])
+            if out[i] is None and left * n_right != right * n_left:
+                out[i] = {"delta": list(delta),
+                          "left_average": Fraction(left, n_left),
+                          "right_average": Fraction(right, n_right)}
+    return out
 
-    # left side: average f(N(u delta)) = f-value of the orbit of (u delta)
-    n_left = int(np.count_nonzero(G.congruence_mask(k)))
-    sums = _fibre_sums(G, k, fv[cls], n_left)
-    rhs, n_right = _right_sums(fv, k, p, j)
-    bad = np.flatnonzero(sums * n_right != rhs[cls] * n_left)
-    if len(bad) == 0:
-        return None
-    i = int(bad[0])
-    return ([int(x[i]) for x in G.comps], Fraction(int(sums[i]), n_left),
-            Fraction(int(rhs[cls[i]]), n_right))
+
+def _fibre_tally(ring, delta, k, read, classes, size):
+    """tally[c]: the x = delta mod p^k in G_r with N(x) in class c, the
+    classes read by `read`.  The fibre must hold size = |Gamma(p^k)| units."""
+    ADD, MUL, NEG, SIG, VAL = ring.ADD, ring.MUL, ring.NEG, ring.SIG, ring.VAL
+    steps = [x for x in range(ring.Q) if VAL[x] >= k]     # p^k O_r
+    A, B, C, D = ([ADD[e][s] for s in steps] for e in delta)
+    tally = [0] * classes
+    for a in A:
+        for b in B:
+            for c in C:
+                for d in D:
+                    if VAL[ADD[MUL[a][d]][NEG[MUL[b][c]]]]:
+                        continue
+                    # N(x), its products written out for the hot loop
+                    x0, x1, x2, x3 = s0, s1, s2, s3 = a, b, c, d
+                    for _ in range(ring.r - 1):
+                        s0, s1, s2, s3 = SIG[s0], SIG[s1], SIG[s2], SIG[s3]
+                        x0, x1, x2, x3 = (ADD[MUL[x0][s0]][MUL[x1][s2]],
+                                          ADD[MUL[x0][s1]][MUL[x1][s3]],
+                                          ADD[MUL[x2][s0]][MUL[x3][s2]],
+                                          ADD[MUL[x2][s1]][MUL[x3][s3]])
+                    tally[read(x0, x1, x2, x3)] += 1
+    if sum(tally) != size:
+        raise BrokenIdentity(f"the fibre of {list(delta)} mod p^{k} has "
+                             f"{sum(tally)} units, not |Gamma(p^k)| = {size}")
+    return tally
+
+
+def _norm_class_reader(ring, G: FiniteGL2):
+    """read(a, b, c, d): the class in G = GL2(Z/p^n) of a matrix over O_r
+    that is conjugate to one over Z/p^n, by its key (p^i, a0, tr B, det B)
+    as in `finitegl2` for x = a0 + p^i B.
+
+    p^i is the largest power of p dividing b, c and a - d, a0 = a mod p^i,
+    and B's entries are the quotients by p^i, read mod p^(n-i).  Each part
+    is a conjugation invariant over O_r, so a conjugate of gamma gets
+    gamma's key; the code of an integer of Z/p^n is the integer itself.
+    """
+    ADD, MUL, NEG, VAL = ring.ADD, ring.MUL, ring.NEG, ring.VAL
+    p, n, pn, ids = ring.p, ring.n, ring.pn, G._class_ids
+    digits = [ring.decode(x) for x in range(ring.Q)]
+    # mod[i][x] is x mod p^i, quo[i][x] is x / p^i mod p^(n-i), digitwise
+    mod = [[ring.encode(c % p**i for c in x) for x in digits]
+           for i in range(n + 1)]
+    quo = [[ring.encode(c // p**i % p**(n - i) for c in x) for x in digits]
+           for i in range(n + 1)]
+
+    def read(a, b, c, d):
+        i = min(VAL[b], VAL[c], VAL[ADD[a][NEG[d]]])
+        if i == n:
+            key = (pn, a, 0, 0)
+        else:
+            a0, q, m = mod[i][a], quo[i], mod[n - i]
+            u, v, w, s = q[ADD[a][NEG[a0]]], q[b], q[c], q[ADD[d][NEG[a0]]]
+            key = (p**i, a0, m[ADD[u][s]], m[ADD[MUL[u][s]][NEG[MUL[v][w]]]])
+        try:
+            return ids[key]
+        except KeyError:
+            raise BrokenIdentity(f"the norm {(a, b, c, d)} is conjugate to no "
+                                 f"matrix over Z/{pn}") from None
+    return read
 
 
 def _right_sums(fv, k: int, p: int, j: int):

@@ -9,8 +9,8 @@ and seed; wall-clock timings go to stderr only.
 
 Each command imports the layers it uses when it runs, after it has checked
 its input with the rules of `padic`, which the CLI loads anyway: p, r, q,
-n and the matrix (`get_context`, `_parse_matrix`, `factor_prime_power`)
-for the local-path commands, and p, n, q, r, the point kind and residue,
+n, the matrix, eval-phi's level and tree-fixed-set's depth for the
+local-path commands, and p, n, q, r, the point kind and residue,
 the level m and the congruence level k for the table commands.  So
 malformed input exits 2 before any layer below loads.  The layers each
 command loads:
@@ -24,8 +24,8 @@ command loads:
 - census and `boundary` (`--enumerate` included): `curves`, with
   `finitegl2` and the list tables of `ringtables`;
 - verify-norm: the certificate of `normcert`, on the same two;
-- verify-exact-seq, verify-bc-unit and report-all: the numpy tables of
-  `gl2group` and `basechange`, the only commands that load numpy.
+- verify-exact-seq, verify-bc-unit and report-all: `basechange` and the
+  numpy orbit tables of `gl2group`, the only commands that load numpy.
 
 Only the three numpy commands load `inspect`; the report records are plain
 classes and NamedTuples, which need none of it.
@@ -40,10 +40,10 @@ import time
 
 from . import DEFAULT_SEED
 from .errors import BrokenIdentity, DomainError, GL2LabError
-from .padic import (LocalMatrix, check_boundary_input, check_level,
-                    check_point_trace_input, check_prime_level,
-                    check_unit_group_input, factor_prime_power,
-                    get_context)
+from .padic import (LocalMatrix, check_boundary_input, check_fixed_set_input,
+                    check_level, check_phi_level, check_point_trace_input,
+                    check_prime_level, check_unit_group_input,
+                    factor_prime_power, get_context)
 
 SCHEMA_VERSION = "1"
 
@@ -241,6 +241,7 @@ def _run_command(args) -> int:
     if cmd == "eval-phi":
         ctx = get_context(args.p, args.r, 2 * args.n + 6)
         g = _parse_matrix(ctx, args.matrix, e=args.e)
+        check_phi_level(args.n)
         from fractions import Fraction
 
         from .testfunc import phi_branch, phi_pn, phi_p0, phi_pnt
@@ -287,6 +288,7 @@ def _run_command(args) -> int:
             raise DomainError("--gamma is required without --verify")
         ctx = get_context(args.p, args.r, 2 * args.depth + 8)
         g = _parse_matrix(ctx, args.gamma, e=args.e)
+        check_fixed_set_input(g, args.depth)
         from .tree import fixed_set
         rep = fixed_set(g, args.depth)
         report = {

@@ -434,19 +434,27 @@ def _census(q):
 
 
 def level_m_count(E: WeierstrassCurve, m: int) -> int:
-    """Moduli points above E: ordered bases of E[m](F_q) divided by |Aut|."""
+    """Moduli points above E: ordered bases of E[m](F_q) divided by |Aut|.
+
+    One walk P, 2P, ... from each point finds whether mP = 0 and lists the
+    multiples of the m-torsion points; the spans of the pairs are then read
+    off one addition table of E[m](F_q)."""
     check_level(factor_prime_power(E.q)[0], m)
-    tors = [P for P in E.points() if E.scalar_mul(m, P) is None]
-    if len(tors) != m * m:
+    multiples = {}
+    for P in E.points():
+        walk, x = [None], P             # x = len(walk) P
+        while x is not None and len(walk) < m:
+            walk.append(x)
+            x = E.add_points(x, P)
+        if x is None and m % len(walk) == 0:
+            multiples[P] = walk
+    if len(multiples) != m * m:
         return 0
-    # the multiples 0, P, ..., (m-1) P of each torsion point, listed once
-    multiples = [[E.scalar_mul(i, P) for i in range(m)] for P in tors]
-    bases = 0
-    for iP in multiples:
-        for jQ in multiples:
-            span = {E.add_points(x, y) for x in iP for y in jQ}
-            if len(span) == m * m:
-                bases += 1
+    index = {P: i for i, P in enumerate(multiples)}
+    table = [[index[E.add_points(P, Q)] for Q in multiples] for P in multiples]
+    spans = [[index[x] for x in walk] for walk in multiples.values()]
+    bases = sum(len({table[x][y] for x in iP for y in jQ}) == m * m
+                for iP in spans for jQ in spans)
     if bases % E.aut_order:
         raise BrokenIdentity(f"|Aut| = {E.aut_order} of {E.a} over F_{E.q} "
                              f"does not act freely on the {bases} bases of "

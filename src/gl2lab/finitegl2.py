@@ -47,7 +47,7 @@ import itertools
 import math
 
 from .cyclotomic import CyclotomicValue
-from .errors import DomainError, check_cap
+from .errors import BrokenIdentity, DomainError, check_cap
 from .padic import (_vp_gcd, check_point_trace_input, check_prime_level,
                     group_order_gl2, vp_int)
 
@@ -78,7 +78,7 @@ def _unit_generators(p, n):
             k += 1
         if k == phi:
             return [(g, phi)]
-    raise AssertionError("no primitive root found")
+    raise BrokenIdentity(f"no primitive root found mod {mod}")
 
 
 class UnitGroup:
@@ -96,7 +96,7 @@ class UnitGroup:
                           for (g, _), a in zip(self.unit_gens, exps))
             self.unit_dlog[u % self.mod] = exps
         if len(self.unit_dlog) != phi:
-            raise AssertionError(f"unit generators {self.unit_gens} span "
+            raise BrokenIdentity(f"unit generators {self.unit_gens} span "
                                  f"{len(self.unit_dlog)} of {phi} units mod {self.mod}")
 
     def characters(self):
@@ -166,7 +166,7 @@ class FiniteGL2:
         self.class_sizes = [self.order // _centralizer_order(p, n, key, counts)
                             for _, key in table]
         if sum(self.class_sizes) != self.order:
-            raise AssertionError(f"class sizes of GL2(Z/{self.mod}) sum to "
+            raise BrokenIdentity(f"class sizes of GL2(Z/{self.mod}) sum to "
                                  f"{sum(self.class_sizes)}, not {self.order}")
         self._inverse_classes = [self.class_of(_inverse(self.mod, rep))
                                  for rep in self.class_reps]

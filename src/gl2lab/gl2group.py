@@ -2,9 +2,10 @@
 
 Ring elements are encoded as integers 0..Q-1 (Q = p^(nr)) with numpy
 lookup tables for the ring operations; matrices are quadruples of codes.
-This is the workhorse behind the sigma-conjugacy orbits and the coset
-averages of the base-change identity, which touch every group element.
-The norm bijection itself needs no listing (see `normcert`).
+It lists the conjugacy orbits of GL2(Z/p^j) behind the right side of the
+base-change unit identity, and, for the tests, the sigma-orbits of the
+whole group.  The norm bijection, the exact sequence and the left side of
+the identity list no group (see `normcert` and `basechange`).
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class MatGroup:
     """GL2 over the tables' ring.  Building it keeps only the tables: the
     elements are listed, by a scan of all Q^4 matrix codes under the "GL2
     matrix-code space" cap, when `el_codes`, `order`, `idx_of_code` or
-    `comps` is first read.  So arithmetic on a few matrices, such as the
-    commutant units of the exact sequence, runs wherever the tables fit."""
+    `comps` is first read.  So arithmetic on a few matrices runs wherever
+    the tables fit."""
 
     _cache = {}
 
@@ -112,26 +113,6 @@ class MatGroup:
                 self.radd(self.rmul(xc, ya), self.rmul(xd, yc)),
                 self.radd(self.rmul(xc, yb), self.rmul(xd, yd)))
 
-    def mul_left(self, g, x):
-        """g x for one matrix g (four codes) and code arrays x; g's 0
-        coefficients add no term, its 1 coefficients take x's entry as is."""
-        ga, gb, gc, gd = (int(v) for v in g)
-        xa, xb, xc, xd = x
-        return (self.comb(ga, xa, gb, xc), self.comb(ga, xb, gb, xd),
-                self.comb(gc, xa, gd, xc), self.comb(gc, xb, gd, xd))
-
-    def mul_right(self, x, g):
-        """x g for code arrays x and one matrix g: (g^T x^T)^T."""
-        a, c, b, d = self.mul_left((g[0], g[2], g[1], g[3]),
-                                   (x[0], x[2], x[1], x[3]))
-        return a, b, c, d
-
-    def comb(self, c, u, d, v):
-        """c u + d v for constant codes c, d, not both 0, and code arrays u, v."""
-        terms = [w if k == self.t.one else self.rmul(k, w)
-                 for k, w in ((c, u), (d, v)) if k != self.t.zero]
-        return terms[0] if len(terms) == 1 else self.radd(*terms)
-
     def sigma(self, x):
         return tuple(self.t.SIG[c] for c in x)
 
@@ -144,21 +125,8 @@ class MatGroup:
         return (self.rmul(x[3], di), self.rmul(neg[x[1]], di),
                 self.rmul(neg[x[2]], di), self.rmul(x[0], di))
 
-    def norm(self, x):
-        acc, cur = x, x
-        for _ in range(self.t.r - 1):
-            cur = self.sigma(cur)
-            acc = self.matmul(acc, cur)
-        return acc
-
     def idx(self, x):
         return self.idx_of_code[self.encode(*x)]
-
-    def single(self, rows):
-        """Encode one matrix given as [[a, b], [c, d]] of coefficient entries."""
-        t = self.t
-        return tuple(np.int64(t.lists.encode([c % t.p**t.n for c in (
-            [e] if isinstance(e, int) else e)])) for row in rows for e in row)
 
     # -- generators and orbits -------------------------------------------------------
 
@@ -173,8 +141,8 @@ class MatGroup:
 
     def sigma_conj_perm(self, g):
         """Permutation i -> index of g^-1 x_i g^sigma."""
-        return self.idx(self.mul_right(self.mul_left(self.minv(g), self.comps),
-                                       self.sigma(g)))
+        return self.idx(self.matmul(self.matmul(self.minv(g), self.comps),
+                                    self.sigma(g)))
 
     @staticmethod
     def orbit_labels(perms):

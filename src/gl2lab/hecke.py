@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List
 
 from . import DEFAULT_SEED
-from .errors import DomainError, PrecisionExhausted, check_cap
+from .errors import BrokenIdentity, DomainError, PrecisionExhausted, check_cap
 from .padic import (LocalContext, LocalMatrix, _o_add, _o_det, _o_inverse,
                     _o_matmul, _o_mul, _o_sub, _val_below, ell_min_scaled,
                     factor_prime_power, get_context, group_order_gl2,
@@ -68,7 +68,7 @@ def canonical_coset_rep(g: LocalMatrix, n: int):
         for y, z in zip(top, bottom):
             num = _o_sub(tuple(x * pa for x in z), _o_mul(c, y, f))
             if any(x % pd for x in num):
-                raise AssertionError(f"p^{a} * {z} - {c} * {y} is not "
+                raise BrokenIdentity(f"p^{a} * {z} - {c} * {y} is not "
                                      f"divisible by p^{d}")
             rows += (tuple(x // pd % pn for x in num),)
     return (e, d, a, c, rows)
@@ -235,7 +235,7 @@ def phi_support(ctx: LocalContext, n: int):
     for m in phi_support_reps(ctx, n):
         key = canonical_coset_rep(m, n)
         if key in support:
-            raise AssertionError(f"{m.to_text()} repeats a coset")
+            raise BrokenIdentity(f"{m.to_text()} repeats a coset")
         support[key] = (m, Fraction(phi_pn(m, n)))
     return support
 

@@ -95,12 +95,18 @@ def sigma_orbits(p: int, r: int, n: int) -> SigmaOrbitTable:
     |G_r| / |Z_sigma(delta)|.  The class count is the closed form, the
     orbit count the preimages found; the bijection needs one preimage per
     class and the twisted class equation."""
+    return certificate(p, r, n)[0]
+
+
+def certificate(p: int, r: int, n: int):
+    """(table, deltas): the table of `sigma_orbits` and, record by record,
+    the entry codes of the norm preimage delta_gamma it was read at."""
     check_unit_group_input(p, r, n)
     check_cap(_class_count(p, n) * p**(2 * n * r), "norm preimage search pairs",
               default=2_000_000)
     ring = RingTableLists(p, r, n)
     order = group_order_gl2(p**r, n)
-    records = []
+    records, deltas = [], []
     for cid, gamma, centralizer in _classes(p, n):
         delta = norm_preimage(ring, gamma)
         if delta is None:
@@ -110,10 +116,11 @@ def sigma_orbits(p: int, r: int, n: int) -> SigmaOrbitTable:
         records.append(SigmaOrbitRecord(
             gamma, int(size) if size.denominator == 1 else size, tw, cid,
             centralizer))
+        deltas.append(delta)
     count = _class_count(p, n)
     covered = sum(Fraction(order, o.tw_centralizer) for o in records) == order
     return SigmaOrbitTable(p, r, n, order, count, len(records), records,
-                           len(records) == count and covered)
+                           len(records) == count and covered), deltas
 
 
 def _classes(p, n):
@@ -124,26 +131,32 @@ def _classes(p, n):
             for cid, (rep, size) in enumerate(zip(G.class_reps, G.class_sizes))]
 
 
-def norm_preimage(ring: RingTableLists, gamma):
-    """The four entry codes of the first delta = a + b gamma with
-    N(delta) = gamma, a outer and b inner over the codes of O_r (b = 0 if
-    gamma is scalar); None if there is none.
+def commutant_ops(ring: RingTableLists, gamma):
+    """(matrix, mul, norm, det, inverse) on the commutant pairs (a, b), codes
+    of O_r that stand for a + b gamma, gamma over Z/p^n.
 
-    delta is kept as the pair (a, b): by Cayley-Hamilton gamma^2 =
-    t gamma - d, with t and d its trace and determinant, so pairs multiply
-    as (a, b)(a', b') = (a a' - d b b', a b' + b a' + t b b').  sigma acts
-    on a and b alone, as gamma has entries in Z/p^n.  A delta whose norm is
-    the unit gamma is a unit itself.
+    By Cayley-Hamilton gamma^2 = t gamma - d, with t and d its trace and
+    determinant, so pairs multiply as (a, b)(a', b') = (a a' - d b b',
+    a b' + b a' + t b b'), and sigma acts on a and b alone.  The adjugate
+    of (a, b) is (a + t b, -b), their product the determinant
+    a^2 + t a b + d b^2, and the inverse of a unit the adjugate over it.
+    `matrix` gives the four entry codes, `norm` the pair of
+    x sigma(x) ... sigma^(r-1)(x).
     """
-    ADD, MUL, NEG, SIG = ring.ADD, ring.MUL, ring.NEG, ring.SIG
-    pn = ring.pn
-    g0, g1, g2, g3 = gamma = tuple(x % pn for x in gamma)
-    t, d = (g0 + g3) % pn, (g0 * g3 - g1 * g2) % pn
+    ADD, MUL, NEG, SIG, INV = ring.ADD, ring.MUL, ring.NEG, ring.SIG, ring.INV
+    g0, g1, g2, g3 = (x % ring.pn for x in gamma)
+    t, d = (g0 + g3) % ring.pn, (g0 * g3 - g1 * g2) % ring.pn
 
     def matrix(a, b):
         return (ADD[a][MUL[b][g0]], MUL[b][g1], MUL[b][g2], ADD[a][MUL[b][g3]])
 
+    def mul(a, b, a2, b2):
+        bb = MUL[b][b2]
+        return (ADD[MUL[a][a2]][NEG[MUL[d][bb]]],
+                ADD[ADD[MUL[a][b2]][MUL[b][a2]]][MUL[t][bb]])
+
     def norm(a, b):
+        # the product of `mul`, written out for the preimage search
         x, y = a, b
         for _ in range(ring.r - 1):
             a, b = SIG[a], SIG[b]
@@ -152,7 +165,25 @@ def norm_preimage(ring: RingTableLists, gamma):
                     ADD[ADD[MUL[x][b]][MUL[y][a]]][MUL[t][yb]])
         return x, y
 
-    scalar = g1 == g2 == 0 and g0 == g3
+    def det(a, b):
+        return ADD[ADD[MUL[a][a]][MUL[t][MUL[a][b]]]][MUL[d][MUL[b][b]]]
+
+    def inverse(a, b):
+        di = INV[det(a, b)]
+        return MUL[ADD[a][MUL[t][b]]][di], MUL[NEG[b]][di]
+
+    return matrix, mul, norm, det, inverse
+
+
+def norm_preimage(ring: RingTableLists, gamma):
+    """The four entry codes of the first delta = a + b gamma with
+    N(delta) = gamma, a outer and b inner over the codes of O_r (b = 0 if
+    gamma is scalar), on the pairs of `commutant_ops`; None if there is
+    none.  A delta whose norm is the unit gamma is a unit itself.
+    """
+    matrix, _, norm, _, _ = commutant_ops(ring, gamma)
+    gamma = tuple(x % ring.pn for x in gamma)
+    scalar = gamma[1] == gamma[2] == 0 and gamma[0] == gamma[3]
     pairs = (((a, 0) for a in range(ring.Q)) if scalar
              else itertools.product(range(ring.Q), repeat=2))
     return next((matrix(a, b) for a, b in pairs

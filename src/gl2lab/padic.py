@@ -142,8 +142,23 @@ def _is_prime(p):
     return p >= 2 and _least_prime_factor(p) == p
 
 
-# Input rules of the table layers, kept here, free of numpy, so that the
-# command line rejects bad input before it loads those layers.
+# Input rules of the table and local layers, kept here, free of numpy, so
+# that the command line rejects bad input before it loads those layers.
+
+def check_phi_level(n):
+    """The level-n central function needs n >= 1."""
+    if n < 1:
+        raise DomainError("phi_pn needs n >= 1")
+
+
+def check_fixed_set_input(gamma, D):
+    """The fixed set of gamma needs gamma conjugate to an integral matrix
+    (integral trace and determinant) and a depth D >= k(gamma)."""
+    if not gamma.trace_val_ge(0) or gamma.det_valuation() < 0:
+        raise DomainError("gamma is not conjugate to an integral matrix")
+    if D < k_of(gamma):
+        raise DomainError(f"depth {D} below k(gamma) = {k_of(gamma)}")
+
 
 def check_prime_level(p, n):
     """GL2(Z/p^n) needs a prime p and n >= 1."""

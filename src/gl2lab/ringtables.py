@@ -1,9 +1,9 @@
 """Operation tables of the Galois rings GR(p^n, r), as plain lists.
 
-The one builder of the tables and the one unit-generator search:
-`gl2group.RingTables` holds the tables as numpy arrays, and
-`curves.SmallField` uses them as they are at n = 1.  Only the table layers
-load this module.
+The one builder of the tables and the one unit-generator search, built
+once per ring and shared: `normcert` and `basechange` read the lists,
+`gl2group.RingTables` holds them as numpy arrays, and `curves.SmallField`
+uses them as they are at n = 1.  Only the table layers load this module.
 """
 
 from __future__ import annotations
@@ -19,10 +19,21 @@ class RingTableLists:
     codes are 0..Q-1 with Q = p^(nr), 0 is zero and 1 is one.  ADD and MUL
     are lists of rows: ADD[x][y] is the code of x + y.  NEG, INV (0 at the
     non-units), SIG (Frobenius) and VAL (n at 0) are lists.  The ring is
-    capped at Q^2 table entries before any is formed.
+    capped at Q^2 table entries before any is formed.  One instance is
+    built per (p, r, n) and shared by every caller.
     """
 
-    def __init__(self, p, r, n):
+    _cache = {}
+
+    def __new__(cls, p, r, n):
+        key = (p, r, n)
+        if key not in cls._cache:
+            obj = super().__new__(cls)
+            obj._build(p, r, n)
+            cls._cache[key] = obj
+        return cls._cache[key]
+
+    def _build(self, p, r, n):
         ctx = get_context(p, r, n)
         pn = p**n
         Q = pn**r

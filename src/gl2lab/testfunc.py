@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DomainError, PrecisionExhausted
 from .padic import (ExtendedNat, GaloisRingElement, LocalMatrix,
-                    check_prime_level, ell_min, ell_of, k_of,
+                    check_phi_level, check_prime_level, ell_min, ell_of, k_of,
                     unit_eigenvalue)
 from .ratfunc import RationalFunctionT
 
@@ -33,8 +33,7 @@ def phi_branch(g: LocalMatrix, n: int):
     Returns (branch, k, ell_or_None) where ell is reported as
     min(ell(g), n - k), the only resolution the values consult.
     """
-    if n < 1:
-        raise DomainError("phi_pn needs n >= 1")
+    check_phi_level(n)
     k = k_of(g)
     return branch_key(n, k, g.det_valuation(), g.trace_val_ge,
                       lambda cap: ell_min(g, cap))

@@ -18,7 +18,8 @@ from typing import Callable, List, NamedTuple, Optional
 
 from .errors import (DomainError, NotStabilizable, PrecisionExhausted,
                      check_cap)
-from .padic import LocalContext, LocalMatrix, _o_matmul, ell_min, k_of
+from .padic import (LocalContext, LocalMatrix, _o_matmul,
+                    check_fixed_set_input, ell_min)
 from .testfunc import branch_value
 
 
@@ -161,11 +162,7 @@ def fixed_set(gamma: LocalMatrix, D: int) -> FixedSetReport:
     Requires gamma conjugate to an integral matrix (integral trace and
     determinant) and D at least k(gamma).
     """
-    if not gamma.trace_val_ge(0) or gamma.det_valuation() < 0:
-        raise DomainError("gamma is not conjugate to an integral matrix")
-    k = k_of(gamma)
-    if D < k:
-        raise DomainError(f"depth {D} below k(gamma) = {k}")
+    check_fixed_set_input(gamma, D)
     stabilized = [v for v in enumerate_vertices(gamma.ctx, D)
                   if stabilizes(gamma, v)]
     if not stabilized:

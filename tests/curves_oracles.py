@@ -12,6 +12,10 @@ table of roots.  It is the reference the list census is tested against.
 listing of `curves.boundary_packets` replaced: every element of GL2(Z/N)
 as an array index, the packets from `MatGroup.orbit_labels` on the index
 permutations of left multiplication.
+
+`level_m_count_by_scalar_mul` is the span count that `curves.level_m_count`
+replaced: the m-torsion found by `scalar_mul`, each multiple by its own
+`scalar_mul`, and every span by m^2 `add_points` calls per pair.
 """
 
 import math
@@ -19,6 +23,7 @@ import math
 import numpy as np
 
 from gl2lab.curves import _ANY, _UNIT, SmallField, _crt, _normal_forms
+from gl2lab.errors import BrokenIdentity
 from gl2lab.finitegl2 import _unit_generators
 from gl2lab.gl2group import MatGroup, RingTables
 from gl2lab.padic import factor_prime_power
@@ -184,3 +189,23 @@ def array_census(q):
             rep = tuple(int(x[i]) for x in a)
             out.append((rep, group_order // orbit, point_count(q, rep)))
     return sorted(out)
+
+
+def level_m_count_by_scalar_mul(E, m):
+    """Moduli points above E: ordered bases of E[m](F_q) divided by |Aut|."""
+    tors = [P for P in E.points() if E.scalar_mul(m, P) is None]
+    if len(tors) != m * m:
+        return 0
+    # the multiples 0, P, ..., (m-1) P of each torsion point, listed once
+    multiples = [[E.scalar_mul(i, P) for i in range(m)] for P in tors]
+    bases = 0
+    for iP in multiples:
+        for jQ in multiples:
+            span = {E.add_points(x, y) for x in iP for y in jQ}
+            if len(span) == m * m:
+                bases += 1
+    if bases % E.aut_order:
+        raise BrokenIdentity(f"|Aut| = {E.aut_order} of {E.a} over F_{E.q} "
+                             f"does not act freely on the {bases} bases of "
+                             f"E[{m}]")
+    return bases // E.aut_order

@@ -9,17 +9,20 @@ import numpy as np
 import pytest
 
 from gl2lab import basechange, normcert
-from gl2lab.basechange import (_commutant_units, _fibre_sums,
-                               _norm_preimage_in_commutant, bc_unit_identity,
+from gl2lab.basechange import (_fibre_sums, bc_unit_identity,
                                orbit_label_data, sigma_orbits,
                                unit_group_exactness)
 from gl2lab.cli import main
 from gl2lab.errors import BrokenIdentity, ResourceLimit
 from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup, RingTables
+from gl2lab.padic import group_order_gl2
 from gl2lab.ringtables import RingTableLists
-from group_oracles import (code_order_unit_generators,
-                           materialized_sigma_orbits, per_call_right_sums)
+from group_oracles import (array_commutant_units, array_norm,
+                           array_norm_preimage, array_unit_group_defect,
+                           code_order_unit_generators,
+                           materialized_sigma_orbits, per_call_right_sums,
+                           single)
 
 
 def _mul(mod, x, y):
@@ -88,8 +91,8 @@ def test_sigma_orbits_centralizer_match(p, r, n):
 def _commutant_loop(G, gamma, scalars):
     """Reference: the units a*1 + b*gamma, one Python (a, b) step at a time."""
     t = G.t
-    gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
-    ident = G.single([[1, 0], [0, 1]])
+    gm = single(G, [[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
+    ident = single(G, [[1, 0], [0, 1]])
     out = []
     for a in scalars:
         for b in scalars:
@@ -102,19 +105,29 @@ def _commutant_loop(G, gamma, scalars):
 
 @pytest.mark.parametrize("p,r,n", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 1)])
 def test_commutant_search_matches_python_loop(p, r, n):
-    # the array routine lists the same units in the same (a, b) order, so
-    # the first norm preimage, and with it the matching, is unchanged
+    # the array routine and the pairs list the same units in the same (a, b)
+    # order, so the first norm preimage, and with it the matching, is the
+    # same on every path
     G = MatGroup(RingTables(p, r, n))
+    ring = RingTableLists(p, r, n)
     for gamma in FiniteGL2(p, n).class_reps:
-        gm = G.single([[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
+        gm = single(G, [[gamma[0], gamma[1]], [gamma[2], gamma[3]]])
+        matrix = normcert.commutant_ops(ring, gamma)[0]
         for scalars in (range(G.t.Q), range(p**n)):
-            units = _commutant_units(G, gm, scalars)
-            assert list(zip(*(x.tolist() for x in units))) == _commutant_loop(
-                G, gamma, scalars)
-        first = next(m for m in _commutant_loop(G, gamma, range(G.t.Q))
-                     if int(G.encode(*G.norm(tuple(np.int64(x) for x in m))))
-                     == int(G.encode(*gm)))
-        assert _norm_preimage_in_commutant(G, gamma) == int(G.idx(first))
+            loop = _commutant_loop(G, gamma, scalars)
+            units = array_commutant_units(G, gm, scalars)
+            assert list(zip(*(x.tolist() for x in units))) == loop
+            assert [matrix(a, b) for a, b in basechange._commutant_units(
+                ring, gamma, scalars)] == loop
+        def preimages(ms):
+            return (m for m in ms if int(G.encode(*array_norm(
+                G, tuple(np.int64(x) for x in m)))) == int(G.encode(*gm)))
+        first = next(preimages(_commutant_loop(G, gamma, range(G.t.Q))))
+        assert array_norm_preimage(G, gamma) == int(G.idx(first))
+        # the certificate searches a scalar gamma on the scalars alone
+        if gamma[1] == gamma[2] == 0 and gamma[0] == gamma[3]:
+            first = next(preimages((a, 0, 0, a) for a in range(G.t.Q)))
+        assert normcert.norm_preimage(ring, gamma) == first
 
 
 def test_bad_matching_raises(monkeypatch, capsys):
@@ -123,8 +136,8 @@ def test_bad_matching_raises(monkeypatch, capsys):
     # bijection, and that is a failed check with exit 1, not an exception
     from gl2lab import campaigns
     monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
-    monkeypatch.setattr(basechange, "_norm_preimage_in_commutant",
-                        lambda G, gamma: 0)
+    monkeypatch.setattr(basechange, "norm_preimage",
+                        lambda ring, gamma: (1, 0, 0, 1))
     tables, G, labels, norm_class = orbit_label_data(2, 2, 1)
     assert np.count_nonzero(norm_class >= 0) == 1
     oracle = materialized_sigma_orbits(3, 2, 1)
@@ -156,7 +169,7 @@ def test_norm_constant_on_orbits_up_to_conjugacy():
         delta = tuple(int(c[i]) for c in G.comps)
         cid = int(norm_class[labels[i]])
         # the norm's characteristic polynomial matches the class rep's
-        nd = G.norm(tuple(np.int64(x) for x in delta))
+        nd = array_norm(G, tuple(np.int64(x) for x in delta))
         gamma = small.class_reps[cid]
         t = tables
         tr_n = int(t.ADD[int(nd[0]), int(nd[3])])
@@ -177,17 +190,19 @@ def test_unit_group_sequence_fails_at_its_last_spot_alone(monkeypatch):
     # a norm that keeps its kernel but sends every other unit to -1: the
     # image d2 shrinks to {1, -1}, a proper subgroup of the small units,
     # while the spots before it stay exact
-    real = MatGroup.norm
+    real = basechange.commutant_ops
 
-    def collapsed(self, x):
-        one = self.single([[1, 0], [0, 1]])
-        minus = self.single([[-1, 0], [0, -1]])
-        kernel = self.encode(*real(self, x)) == self.encode(*one)
-        return tuple(np.where(kernel, a, b) for a, b in zip(one, minus))
+    def collapsed(ring, gamma):
+        matrix, mul, norm, det, inverse = real(ring, gamma)
+
+        def norm_to_sign(a, b):
+            one = matrix(*norm(a, b)) == (1, 0, 0, 1)
+            return (1 if one else ring.NEG[1]), 0
+        return matrix, mul, norm_to_sign, det, inverse
 
     gamma = (0, 1, 1, 1)  # x^2 - x - 1 is irreducible mod 3: F_3[gamma] = F_9
     assert basechange.unit_group_defect(gamma, 3, 2, 1) is None
-    monkeypatch.setattr(MatGroup, "norm", collapsed)
+    monkeypatch.setattr(basechange, "commutant_ops", collapsed)
     assert basechange.unit_group_defect(gamma, 3, 2, 1) == (
         "image d2 = small units", 2, 8)
     assert not unit_group_exactness(gamma, 3, 2, 1)
@@ -284,8 +299,7 @@ def _bc_unit_oracle(fs, k, p, r, j):
 
 
 def test_bc_unit_3210_runs_under_default_cap(monkeypatch, capsys):
-    # no cap on |Gamma(p^k)|: the fibre pass is O(|G|), and MatGroup still
-    # caps the matrix-code space
+    # k = 0: the one fibre is all of G_r, 5,760 norms under the cap on norms
     monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
     p, r, j, k = 3, 2, 1, 0
     assert main(["verify-bc-unit", "--p", "3", "--r", "2",
@@ -339,8 +353,8 @@ def test_bc_unit_against_brute_force_oracle():
     for i, delta in enumerate(group):
         nd = norm_map(delta)
         cid = brute_class(nd)
-        code = G.single([[tuple(delta[0].coeffs), tuple(delta[1].coeffs)],
-                         [tuple(delta[2].coeffs), tuple(delta[3].coeffs)]])
+        code = single(G, [[tuple(delta[0].coeffs), tuple(delta[1].coeffs)],
+                          [tuple(delta[2].coeffs), tuple(delta[3].coeffs)]])
         assert int(norm_class[labels[int(G.idx(code))]]) == cid
 
 
@@ -422,8 +436,8 @@ def test_ring_tables_consistency():
 def test_mat_group_lists_its_elements_only_when_read(monkeypatch):
     monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
     G = MatGroup(RingTables(5, 2, 1))        # 25^4 = 390,625 matrix codes
-    # the commutant arithmetic of the exact sequence needs no listing
-    assert basechange.unit_group_defect((0, 1, 1, 1), 5, 2, 1) is None
+    # the commutant arithmetic of the array exact sequence needs no listing
+    assert array_unit_group_defect((0, 1, 1, 1), 5, 2, 1) is None
     for name in ("comps", "el_codes", "order", "idx_of_code"):
         with pytest.raises(ResourceLimit, match="GL2 matrix-code space"):
             getattr(G, name)
@@ -523,3 +537,207 @@ def test_group_generators_take_an_irredundant_unit_set(p, r, n, count):
     t = RingTables(p, r, n)
     assert len(MatGroup(t).generators()) == count
     assert len(code_order_unit_generators(t.lists)) + 2 * r == 7
+
+
+# ---------------------------------------------------------------------------
+# the new routes against the array paths they replaced
+
+
+BC_CASES = [(2, 2, 2, 1), (3, 2, 1, 0), (2, 2, 1, 0), (2, 3, 1, 0),
+            (2, 1, 3, 1), (2, 2, 2, 2)]
+
+
+def _constant_and_indicators(p, j):
+    classes = range(len(FiniteGL2(p, j).class_reps))
+    return [[1] * len(classes)] + [[int(c == cid) for c in classes]
+                                   for cid in classes]
+
+
+@pytest.mark.parametrize("p,r,j,k", BC_CASES)
+def test_bc_unit_left_sums_match_the_exhaustive_oracle(p, r, j, k):
+    from group_oracles import exhaustive_bc_unit_defect, exhaustive_left_sums
+    fs = _constant_and_indicators(p, j)
+    assert basechange.bc_unit_defects(fs, k, p, r, j) == [
+        exhaustive_bc_unit_defect(f, k, p, r, j) for f in fs]
+    # the tally at each delta_gamma against the fibre sums over the listed
+    # group, at delta_gamma itself
+    small, ring = FiniteGL2(p, j), RingTableLists(p, r, j)
+    read = basechange._norm_class_reader(ring, small)
+    tab, deltas = normcert.certificate(p, r, j)
+    assert tab.bijection and len(deltas) == len(small.class_reps)
+    for f in fs:
+        G, sums, n_left = exhaustive_left_sums(f, k, p, r, j)
+        for delta in deltas:
+            tally = basechange._fibre_tally(ring, delta, k, read,
+                                            len(small.class_reps), n_left)
+            assert sum(c * v for c, v in zip(tally, f)) == sums[G.idx(delta)]
+
+
+def _campaign_gammas(cases=((2, 2, 1), (2, 2, 2), (3, 2, 1)), samples=20):
+    """The samples of `exact_sequence_checks` at its defaults."""
+    from gl2lab.checks import DEFAULT_SEED
+    rnd = random.Random(DEFAULT_SEED)
+    for p, r, n in cases:
+        G = FiniteGL2(p, n)
+        gammas = [(1, 0, 0, 1), (2 % p**n or 1, 0, 0, 2 % p**n or 1)]
+        while len(gammas) < samples:
+            gammas.append(G.elements[rnd.randrange(len(G.elements))])
+        yield from ((g, p, r, n) for g in gammas)
+
+
+def _every_gamma(cases=((2, 2, 1), (3, 2, 1), (2, 3, 1), (5, 2, 1))):
+    for p, r, n in cases:
+        yield from ((g, p, r, n) for g in FiniteGL2(p, n).elements)
+
+
+def test_exact_sequence_matches_the_array_oracle():
+    cases = list(_campaign_gammas()) + list(_every_gamma())
+    assert len(cases) == 60 + 6 + 48 + 6 + 480
+    for gamma, p, r, n in cases:
+        assert basechange.unit_group_defect(gamma, p, r, n) == \
+            array_unit_group_defect(gamma, p, r, n), (gamma, p, r, n)
+
+
+def test_exact_sequence_faults_match_the_array_oracle(monkeypatch):
+    # one small unit dropped on both paths: the same spot, the same sizes
+    real = basechange._commutant_units
+
+    def short(ring, gamma, scalars):
+        units = real(ring, gamma, scalars)
+        return units if len(scalars) == ring.Q else units[1:]
+
+    def array_short(G, gm, scalars):
+        units = array_commutant_units(G, gm, scalars)
+        return units if len(scalars) == G.t.Q else tuple(x[1:] for x in units)
+    monkeypatch.setattr(basechange, "_commutant_units", short)
+    seen = set()
+    for gamma, p, r, n in _every_gamma(((2, 2, 1), (3, 2, 1), (2, 3, 1))):
+        defect = basechange.unit_group_defect(gamma, p, r, n)
+        assert defect == array_unit_group_defect(gamma, p, r, n,
+                                                 units=array_short)
+        seen.add(defect and defect[0])
+    assert "sigma-fixed units = small units" in seen and None in seen
+
+
+@pytest.mark.parametrize("p,r,j,k", [(2, 3, 2, 1), (3, 2, 2, 1)])
+def test_bc_unit_runs_past_the_code_space_cap(capsys, monkeypatch, p, r, j, k):
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    assert p**(4 * r * j) > 200_000
+    assert main(["verify-bc-unit", "--p", str(p), "--r", str(r),
+                 "--j", str(j), "--k", str(k)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["summary"] == {"failed": 0, "passed": 3, "total": 3}
+
+
+def test_bc_unit_norms_are_capped_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        pytest.fail("bc-unit work started before the cap")
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    monkeypatch.setattr(RingTableLists, "__init__", no_work)
+    monkeypatch.setattr(basechange, "FiniteGL2", no_work)
+    monkeypatch.setattr(basechange, "orbit_label_data", no_work)
+    # k = 0 at (3, 2, 2): the one fibre is all of GL2(GR(9, 2))
+    assert main(["verify-bc-unit", "--p", "3", "--r", "2", "--j", "2",
+                 "--k", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"bc-unit norms needs {group_order_gl2(9, 2)} elements" in err
+    assert "Traceback" not in err
+
+
+_FORCED_BC = """
+import json, sys
+from unittest import mock
+from gl2lab import basechange, campaigns, normcert
+
+real_reader, real_classes = basechange._norm_class_reader, normcert._classes
+
+
+def shifted(ring, G):
+    read = real_reader(ring, G)
+    return lambda *x: (read(*x) + 1) % len(G.class_reps)
+
+
+out = {}
+for name, patch in [
+        ("wrong-class", (basechange, "_norm_class_reader", shifted)),
+        ("dropped-class", (normcert, "_classes",
+                           lambda p, n: real_classes(p, n)[:-1]))]:
+    with mock.patch.object(*patch):
+        out[name] = [c.to_dict() for c in campaigns.bc_unit_checks()]
+print(json.dumps(out))
+"""
+
+
+def _check_forced_bc(out):
+    from gl2lab.normcert import _classes
+    small = FiniteGL2(2, 2)
+    deltas = normcert.certificate(2, 2, 2)[1]
+    wrong, dropped = out["wrong-class"], out["dropped-class"]
+    # the constant function cannot see a wrong class; an indicator can,
+    # and its witness is a delta_gamma with both averages
+    assert wrong[0]["pass"] and not any(row["pass"] for row in wrong[1:])
+    for row in wrong[1:]:
+        assert set(row["witness"]) == {"delta", "left_average",
+                                       "right_average"}
+        assert tuple(json.loads(row["witness"]["delta"])) in deltas
+        assert row["witness"]["left_average"] != row["witness"]["right_average"]
+    # without its last class the twisted class equation fails, and every
+    # row names that class
+    last = _classes(2, 2)[-1][1]
+    assert last == small.class_reps[-1]
+    for row in dropped:
+        assert not row["pass"]
+        assert row["witness"]["class"] == str(last)
+        assert row["witness"]["group_order"] == str(group_order_gl2(4, 2))
+
+
+def test_bc_unit_row_fails_on_a_wrong_or_dropped_class():
+    ns = {}
+    import contextlib
+    import io
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        exec(_FORCED_BC, ns)
+    _check_forced_bc(json.loads(buf.getvalue()))
+
+
+def test_bc_unit_row_fails_on_a_wrong_or_dropped_class_under_python_O():
+    import os
+    import subprocess
+    import sys
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(here, os.pardir, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys\nif __debug__:\n    sys.exit('not under -O')\n" + _FORCED_BC
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _check_forced_bc(json.loads(proc.stdout))
+
+
+def test_one_list_table_per_ring_over_the_finite_campaigns(monkeypatch):
+    import collections
+    import functools
+
+    from gl2lab import campaigns, curves
+    built, real = collections.Counter(), RingTableLists._build
+
+    def counted(self, p, r, n):
+        built[(p, r, n)] += 1
+        real(self, p, r, n)
+    # every cache above the lists starts empty, so every caller asks
+    monkeypatch.setattr(RingTableLists, "_cache", {})
+    monkeypatch.setattr(RingTableLists, "_build", counted)
+    monkeypatch.setattr(RingTables, "_cache", {})
+    monkeypatch.setattr(MatGroup, "_cache", {})
+    monkeypatch.setattr(curves.SmallField, "_cache", {})
+    monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(curves, "_census",
+                        functools.cache(curves._census.__wrapped__))
+    for name in ("norm-bijection", "exact-sequence", "bc-unit",
+                 "cross-identity", "drinfeld", "census"):
+        assert all(c.passed for c in campaigns.ALL_CAMPAIGNS[name]())
+    # GR(2, 2) serves the certificate, the exact sequence and F_4
+    assert {(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1), (7, 1, 1)} <= set(built)
+    assert set(built.values()) == {1}, built

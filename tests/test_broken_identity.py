@@ -1,12 +1,13 @@
 """A broken internal identity is a failed verification: `BrokenIdentity`,
 one line on stderr and exit 1, never an AssertionError or a traceback.
 
-Each of the six sites that check such an identity is forced to fail by a
+Each of the eleven sites that check such an identity is forced to fail by a
 patch, in process and under python -O, where no assert could stand in for
-the check.  Five of them are reached by a command; `level_m_count` only by
-the census campaign, after `level_m_count_closed` has read the same curves,
-so it is called directly.  The census of `_census` is cached per q, so its
-site patches in a fresh cache.
+the check.  Nine of them are reached by a command.  Two are called
+directly: `level_m_count`, which only the census campaign reaches, after
+`level_m_count_closed` has read the same curves, and `phi_support`, which no
+command lists.  The memo caches that a site sits behind (the census per q,
+the unit groups and the class tables) are patched fresh.
 """
 
 import json
@@ -20,13 +21,19 @@ from unittest import mock
 
 import numpy as np
 
-from gl2lab import curves
+from gl2lab import curves, finitegl2, hecke
 from gl2lab.cli import main
 from gl2lab.errors import BrokenIdentity
+from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup
+from gl2lab.padic import get_context
 
 real_order = curves.gl2_order_mod
 real_mask = MatGroup.congruence_mask
+real_centralizer = finitegl2._centralizer_order
+fresh_units = (finitegl2, "unit_group",
+               functools.cache(finitegl2.unit_group.__wrapped__))
+SS_TRACE = ["ss-trace", "--p", "3", "--n", "1", "--kind", "ordinary", "--a", "1"]
 
 
 def one_more(self, k):
@@ -58,6 +65,22 @@ SITES = {
                   functools.cache(curves._census.__wrapped__)),
                  (curves, "_orbits", lambda perms, size: [(0, size)])],
                 ["census", "--q", "7", "--m", "3"]),
+    # one more unit than (Z/3)^x has, so no unit generates them all
+    "_unit_generators": ([fresh_units, (finitegl2, "_totient_prime_power",
+                                        lambda p, n: p**(n - 1) * (p - 1) + 1)],
+                         SS_TRACE),
+    "UnitGroup": ([fresh_units, (finitegl2, "_unit_generators",
+                                 lambda p, n: [(1, 2)])], SS_TRACE),
+    "FiniteGL2": ([(FiniteGL2, "_cache", {}),
+                   (finitegl2, "_centralizer_order",
+                    lambda *a: 2 * real_centralizer(*a))],
+                  ["char-table", "--p", "2", "--n", "1"]),
+    "canonical_coset_rep": ([(hecke, "_o_sub",
+                              lambda x, y: tuple(v + 1 for v in x))],
+                            ["verify-central", "--q", "2", "--n", "1",
+                             "--samples", "3"]),
+    "phi_support": ([(hecke, "canonical_coset_rep", lambda m, n: 0)],
+                    lambda: hecke.phi_support(get_context(2, 1, 8), 1)),
 }
 
 
@@ -91,14 +114,21 @@ MESSAGES = {
     "_check_point_trace": "point trace at (p, r, n) = (7, 1, 1): "
                           "character sum 12345 != ",
     "_census": "over F_7 has 42 tuples, not a divisor of 6",
+    "_unit_generators": "no primitive root found mod 3",
+    "UnitGroup": "unit generators [(1, 2)] span 1 of 2 units mod 3",
+    "FiniteGL2": "class sizes of GL2(Z/2) sum to 2, not 6",
+    "canonical_coset_rep": "is not divisible by p^1",
+    "phi_support": "repeats a coset",
 }
+DIRECT = ("level_m_count", "phi_support")
 
 
 def _check_sites(out):
     assert set(out) == set(MESSAGES)
-    direct = out.pop("level_m_count")
-    assert direct["raised"] == "BrokenIdentity"
-    assert MESSAGES["level_m_count"] in direct["message"]
+    for name in DIRECT:
+        direct = out.pop(name)
+        assert direct["raised"] == "BrokenIdentity", (name, direct)
+        assert MESSAGES[name] in direct["message"], (name, direct)
     for name, rep in out.items():
         assert rep["code"] == 1, (name, rep)
         # the command's timing line, then the one line of the failure

@@ -1029,9 +1029,9 @@ def test_failed_exact_sequence_row_keeps_its_witness(capsys, monkeypatch):
     assert code == 0 and "witness" not in out
     real = basechange._commutant_units
 
-    def one_small_unit_short(G, gm, scalars):
-        units = real(G, gm, scalars)
-        return units if len(scalars) == G.t.Q else tuple(x[1:] for x in units)
+    def one_small_unit_short(ring, gamma, scalars):
+        units = real(ring, gamma, scalars)
+        return units if len(scalars) == ring.Q else units[1:]
     monkeypatch.setattr(basechange, "_commutant_units", one_small_unit_short)
     code, out = run(capsys, *argv)
     assert code == 1
@@ -1051,16 +1051,14 @@ def test_failed_bc_unit_row_keeps_its_witness(capsys, monkeypatch):
     argv = ["verify-bc-unit", "--p", "2", "--r", "2", "--j", "1", "--k", "0"]
     code, out = run(capsys, *argv)
     assert code == 0 and "witness" not in out
-    real = basechange.orbit_label_data
+    real = basechange._norm_class_reader
 
-    # a wrong matching of the sigma-orbits with the classes; the r = 1 table,
+    # a wrong class read off each norm of the left side; the r = 1 table,
     # which numbers the classes for the right side, stays as it is
-    def classes_shifted(p, r, j):
-        tables, G, labels, norm_class = real(p, r, j)
-        if r > 1:
-            norm_class = (norm_class + 1) % (norm_class.max() + 1)
-        return tables, G, labels, norm_class
-    monkeypatch.setattr(basechange, "orbit_label_data", classes_shifted)
+    def classes_shifted(ring, G):
+        read = real(ring, G)
+        return lambda *x: (read(*x) + 1) % len(G.class_reps)
+    monkeypatch.setattr(basechange, "_norm_class_reader", classes_shifted)
     code, out = run(capsys, *argv)
     assert code == 1
     rows = [row for row in json.loads(out)["checks"]

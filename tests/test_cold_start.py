@@ -97,6 +97,10 @@ MALFORMED_LOCAL = [
      "Expecting value: line 1 column 8 (char 7)"),
     (["eval-phi", "--p", "4", "--n", "1", "--matrix", "[[2,0],[0,1]]"],
      "p = 4 is not prime"),
+    (["eval-phi", "--p", "2", "--n", "0", "--matrix", "[[2,0],[0,1]]"],
+     "phi_pn needs n >= 1"),
+    (["tree-fixed-set", "--p", "2", "--depth", "-1", "--gamma",
+      "[[2,1],[0,1]]"], "depth -1 below k(gamma) = 0"),
     (["tree-orbital", "--p", "2", "--n", "0", "--gamma", "[[0,1],[-2,0]]"],
      "tree-orbital needs n >= 1"),
     (["tree-fixed-set", "--p", "2", "--gamma", "[[2,1],[0]]"],
@@ -109,7 +113,7 @@ MALFORMED_LOCAL = [
 
 
 def test_malformed_local_input_exits_before_the_local_layers():
-    # one interpreter for all nine
+    # one interpreter for all eleven
     argvs = [argv for argv, _ in MALFORMED_LOCAL]
     reps = _run_all(argvs, LOCAL_LAYERS)
     for (argv, message), rep in zip(MALFORMED_LOCAL, reps):

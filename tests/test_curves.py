@@ -21,7 +21,8 @@ from gl2lab.errors import DomainError
 from gl2lab.gl2group import MatGroup
 from curves_oracles import (_digits, _index_among, array_census,
                             boundary_by_element_loop, code, discriminant,
-                            field_arrays, transform_all)
+                            field_arrays, level_m_count_by_scalar_mul,
+                            transform_all)
 from group_oracles import least_unit_generator
 
 
@@ -268,6 +269,22 @@ def _level_m_count_by_scalar_mul(E, m):
 def test_level_count_matches_scalar_mul_spans(q):
     for E in enumerate_curves(q):
         assert level_m_count(E, 3) == _level_m_count_by_scalar_mul(E, 3)
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 50) if _is_prime_power(q)])
+def test_level_count_matches_the_scalar_mul_count_it_replaced(q):
+    p = factor_prime_power(q)[0]
+    levels = [m for m in (3, 4, 5) if m % p]
+    for E in enumerate_curves(q):
+        assert [level_m_count(E, m) for m in levels] == [
+            level_m_count_by_scalar_mul(E, m) for m in levels], E.a
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

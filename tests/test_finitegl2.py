@@ -18,6 +18,7 @@ from gl2lab.finitegl2 import (FiniteGL2, _unit_generators,
                               steinberg_character, trivial_character)
 from gl2lab.gl2group import MatGroup, RingTables, _group_and_labels
 from gl2lab.padic import group_order_gl2
+from group_oracles import mul_left, mul_right, single
 
 
 def _mul(mod, x, y):
@@ -510,7 +511,7 @@ def test_one_matrix_products_match_matmul(p, r, n):
              for i in rng.choice(G.order, 20, replace=False)]
     # the generators have 0 and 1 coefficients, which the products skip
     for g in picks + G.generators():
-        left, right = G.mul_left(g, G.comps), G.mul_right(G.comps, g)
+        left, right = mul_left(G, g, G.comps), mul_right(G, G.comps, g)
         assert all(map(np.array_equal, left, G.matmul(_bcast(G, g), G.comps)))
         assert all(map(np.array_equal, right,
                        G.matmul(G.comps, _bcast(G, g))))
@@ -521,7 +522,7 @@ def test_orbit_labels_from_unit_generators_match_every_unit(p, r, n):
     G = MatGroup(RingTables(p, r, n))
     t = G.t
     every_unit = G.generators()[:2 * r] + [
-        G.single([[t.lists.decode(u), 0], [0, 1]])
+        single(G, [[t.lists.decode(u), 0], [0, 1]])
         for u in range(t.Q) if t.UNIT[u] and u != t.one]
     assert len(G.generators()) < len(every_unit)
     # g^-1 x g^sigma by two products with whole-group constants

@@ -25,21 +25,19 @@ _twisted_centralizer_order = normcert.twisted_centralizer_order
 _classes = normcert._classes
 _boundary_packets = curves.boundary_packets
 _commutant_units = basechange._commutant_units
-_orbit_label_data = basechange.orbit_label_data
+_norm_class_reader = basechange._norm_class_reader
 _orbital_sample = checks._orbital_sample
 _fixed_surjections = finitegl2.fixed_surjections
 
 
-def _one_small_unit_short(G, gm, scalars):
-    units = _commutant_units(G, gm, scalars)
-    return units if len(scalars) == G.t.Q else tuple(x[1:] for x in units)
+def _one_small_unit_short(ring, gamma, scalars):
+    units = _commutant_units(ring, gamma, scalars)
+    return units if len(scalars) == ring.Q else units[1:]
 
 
-def _classes_shifted(p, r, j):
-    tables, G, labels, norm_class = _orbit_label_data(p, r, j)
-    if r > 1:
-        norm_class = (norm_class + 1) % (norm_class.max() + 1)
-    return tables, G, labels, norm_class
+def _classes_shifted(ring, G):
+    read = _norm_class_reader(ring, G)
+    return lambda *x: (read(*x) + 1) % len(G.class_reps)
 
 
 def _last_packet_moved(p, r, n, m):
@@ -65,7 +63,7 @@ FORCED = {
     "unit-group-exact-sequence": ("exact-sequence", [
         (basechange, "_commutant_units", _one_small_unit_short)]),
     "bc-unit-identity": ("bc-unit", [
-        (basechange, "orbit_label_data", _classes_shifted)]),
+        (basechange, "_norm_class_reader", _classes_shifted)]),
     "orbital-branch-coverage": ("orbital", [
         (checks, "_orbital_sample", lambda ctx, n, per, seed: [
             g for g in _orbital_sample(ctx, n, per, seed)
