@@ -16,7 +16,8 @@ import random
 
 from . import DEFAULT_SEED
 from .errors import DomainError, PrecisionExhausted, check_cap
-from .hecke import _singular, centrality_check, tower_identity_check
+from .hecke import (_int_valuations, centrality_check,
+                    tower_identity_check)
 from .padic import (ExtendedNat, LocalMatrix, _o_det, factor_prime_power,
                     get_context, k_of, vp_int)
 from .rows import Check, _witness
@@ -45,7 +46,12 @@ def tower_checks(cases=((2, 1), (2, 2), (3, 1)), samples=200,
 
 
 def _orbital_sample(ctx, n, per, seed):
-    """Branch-covering determinant-valuation-1 integral matrices."""
+    """Branch-covering determinant-valuation-1 integral matrices.
+
+    A random draw is kept when its integer rows have content prime to p and
+    v_p(ad - bc) = 1, before a LocalMatrix is built: those are its e and
+    v(det), and with e = 0 the trace is integral, so the integer tests keep
+    exactly the draws that the LocalMatrix tests kept."""
     p, q = ctx.p, ctx.q
     rnd = random.Random(seed)
     sample = [LocalMatrix.from_integers(ctx, [[p, 0], [0, 1]]),       # ell oo
@@ -57,12 +63,8 @@ def _orbital_sample(ctx, n, per, seed):
         sample.append(LocalMatrix.from_integers(ctx, [[p, 0], [0, 2]]))  # ell 0
     while len(sample) < per:
         rows = [[rnd.randrange(p**(n + 2)) for _ in range(2)] for _ in range(2)]
-        if _singular(rows):
-            continue
-        m = LocalMatrix.from_integers(ctx, rows)
-        if m.e != 0 or m.det_valuation() != 1 or not m.trace_val_ge(0):
-            continue
-        sample.append(m)
+        if _int_valuations(rows, p) == (0, 1):
+            sample.append(LocalMatrix.from_integers(ctx, rows))
     return sample
 
 
@@ -210,36 +212,18 @@ def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
     for q in qs:
         p, r = factor_prime_power(q)
         ctx = get_context(p, r, 14)
-        rnd = random.Random(seed + q)
-        bad_unique, bad_k, tested = [], [], 0
-        while tested < probes:
-            rows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
-            if _singular(rows):
-                continue
-            g0 = LocalMatrix.from_integers(ctx, rows)
-            if g0.e != 0 or g0.det_valuation() != 1:
-                continue
-            hrows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
-            if _singular(hrows):
-                continue
-            h = LocalMatrix.from_integers(ctx, hrows)
-            if h.det_valuation() > 2:
-                continue
-            g = g0.conjugate_by(h)
-            k = k_of(g)
-            if k > 3:
-                continue
+        bad_unique, bad_k = [], []
+        for g, k in itertools.islice(_tree_probes(ctx, seed + q), probes):
             rep = fixed_set(g, k + 1)
             if not rep.nearest_unique:
                 bad_unique.append((g, rep.nearest, rep.nearest_unique))
             if rep.k_tree != k:
                 bad_k.append((g, k, rep.k_tree))
-            tested += 1
-        out.append(Check("nearest-vertex-unique", {"q": q, "probes": tested},
+        out.append(Check("nearest-vertex-unique", {"q": q, "probes": probes},
                          0, len(bad_unique),
                          _witness(bad_unique,
                                   ("gamma", "nearest", "nearest_unique"))))
-        out.append(Check("k-tree-equals-k", {"q": q, "probes": tested},
+        out.append(Check("k-tree-equals-k", {"q": q, "probes": probes},
                          0, len(bad_k),
                          _witness(bad_k, ("gamma", "k", "k_tree"))))
         # neighbor counts, exhaustive over residue matrices mod p
@@ -267,6 +251,31 @@ def tree_checks(qs=(2, 3), probes=100, seed=DEFAULT_SEED):
                                   ("gamma", "fixed_lines",
                                    "stabilized_neighbors", "expected"))))
     return out
+
+
+def _tree_probes(ctx, seed):
+    """Endless (g, k(g)) with g = h^-1 g0 h, g0 integral with v(det) = 1 and
+    v(det h) <= 2, entries below q^3, and k(g) <= 3.
+
+    Both are tested on their integer rows before a LocalMatrix is built:
+    g0 on content prime to p and v_p(ad - bc) = 1, h on v_p(ad - bc) <= 2,
+    a singular draw rejected as one; those are e and v(det) of the matrices,
+    so the integer tests keep exactly the draws the LocalMatrix tests kept."""
+    p, q = ctx.p, ctx.q
+    rnd = random.Random(seed)
+    while True:
+        rows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
+        if _int_valuations(rows, p) != (0, 1):
+            continue
+        hrows = [[rnd.randrange(q**3) for _ in range(2)] for _ in range(2)]
+        v_det = _int_valuations(hrows, p)[1]
+        if v_det is None or v_det > 2:
+            continue
+        g = LocalMatrix.from_integers(ctx, rows).conjugate_by(
+            LocalMatrix.from_integers(ctx, hrows))
+        k = k_of(g)
+        if k <= 3:
+            yield g, k
 
 
 def _lift_det_val_one(ctx, residue):

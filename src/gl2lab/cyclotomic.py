@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import BrokenIdentity, DomainError
 from .poly import add, divide, mul
 
 
@@ -25,7 +25,7 @@ def cyclotomic_polynomial(M: int):
         if M % d == 0:
             f, rem = divide(f, cyclotomic_polynomial(d))
             if any(rem):
-                raise AssertionError(f"Phi_{d} leaves remainder {rem}")
+                raise BrokenIdentity(f"Phi_{d} leaves remainder {rem}")
     return tuple(f)
 
 

@@ -22,10 +22,10 @@ from typing import List
 from . import DEFAULT_SEED
 from .errors import BrokenIdentity, DomainError, PrecisionExhausted, check_cap
 from .padic import (LocalContext, LocalMatrix, _o_add, _o_det, _o_inverse,
-                    _o_matmul, _o_mul, _o_sub, _val_below, ell_min_scaled,
-                    factor_prime_power, get_context, group_order_gl2,
-                    scaled_val_ge, vp_int)
-from .testfunc import branch_key, branch_value_t, phi_pn, phi_pnt
+                    _o_matmul, _o_mul, _o_sub, _val_below, _vp_gcd,
+                    ell_min_scaled, factor_prime_power, get_context,
+                    group_order_gl2, scaled_val_ge, vp_int)
+from .testfunc import branch_key, branch_value_t, phi_branch, phi_pn, phi_pnt
 
 # ---------------------------------------------------------------------------
 # canonical right-coset keys
@@ -246,7 +246,12 @@ def phi_support(ctx: LocalContext, n: int):
 
 def branch_covering_sample(ctx: LocalContext, n: int, count: int = 200,
                            seed: int = DEFAULT_SEED):
-    """Matrices hitting every branch of the level-n function."""
+    """Matrices hitting every branch of the level-n function: 2n + 6 anchors,
+    then random p^e M, each conjugated by a unimodular h on a coin flip.
+
+    A draw is skipped when its integer rows are singular, exactly the draws
+    whose LocalMatrix raised DomainError on building or reading v(det); h is
+    built only when the coin says to conjugate by it."""
     p, q = ctx.p, ctx.q
     rnd = random.Random(seed)
     out = []
@@ -266,7 +271,8 @@ def branch_covering_sample(ctx: LocalContext, n: int, count: int = 200,
             continue
         m = LocalMatrix.from_integers(ctx, rows, e=e)
         h = _random_unimodular(ctx, rnd)
-        out.append(m.conjugate_by(h) if rnd.random() < 0.5 else m)
+        out.append(m.conjugate_by(LocalMatrix.from_integers(ctx, h))
+                   if rnd.random() < 0.5 else m)
     return out
 
 
@@ -276,15 +282,22 @@ def _singular(rows):
     return a * d == b * c
 
 
+def _int_valuations(rows, p):
+    """(e, v(det)) of the LocalMatrix that integer rows [[a, b], [c, d]]
+    build: v_p of their content and of ad - bc, None where those vanish."""
+    (a, b), (c, d) = rows
+    return _vp_gcd((a, b, c, d), p), _vp_gcd((a * d - b * c,), p)
+
+
 def _random_unimodular(ctx, rnd):
-    """An integer matrix with entries below p^3 and a unit determinant, drawn
-    by rejection on the integer determinant; h is built once, when kept."""
+    """The integer rows of a matrix with entries below p^3 and a unit
+    determinant, drawn by rejection on the integer determinant."""
     p = ctx.p
     while True:
         rows = [[rnd.randrange(p**3) for _ in range(2)] for _ in range(2)]
         (a, b), (c, d) = rows
         if (a * d - b * c) % p:
-            return LocalMatrix.from_integers(ctx, rows)
+            return rows
 
 
 def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
@@ -295,9 +308,15 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     function on the same sample.  Exact rational-function equality.  The
     level-(n+1) value at g u depends only on the branch key of g u, so the
     average over u is a sum over at most q keys (`tower_key_histogram`),
-    each key's value weighted by its count over q^4.  Each (key, count)
-    pair's weighted value is built once per call, in a dict the call drops
-    when it returns, and read for every sample point that reaches it.
+    each key's value weighted by its count over q^4.
+
+    Both sides at g are functions of the pair (phi_branch(g, n), the
+    histogram's counts): phi_pnt(g, n) and phi_pn(g, n) are the level-n
+    values of the branch key phi_branch(g, n), and the average is the
+    weighted sum over the histogram.  So each distinct pair is evaluated
+    once, at the first point that has it, and every point reads its verdict
+    from its pair; a failing point is still listed, in sample order, with
+    the pair's two values.  The call drops its verdicts when it returns.
 
     The values are rational functions in t of degree up to 2(n + 1), and
     their exact sums cost about (n + 1)^2 per sample point, so that times
@@ -312,19 +331,22 @@ def tower_identity_check(q: int, n: int, sample=None, count: int = 200,
     ctx = get_context(p, r, 2 * (n + 1) + 6)
     if sample is None:
         sample = branch_covering_sample(ctx, n + 1, count=count, seed=seed)
-    failures, values = [], {}
+    failures, verdicts = [], {}
     for g in sample:
         keys = tower_key_histogram(g, n)
-        for key, c in keys.items() - values.keys():
-            values[key, c] = branch_value_t(q, n + 1, *key) * Fraction(c, q**4)
-        first, *rest = (values[kc] for kc in keys.items())
-        avg = sum(rest, first)
-        lhs = phi_pnt(g, n)
-        if not (avg == lhs):
-            failures.append((g, lhs, avg))
-        spec, want = avg.specialize(q), Fraction(phi_pn(g, n))
-        if spec != want:
-            failures.append((g, want, spec))
+        pair = phi_branch(g, n), frozenset(keys.items())
+        if pair not in verdicts:
+            first, *rest = (branch_value_t(q, n + 1, *key) * Fraction(c, q**4)
+                            for key, c in keys.items())
+            avg = sum(rest, first)
+            lhs, fails = phi_pnt(g, n), []
+            if not (avg == lhs):
+                fails.append((lhs, avg))
+            spec, want = avg.specialize(q), Fraction(phi_pn(g, n))
+            if spec != want:
+                fails.append((want, spec))
+            verdicts[pair] = fails
+        failures += [(g, x, y) for x, y in verdicts[pair]]
     return len(failures) == 0, failures, len(sample)
 
 

@@ -19,7 +19,7 @@ import itertools
 import math
 from functools import total_ordering
 
-from .errors import DomainError, PrecisionExhausted, check_cap
+from .errors import BrokenIdentity, DomainError, PrecisionExhausted, check_cap
 from .poly import divide, horner, mul, trim
 
 
@@ -129,7 +129,7 @@ def smallest_irreducible(p, r):
         f = coeffs + [1]
         if _fp_irreducible(f, p):
             return tuple(f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise BrokenIdentity("no irreducible polynomial found")  # unreachable
 
 
 def _least_prime_factor(n):
@@ -295,8 +295,17 @@ def _o_inverse(x, ctx):
         digits *= 2
     check = tuple(c % pN for c in _o_mul(x, v, f))
     if check != one:
-        raise AssertionError(f"Newton inverse of {x} failed: product {check}")
+        raise BrokenIdentity(f"Newton inverse of {x} failed: product {check}")
     return v
+
+
+def _adj_over(ctx, m, det):
+    """adj(m) det^-1 over GR(p^N, r), for the unit det of row-major m."""
+    f, w = ctx.defining_poly, _o_inverse(det, ctx)
+    nw = tuple(-x for x in w)
+    a, b, c, d = m
+    return (_o_mul(d, w, f), _o_mul(b, nw, f), _o_mul(c, nw, f),
+            _o_mul(a, w, f))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +386,7 @@ class LocalContext:
         for _ in range(self.N.bit_length() + 2):
             x = x - horner(f, x) * horner(fprime, x).inverse()
         if horner(f, x).coeffs != (0,) * self.r:
-            raise AssertionError(f"Hensel lift of the Frobenius root of {f} "
+            raise BrokenIdentity(f"Hensel lift of the Frobenius root of {f} "
                                  f"failed at p = {self.p}, N = {self.N}")
         cols, power = [], self.one
         for _ in range(self.r):
@@ -636,17 +645,13 @@ class LocalMatrix:
                            min(self.prec, other.prec))
 
     def inverse(self):
-        a, b, c, d = self.m
-        ctx, f = self.ctx, self.ctx.defining_poly
-        det = tuple(x % ctx.pN for x in _o_det(self.m, f))
+        ctx = self.ctx
+        det = tuple(x % ctx.pN for x in _o_det(self.m, ctx.defining_poly))
         dv = _val_below(det, ctx.p, self.prec)
         if dv is None:
             raise PrecisionExhausted("determinant valuation not certified")
         pdv = ctx.p**dv
-        w = _o_inverse(tuple(x // pdv for x in det), ctx)
-        nw = tuple(-x for x in w)
-        adj = (_o_mul(d, w, f), _o_mul(b, nw, f), _o_mul(c, nw, f),
-               _o_mul(a, w, f))
+        adj = _adj_over(ctx, self.m, tuple(x // pdv for x in det))
         return self._build(-self.e - dv, adj, self.prec - dv)
 
     def frobenius_matrix(self):
@@ -659,9 +664,20 @@ class LocalMatrix:
         return LocalMatrix(self.ctx, self.e, ent, prec=self.prec, exact=exact)
 
     def conjugate_by(self, h):
-        """h^-1 g h, carrying over the exact trace/determinant of g."""
-        out = h.inverse() @ self @ h
-        out.exact = None
+        """h^-1 g h, carrying over the exact trace/determinant of g.
+
+        An exact h with e = 0 and a unit determinant has h^-1 = adj(h)
+        det(h)^-1, so h^-1 M h is formed in one pass mod p^N; as M is
+        primitive it has the e, entries and prec of h.inverse() @ g @ h."""
+        ctx, f = self.ctx, self.ctx.defining_poly
+        if h.exact is not None and h.e == 0 and any(
+                x % ctx.p for x in h.exact_det[1]):
+            hinv = _adj_over(ctx, h.m, _o_det(h.m, f))
+            out = self._build(self.e, _o_matmul(_o_matmul(hinv, self.m, f),
+                                                h.m, f),
+                              min(self.prec, h.prec))
+        else:
+            out = h.inverse() @ self @ h
         out.exact_tr = self.exact_tr
         out.exact_det = self.exact_det
         return out
@@ -857,12 +873,18 @@ def unit_eigenvalue(gamma: LocalMatrix, n: int) -> GaloisRingElement:
     tr, det, K = _scaled_tr_det(ctx, *_tr_det(gamma), gamma.e, gamma.prec)
     if K < n:
         raise PrecisionExhausted("not enough digits for the requested level")
-    tr, det = ctx.el(tr), ctx.el(det)
-    x = tr
+    pN, pn, f = ctx.pN, ctx.p**n, ctx.defining_poly
+
+    def value(x, pk):  # x^2 - tr x + det mod p^k
+        return tuple(c % pk for c in _o_add(_o_mul(_o_sub(x, tr), x, f), det))
+
+    # Newton's x <- x - F(x) / F'(x) on coefficient tuples mod p^N
+    x = tr = tuple(c % pN for c in tr)
     for _ in range(n.bit_length() + 2):
-        x = x - (x * x - tr * x + det) * (2 * x - tr).inverse()
-    out = ctx.el(x.coeffs_mod(n))
-    if (out * out - tr * out + det).coeffs_mod(n) != (0,) * ctx.r:
-        raise AssertionError(f"Hensel lift of the unit eigenvalue failed mod "
-                             f"p^{n}: root {out.coeffs}")
-    return out
+        w = _o_inverse(tuple(c % pN for c in _o_sub(_o_add(x, x), tr)), ctx)
+        x = tuple(c % pN for c in _o_sub(x, _o_mul(value(x, pN), w, f)))
+    out = tuple(c % pn for c in x)
+    if any(value(out, pn)):
+        raise BrokenIdentity(f"Hensel lift of the unit eigenvalue failed mod "
+                             f"p^{n}: root {out}")
+    return ctx.el(out)

@@ -16,8 +16,8 @@ import itertools
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional
 
-from .errors import (DomainError, NotStabilizable, PrecisionExhausted,
-                     check_cap)
+from .errors import (BrokenIdentity, DomainError, NotStabilizable,
+                     PrecisionExhausted, check_cap)
 from .padic import (LocalContext, LocalMatrix, _o_matmul,
                     check_fixed_set_input, ell_min)
 from .testfunc import branch_value
@@ -95,7 +95,7 @@ def enumerate_vertices(ctx: LocalContext, D: int) -> List[TreeVertex]:
     for d in range(D + 1):
         out.extend(shell(ctx, d))
     if len(out) != total:
-        raise AssertionError(f"{len(out)} vertices within distance {D}, "
+        raise BrokenIdentity(f"{len(out)} vertices within distance {D}, "
                              f"expected {total}")
     return out
 

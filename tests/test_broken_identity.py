@@ -1,13 +1,24 @@
 """A broken internal identity is a failed verification: `BrokenIdentity`,
 one line on stderr and exit 1, never an AssertionError or a traceback.
 
-Each of the eleven sites that check such an identity is forced to fail by a
-patch, in process and under python -O, where no assert could stand in for
-the check.  Nine of them are reached by a command.  Two are called
-directly: `level_m_count`, which only the census campaign reaches, after
-`level_m_count_closed` has read the same curves, and `phi_support`, which no
-command lists.  The memo caches that a site sits behind (the census per q,
-the unit groups and the class tables) are patched fresh.
+Each of the seventeen sites that check such an identity is forced to fail by
+a patch, in process and under python -O, where no assert could stand in for
+the check.  Thirteen of them are reached by a command.  Four are called
+directly:
+- `level_m_count`, which only the census campaign reaches, after
+  `level_m_count_closed` has read the same curves;
+- `phi_support`, which no command lists;
+- `cyclotomic_polynomial`, which no command reaches;
+- `_o_inverse` on a unit that is not an integer.  Commands invert such
+  units only in the Frobenius lift of the ring tables, after the tables
+  have inverted every unit, so in a ring where Newton's lift fails those
+  tables fail first.  Here the ring is Z[x]/(x^2 + 1) at p = 2, where x is
+  a unit but the error 1 - x of its residue inverse is not divisible by 2,
+  only its square is, so Newton's lift ends with half the digits it counts
+  on.
+The memo caches that a site sits behind (the census per q, the unit groups,
+the class tables, the local contexts, the ring tables and the cyclotomic
+polynomials) are patched fresh.
 """
 
 import json
@@ -16,21 +27,27 @@ import subprocess
 import sys
 
 SITES = """
-import contextlib, functools, io
+import contextlib, functools, io, itertools
 from unittest import mock
 
 import numpy as np
 
-from gl2lab import curves, finitegl2, hecke
+from gl2lab import curves, cyclotomic, finitegl2, hecke, padic, tree
 from gl2lab.cli import main
 from gl2lab.errors import BrokenIdentity
 from gl2lab.finitegl2 import FiniteGL2
 from gl2lab.gl2group import MatGroup
-from gl2lab.padic import get_context
+from gl2lab.padic import GaloisRingElement, get_context
+from gl2lab.ringtables import RingTableLists
 
 real_order = curves.gl2_order_mod
 real_mask = MatGroup.congruence_mask
 real_centralizer = finitegl2._centralizer_order
+real_irreducible = padic.smallest_irreducible
+real_o_inverse = padic._o_inverse
+real_inverse, real_pow = GaloisRingElement.inverse, GaloisRingElement.__pow__
+real_shell = tree.shell
+real_divide = cyclotomic.divide
 fresh_units = (finitegl2, "unit_group",
                functools.cache(finitegl2.unit_group.__wrapped__))
 SS_TRACE = ["ss-trace", "--p", "3", "--n", "1", "--kind", "ordinary", "--a", "1"]
@@ -81,6 +98,44 @@ SITES = {
                              "--samples", "3"]),
     "phi_support": ([(hecke, "canonical_coset_rep", lambda m, n: 0)],
                     lambda: hecke.phi_support(get_context(2, 1, 8), 1)),
+    # no monic polynomial passes the irreducibility test
+    "smallest_irreducible": ([(padic, "_CTX_CACHE", {}),
+                              (padic, "_fp_irreducible", lambda f, p: False)],
+                             ["verify-tower", "--q", "2", "--n", "1",
+                              "--samples", "3"]),
+    # x^2 + 1 = (x + 1)^2 mod 2 made the ring of GR(2^N, 2)
+    "_o_inverse": ([(padic, "_CTX_CACHE", {}),
+                    (padic, "smallest_irreducible",
+                     lambda p, r: (1, 0, 1) if (p, r) == (2, 2)
+                     else real_irreducible(p, r))],
+                   lambda: get_context(2, 2, 8).generator.inverse()),
+    # the Frobenius root's start x = g^3 moved by 3 and each Newton step
+    # doubled, so the error keeps its one digit
+    "_sigma_columns": ([(padic, "_CTX_CACHE", {}),
+                        (RingTableLists, "_cache", {}),
+                        (GaloisRingElement, "__pow__",
+                         lambda x, k: real_pow(x, k) + x.ctx.p),
+                        (GaloisRingElement, "inverse",
+                         lambda x: real_inverse(x) * 2)],
+                       ["verify-exact-seq", "--p", "3", "--r", "2", "--n", "2",
+                        "--samples", "2"]),
+    # each Newton step doubled: the unit root's error keeps its one digit
+    "unit_eigenvalue": ([(padic, "_o_inverse", lambda x, ctx: tuple(
+                            2 * c for c in real_o_inverse(x, ctx)))],
+                        ["census", "--q", "7", "--m", "3", "--n", "2"]),
+    # the base vertex listed twice
+    "enumerate_vertices": ([(tree, "shell", lambda ctx, d: itertools.chain(
+                               real_shell(ctx, d),
+                               real_shell(ctx, 0) if d == 0 else ()))],
+                           ["tree-fixed-set", "--p", "3",
+                            "--gamma", "[[3,0],[0,1]]"]),
+    # every remainder of the division x^M - 1 by Phi_d moved by one
+    "cyclotomic_polynomial": (
+        [(cyclotomic, "cyclotomic_polynomial", functools.lru_cache(None)(
+            cyclotomic.cyclotomic_polynomial.__wrapped__)),
+         (cyclotomic, "divide", lambda a, b: (lambda quo, rem: (
+             quo, [rem[0] + 1] + rem[1:]))(*real_divide(a, b)))],
+        lambda: cyclotomic.cyclotomic_polynomial(6)),
 }
 
 
@@ -119,8 +174,16 @@ MESSAGES = {
     "FiniteGL2": "class sizes of GL2(Z/2) sum to 2, not 6",
     "canonical_coset_rep": "is not divisible by p^1",
     "phi_support": "repeats a coset",
+    "smallest_irreducible": "no irreducible polynomial found",
+    "_o_inverse": "Newton inverse of (0, 1) failed",
+    "_sigma_columns": "Hensel lift of the Frobenius root of (1, 0, 1) "
+                      "failed at p = 3, N = 2",
+    "unit_eigenvalue": "Hensel lift of the unit eigenvalue failed mod p^2",
+    "enumerate_vertices": "18 vertices within distance 2, expected 17",
+    "cyclotomic_polynomial": "Phi_1 leaves remainder [1]",
 }
-DIRECT = ("level_m_count", "phi_support")
+DIRECT = ("level_m_count", "phi_support", "_o_inverse",
+          "cyclotomic_polynomial")
 
 
 def _check_sites(out):

@@ -23,9 +23,10 @@ from gl2lab.padic import (LocalMatrix, _o_add, _o_det, _o_mul, _o_sub,
                           factor_prime_power, get_context)
 from gl2lab.ratfunc import RationalFunctionT
 from gl2lab.testfunc import phi_branch, phi_pn, phi_pnt
-from hecke_oracles import (congruence_elements, convolve_supports,
-                           e_congruence, in_congruence_subgroup, lookup,
-                           phi0_support, same_coset, support_of)
+from hecke_oracles import (branch_sample_built_first, congruence_elements,
+                           convolve_supports, e_congruence,
+                           in_congruence_subgroup, lookup, phi0_support,
+                           same_coset, support_of)
 
 
 def test_coset_keys_vs_membership_examples():
@@ -851,24 +852,6 @@ def _from_integers_failing_once(monkeypatch, at_call):
     monkeypatch.setattr(LocalMatrix, "from_integers", classmethod(failing))
 
 
-def _build_then_reject_sample(ctx, n, count, seed):
-    """The sampler's loop before it skipped singular draws on the integer
-    determinant: it built every draw and caught the library's rejection."""
-    p = ctx.p
-    rnd = random.Random(seed)
-    out = branch_covering_sample(ctx, n, count=0)   # the anchors
-    while len(out) < count:
-        rows = [[rnd.randrange(p**(n + 2)) for _ in range(2)] for _ in range(2)]
-        try:
-            m = LocalMatrix.from_integers(ctx, rows, e=-rnd.randrange(n + 1))
-            m.det_valuation()
-        except (DomainError, PrecisionExhausted):
-            continue
-        h = _random_unimodular(ctx, rnd)
-        out.append(m.conjugate_by(h) if rnd.random() < 0.5 else m)
-    return out
-
-
 @pytest.mark.parametrize("p,r,N,n,count", [
     (2, 1, 10, 2, 200), (2, 1, 12, 3, 200), (3, 1, 10, 2, 200),  # tower
     (2, 1, 8, 1, 100)])                                          # centrality
@@ -876,7 +859,7 @@ def test_sampler_skips_singular_draws_as_the_old_loop_rejected_them(
         p, r, N, n, count):
     ctx = get_context(p, r, N)
     new = branch_covering_sample(ctx, n, count=count, seed=DEFAULT_SEED)
-    old = _build_then_reject_sample(ctx, n, count, DEFAULT_SEED)
+    old = branch_sample_built_first(ctx, n, count, DEFAULT_SEED)
     assert len(new) == len(old) == count
     for g, h in zip(new, old):
         assert (g.e, g.m, g.prec, g.exact, g.exact_tr,
@@ -889,9 +872,14 @@ def test_samplers_let_programming_errors_through(monkeypatch):
     # PrecisionExhausted); anything else is a bug and must surface
     ctx, n = get_context(2, 1, 12), 1
     anchors = len(branch_covering_sample(ctx, n, count=0))
-    _from_integers_failing_once(monkeypatch, anchors + 1)
-    with pytest.raises(TypeError):
-        branch_covering_sample(ctx, n, count=anchors + 3)
+    # five draws build at least five matrices, the h's among them
+    for at_call in range(anchors + 1, anchors + 6):
+        _from_integers_failing_once(monkeypatch, at_call)
+        with pytest.raises(TypeError):
+            branch_covering_sample(ctx, n, count=anchors + 5)
+        monkeypatch.undo()
+    # h is drawn as integer rows, with nothing built, and its caller builds it
     _from_integers_failing_once(monkeypatch, 1)
+    rows = _random_unimodular(ctx, random.Random(0))
     with pytest.raises(TypeError):
-        _random_unimodular(ctx, random.Random(0))
+        LocalMatrix.from_integers(ctx, rows)

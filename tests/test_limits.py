@@ -69,15 +69,39 @@ def test_number_searches_respect_cap(monkeypatch):
         smallest_irreducible(2, 10)
 
 
+def _raises_assertion_error(node):
+    """`raise AssertionError` or `raise AssertionError(...)`."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def _assertions(path):
+    """Lines of a module that hold an assert or raise AssertionError."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+            or isinstance(node, ast.Raise) and node.exc is not None
+            and _raises_assertion_error(node)]
+
+
 def test_no_assert_statements_in_src():
-    # checks must survive python -O, so none of them is an assert
+    # checks must survive python -O, so none of them is an assert, and a
+    # broken identity is a BrokenIdentity (exit 1), not an AssertionError
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "gl2lab"
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+        found.extend(_assertions(path))
     assert found == []
+
+
+def test_the_assertion_scan_sees_both_forms(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(x):\n    assert x\n    if x:\n"
+                    "        raise AssertionError('no')\n"
+                    "    raise AssertionError\n"
+                    "    raise ValueError('fine')\n")
+    assert sorted(_assertions(path)) == ["sample.py:2", "sample.py:4",
+                                         "sample.py:5"]
 
 
 def _unused_imports(path):

@@ -15,6 +15,7 @@ from gl2lab.testfunc import GammaInvariants, c_closed
 from gl2lab.tree import (TreeVertex, base_vertex, enumerate_vertices,
                          fixed_set, orbital_ratio, shell,
                          stabilized_line_count, stabilizes)
+from hecke_oracles import orbital_sample_built_first
 
 
 @pytest.mark.parametrize("q,r", [(2, 1), (3, 1), (4, 2)])
@@ -209,22 +210,6 @@ def test_orbital_ratio_flags_and_degenerate_weight():
 # caught the library's rejection
 
 
-def _old_orbital_sample(ctx, n, per, seed):
-    p = ctx.p
-    rnd = random.Random(seed)
-    sample = _orbital_sample(ctx, n, 0, seed)   # the anchors
-    while len(sample) < per:
-        rows = [[rnd.randrange(p**(n + 2)) for _ in range(2)] for _ in range(2)]
-        try:
-            m = LocalMatrix.from_integers(ctx, rows)
-            if m.e != 0 or m.det_valuation() != 1 or not m.trace_val_ge(0):
-                continue
-        except (DomainError, PrecisionExhausted):
-            continue
-        sample.append(m)
-    return sample
-
-
 def _old_tree_probe_pairs(ctx, q, probes, seed):
     """(g0, h) of every conjugate_by the old probe loop made."""
     rnd = random.Random(seed + q)
@@ -258,7 +243,7 @@ def _exact(g):
 def test_orbital_sample_is_the_old_loops(q, n):
     ctx = get_context(q, 1, 2 * n + 6)
     new = _orbital_sample(ctx, n, 50, DEFAULT_SEED)
-    old = _old_orbital_sample(ctx, n, 50, DEFAULT_SEED)
+    old = orbital_sample_built_first(ctx, n, 50, DEFAULT_SEED)
     assert len(new) == 50 and list(map(_exact, new)) == list(map(_exact, old))
 
 
