@@ -22,10 +22,18 @@ N(delta).  It is checked at the norm preimages delta_gamma of `normcert`:
   any work: 7 fibres of 256 at (p, r, j, k) = (2, 2, 2, 1), against the
   46,080 elements of G_r.
 
-The right side is a fibre sum on the numpy orbit table of GL2(Z/p^j),
-`orbit_label_data(p, 1, j)`, cached.  The exact sequence of unit groups
-behind the norm bijection runs on the commutant pairs of
-`normcert.commutant_ops`, without listing the group.
+The right side is a tally in integers mod p^j, one per distinct fibre of
+gamma mod p^k: the classes of the lifts gamma + p^k M2(Z/p^j) by
+`FiniteGL2.class_of` (at k = 0 the class sizes).  It shares the key table
+`FiniteGL2._class_ids` with the left side's `_norm_class_reader`, but not
+the reader code, so a wrong class read on either side fails an indicator
+row; that the key table holds every class is checked against the orbit
+oracle in the tests.  Every tally on either side must count |Gamma(p^k)|
+elements.  The
+exact sequence of unit groups behind the norm bijection runs on the
+commutant pairs of `normcert.commutant_ops`, without listing the group.
+The two batteries, `exact_sequence_checks` and `bc_unit_checks`, live here
+next to their defects, so their commands load no other battery.
 
 Sign convention recorded for downstream (out-of-scope) comparisons of
 orbital integrals: matching carries the sign +, except when the norm is
@@ -35,51 +43,23 @@ element, where it is -.
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
-import numpy as np
-
+from . import DEFAULT_SEED
 from .errors import BrokenIdentity, DomainError, check_cap
 from .finitegl2 import FiniteGL2, _class_count
-from .gl2group import MatGroup, _group_and_labels
-from .normcert import (_first_bad_class, certificate, commutant_ops,
-                       norm_preimage)
+from .normcert import _first_bad_class, certificate, commutant_ops
 # perfbench's tracer times the certificate under this module's name
 from .normcert import sigma_orbits  # noqa: F401
 from .padic import check_unit_group_input, group_order_gl2
 from .ringtables import RingTableLists
+from .rows import Check, _witness
 
-__all__ = ["sigma_orbits", "orbit_label_data", "unit_group_exactness",
-           "unit_group_defect", "bc_unit_identity", "bc_unit_defect",
-           "bc_unit_defects"]
-
-
-_ORBIT_CACHE = {}
-
-
-def orbit_label_data(p, r, n):
-    """(tables, G, labels, norm_class): the sigma-conjugacy orbit of every
-    element and, per orbit, the conjugacy class of GL2(Z/p^n) matched with it.
-
-    Each class is matched with the orbit of its norm preimage
-    (`normcert.norm_preimage`).  An orbit that no class claims, or whose
-    class claimed an orbit already taken, keeps norm_class -1; the callers
-    report that as a failed bijection.  Cached per (p, r, n).
-    """
-    check_unit_group_input(p, r, n)
-    if (p, r, n) in _ORBIT_CACHE:
-        return _ORBIT_CACHE[(p, r, n)]
-    tables, G, count, labels = _group_and_labels(p, r, n)
-    norm_class = np.full(count, -1, dtype=np.int64)
-    for cid, gamma in enumerate(FiniteGL2(p, n).class_reps):
-        delta = norm_preimage(tables.lists, gamma)
-        if delta is None:
-            raise DomainError(f"no norm preimage in the commutant of {gamma}")
-        orb = labels[G.idx(delta)]
-        if norm_class[orb] < 0:
-            norm_class[orb] = cid
-    _ORBIT_CACHE[(p, r, n)] = (tables, G, labels, norm_class)
-    return _ORBIT_CACHE[(p, r, n)]
+__all__ = ["sigma_orbits", "unit_group_exactness", "unit_group_defect",
+           "exact_sequence_checks", "bc_unit_identity", "bc_unit_defect",
+           "bc_unit_defects", "bc_unit_checks"]
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +117,30 @@ def unit_group_defect(gamma, p: int, r: int, n: int):
                 None)
 
 
+def exact_sequence_checks(cases=((2, 2, 1), (2, 2, 2), (3, 2, 1)),
+                          samples=20, seed=DEFAULT_SEED):
+    # samples gammas, or the two anchors, each on Q^2 commutant pairs
+    check_cap(max(samples, 2), "unit-group exactness sample", default=20_000)
+    check_cap(max(samples, 2) * max([p**(2 * n * r) for p, r, n in cases]
+                                    + [1]),
+              "unit-group exactness commutant pairs", default=20_000 * 20**2)
+    rnd = random.Random(seed)
+    out = []
+    for (p, r, n) in cases:
+        G = FiniteGL2(p, n)
+        gammas = [(1, 0, 0, 1), (2 % p**n or 1, 0, 0, 2 % p**n or 1)]
+        while len(gammas) < samples:
+            gammas.append(G.elements[rnd.randrange(len(G.elements))])
+        bad = [g for g in gammas if not unit_group_exactness(g, p, r, n)]
+        fails = [(bad[0], *unit_group_defect(bad[0], p, r, n))] if bad else []
+        out.append(Check("unit-group-exact-sequence",
+                         {"p": p, "r": r, "n": n, "samples": len(gammas)},
+                         True, not bad,
+                         _witness(fails, ("gamma", "spot", "left_size",
+                                          "right_size"))))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # base-change unit identity at finite level
 
@@ -159,25 +163,19 @@ def bc_unit_defect(f_values, k: int, p: int, r: int, j: int):
 def bc_unit_defects(functions, k: int, p: int, r: int, j: int):
     """Per class function, None where `bc_unit_identity` holds, else its
     witness: the entry codes of the first delta_gamma whose averages
-    differ, with both averages; where the twisted class equation fails, the
-    first class the certificate cannot account for; and where an orbit of
-    the r = 1 table has no class, its least element, with no averages."""
+    differ, with both averages; and where the twisted class equation
+    fails, the first class the certificate cannot account for."""
     check_unit_group_input(p, r, j, k)
     order = group_order_gl2(p**r, j)
     n_left = order if k == 0 else p**(4 * r * (j - k))
     check_cap(min(_class_count(p, j) * n_left, order), "bc-unit norms",
               default=2_000_000)
     small = FiniteGL2(p, j)
+    # functions is read only here, after the cap: bc_unit_checks hands a
+    # generator, whose lists are as long as the class count
     fs = [[int(v) for v in f] for f in functions]
     if any(len(f) != len(small.class_reps) for f in fs):
         raise DomainError("one value per conjugacy class required")
-    _, Gs, small_labels, small_class = orbit_label_data(p, 1, j)
-    unclaimed = small_class[small_labels] < 0
-    if unclaimed.any():     # argmax finds the first element of such an orbit
-        i = int(np.argmax(unclaimed))
-        return [{"delta": [int(x[i]) for x in Gs.comps], "left_average": None,
-                 "right_average": None}] * len(fs)
-    rights = [_right_sums(np.asarray(f, dtype=np.int64), k, p, j) for f in fs]
     tab, deltas = certificate(p, r, j)
     if not tab.bijection:
         total = sum(Fraction(order, o.tw_centralizer) for o in tab.orbits)
@@ -185,21 +183,65 @@ def bc_unit_defects(functions, k: int, p: int, r: int, j: int):
                  "group_order": order}] * len(fs)
     ring = RingTableLists(p, r, j)
     read = _norm_class_reader(ring, small)
-    tallies, out = {}, [None] * len(fs)
+    n_right = small.order if k == 0 else p**(4 * (j - k))
+    lefts, rights, out = {}, {}, [None] * len(fs)
     for o, delta in zip(tab.orbits, deltas):
         fibre = tuple(ring.encode(c % p**k for c in ring.decode(x))
                       for x in delta)
-        if fibre not in tallies:
-            tallies[fibre] = _fibre_tally(ring, delta, k, read,
-                                          len(small.class_reps), n_left)
-        for i, (f, (rhs, n_right)) in enumerate(zip(fs, rights)):
-            left = sum(c * v for c, v in zip(tallies[fibre], f))
-            right = int(rhs[o.norm_class])
+        if fibre not in lefts:
+            lefts[fibre] = _fibre_tally(ring, delta, k, read,
+                                        len(small.class_reps), n_left)
+        gamma = tuple(c % p**k for c in o.rep)
+        if gamma not in rights:
+            rights[gamma] = _right_tally(small, o.rep, k, n_right)
+        for i, f in enumerate(fs):
+            left = sum(c * v for c, v in zip(lefts[fibre], f))
+            right = sum(c * v for c, v in zip(rights[gamma], f))
             if out[i] is None and left * n_right != right * n_left:
                 out[i] = {"delta": list(delta),
                           "left_average": Fraction(left, n_left),
                           "right_average": Fraction(right, n_right)}
     return out
+
+
+def bc_unit_checks(p=2, r=2, j=2, k=1, functions=3):
+    def fs():
+        # the constant function, then class indicators; bc_unit_defects
+        # draws them after its input check and its cap, before any table
+        n = _class_count(p, j)
+        for i in range(min(functions, n + 1)):
+            yield [int(i == 0 or c == i - 1) for c in range(n)]
+    # every function from one tally of the norms' classes
+    defects = bc_unit_defects(fs(), k, p, r, j)
+    return [Check("bc-unit-identity",
+                  {"p": p, "r": r, "j": j, "k": k, "function": i},
+                  True, d is None,
+                  None if d is None else {x: str(v) for x, v in d.items()})
+            for i, d in enumerate(defects)]
+
+
+def _right_tally(G: FiniteGL2, gamma, k, size):
+    """tally[c]: the v gamma, v in Gamma(p^k), in class c of G =
+    GL2(Z/p^j).  They are the lifts gamma + p^k M2(Z/p^j), read by
+    `FiniteGL2.class_of`; at k = 0 they are all of G, tallied by the class
+    sizes.  The tally must count size = |Gamma(p^k)| elements."""
+    if k == 0:
+        return _sized(G.class_sizes, gamma, k, size)
+    tally = [0] * len(G.class_reps)
+    steps = range(0, G.mod, G.p**k)
+    for x in itertools.product(*([(e + s) % G.mod for s in steps]
+                                 for e in gamma)):
+        tally[G.class_of(x)] += 1
+    return _sized(tally, gamma, k, size)
+
+
+def _sized(tally, x, k, size):
+    """tally, once it is seen to count the |Gamma(p^k)| = size elements of
+    the fibre of x mod p^k."""
+    if sum(tally) != size:
+        raise BrokenIdentity(f"the fibre of {list(x)} mod p^{k} has "
+                             f"{sum(tally)} units, not |Gamma(p^k)| = {size}")
+    return tally
 
 
 def _fibre_tally(ring, delta, k, read, classes, size):
@@ -224,10 +266,7 @@ def _fibre_tally(ring, delta, k, read, classes, size):
                                           ADD[MUL[x2][s0]][MUL[x3][s2]],
                                           ADD[MUL[x2][s1]][MUL[x3][s3]])
                     tally[read(x0, x1, x2, x3)] += 1
-    if sum(tally) != size:
-        raise BrokenIdentity(f"the fibre of {list(delta)} mod p^{k} has "
-                             f"{sum(tally)} units, not |Gamma(p^k)| = {size}")
-    return tally
+    return _sized(tally, delta, k, size)
 
 
 def _norm_class_reader(ring, G: FiniteGL2):
@@ -263,38 +302,3 @@ def _norm_class_reader(ring, G: FiniteGL2):
             raise BrokenIdentity(f"the norm {(a, b, c, d)} is conjugate to no "
                                  f"matrix over Z/{pn}") from None
     return read
-
-
-def _right_sums(fv, k: int, p: int, j: int):
-    """(sums, |Gamma(p^k)|): per class of GL2(Z/p^j), the sum of f(v gamma)
-    over v in Gamma(p^k) at its representative gamma, by fibre sums on the
-    r = 1 orbit table, whose norm_class numbers its orbits as classes."""
-    _, Gs, small_labels, small_class = orbit_label_data(p, 1, j)
-    n_right = int(np.count_nonzero(Gs.congruence_mask(k)))
-    sums = _fibre_sums(Gs, k, fv[small_class[small_labels]], n_right)
-    # at r = 1 a residue is its own code
-    reps = Gs.idx(tuple(np.array(FiniteGL2(p, j).class_reps).T))
-    return sums[reps], n_right
-
-
-def _fibre_sums(G: MatGroup, k: int, per_el: np.ndarray, fibre_size: int):
-    """For every element g, the sum of per_el over g's fibre mod p^k.
-
-    The reduction of a matrix reduces each Galois-ring digit of each entry
-    mod p^k.  Every fibre must hold exactly fibre_size = |Gamma(p^k)|
-    elements.
-    """
-    t = G.t
-    pn, pk = t.p**t.n, t.p**k
-    codes = np.arange(t.Q)
-    red = sum(((codes // pn**i) % pk) * pk**i for i in range(t.r))
-    base = pk**t.r
-    a, b, c, d = (red[x] for x in G.comps)
-    _, fibre, sizes = np.unique(a + base * (b + base * (c + base * d)),
-                                return_inverse=True, return_counts=True)
-    if np.any(sizes != fibre_size):
-        raise BrokenIdentity(f"a fibre of reduction mod {pk} does not have "
-                             f"|Gamma(p^k)| = {fibre_size} elements")
-    totals = np.zeros(len(sizes), dtype=np.int64)
-    np.add.at(totals, fibre, per_el)
-    return totals[fibre]

@@ -1,12 +1,12 @@
-"""The verification batteries that load no numpy.
+"""The verification batteries that load no table layer.
 
 Tower identity, orbital ratios, the tree lemma and Hecke centrality run on
 Galois-ring arithmetic alone (`padic`, `testfunc`, `tree`, `hecke`).  The
 character identities of GL2(Z/p^n) (cross-identity, Drinfeld) run on the
-pure-Python class table of `finitegl2`, which they import when they run, so
-the local-path commands never load it.  None of these loads the numpy table
-layers; `campaigns` re-exports them next to the table batteries.  Every
-comparison is exact; a failing check carries the two values.
+class table of `finitegl2`, which they import when they run, so the
+local-path commands never load it.  None of these loads the ring tables;
+`campaigns` re-exports them with the other batteries.  Every comparison is
+exact; a failing check carries the two values.
 """
 
 from __future__ import annotations

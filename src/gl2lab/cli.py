@@ -24,11 +24,13 @@ command loads:
 - census and `boundary` (`--enumerate` included): `curves`, with
   `finitegl2` and the list tables of `ringtables`;
 - verify-norm: the certificate of `normcert`, on the same two;
-- verify-exact-seq, verify-bc-unit and report-all: `basechange` and the
-  numpy orbit tables of `gl2group`, the only commands that load numpy.
+- verify-exact-seq and verify-bc-unit: `basechange`, with its two
+  batteries, on top of the certificate;
+- report-all: `campaigns`, which binds every layer.
 
-Only the three numpy commands load `inspect`; the report records are plain
-classes and NamedTuples, which need none of it.
+No command loads numpy.  Only report-all loads `inspect`, to see which
+batteries take a seed; the report records are plain classes and
+NamedTuples, which need none of it.
 """
 
 from __future__ import annotations
@@ -346,7 +348,7 @@ def _run_command(args) -> int:
 
     if cmd == "verify-exact-seq":
         check_unit_group_input(args.p, args.r, args.n)
-        from .campaigns import exact_sequence_checks
+        from .basechange import exact_sequence_checks
         checks = exact_sequence_checks(
             cases=((args.p, args.r, args.n),), samples=args.samples,
             seed=args.seed)
@@ -356,7 +358,7 @@ def _run_command(args) -> int:
 
     if cmd == "verify-bc-unit":
         check_unit_group_input(args.p, args.r, args.j, args.k)
-        from .campaigns import bc_unit_checks
+        from .basechange import bc_unit_checks
         checks = bc_unit_checks(p=args.p, r=args.r, j=args.j, k=args.k,
                                 functions=args.functions)
         return _verdict("bc-unit", checks,

@@ -193,10 +193,10 @@ class FiniteGL2:
 
 
 def _class_count(p, n):
-    """The number of class keys: scalars, then (a0, t, delta) for each j < n."""
-    phi = _totient_prime_power
-    return (phi(p, n) * (1 + p**n)
-            + sum(phi(p, j) * p**(2 * (n - j)) for j in range(1, n)))
+    """The number of class keys: phi(p^n) scalars and phi(p^n) p^n keys at
+    j = 0, then phi(p^j) p^(2(n-j)) at each 0 < j < n, which sum to
+    p^(2n-1) - p^n.  In closed form, so a cap on it costs nothing."""
+    return _totient_prime_power(p, n) * (1 + p**n) + p**(2 * n - 1) - p**n
 
 
 def _class_keys(p, n):

@@ -142,8 +142,9 @@ def _is_prime(p):
     return p >= 2 and _least_prime_factor(p) == p
 
 
-# Input rules of the table and local layers, kept here, free of numpy, so
-# that the command line rejects bad input before it loads those layers.
+# Input rules of the table and local layers, kept here, in the layer every
+# command loads, so that the command line rejects bad input before it loads
+# those layers.
 
 def check_phi_level(n):
     """The level-n central function needs n >= 1."""

@@ -1,9 +1,9 @@
 """Operation tables of the Galois rings GR(p^n, r), as plain lists.
 
 The one builder of the tables and the one unit-generator search, built
-once per ring and shared: `normcert` and `basechange` read the lists,
-`gl2group.RingTables` holds them as numpy arrays, and `curves.SmallField`
-uses them as they are at n = 1.  Only the table layers load this module.
+once per ring and shared: `normcert` and `basechange` read the lists, and
+`curves.SmallField` uses them as they are at n = 1.  Only the table layers
+load this module.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ import numpy as np
 from gl2lab.curves import _ANY, _UNIT, SmallField, _crt, _normal_forms
 from gl2lab.errors import BrokenIdentity
 from gl2lab.finitegl2 import _unit_generators
-from gl2lab.gl2group import MatGroup, RingTables
 from gl2lab.padic import factor_prime_power
+from gl2group import MatGroup, RingTables
 
 
 def _digits(base, count, dtype):

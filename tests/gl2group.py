@@ -1,11 +1,12 @@
-"""Vectorized GL2 over finite local rings GR(p^n, r).
+"""Vectorized GL2 over finite local rings GR(p^n, r), a test oracle.
 
 Ring elements are encoded as integers 0..Q-1 (Q = p^(nr)) with numpy
 lookup tables for the ring operations; matrices are quadruples of codes.
-It lists the conjugacy orbits of GL2(Z/p^j) behind the right side of the
-base-change unit identity, and, for the tests, the sigma-orbits of the
-whole group.  The norm bijection, the exact sequence and the left side of
-the identity list no group (see `normcert` and `basechange`).
+It lists the whole group and its sigma-orbits by orbit closure, which the
+array oracles of `group_oracles` and `curves_oracles` stand on.  The
+package lists no group: the norm bijection, the exact sequence and both
+sides of the base-change unit identity run on the list tables and the
+class keys of `finitegl2` (see `normcert` and `basechange`).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import check_cap
-from .ringtables import RingTableLists
+from gl2lab.errors import check_cap
+from gl2lab.ringtables import RingTableLists
 
 
 class RingTables:

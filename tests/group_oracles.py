@@ -1,5 +1,11 @@
 """Earlier paths of the finite group layer, kept as test oracles.
 
+- `orbit_label_data` is the orbit table that `basechange` read its right
+  side from: every element of GL2(GR(p^n, r)) labelled with its
+  sigma-orbit, on the arrays of `gl2group`, and each orbit with the class
+  whose norm preimage lies in it, cached in `_ORBIT_CACHE`.
+  `_right_sums` is that right side, by `_fibre_sums` (fibre sums of
+  reduction mod p^k) on the r = 1 table.
 - `code_order_unit_generators` and `least_unit_generator` are the two
   unit-generator searches that `RingTableLists.unit_generators` replaced:
   the ring tables' search in code order, which can keep a redundant unit,
@@ -27,12 +33,74 @@ from fractions import Fraction
 
 import numpy as np
 
-from gl2lab.basechange import _fibre_sums, _right_sums, orbit_label_data
-from gl2lab.errors import DomainError
+from gl2lab.errors import BrokenIdentity, DomainError
 from gl2lab.finitegl2 import FiniteGL2
-from gl2lab.gl2group import MatGroup, RingTables, _group_and_labels
-from gl2lab.normcert import SigmaOrbitRecord, SigmaOrbitTable
+from gl2lab.normcert import (SigmaOrbitRecord, SigmaOrbitTable,
+                             norm_preimage)
 from gl2lab.padic import check_unit_group_input, group_order_gl2
+from gl2group import MatGroup, RingTables, _group_and_labels
+
+_ORBIT_CACHE = {}
+
+
+def orbit_label_data(p, r, n):
+    """(tables, G, labels, norm_class): the sigma-conjugacy orbit of every
+    element and, per orbit, the conjugacy class of GL2(Z/p^n) matched with it.
+
+    Each class is matched with the orbit of its norm preimage
+    (`normcert.norm_preimage`).  An orbit that no class claims, or whose
+    class claimed an orbit already taken, keeps norm_class -1; the callers
+    report that as a failed bijection.  Cached per (p, r, n).
+    """
+    check_unit_group_input(p, r, n)
+    if (p, r, n) in _ORBIT_CACHE:
+        return _ORBIT_CACHE[(p, r, n)]
+    tables, G, count, labels = _group_and_labels(p, r, n)
+    norm_class = np.full(count, -1, dtype=np.int64)
+    for cid, gamma in enumerate(FiniteGL2(p, n).class_reps):
+        delta = norm_preimage(tables.lists, gamma)
+        if delta is None:
+            raise DomainError(f"no norm preimage in the commutant of {gamma}")
+        orb = labels[G.idx(delta)]
+        if norm_class[orb] < 0:
+            norm_class[orb] = cid
+    _ORBIT_CACHE[(p, r, n)] = (tables, G, labels, norm_class)
+    return _ORBIT_CACHE[(p, r, n)]
+
+
+def _right_sums(fv, k: int, p: int, j: int):
+    """(sums, |Gamma(p^k)|): per class of GL2(Z/p^j), the sum of f(v gamma)
+    over v in Gamma(p^k) at its representative gamma, by fibre sums on the
+    r = 1 orbit table, whose norm_class numbers its orbits as classes."""
+    _, Gs, small_labels, small_class = orbit_label_data(p, 1, j)
+    n_right = int(np.count_nonzero(Gs.congruence_mask(k)))
+    sums = _fibre_sums(Gs, k, fv[small_class[small_labels]], n_right)
+    # at r = 1 a residue is its own code
+    reps = Gs.idx(tuple(np.array(FiniteGL2(p, j).class_reps).T))
+    return sums[reps], n_right
+
+
+def _fibre_sums(G: MatGroup, k: int, per_el: np.ndarray, fibre_size: int):
+    """For every element g, the sum of per_el over g's fibre mod p^k.
+
+    The reduction of a matrix reduces each Galois-ring digit of each entry
+    mod p^k.  Every fibre must hold exactly fibre_size = |Gamma(p^k)|
+    elements.
+    """
+    t = G.t
+    pn, pk = t.p**t.n, t.p**k
+    codes = np.arange(t.Q)
+    red = sum(((codes // pn**i) % pk) * pk**i for i in range(t.r))
+    base = pk**t.r
+    a, b, c, d = (red[x] for x in G.comps)
+    _, fibre, sizes = np.unique(a + base * (b + base * (c + base * d)),
+                                return_inverse=True, return_counts=True)
+    if np.any(sizes != fibre_size):
+        raise BrokenIdentity(f"a fibre of reduction mod {pk} does not have "
+                             f"|Gamma(p^k)| = {fibre_size} elements")
+    totals = np.zeros(len(sizes), dtype=np.int64)
+    np.add.at(totals, fibre, per_el)
+    return totals[fibre]
 
 
 def single(G, rows):

@@ -8,21 +8,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import group_oracles
 from gl2lab import basechange, normcert
-from gl2lab.basechange import (_fibre_sums, bc_unit_identity,
-                               orbit_label_data, sigma_orbits,
+from gl2lab.basechange import (bc_unit_identity, sigma_orbits,
                                unit_group_exactness)
 from gl2lab.cli import main
 from gl2lab.errors import BrokenIdentity, ResourceLimit
 from gl2lab.finitegl2 import FiniteGL2
-from gl2lab.gl2group import MatGroup, RingTables
 from gl2lab.padic import group_order_gl2
 from gl2lab.ringtables import RingTableLists
-from group_oracles import (array_commutant_units, array_norm,
-                           array_norm_preimage, array_unit_group_defect,
+from gl2group import MatGroup, RingTables
+from group_oracles import (_fibre_sums, _right_sums, array_commutant_units,
+                           array_norm, array_norm_preimage,
+                           array_unit_group_defect,
                            code_order_unit_generators,
-                           materialized_sigma_orbits, per_call_right_sums,
-                           single)
+                           materialized_sigma_orbits, orbit_label_data,
+                           per_call_right_sums, single)
 
 
 def _mul(mod, x, y):
@@ -135,8 +136,8 @@ def test_bad_matching_raises(monkeypatch, capsys):
     # for the first class alone in the certificate: neither matching is a
     # bijection, and that is a failed check with exit 1, not an exception
     from gl2lab import campaigns
-    monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
-    monkeypatch.setattr(basechange, "norm_preimage",
+    monkeypatch.setattr(group_oracles, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(group_oracles, "norm_preimage",
                         lambda ring, gamma: (1, 0, 0, 1))
     tables, G, labels, norm_class = orbit_label_data(2, 2, 1)
     assert np.count_nonzero(norm_class >= 0) == 1
@@ -456,13 +457,11 @@ def test_exact_sequence_runs_past_the_code_space_cap(capsys, monkeypatch,
 
 
 def test_exact_sequence_work_is_capped_before_it_starts(capsys, monkeypatch):
-    from gl2lab import campaigns
-
     def no_work(*args):
         pytest.fail("exact-sequence work started before the cap")
     monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
     monkeypatch.setattr(RingTableLists, "__init__", no_work)
-    monkeypatch.setattr(campaigns, "FiniteGL2", no_work)
+    monkeypatch.setattr(basechange, "FiniteGL2", no_work)
     # 20,000 samples on 81^2 commutant pairs each
     assert main(["verify-exact-seq", "--p", "3", "--r", "2", "--n", "2",
                  "--samples", "20000"]) == 2
@@ -472,46 +471,97 @@ def test_exact_sequence_work_is_capped_before_it_starts(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the right side of the bc-unit identity from the cached r = 1 table
+# the right side of the bc-unit identity, in integers mod p^j
 
 
-@pytest.mark.parametrize("p,r,j,k", [(2, 2, 2, 1), (3, 2, 1, 0), (2, 2, 1, 0),
-                                     (2, 3, 1, 0), (2, 1, 3, 1), (2, 2, 2, 2),
-                                     (2, 2, 2, 0)])
+@pytest.mark.parametrize("p,r,j,k", [
+    (2, 2, 2, 1), (3, 2, 1, 0), (2, 2, 1, 0), (2, 3, 1, 0), (2, 1, 3, 1),
+    (2, 2, 2, 2), (2, 2, 2, 0), (2, 2, 1, 1), (3, 2, 1, 1), (3, 1, 2, 0),
+    (3, 1, 2, 1), (2, 1, 3, 2), (5, 1, 1, 0), (5, 2, 1, 1), (2, 1, 4, 1),
+    (7, 1, 1, 1)])
 def test_bc_right_sums_match_the_per_call_orbit_table(p, r, j, k):
-    classes = range(len(FiniteGL2(p, j).class_reps))
-    fs = [[1] * len(classes)]
-    fs += [[int(c == cid) for c in classes] for cid in classes]
-    fs.append([c * c % 5 - 2 for c in classes])
+    small = FiniteGL2(p, j)
+    classes = range(len(small.class_reps))
+    n_right = small.order if k == 0 else p**(4 * (j - k))
+    # one tally per fibre mod p^k, as bc_unit_defects takes them; the
+    # oracle reads every class on its own
+    by_fibre = {}
+    for gamma in small.class_reps:
+        fibre = tuple(c % p**k for c in gamma)
+        if fibre not in by_fibre:
+            by_fibre[fibre] = basechange._right_tally(small, gamma, k, n_right)
+    tallies = np.asarray([by_fibre[tuple(c % p**k for c in gamma)]
+                          for gamma in small.class_reps])
+    # the constant, every class indicator and a mixed function; the
+    # indicators' sums are the tallies' columns
+    fs = [[1] * len(classes), [c * c % 5 - 2 for c in classes]]
     for f in fs:
-        fv = np.asarray(f, dtype=np.int64)
-        sums, n_right = basechange._right_sums(fv, k, p, j)
-        want, want_n = per_call_right_sums(fv, k, p, j)
-        assert n_right == want_n and np.array_equal(sums, want)
-        assert basechange.bc_unit_defect(f, k, p, r, j) is None
+        want, want_n = per_call_right_sums(np.asarray(f), k, p, j)
+        assert n_right == want_n
+        assert np.array_equal(tallies @ np.asarray(f), want)
+    indicators = [[int(c == cid) for c in classes] for cid in classes]
+    for cid, indicator in enumerate(indicators):
+        want, want_n = _right_sums(np.asarray(indicator), k, p, j)
+        assert n_right == want_n and np.array_equal(tallies[:, cid], want)
+    assert basechange.bc_unit_defects(fs + indicators, k, p, r, j) == \
+        [None] * (len(fs) + len(indicators))
 
 
-def test_unnumbered_small_orbit_is_a_failed_row(monkeypatch):
-    from gl2lab import campaigns
+_FORCED_RIGHT = """
+import json
+from unittest import mock
+from gl2lab.basechange import bc_unit_checks
+from gl2lab.finitegl2 import FiniteGL2
 
-    real = basechange.orbit_label_data
+# each lift on the right side read one class on; the left side reads the
+# classes of its norms by its own reader
+small = FiniteGL2(2, 2)
+real = small.class_of
+with mock.patch.object(small, "class_of",
+                       lambda x: (real(x) + 1) % len(small.class_reps)):
+    print(json.dumps([c.to_dict() for c in bc_unit_checks()]))
+"""
 
-    # the r = 1 table with its last orbit left without a class
-    def last_orbit_unnumbered(p, r, j):
-        tables, G, labels, norm_class = real(p, r, j)
-        if r == 1:
-            norm_class = np.where(norm_class == norm_class.max(), -1,
-                                  norm_class)
-        return tables, G, labels, norm_class
-    monkeypatch.setattr(basechange, "orbit_label_data", last_orbit_unnumbered)
-    rows = [c.to_dict() for c in campaigns.bc_unit_checks(p=2, r=2, j=1, k=0)]
-    assert rows and not any(row["pass"] for row in rows)
-    _, Gs, labels, norm_class = real(2, 1, 1)
-    least = int(np.flatnonzero(labels == len(norm_class) - 1)[0])
-    for row in rows:
-        assert row["witness"] == {
-            "delta": str([int(x[least]) for x in Gs.comps]),
-            "left_average": "None", "right_average": "None"}
+
+def _check_forced_right(rows):
+    small = FiniteGL2(2, 2)
+    tab, deltas = normcert.certificate(2, 2, 2)
+    gamma_of = {delta: o.rep for o, delta in zip(tab.orbits, deltas)}
+    # the constant function cannot see a wrong class; each indicator can
+    assert rows[0]["pass"] and not any(row["pass"] for row in rows[1:])
+    for row in rows[1:]:
+        c, wit = row["inputs"]["function"] - 1, row["witness"]
+        assert set(wit) == {"delta", "left_average", "right_average"}
+        # the left average is the true one; the right one is class c - 1's
+        tally = basechange._right_tally(
+            small, gamma_of[tuple(json.loads(wit["delta"]))], 1, 16)
+        assert Fraction(wit["left_average"]) == Fraction(tally[c], 16)
+        assert Fraction(wit["right_average"]) == Fraction(tally[c - 1], 16)
+
+
+def test_bc_unit_row_fails_on_a_wrong_class_on_the_right_side():
+    import contextlib
+    import io
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        exec(_FORCED_RIGHT, {})
+    _check_forced_right(json.loads(buf.getvalue()))
+
+
+def test_bc_unit_row_fails_on_a_wrong_class_on_the_right_under_python_O():
+    import os
+    import subprocess
+    import sys
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(here, os.pardir, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys\nif __debug__:\n    sys.exit('not under -O')\n"
+            + _FORCED_RIGHT)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _check_forced_right(json.loads(proc.stdout))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +573,7 @@ def test_sigma_orbits_with_the_code_order_unit_generators(monkeypatch, p, r, n):
     # the orbit closure of the oracle table, under both generator sets
     new = materialized_sigma_orbits(p, r, n).to_dict()
     assert sigma_orbits(p, r, n).to_dict() == new
-    monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(group_oracles, "_ORBIT_CACHE", {})
     monkeypatch.setattr(RingTableLists, "unit_generators",
                         code_order_unit_generators)
     G = MatGroup(RingTables(p, r, n))
@@ -635,13 +685,23 @@ def test_bc_unit_norms_are_capped_before_any_work(capsys, monkeypatch):
     monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
     monkeypatch.setattr(RingTableLists, "__init__", no_work)
     monkeypatch.setattr(basechange, "FiniteGL2", no_work)
-    monkeypatch.setattr(basechange, "orbit_label_data", no_work)
     # k = 0 at (3, 2, 2): the one fibre is all of GL2(GR(9, 2))
     assert main(["verify-bc-unit", "--p", "3", "--r", "2", "--j", "2",
                  "--k", "0"]) == 2
     err = capsys.readouterr().err
     assert f"bc-unit norms needs {group_order_gl2(9, 2)} elements" in err
     assert "Traceback" not in err
+
+
+def test_bc_unit_functions_are_read_after_the_cap(monkeypatch):
+    # bc_unit_checks hands its functions as a generator, whose lists are
+    # as long as the class count; none may be drawn before the cap
+    def functions():
+        pytest.fail("bc-unit functions read before the cap")
+        yield
+    monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
+    with pytest.raises(ResourceLimit, match="bc-unit norms needs"):
+        basechange.bc_unit_defects(functions(), 0, 3, 2, 2)
 
 
 _FORCED_BC = """
@@ -729,10 +789,7 @@ def test_one_list_table_per_ring_over_the_finite_campaigns(monkeypatch):
     # every cache above the lists starts empty, so every caller asks
     monkeypatch.setattr(RingTableLists, "_cache", {})
     monkeypatch.setattr(RingTableLists, "_build", counted)
-    monkeypatch.setattr(RingTables, "_cache", {})
-    monkeypatch.setattr(MatGroup, "_cache", {})
     monkeypatch.setattr(curves.SmallField, "_cache", {})
-    monkeypatch.setattr(basechange, "_ORBIT_CACHE", {})
     monkeypatch.setattr(curves, "_census",
                         functools.cache(curves._census.__wrapped__))
     for name in ("norm-bijection", "exact-sequence", "bc-unit",

@@ -30,18 +30,14 @@ SITES = """
 import contextlib, functools, io, itertools
 from unittest import mock
 
-import numpy as np
-
 from gl2lab import curves, cyclotomic, finitegl2, hecke, padic, tree
 from gl2lab.cli import main
 from gl2lab.errors import BrokenIdentity
 from gl2lab.finitegl2 import FiniteGL2
-from gl2lab.gl2group import MatGroup
 from gl2lab.padic import GaloisRingElement, get_context
 from gl2lab.ringtables import RingTableLists
 
 real_order = curves.gl2_order_mod
-real_mask = MatGroup.congruence_mask
 real_centralizer = finitegl2._centralizer_order
 real_irreducible = padic.smallest_irreducible
 real_o_inverse = padic._o_inverse
@@ -53,14 +49,9 @@ fresh_units = (finitegl2, "unit_group",
 SS_TRACE = ["ss-trace", "--p", "3", "--n", "1", "--kind", "ordinary", "--a", "1"]
 
 
-def one_more(self, k):
-    mask = real_mask(self, k).copy()
-    mask[np.argmin(mask)] = True
-    return mask
-
-
 E = next(E for E in curves.enumerate_curves(7)
          if curves.level_m_count_closed(E, 3))
+F2 = FiniteGL2(2, 1)
 
 # site -> (patches (owner, attribute, value), a call or a command line)
 SITES = {
@@ -72,9 +63,12 @@ SITES = {
     "boundary_ss_trace": (
         [(curves, "gl2_order_mod", lambda N: real_order(N) + 2 * N)],
         ["boundary", "--p", "7", "--n", "1", "--m", "3"]),
-    "_fibre_sums": ([(MatGroup, "congruence_mask", one_more)],
-                    ["verify-bc-unit", "--p", "2", "--r", "2", "--j", "1",
-                     "--k", "1"]),
+    # the last class of GL2(F_2) one element larger, past the class table's
+    # own check: at k = 0 the right side's one tally is the class sizes
+    "_right_tally": ([(F2, "class_sizes",
+                       F2.class_sizes[:-1] + [F2.class_sizes[-1] + 1])],
+                     ["verify-bc-unit", "--p", "2", "--r", "2", "--j", "1",
+                      "--k", "0"]),
     "_check_point_trace": ([(curves, "ss_trace_point", lambda *a, **k: 12345)],
                            ["census", "--q", "7", "--m", "3", "--n", "1"]),
     # the generators claimed to join every normal form into one orbit
@@ -165,7 +159,7 @@ MESSAGES = {
     "level_m_count": "does not act freely on the",
     "level_m_count_closed": "does not divide the 49 bases of E[3]",
     "boundary_ss_trace": "boundary packet count 2305/6 is not an integer",
-    "_fibre_sums": "a fibre of reduction mod 2 does not have",
+    "_right_tally": "mod p^0 has 7 units, not |Gamma(p^k)| = 6",
     "_check_point_trace": "point trace at (p, r, n) = (7, 1, 1): "
                           "character sum 12345 != ",
     "_census": "over F_7 has 42 tuples, not a divisor of 6",

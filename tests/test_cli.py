@@ -660,7 +660,7 @@ def test_tree_lemma_residues_are_capped(capsys, monkeypatch):
 
 def test_report_all_and_oneshot_counts_lie_under_the_sample_caps(monkeypatch):
     # each cap is the first thing its battery does; stop there and compare
-    from gl2lab import campaigns, checks, hecke
+    from gl2lab import basechange, campaigns, checks, hecke
 
     class Capped(Exception):
         pass
@@ -672,7 +672,7 @@ def test_report_all_and_oneshot_counts_lie_under_the_sample_caps(monkeypatch):
         raise Capped(what)
 
     monkeypatch.delenv("GL2LAB_MAX_ELEMS", raising=False)
-    for module in (campaigns, checks, hecke):
+    for module in (basechange, checks, hecke):
         monkeypatch.setattr(module, "check_cap", record)
     calls = [campaigns.exact_sequence_checks, campaigns.tree_checks,
              campaigns.centrality_checks]
@@ -1053,8 +1053,8 @@ def test_failed_bc_unit_row_keeps_its_witness(capsys, monkeypatch):
     assert code == 0 and "witness" not in out
     real = basechange._norm_class_reader
 
-    # a wrong class read off each norm of the left side; the r = 1 table,
-    # which numbers the classes for the right side, stays as it is
+    # a wrong class read off each norm of the left side; the right side,
+    # which reads its classes by `FiniteGL2.class_of`, stays as it is
     def classes_shifted(ring, G):
         read = real(ring, G)
         return lambda *x: (read(*x) + 1) % len(G.class_reps)

@@ -1,11 +1,13 @@
 """The local-path commands and malformed table input load no table layer,
 and the character commands, the census, the boundary term (its packet
-enumeration included) and the norm certificate load no numpy.  Malformed
-local-path input is rejected before the local layers load, and no command
-here loads `dataclasses` or the `inspect` stack behind it.
+enumeration included), the norm certificate and the base-change batteries
+load no numpy.  Malformed local-path input is rejected before the local
+layers load, and no command here loads `dataclasses` or the `inspect` stack
+behind it.  With numpy made unimportable, every command and report-all
+exits as it does with it.
 
 Each command runs in a fresh interpreter, as from the console script, and
-reports which of the numpy-backed modules it left loaded.  No bytecode is
+reports which of the table modules it left loaded.  No bytecode is
 written.
 """
 
@@ -18,8 +20,8 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
-TABLE_MODULES = ("numpy", "gl2lab.gl2group", "gl2lab.ringtables",
-                 "gl2lab.finitegl2", "gl2lab.basechange", "gl2lab.curves")
+TABLE_MODULES = ("numpy", "gl2lab.ringtables", "gl2lab.finitegl2",
+                 "gl2lab.basechange", "gl2lab.curves")
 
 # the stdlib no command of the mix needs: dataclasses and what it imports
 INTROSPECTION = ("dataclasses", "inspect")
@@ -194,6 +196,61 @@ def test_norm_certificate_loads_no_numpy(argv):
                           "loaded": ["gl2lab.ringtables", "gl2lab.finitegl2"]}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-exact-seq", "--p", "2", "--r", "2", "--n", "1"],
+    ["verify-bc-unit"],
+], ids=" ".join)
+def test_base_change_batteries_load_no_numpy(argv):
+    # both sides of the unit identity run on the list tables and class keys
+    assert _run(argv) == {"code": 0,
+                          "loaded": ["gl2lab.ringtables", "gl2lab.finitegl2",
+                                     "gl2lab.basechange"]}
+
+
+# one argv of every command kind, each exit code as with numpy importable
+EVERY_COMMAND = [
+    (["eval-phi", "--p", "2", "--n", "1", "--matrix", "[[2,0],[0,1]]"], 0),
+    (["tree-orbital", "--p", "2", "--n", "1", "--gamma", "[[0,1],[-2,0]]"],
+     0),
+    (["tree-fixed-set", "--p", "2", "--gamma", "[[2,1],[0,1]]"], 0),
+    (["char-table", "--p", "2", "--n", "2"], 0),
+    (["ss-trace", "--p", "3", "--n", "2", "--kind", "supersingular"], 0),
+    (["verify-norm", "--p", "2", "--r", "2", "--n", "1"], 0),
+    (["verify-exact-seq", "--p", "2", "--r", "2", "--n", "1"], 0),
+    (["verify-bc-unit"], 0),
+    (["verify-tower", "--q", "2", "--n", "1", "--samples", "5"], 0),
+    (["verify-central", "--q", "2", "--n", "1", "--samples", "3"], 0),
+    (["verify-orbital", "--q", "3", "--n", "1", "--samples", "10"], 0),
+    (["verify-cr", "--p", "3", "--n", "1"], 0),
+    (["census", "--q", "4", "--m", "3"], 0),
+    (["boundary", "--p", "7", "--n", "1", "--m", "3", "--enumerate"], 0),
+    (["verify-bc-unit", "--p", "6", "--r", "2"], 2),
+    (["report-all"], 0),
+]
+
+NO_NUMPY = """
+import sys
+
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} refused")
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+
+def test_every_command_runs_with_numpy_unimportable():
+    argvs = [argv for argv, _ in EVERY_COMMAND]
+    reps = _fresh(NO_NUMPY + RUN.format(argvs=argvs, modules=("numpy",),
+                                        stdlib=()))
+    for (argv, code), rep in zip(EVERY_COMMAND, reps, strict=True):
+        assert rep["code"] == code and rep["loaded"] == [], (argv, rep)
+        assert not any("Traceback" in line for line in rep["stderr"]), argv
+
+
 TRACED = """
 import json, sys
 sys.path.insert(0, {bench!r})
@@ -210,4 +267,6 @@ print(json.dumps({{"named": sorted(named),
 
 def test_campaigns_binds_every_layer_the_tracer_names():
     rep = _fresh(TRACED.format(bench=os.path.join(ROOT, "perfbench")))
-    assert "gl2lab.curves" in rep["named"] and rep["missing"] == []
+    # the array layer moved into the tests' oracles
+    assert "gl2lab.curves" in rep["named"]
+    assert rep["missing"] == ["gl2lab.gl2group"]

@@ -18,11 +18,11 @@ from gl2lab.curves import (SmallField, WeierstrassCurve, _crt, _discriminant,
                            level_m_count, level_m_count_closed, point_trace,
                            ss_lefschetz)
 from gl2lab.errors import DomainError
-from gl2lab.gl2group import MatGroup
 from curves_oracles import (_digits, _index_among, array_census,
                             boundary_by_element_loop, code, discriminant,
                             field_arrays, level_m_count_by_scalar_mul,
                             transform_all)
+from gl2group import MatGroup
 from group_oracles import least_unit_generator
 
 

